@@ -794,6 +794,11 @@ def _primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tenso
     concat_mate = Tensor(rng.standard_normal((3, 4)))
     comp_w1 = Tensor(rng.standard_normal((4, 3)))
     comp_w2 = Tensor(rng.standard_normal((4, 3)))
+    adj33 = rng.standard_normal((3, 3))
+    x234 = rng.standard_normal((2, 3, 4))
+    w234 = rng.standard_normal((2, 3, 4))
+    t_adj33 = Tensor(adj33)
+    t_x234 = Tensor(x234)
 
     checks = [
         ("add", lambda t: _weighted_sum(tc.add(t, t_other), w34), x34),
@@ -819,6 +824,8 @@ def _primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tenso
         ("reduce_mean_axis1", lambda t: _weighted_sum(tc.reduce_mean(t, axis=1), w3), x34),
         ("reshape", lambda t: _weighted_sum(tc.reshape(t, (2, 6)), w26), x34),
         ("transpose", lambda t: _weighted_sum(tc.transpose(t, (1, 0)), w43), x34),
+        ("node_mix_adj", lambda t: _weighted_sum(tc.node_mix(t, t_x234), w234), adj33),
+        ("node_mix_x", lambda t: _weighted_sum(tc.node_mix(t_adj33, t), w234), x234),
         ("composite", lambda t: _weighted_sum(
             tc.mul(tc.sigmoid(tc.matmul(t, comp_w1)), tc.tanh(tc.matmul(t, comp_w2))), w33), x34),
     ]

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from trafficast import tensor as tc
-from trafficast.data import parse_tensor_blob, tensor_blob
+from trafficast.data import DataError, parse_tensor_blob, tensor_blob
 from trafficast.graph import NodeEmbeddings, adaptive_adjacency
 from trafficast.tensor import ShapeError, Tensor
 
@@ -324,13 +324,6 @@ def attention_step(
 # double graph convolution
 # ---------------------------------------------------------------------------
 
-def _mix(adj: Tensor, x3: Tensor, b: int, n: int, d: int) -> Tensor:
-    """Left-multiply each batch element's [N, d] signal by adj [N, N]."""
-    xt = tc.reshape(tc.transpose(x3, (1, 0, 2)), (n, b * d))
-    mixed = tc.matmul(adj, xt)
-    return tc.transpose(tc.reshape(mixed, (n, b, d)), (1, 0, 2))
-
-
 def adaptive_mix_mats(emb: NodeEmbeddings, cfg: ModelConfig) -> List[Optional[Tensor]]:
     """Head-averaged adjacency powers M_k = mean_i A_i^k for k = 0..K.
 
@@ -382,7 +375,7 @@ def _hop_sum(x3: Tensor, mats: List[Optional[Tensor]], hops: List[Tensor],
              b: int, n: int, d_in: int, d_h: int) -> Tensor:
     acc = None
     for k, w_k in enumerate(hops):
-        term = x3 if mats[k] is None else _mix(mats[k], x3, b, n, d_in)
+        term = x3 if mats[k] is None else tc.node_mix(mats[k], x3)
         out = tc.matmul(tc.reshape(term, (b * n, d_in)), w_k)
         acc = out if acc is None else tc.add(acc, out)
     return tc.reshape(acc, (b, n, d_h))
@@ -451,8 +444,6 @@ def dgcgru_cell(
 @dataclass
 class ForwardTrace:
     predictions: Tensor                       # [B, Q, N, C]
-    decoder_hiddens: List[Tensor] = field(default_factory=list)
-    attention_outputs: List[Tensor] = field(default_factory=list)
     attention_weights: List[Optional[Tensor]] = field(default_factory=list)
     banks: List[List[Tensor]] = field(default_factory=list)
 
@@ -496,7 +487,6 @@ def forward(
     step_preds = []
     for t in range(cfg.Q):
         h = gru_cell(dec, x_in, h)
-        trace.decoder_hiddens.append(h)
         if cfg.order == "attention_then_dgc":
             a_t, w_t = attention_step(h, banks, t, cfg, attn)
             g = dgcgru_cell(state, tc.reshape(a_t, (b, n, cfg.d_h)), g, pre_mats, adp_mats)
@@ -505,7 +495,6 @@ def forward(
             g = dgcgru_cell(state, tc.reshape(h, (b, n, cfg.d_h)), g, pre_mats, adp_mats)
             a_t, w_t = attention_step(tc.reshape(g, (b * n, cfg.d_h)), banks, t, cfg, attn)
             y_t = tc.add(tc.matmul(a_t, w_out), b_out)
-        trace.attention_outputs.append(a_t)
         trace.attention_weights.append(w_t)
         step_preds.append(tc.reshape(y_t, (b, 1, n, c)))
         if t + 1 < cfg.Q:
@@ -537,21 +526,46 @@ def save_checkpoint(state: ModelState, path) -> None:
             fh.write(tensor_blob(state.params[name].data))
 
 
+def _manifest_line(raw: bytes, offset: int, origin: str) -> Tuple[bytes, int]:
+    nl = raw.find(b"\n", offset)
+    if nl < 0:
+        raise DataError(
+            f"{origin}: truncated manifest at byte offset {offset}, no line end"
+        )
+    return raw[offset:nl], nl + 1
+
+
 def load_checkpoint(path, state: ModelState) -> None:
-    """Load parameters into an existing state (shapes must match)."""
+    """Load parameters into an existing state (names and shapes must match).
+
+    A malformed file raises DataError naming the byte offset; a well-formed
+    checkpoint of a different model raises ModelError. Nothing is written
+    into `state` unless the whole file checks out.
+    """
+    origin = str(path)
     with open(path, "rb") as fh:
         raw = fh.read()
-    first_nl = raw.index(b"\n")
-    header = raw[:first_nl]
-    if not header.startswith(CKPT_HEADER):
-        raise ModelError(f"{path}: not a checkpoint file (header {header[:20]!r})")
-    count = int(header.rsplit(b" ", 1)[1])
-    offset = first_nl + 1
+    header, offset = _manifest_line(raw, 0, origin)
+    if not header.startswith(CKPT_HEADER + b" "):
+        raise DataError(
+            f"{origin}: not a checkpoint file at byte offset 0 (header {header[:20]!r})"
+        )
+    count = header[len(CKPT_HEADER) + 1:]
+    if not count.isdigit():
+        raise DataError(
+            f"{origin}: bad parameter count {count[:20]!r} "
+            f"at byte offset {len(CKPT_HEADER) + 1}"
+        )
     names = []
-    for _ in range(count):
-        nl = raw.index(b"\n", offset)
-        names.append(raw[offset:nl].decode("ascii").split(",")[0])
-        offset = nl + 1
+    for _ in range(int(count)):
+        start = offset
+        line, offset = _manifest_line(raw, offset, origin)
+        try:
+            names.append(line.split(b",")[0].decode("ascii"))
+        except UnicodeDecodeError:
+            raise DataError(
+                f"{origin}: non-ASCII parameter name at byte offset {start}"
+            ) from None
     if names != list(state.params):
         missing = set(state.params) - set(names)
         extra = set(names) - set(state.params)
@@ -559,11 +573,18 @@ def load_checkpoint(path, state: ModelState) -> None:
             f"{path}: parameter names do not match the model "
             f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
         )
+    arrays = []
     for name in names:
-        arr, offset = parse_tensor_blob(raw, offset, origin=str(path))
+        arr, offset = parse_tensor_blob(raw, offset, origin=origin)
         if tuple(arr.shape) != state.params[name].shape:
             raise ModelError(
                 f"{path}: {name} has shape {list(arr.shape)}, "
                 f"model expects {list(state.params[name].shape)}"
             )
+        arrays.append(arr)
+    if offset != len(raw):
+        raise DataError(
+            f"{origin}: {len(raw) - offset} trailing bytes at byte offset {offset}"
+        )
+    for name, arr in zip(names, arrays):
         state.params[name].data[...] = arr

@@ -9,6 +9,11 @@ stays auditable.
 Ops record themselves onto the innermost active :class:`Tape`. A tape is
 rebuilt on every forward pass, which makes data-dependent loop lengths
 (e.g. an autoregressive decoder) trivial to differentiate.
+
+`.grad` contract: :func:`backward` writes gradients only to leaves, the
+requires_grad tensors the tape did not produce (parameters and inputs the
+caller built), and they accumulate across calls until zeroed. Tensors the
+tape produced are intermediates; their `.grad` stays None.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
+    "node_mix",
     "sigmoid",
     "tanh",
     "relu",
@@ -225,12 +231,17 @@ def _emit(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Accumulate d(loss)/d(t) into `t.grad` for every requires_grad tensor.
+    """Accumulate d(loss)/d(t) into `t.grad` for every leaf that requires grad.
 
-    Repeated calls without zeroing grads accumulate. Replays the tape's
-    backward rules in reverse execution order, carrying per-pass adjoints
-    separately from the persistent `.grad` fields so that accumulation
-    semantics stay exact across calls.
+    A leaf is a requires_grad tensor this tape did not produce: a parameter,
+    or any input the caller built. Leaves accumulate across calls until
+    zeroed. Tensors the tape produced are intermediates: their adjoints live
+    only inside this pass, each one dropped as soon as its record's backward
+    rule has consumed it, and their `.grad` stays None.
+
+    Replays the tape's backward rules in reverse execution order. Every
+    consumer of an intermediate runs after the record that produced it, so
+    by the time that record is replayed its adjoint is complete.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -238,14 +249,13 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise ValueError("loss was not produced on this tape")
 
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    leaves: dict[int, Tensor] = {}
 
     for rec in reversed(tape.records):
-        g_out = adjoints.get(id(rec.output))
+        g_out = adjoints.pop(id(rec.output), None)
         if g_out is None:
             continue
-        input_grads = rec.backward_fn(g_out)
-        for inp, g in zip(rec.inputs, input_grads):
+        for inp, g in zip(rec.inputs, rec.backward_fn(g_out)):
             if g is None or not inp.requires_grad:
                 continue
             key = id(inp)
@@ -253,12 +263,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 adjoints[key] = adjoints[key] + g
             else:
                 adjoints[key] = g
-                holders[key] = inp
+                if not tape.produced(inp):
+                    leaves[key] = inp
 
-    for key, g in adjoints.items():
-        t = holders[key]
-        if t.requires_grad:
-            t.accumulate_grad(g)
+    for key, t in leaves.items():
+        t.accumulate_grad(adjoints[key])
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +374,7 @@ def absolute(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# softmax / concat / slice / reduce / reshape / transpose / matmul
+# softmax / concat / slice / reduce / reshape / transpose / matmul / node_mix
 # ---------------------------------------------------------------------------
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -473,7 +482,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != a.size:
         raise ShapeError(f"cannot reshape {list(a.shape)} to {list(shape)}")
-    out = a.data.reshape(shape).copy()
+    out = a.data.reshape(shape)  # a view: tensor data is always C-contiguous
 
     def bwd(g):
         return (g.reshape(a.shape),)
@@ -505,6 +514,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return _emit((a, b), out, bwd)
+
+
+def node_mix(adj: Tensor, x: Tensor) -> Tensor:
+    """Left-multiply each batch element's [N, d] signal by adj: [B, N, d]."""
+    if len(adj.shape) != 2 or len(x.shape) != 3 or adj.shape[1] != x.shape[1]:
+        raise ShapeError(
+            f"node_mix needs [m,n]x[b,n,d], got {list(adj.shape)} and {list(x.shape)}"
+        )
+    out = np.matmul(adj.data, x.data)
+
+    def bwd(g):
+        return np.tensordot(g, x.data, axes=([0, 2], [0, 2])), np.matmul(adj.data.T, g)
+
+    return _emit((adj, x), out, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ class TrainError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Non-finite loss encountered; carries the epoch and batch index."""
+    """Non-finite loss or gradient norm; carries the epoch and batch index."""
 
     def __init__(self, message: str, epoch: int, batch: int):
         super().__init__(message)
@@ -147,14 +147,23 @@ class AdamState:
     t: int = 0
 
 
-def clip_gradients(params: Dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most max_norm."""
+def grad_norm(params: Dict[str, Tensor]) -> float:
+    """Global L2 norm over every gradient present."""
     total = 0.0
     for t in params.values():
         if t.grad is not None:
             total += float(np.sum(t.grad**2))
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0:
+    return float(np.sqrt(total))
+
+
+def clip_gradients(params: Dict[str, Tensor], max_norm: float) -> float:
+    """Scale all gradients so their global norm is at most max_norm.
+
+    Returns the norm before scaling; a non-finite norm leaves the gradients
+    as they are.
+    """
+    norm = grad_norm(params)
+    if np.isfinite(norm) and norm > max_norm and norm > 0:
         scale = max_norm / norm
         for t in params.values():
             if t.grad is not None:
@@ -297,7 +306,14 @@ def train_single(
                     )
                 backward(loss, tape)
             if cfg.grad_clip is not None:
-                clip_gradients(state.params, cfg.grad_clip)
+                norm = clip_gradients(state.params, cfg.grad_clip)
+            else:
+                norm = grad_norm(state.params)
+            if not np.isfinite(norm):
+                raise DivergenceError(
+                    f"non-finite gradient norm {norm} at epoch {epoch} batch {b_idx}",
+                    epoch=epoch, batch=b_idx,
+                )
             adam_step(opt, state.params, cfg)
             for t in state.params.values():
                 t.zero_grad()

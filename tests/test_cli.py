@@ -357,6 +357,16 @@ def test_eval_missing_checkpoint_is_data_error(tmp_path):
                    "--checkpoint", str(tmp_path / "absent.ckpt")) == 3
 
 
+def test_eval_truncated_checkpoint_is_data_error(tmp_path, capsys):
+    cfg_path, model_cfg = _constant_setup(tmp_path)
+    ckpt = tmp_path / "zero.ckpt"
+    _zero_checkpoint(ckpt, model_cfg)
+    ckpt.write_bytes(ckpt.read_bytes()[:-3])
+    assert run_cli("eval", "--config", cfg_path, "--checkpoint", str(ckpt)) == 3
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "byte offset" in err
+
+
 # --- gradcheck ---------------------------------------------------------------
 
 def test_gradcheck_passes_and_writes_report(tmp_path, capsys):

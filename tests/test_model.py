@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from trafficast import tensor as tc
+from trafficast.data import DataError
 from trafficast.graph import GraphSpec, NodeEmbeddings, build_predefined, init_embeddings, row_normalize
 from trafficast.model import (
     AttentionParams,
@@ -659,3 +660,48 @@ def test_checkpoint_shape_mismatch(tmp_path):
     save_checkpoint(a, path)
     with pytest.raises(ModelError, match="shape"):
         load_checkpoint(path, b)
+
+
+def _saved_checkpoint(tmp_path):
+    state = init_model(_toy_cfg(), 4, 1, seed=35)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(state, path)
+    return state, path
+
+
+def _assert_rejected(path, state, pattern):
+    before = {k: t.data.copy() for k, t in state.params.items()}
+    with pytest.raises(DataError, match=pattern) as exc_info:
+        load_checkpoint(path, state)
+    assert str(path) in str(exc_info.value)
+    for name, t in state.params.items():
+        np.testing.assert_array_equal(t.data, before[name])
+
+
+def test_checkpoint_truncated_to_five_bytes(tmp_path):
+    state, path = _saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:5])
+    _assert_rejected(path, state, "truncated manifest at byte offset 0")
+
+
+def test_checkpoint_bad_parameter_count(tmp_path):
+    state, path = _saved_checkpoint(tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(b"STGC-CKPT 1 x" + raw[raw.index(b"\n"):])
+    _assert_rejected(path, state, r"bad parameter count b'x' at byte offset 12")
+
+
+def test_checkpoint_trailing_bytes(tmp_path):
+    state, path = _saved_checkpoint(tmp_path)
+    size = path.stat().st_size
+    with open(path, "ab") as fh:
+        fh.write(b"junk")
+    _assert_rejected(path, state, f"4 trailing bytes at byte offset {size}")
+
+
+def test_checkpoint_non_ascii_parameter_name(tmp_path):
+    state, path = _saved_checkpoint(tmp_path)
+    raw = path.read_bytes()
+    start = raw.index(b"\n") + 1
+    path.write_bytes(raw[:start] + b"\xff" + raw[start + 1:])
+    _assert_rejected(path, state, f"non-ASCII parameter name at byte offset {start}")

@@ -1,9 +1,19 @@
 """Engine primitives: frozen examples, gradient oracles, tape invariants."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from trafficast import tensor as tc
+from trafficast.model import (
+    ModelConfig,
+    adaptive_mix_mats,
+    double_graph_conv,
+    forward,
+    init_model,
+    pre_mix_mats,
+)
 from trafficast.tensor import Tape, Tensor, backward, finite_diff_check
 
 
@@ -31,6 +41,19 @@ def test_matmul_inner_product():
 def test_matmul_shape_mismatch_reports_both_shapes():
     with pytest.raises(tc.ShapeError, match=r"\[2, 3\].*\[2, 2\]"):
         tc.matmul(rand((2, 3), 0), rand((2, 2), 1))
+
+
+def test_node_mix_is_per_batch_matmul():
+    adj, x = rand((3, 3), 2), rand((2, 3, 4), 3)
+    out = tc.node_mix(adj, x)
+    assert out.shape == (2, 3, 4)
+    for b in range(2):
+        np.testing.assert_allclose(out.data[b], adj.data @ x.data[b], rtol=0, atol=1e-14)
+
+
+def test_node_mix_shape_mismatch():
+    with pytest.raises(tc.ShapeError, match=r"\[3, 3\].*\[2, 4, 4\]"):
+        tc.node_mix(rand((3, 3), 0), rand((2, 4, 4), 1))
 
 
 def test_sigmoid_at_zero():
@@ -253,6 +276,87 @@ def test_gradients_only_on_requires_grad():
         backward(loss, tape)
     assert c.grad is None
     np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+
+
+def _op(rec) -> str:
+    # each primitive's backward rule is a closure named "<op>.<locals>.bwd"
+    return rec.backward_fn.__qualname__.split(".")[0]
+
+
+def test_backward_writes_grad_to_leaves_only():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    w = Tensor([3.0, -1.0], requires_grad=True)
+    with Tape() as tape:
+        # x reaches the loss three ways: through x*w, through x*x, and directly
+        s = tc.add(tc.mul(x, w), tc.mul(x, x))
+        loss = tc.reduce_sum(tc.add(s, x))
+        backward(loss, tape)
+    assert all(rec.output.grad is None for rec in tape.records)
+    np.testing.assert_array_equal(x.grad, [3.0 + 2.0 + 1.0, -1.0 + 4.0 + 1.0])
+    np.testing.assert_array_equal(w.grad, [1.0, 2.0])
+
+
+def test_backward_frees_each_adjoint_after_use():
+    handed = []
+    alive = []
+
+    def keep_ref(a):
+        def bwd(g):
+            handed.append(weakref.ref(g))
+            return (g * 1.0,)
+
+        return tc._emit((a,), a.data.copy(), bwd)
+
+    def probe(a):
+        def bwd(g):
+            alive.append(handed[0]() is not None)
+            return (g,)
+
+        return tc._emit((a,), a.data.copy(), bwd)
+
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        backward(tc.reduce_sum(keep_ref(probe(x))), tape)
+    assert alive == [False]
+    np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+
+
+def test_reshape_is_a_view_and_routes_gradient():
+    x = Tensor(np.arange(6.0), requires_grad=True)
+    w = rand((2, 3), 5)
+    with Tape() as tape:
+        y = tc.reshape(x, (2, 3))
+        backward(tc.reduce_sum(tc.mul(y, w)), tape)
+    assert np.shares_memory(y.data, x.data)
+    assert y.grad is None
+    np.testing.assert_array_equal(x.grad, w.data.reshape(-1))
+
+
+def test_toy_model_step_leaves_no_intermediate_grad():
+    cfg = ModelConfig(d_h=8, d_e=3, n_head=2, K=2, P=3, Q=3, S=1)
+    b, n = 2, 4
+    rng = np.random.default_rng(0)
+    r = rng.standard_normal((b, cfg.P, n, 1))
+    d = rng.standard_normal((b, cfg.d_count, cfg.bank_len, n, 1))
+    w = rng.standard_normal((b, cfg.w_count, cfg.bank_len, n, 1))
+    a_pre = np.full((n, n), 1.0 / n)
+    state = init_model(cfg, n, 1, seed=0)
+    with Tape() as tape:
+        loss = tc.reduce_mean(forward(state, r, d, w, a_pre=a_pre).predictions)
+        backward(loss, tape)
+    assert sum(rec.output.grad.nbytes for rec in tape.records
+               if rec.output.grad is not None) == 0
+    assert all(p.grad is not None for p in state.params.values())
+
+    # the graph convolution mixes nodes without any transpose on the tape
+    xh = Tensor(rng.standard_normal((b, n, 2 * cfg.d_h)), requires_grad=True)
+    pre_mats = pre_mix_mats(a_pre, cfg)
+    adp_mats = adaptive_mix_mats(state.embeddings(), cfg)
+    with Tape() as tape:
+        double_graph_conv(xh, pre_mats, adp_mats, state.dgc_gate("update"), cfg)
+    ops = [_op(rec) for rec in tape.records]
+    assert "transpose" not in ops
+    assert ops.count("node_mix") == 2 * cfg.K
 
 
 def test_cleared_tape_is_empty():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from trafficast import tensor as tc
+from trafficast import training
 from trafficast.data import DatasetSpec, Normalizer, prepare_dataset, synth_generate
 from trafficast.graph import build_predefined, row_normalize
 from trafficast.model import ModelConfig
@@ -205,6 +206,13 @@ def test_clip_leaves_small_gradients_alone():
     np.testing.assert_array_equal(a.grad, [0.3, 0.4])
 
 
+def test_clip_leaves_nonfinite_gradients_alone():
+    a = Tensor(np.zeros(2), requires_grad=True)
+    a.grad = np.array([np.inf, 1.0])
+    assert clip_gradients({"a": a}, max_norm=5.0) == np.inf
+    np.testing.assert_array_equal(a.grad, [np.inf, 1.0])
+
+
 # --- training loop -------------------------------------------------------------
 
 def test_config_validation():
@@ -268,6 +276,31 @@ def test_divergence_guard_reports_location():
     assert exc_info.value.epoch >= 1
     assert exc_info.value.batch >= 0
     assert "epoch" in str(exc_info.value)
+
+
+def test_nonfinite_gradient_fails_its_own_step(monkeypatch):
+    model_cfg, splits, a_pre = _tiny_setup()
+    cfg = TrainConfig(max_epochs=3, patience=10, batch_size=16, seeds=(1,))
+    built = {}
+    real_init, real_backward = training.init_model, training.backward
+
+    def init_model(*args, **kwargs):
+        state = real_init(*args, **kwargs)
+        built["state"] = state
+        built["params"] = {k: t.data.copy() for k, t in state.params.items()}
+        return state
+
+    def backward(loss, tape):
+        real_backward(loss, tape)
+        built["state"].params["out.bias"].grad[0] = np.inf
+
+    monkeypatch.setattr(training, "init_model", init_model)
+    monkeypatch.setattr(training, "backward", backward)
+    with pytest.raises(DivergenceError, match="gradient norm") as exc_info:
+        train_single(model_cfg, splits, a_pre, cfg, seed=1)
+    assert (exc_info.value.epoch, exc_info.value.batch) == (1, 0)
+    for name, t in built["state"].params.items():
+        np.testing.assert_array_equal(t.data, built["params"][name])
 
 
 def test_empty_split_rejected():
