@@ -799,6 +799,9 @@ def _primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tenso
     w234 = rng.standard_normal((2, 3, 4))
     t_adj33 = Tensor(adj33)
     t_x234 = Tensor(x234)
+    pool_w = rng.uniform(0.1, 1.0, (3, 3))
+    t_pool_w = Tensor(pool_w)
+    pool_mates = [Tensor(rng.standard_normal((3, 4))) for _ in range(2)]
 
     checks = [
         ("add", lambda t: _weighted_sum(tc.add(t, t_other), w34), x34),
@@ -826,6 +829,10 @@ def _primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tenso
         ("transpose", lambda t: _weighted_sum(tc.transpose(t, (1, 0)), w43), x34),
         ("node_mix_adj", lambda t: _weighted_sum(tc.node_mix(t, t_x234), w234), adj33),
         ("node_mix_x", lambda t: _weighted_sum(tc.node_mix(t_adj33, t), w234), x234),
+        ("weighted_pool_weights", lambda t: _weighted_sum(
+            tc.weighted_pool(t, [t_other, *pool_mates]), w34), pool_w),
+        ("weighted_pool_values", lambda t: _weighted_sum(
+            tc.weighted_pool(t_pool_w, [pool_mates[0], t, pool_mates[1]]), w34), x34),
         ("composite", lambda t: _weighted_sum(
             tc.mul(tc.sigmoid(tc.matmul(t, comp_w1)), tc.tanh(tc.matmul(t, comp_w2))), w33), x34),
     ]

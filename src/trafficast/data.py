@@ -148,8 +148,20 @@ class SignalSeries:
 
 
 def load_series(path, l_d: int, l_w: Optional[int] = None) -> SignalSeries:
-    """Read a [T, N, C] tensor file; l_w defaults to 7*l_d."""
-    return SignalSeries(read_tensor_file(path), l_d, 7 * l_d if l_w is None else l_w)
+    """Read a [T, N, C] tensor file; l_w defaults to 7*l_d.
+
+    A NaN or infinite value raises DataError naming its [t, node, channel].
+    """
+    series = SignalSeries(read_tensor_file(path), l_d, 7 * l_d if l_w is None else l_w)
+    bad = np.argwhere(~np.isfinite(series.data))
+    if bad.size:
+        t, node, channel = (int(i) for i in bad[0])
+        raise DataError(
+            f"{path}: non-finite value {series.data[t, node, channel]} at "
+            f"[t, node, channel] = [{t}, {node}, {channel}] "
+            f"({len(bad)} non-finite in total)"
+        )
+    return series
 
 
 @dataclass

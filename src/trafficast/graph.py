@@ -156,10 +156,20 @@ def adaptive_adjacency(emb: NodeEmbeddings, head: int) -> NormalizedAdjacency:
 # ---------------------------------------------------------------------------
 
 def read_edge_list(path) -> list:
+    """Parse 'i,j,dist' lines (optional 'from,to,cost' header) into triples.
+
+    Any malformed line raises GraphError naming `path:line`.
+    """
     edges = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("ascii").strip()
+            except UnicodeDecodeError as exc:
+                raise GraphError(
+                    f"{path}:{lineno}: non-ASCII byte {raw[exc.start]:#04x} "
+                    f"at column {exc.start + 1}"
+                ) from None
             if not line:
                 continue
             if lineno == 1 and line.lower().replace(" ", "") == "from,to,cost":
@@ -167,7 +177,16 @@ def read_edge_list(path) -> list:
             parts = line.split(",")
             if len(parts) != 3:
                 raise GraphError(f"{path}:{lineno}: expected 'i,j,dist', got {line!r}")
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            try:
+                i, j, dist = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                raise GraphError(
+                    f"{path}:{lineno}: expected integer nodes and a numeric "
+                    f"distance, got {line!r}"
+                ) from None
+            if not np.isfinite(dist):
+                raise GraphError(f"{path}:{lineno}: distance must be finite, got {line!r}")
+            edges.append((i, j, dist))
     return edges
 
 

@@ -12,6 +12,15 @@ nodes. An affine layer maps its state to the forecast. The attention and
 graph stages can be swapped (`order`), and each mechanism has an off
 switch so its contribution can be measured.
 
+Both decoder mechanisms are arranged to put few records on the tape.
+Attention scores every candidate against one precomputed query and pools
+the context in a single `weighted_pool` record. The graph GRU folds its
+hop weights into one (mixing matrix, weight) term list per gate group once
+per forward; inside a cell the update and reset gates share one set of
+node mixes and one matmul per term (their weights sit side by side, as in
+DCRNN's fused gate convolution), and the candidate does the same on its
+own input. No activation wider than [B, N, 2*d_h] is formed.
+
 Everything here runs on the tape from `tensor`; data enters as constant
 tensors, parameters carry requires_grad.
 """
@@ -108,13 +117,22 @@ class AttentionParams:
     v: Tensor
 
 
-@dataclass
-class DgcGateParams:
-    """One gate's two hop-weight stacks (index k = 0..K) and bias."""
+# (mixing matrix, hop weight) pairs; a None matrix is the identity
+Terms = List[Tuple[Optional[Tensor], Tensor]]
 
-    pre: List[Tensor]
-    adp: List[Tensor]
-    bias: Tensor
+
+@dataclass
+class DgcTerms:
+    """A DGC-GRU's graph convolutions, folded for one forward pass.
+
+    `pair` serves the update and reset gates together: each weight is
+    [2*d_h, 2*d_h], update columns first. `cand` serves the candidate.
+    """
+
+    pair: Terms
+    pair_bias: Tensor
+    cand: Terms
+    cand_bias: Tensor
 
 
 @dataclass
@@ -145,14 +163,9 @@ class ModelState:
         p = self.params
         return AttentionParams(p["attn.w1"], p["attn.w2"], p["attn.b"], p["attn.v"])
 
-    def dgc_gate(self, gate: str) -> DgcGateParams:
-        p = self.params
-        k_max = self.config.K
-        return DgcGateParams(
-            pre=[p[f"dgc.{gate}.pre.hop{k}"] for k in range(k_max + 1)],
-            adp=[p[f"dgc.{gate}.adp.hop{k}"] for k in range(k_max + 1)],
-            bias=p[f"dgc.{gate}.bias"],
-        )
+    def dgc_hops(self, gate: str, branch: str) -> List[Tensor]:
+        return [self.params[f"dgc.{gate}.{branch}.hop{k}"]
+                for k in range(self.config.K + 1)]
 
     def embeddings(self) -> NodeEmbeddings:
         return NodeEmbeddings(self.params["embed.e1"], self.params["embed.e2"])
@@ -289,10 +302,13 @@ def attention_step(
 
     Bank index P+t is the prior-day/week state at the same clock offset as
     forecast step t; the window takes offsets -S..+S around it (just the
-    aligned state when windowing is off). Scores are v' tanh(W1 h + W2 h_p
-    + b) per candidate, softmaxed per node; the context adds residually.
-    Returns (a_t, weights) with weights [B*N, n_candidates], or (h_t, None)
-    when periodic context is off.
+    aligned state when windowing is off). Scores are v' tanh(W2 h_p + q)
+    per candidate with the query q = W1 h + b computed once, softmaxed per
+    node. The context is the weights' pool of the candidates, one
+    `weighted_pool` record with no stacked copy, and adds residually.
+    Returns (a_t, weights) with weights [B*N, n_candidates] in bank-major,
+    offset-minor candidate order, or (h_t, None) when periodic context is
+    off.
     """
     if not 0 <= t < cfg.Q:
         raise ModelError(f"step {t} out of range for Q={cfg.Q}")
@@ -303,21 +319,14 @@ def attention_step(
     center = cfg.P + t
     candidates = [bank[center + off] for bank in banks for off in offsets]
 
-    query = tc.matmul(h_t, params.w1)
-    scores = []
-    for h_p in candidates:
-        pre = tc.add(tc.add(query, tc.matmul(h_p, params.w2)), params.b)
-        scores.append(tc.matmul(tc.tanh(pre), tc.reshape(params.v, (params.v.shape[0], 1))))
+    query = tc.add(tc.matmul(h_t, params.w1), params.b)
+    v_col = tc.reshape(params.v, (params.v.shape[0], 1))
+    scores = [
+        tc.matmul(tc.tanh(tc.add(tc.matmul(h_p, params.w2), query)), v_col)
+        for h_p in candidates
+    ]
     weights = tc.softmax(tc.concat(scores, axis=1), axis=1)
-
-    d_h = h_t.shape[1]
-    ones_row = Tensor(np.ones((1, d_h)))
-    context = None
-    for p, h_p in enumerate(candidates):
-        w_col = tc.slice_axis(weights, 1, p, p + 1)
-        term = tc.mul(tc.matmul(w_col, ones_row), h_p)
-        context = term if context is None else tc.add(context, term)
-    return tc.add(h_t, context), weights
+    return tc.add(h_t, tc.weighted_pool(weights, candidates)), weights
 
 
 # ---------------------------------------------------------------------------
@@ -371,69 +380,97 @@ def pre_mix_mats(a_pre: Optional[np.ndarray], cfg: ModelConfig) -> List[Optional
     return mats
 
 
-def _hop_sum(x3: Tensor, mats: List[Optional[Tensor]], hops: List[Tensor],
-             b: int, n: int, d_in: int, d_h: int) -> Tensor:
-    acc = None
-    for k, w_k in enumerate(hops):
-        term = x3 if mats[k] is None else tc.node_mix(mats[k], x3)
-        out = tc.matmul(tc.reshape(term, (b * n, d_in)), w_k)
-        acc = out if acc is None else tc.add(acc, out)
-    return tc.reshape(acc, (b, n, d_h))
-
-
-def double_graph_conv(
-    x3: Tensor,
+def conv_terms(
     pre_mats: List[Optional[Tensor]],
     adp_mats: List[Optional[Tensor]],
-    gate: DgcGateParams,
+    pre_hops: List[Tensor],
+    adp_hops: List[Tensor],
     cfg: ModelConfig,
-) -> Tensor:
-    """w_pre * sum_k (A_pre^k x) Wpre_k + w_adp * sum_k (M_k x) Wadp_k.
+) -> Terms:
+    """Fold w_pre * sum_k (A_pre^k x) Wpre_k + w_adp * sum_k (M_k x) Wadp_k
+    into one term list.
 
-    Branch switches drop a term entirely; with both off, both branches run
-    with identity adjacencies (no node mixing), which reduces the layer to
-    a per-node dense map. Mixing matrices come in precomputed (pre_mix_mats
-    / adaptive_mix_mats) since they are shared across gates and steps.
+    Each hop weight is scaled by its branch's fusion weight. The identity
+    term comes first and carries the sum of every identity hop of the
+    active branches; with both branches off (identity adjacencies, a
+    per-node dense map) that is every hop. A switched-off branch drops out.
+    """
+    both_off = cfg.no_pre and cfg.no_adp
+    branches = []
+    if not cfg.no_pre or both_off:
+        branches.append((pre_mats, pre_hops, cfg.w_pre))
+    if not cfg.no_adp or both_off:
+        branches.append((adp_mats, adp_hops, cfg.w_adp))
+    identity = None
+    terms: Terms = []
+    for mats, hops, weight in branches:
+        scale = Tensor([weight])
+        for mat, hop in zip(mats, hops, strict=True):
+            w_k = tc.mul(hop, scale)
+            if mat is not None:
+                terms.append((mat, w_k))
+            else:
+                identity = w_k if identity is None else tc.add(identity, w_k)
+    return [(None, identity)] + terms
+
+
+def dgc_terms(
+    state: ModelState,
+    pre_mats: List[Optional[Tensor]],
+    adp_mats: List[Optional[Tensor]],
+) -> DgcTerms:
+    """The DGC-GRU's term lists, built once per forward pass.
+
+    Update and reset hop weights are joined column-wise so both gates come
+    out of one matmul per term; parameter names and shapes are unchanged.
+    """
+    cfg = state.config
+    p = state.params
+
+    def paired(branch):
+        return [tc.concat([u, r], axis=1) for u, r in
+                zip(state.dgc_hops("update", branch), state.dgc_hops("reset", branch))]
+
+    pair = conv_terms(pre_mats, adp_mats, paired("pre"), paired("adp"), cfg)
+    cand = conv_terms(pre_mats, adp_mats, state.dgc_hops("cand", "pre"),
+                      state.dgc_hops("cand", "adp"), cfg)
+    pair_bias = tc.concat([p["dgc.update.bias"], p["dgc.reset.bias"]], axis=0)
+    return DgcTerms(pair, pair_bias, cand, p["dgc.cand.bias"])
+
+
+def double_graph_conv(x3: Tensor, terms: Terms) -> Tensor:
+    """sum over terms of (M x) W, for x [B, N, d_in]: [B, N, d_out].
+
+    The terms come from conv_terms, so the two graph branches, their
+    fusion weights and the identity hops are already folded in. Each
+    non-identity matrix mixes x once, and each term is one matmul.
     """
     b, n, d_in = x3.shape
-    d_h = gate.bias.shape[0]
-    both_off = cfg.no_pre and cfg.no_adp
     acc = None
-    if not cfg.no_pre or both_off:
-        o_pre = _hop_sum(x3, pre_mats, gate.pre, b, n, d_in, d_h)
-        acc = tc.mul(o_pre, Tensor([cfg.w_pre]))
-    if not cfg.no_adp or both_off:
-        o_adp = _hop_sum(x3, adp_mats, gate.adp, b, n, d_in, d_h)
-        scaled = tc.mul(o_adp, Tensor([cfg.w_adp]))
-        acc = scaled if acc is None else tc.add(acc, scaled)
-    return acc
+    for mat, w_k in terms:
+        # the mixed copy stays unnamed: off the tape it is freed at once
+        out = tc.matmul(tc.reshape(x3 if mat is None else tc.node_mix(mat, x3),
+                                   (b * n, d_in)), w_k)
+        acc = out if acc is None else tc.add(acc, out)
+    return tc.reshape(acc, (b, n, acc.shape[1]))
 
 
-def dgcgru_cell(
-    state: ModelState,
-    x3: Tensor,
-    h3: Tensor,
-    pre_mats: List[Optional[Tensor]],
-    adp_mats: List[Optional[Tensor]],
-) -> Tensor:
-    """GRU step whose gate transforms are double graph convolutions."""
+def dgcgru_cell(x3: Tensor, h3: Tensor, terms: DgcTerms) -> Tensor:
+    """GRU step whose gate transforms are double graph convolutions.
+
+    The update and reset gates share the node mixes of [x, h]: one
+    double_graph_conv of width 2*d_h, one sigmoid, then a slice each.
+    """
     if x3.shape != h3.shape:
         raise ShapeError(f"dgcgru input {list(x3.shape)} != state {list(h3.shape)}")
-    cfg = state.config
-    xh = tc.concat([x3, h3], axis=2)
-    z = tc.sigmoid(tc.add(
-        double_graph_conv(xh, pre_mats, adp_mats, state.dgc_gate("update"), cfg),
-        state.params["dgc.update.bias"],
-    ))
-    r = tc.sigmoid(tc.add(
-        double_graph_conv(xh, pre_mats, adp_mats, state.dgc_gate("reset"), cfg),
-        state.params["dgc.reset.bias"],
-    ))
-    xrh = tc.concat([x3, tc.mul(r, h3)], axis=2)
-    cand = tc.tanh(tc.add(
-        double_graph_conv(xrh, pre_mats, adp_mats, state.dgc_gate("cand"), cfg),
-        state.params["dgc.cand.bias"],
-    ))
+    d_h = h3.shape[2]
+    # Temporaries stay unnamed so that, off the tape, [x, h] and r are
+    # freed before the candidate's convolution runs.
+    zr = tc.sigmoid(tc.add(
+        double_graph_conv(tc.concat([x3, h3], axis=2), terms.pair), terms.pair_bias))
+    z = tc.slice_axis(zr, 2, 0, d_h)
+    xrh = tc.concat([x3, tc.mul(tc.slice_axis(zr, 2, d_h, 2 * d_h), h3)], axis=2)
+    cand = tc.tanh(tc.add(double_graph_conv(xrh, terms.cand), terms.cand_bias))
     return _gate_mix(z, h3, cand)
 
 
@@ -475,8 +512,7 @@ def forward(
         raise ModelError("teacher_forcing requires y")
 
     h, banks = encode(state, r, d, w)
-    pre_mats = pre_mix_mats(a_pre, cfg)
-    adp_mats = _precompute_adaptive(state)
+    dgc = dgc_terms(state, pre_mix_mats(a_pre, cfg), _precompute_adaptive(state))
     dec = state.gru("decoder")
     attn = state.attention()
     w_out, b_out = state.params["out.weight"], state.params["out.bias"]
@@ -489,10 +525,10 @@ def forward(
         h = gru_cell(dec, x_in, h)
         if cfg.order == "attention_then_dgc":
             a_t, w_t = attention_step(h, banks, t, cfg, attn)
-            g = dgcgru_cell(state, tc.reshape(a_t, (b, n, cfg.d_h)), g, pre_mats, adp_mats)
+            g = dgcgru_cell(tc.reshape(a_t, (b, n, cfg.d_h)), g, dgc)
             y_t = tc.add(tc.matmul(tc.reshape(g, (b * n, cfg.d_h)), w_out), b_out)
         else:
-            g = dgcgru_cell(state, tc.reshape(h, (b, n, cfg.d_h)), g, pre_mats, adp_mats)
+            g = dgcgru_cell(tc.reshape(h, (b, n, cfg.d_h)), g, dgc)
             a_t, w_t = attention_step(tc.reshape(g, (b * n, cfg.d_h)), banks, t, cfg, attn)
             y_t = tc.add(tc.matmul(a_t, w_out), b_out)
         trace.attention_weights.append(w_t)

@@ -44,6 +44,7 @@ __all__ = [
     "reshape",
     "transpose",
     "slice_axis",
+    "weighted_pool",
     "finite_diff_check",
     "GradCheckReport",
     "dump_tensor",
@@ -374,7 +375,8 @@ def absolute(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# softmax / concat / slice / reduce / reshape / transpose / matmul / node_mix
+# softmax / concat / slice / pool / reduce / reshape / transpose / matmul /
+# node_mix
 # ---------------------------------------------------------------------------
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -434,6 +436,40 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         return (full,)
 
     return _emit((a,), out, bwd)
+
+
+def weighted_pool(weights: Tensor, values: Sequence[Tensor]) -> Tensor:
+    """sum_c weights[:, c] * values[c]: pool C [R, d] tensors into one [R, d].
+
+    The values enter as separate inputs, the way concat takes its operands,
+    so no stacked [C, R, d] copy is made.
+    """
+    if len(weights.shape) != 2 or weights.shape[1] != len(values) or not values:
+        raise ShapeError(
+            f"weighted_pool needs [R, C] weights for C values, got "
+            f"{list(weights.shape)} for {len(values)}"
+        )
+    rows, width = weights.shape[0], values[0].shape[-1]
+    for v in values:
+        if v.shape != (rows, width):
+            raise ShapeError(
+                f"weighted_pool values must all be [{rows}, {width}], got {list(v.shape)}"
+            )
+    w = weights.data
+    out = w[:, :1] * values[0].data
+    for c in range(1, len(values)):
+        out += w[:, c:c + 1] * values[c].data
+
+    def bwd(g):
+        g_w = None
+        if weights.requires_grad:
+            g_w = np.empty_like(w)
+            for c, v in enumerate(values):
+                g_w[:, c] = np.einsum("rd,rd->r", g, v.data)
+        return [g_w] + [w[:, c:c + 1] * g if v.requires_grad else None
+                        for c, v in enumerate(values)]
+
+    return _emit((weights, *values), out, bwd)
 
 
 def reduce_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -511,7 +547,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        # a constant operand (data, a fixed adjacency) gets no product
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _emit((a, b), out, bwd)
 
@@ -525,7 +563,8 @@ def node_mix(adj: Tensor, x: Tensor) -> Tensor:
     out = np.matmul(adj.data, x.data)
 
     def bwd(g):
-        return np.tensordot(g, x.data, axes=([0, 2], [0, 2])), np.matmul(adj.data.T, g)
+        return (np.tensordot(g, x.data, axes=([0, 2], [0, 2])) if adj.requires_grad else None,
+                np.matmul(adj.data.T, g) if x.requires_grad else None)
 
     return _emit((adj, x), out, bwd)
 

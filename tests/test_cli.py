@@ -9,6 +9,7 @@ import pytest
 from trafficast import tensor as tc
 from trafficast.cli import (
     SchemaError,
+    _primitive_checks,
     main,
     resolve_config,
 )
@@ -243,6 +244,19 @@ def test_train_missing_data_file_names_path(tmp_path, capsys):
     assert not (tmp_path / "run" / "seed1").exists()
 
 
+def test_train_bad_edge_field_exits_3(tmp_path, capsys):
+    data_dir = tmp_path / "d"
+    assert run_cli("gen-data", "--nodes", "4", "--days", "16", "--ld", "12",
+                   "--out", str(data_dir)) == 0
+    edges = data_dir / "edges.csv"
+    edges.write_text("from,to,cost\n0,1,1.0\n1,2,abc\n")
+    cfg = write_doc(tmp_path / "c.json", tiny_doc(
+        tmp_path / "run", data={"synth": None, "series": str(data_dir / "series.stgt"),
+                                "edges": str(edges), "l_d": 12}))
+    assert run_cli("train", "--config", cfg) == 3
+    assert f"{edges}:3:" in capsys.readouterr().err
+
+
 def test_train_requires_out_dir(tmp_path, capsys):
     cfg = write_doc(tmp_path / "c.json", tiny_doc(None))
     assert run_cli("train", "--config", cfg) == 2
@@ -380,6 +394,19 @@ def test_gradcheck_passes_and_writes_report(tmp_path, capsys):
     assert all(line.endswith(",pass") for line in lines[1:])
     # primitive suite plus 20 sampled model parameters
     assert len(lines) - 1 >= 24 + 20
+
+
+def test_gradcheck_rows_cover_every_exported_op():
+    # an op is every exported function that records onto the tape; a row
+    # covers the ops its function actually records
+    not_ops = {"backward", "finite_diff_check", "dump_tensor", "load_dump"}
+    ops = {name for name in tc.__all__ if name[0].islower() and name not in not_ops}
+    covered = set()
+    for _, f, x0 in _primitive_checks(np.random.default_rng(0)):
+        with tc.Tape() as tape:
+            f(tc.Tensor(x0.data, requires_grad=True))
+        covered |= {rec.backward_fn.__qualname__.split(".")[0] for rec in tape.records}
+    assert sorted(ops - covered) == []
 
 
 def test_gradcheck_inject_fault_fails_and_restores(tmp_path):

@@ -80,6 +80,17 @@ def test_load_series_shape_and_cadence(tmp_path):
     assert s.samples_per_week == 140
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_series_rejects_non_finite_value(tmp_path, bad):
+    p = tmp_path / "s.stgt"
+    data = np.arange(400, dtype=float).reshape(100, 4, 1)
+    data[37, 2, 0] = bad
+    data[90, 1, 0] = bad
+    write_tensor_file(p, data)
+    with pytest.raises(DataError, match=r"s\.stgt: non-finite value .*\[37, 2, 0\]"):
+        load_series(p, l_d=20)
+
+
 def test_pems_style_cadence_accepted():
     # 12 samples/hour -> 288/day, 2016/week
     s = SignalSeries(np.zeros((3000, 2, 1)), samples_per_day=288, samples_per_week=2016)

@@ -226,3 +226,18 @@ def test_edge_list_malformed_line(tmp_path):
     p.write_text("from,to,cost\n0,1\n")
     with pytest.raises(GraphError, match=":2:"):
         read_edge_list(p)
+
+
+@pytest.mark.parametrize("field", ["abc", "nan", "inf"])
+def test_edge_list_bad_distance(tmp_path, field):
+    p = tmp_path / "edges.csv"
+    p.write_text(f"from,to,cost\n0,1,1.5\n0,1,{field}\n")
+    with pytest.raises(GraphError, match=rf"edges\.csv:3: .*'0,1,{field}'"):
+        read_edge_list(p)
+
+
+def test_edge_list_non_ascii_byte(tmp_path):
+    p = tmp_path / "edges.csv"
+    p.write_bytes(b"from,to,cost\n0,1,1.5\n1,2,2\xe9\n")
+    with pytest.raises(GraphError, match=r"edges\.csv:3: non-ASCII byte 0xe9 at column 6"):
+        read_edge_list(p)

@@ -9,7 +9,9 @@ from trafficast import tensor as tc
 from trafficast.model import (
     ModelConfig,
     adaptive_mix_mats,
-    double_graph_conv,
+    attention_step,
+    dgc_terms,
+    dgcgru_cell,
     forward,
     init_model,
     pre_mix_mats,
@@ -54,6 +56,20 @@ def test_node_mix_is_per_batch_matmul():
 def test_node_mix_shape_mismatch():
     with pytest.raises(tc.ShapeError, match=r"\[3, 3\].*\[2, 4, 4\]"):
         tc.node_mix(rand((3, 3), 0), rand((2, 4, 4), 1))
+
+
+def test_weighted_pool_is_per_row_weighted_sum():
+    weights, values = rand((4, 3), 4), [rand((4, 2), 5 + c) for c in range(3)]
+    out = tc.weighted_pool(weights, values)
+    expected = sum(weights.data[:, c:c + 1] * values[c].data for c in range(3))
+    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-14)
+
+
+def test_weighted_pool_shape_mismatch():
+    with pytest.raises(tc.ShapeError, match=r"\[4, 3\] for 2"):
+        tc.weighted_pool(rand((4, 3), 0), [rand((4, 2), 1), rand((4, 2), 2)])
+    with pytest.raises(tc.ShapeError, match=r"\[4, 2\], got \[3, 2\]"):
+        tc.weighted_pool(rand((4, 2), 0), [rand((4, 2), 1), rand((3, 2), 2)])
 
 
 def test_sigmoid_at_zero():
@@ -278,6 +294,25 @@ def test_gradients_only_on_requires_grad():
     np.testing.assert_array_equal(x.grad, [3.0, 4.0])
 
 
+def test_constant_operands_get_no_gradient_product(monkeypatch):
+    adj, w = rand((3, 3), 40), rand((2, 3, 4), 41)
+    x = Tensor(rand((2, 3, 4), 42).data, requires_grad=True)
+    calls = []
+    tensordot = np.tensordot
+    monkeypatch.setattr(np, "tensordot", lambda *a, **k: calls.append(1) or tensordot(*a, **k))
+    with Tape() as tape:
+        backward(tc.reduce_sum(tc.mul(tc.node_mix(adj, x), w)), tape)
+    assert calls == []
+    np.testing.assert_allclose(x.grad, np.matmul(adj.data.T, w.data), rtol=0, atol=1e-14)
+
+    a, b = rand((2, 3), 43), Tensor(rand((3, 2), 44).data, requires_grad=True)
+    with Tape() as tape:
+        tc.matmul(a, b)
+    g_a, g_b = tape.records[0].backward_fn(np.ones((2, 2)))
+    assert g_a is None
+    np.testing.assert_array_equal(g_b, a.data.T @ np.ones((2, 2)))
+
+
 def _op(rec) -> str:
     # each primitive's backward rule is a closure named "<op>.<locals>.bwd"
     return rec.backward_fn.__qualname__.split(".")[0]
@@ -348,15 +383,58 @@ def test_toy_model_step_leaves_no_intermediate_grad():
                if rec.output.grad is not None) == 0
     assert all(p.grad is not None for p in state.params.values())
 
-    # the graph convolution mixes nodes without any transpose on the tape
-    xh = Tensor(rng.standard_normal((b, n, 2 * cfg.d_h)), requires_grad=True)
-    pre_mats = pre_mix_mats(a_pre, cfg)
-    adp_mats = adaptive_mix_mats(state.embeddings(), cfg)
+
+# Structural guards on the decoder's tape: record counts, never timings.
+
+def _toy_state():
+    cfg = ModelConfig(d_h=8, d_e=3, n_head=2, K=2, P=3, Q=3, S=1)
+    return cfg, init_model(cfg, 4, 1, seed=0), np.full((4, 4), 0.25)
+
+
+def test_dgcgru_cell_mixes_each_input_once_per_matrix():
+    # 2K non-identity matrices (K predefined powers, K adaptive), applied
+    # once to [x, h] for both gates and once to [x, r*h] for the candidate
+    cfg, state, a_pre = _toy_state()
+    terms = dgc_terms(state, pre_mix_mats(a_pre, cfg),
+                      adaptive_mix_mats(state.embeddings(), cfg))
+    x3 = Tensor(rand((2, 4, cfg.d_h), 50).data, requires_grad=True)
+    h3 = Tensor(rand((2, 4, cfg.d_h), 51).data, requires_grad=True)
     with Tape() as tape:
-        double_graph_conv(xh, pre_mats, adp_mats, state.dgc_gate("update"), cfg)
+        dgcgru_cell(x3, h3, terms)
     ops = [_op(rec) for rec in tape.records]
+    assert ops.count("node_mix") == 4 * cfg.K
     assert "transpose" not in ops
-    assert ops.count("node_mix") == 2 * cfg.K
+
+
+def test_attention_step_pools_in_one_record():
+    cfg, state, _ = _toy_state()
+    banks = [[Tensor(rand((8, cfg.d_h), 60 + 10 * i + j).data, requires_grad=True)
+              for j in range(cfg.bank_len)] for i in range(2)]
+    with Tape() as tape:
+        attention_step(rand((8, cfg.d_h), 59), banks, 1, cfg, state.attention())
+    ops = [_op(rec) for rec in tape.records]
+    assert "slice_axis" not in ops
+    assert ops.count("weighted_pool") == 1
+
+
+# One forward at the default window structure (P=Q=12, S=3, K=2, one daily
+# and one weekly block) puts this many records on the tape when every gate
+# mixes its own input and attention pools through per-candidate slices. The
+# count does not depend on widths, node count or batch size.
+PER_GATE_MIX_FORWARD_RECORDS = 4102
+
+
+def test_forward_records_a_third_fewer_than_per_gate_mixing():
+    cfg = ModelConfig(d_h=4, d_e=2, n_head=2)
+    b, n = 1, 3
+    rng = np.random.default_rng(0)
+    r = rng.standard_normal((b, cfg.P, n, 1))
+    d = rng.standard_normal((b, cfg.d_count, cfg.bank_len, n, 1))
+    w = rng.standard_normal((b, cfg.w_count, cfg.bank_len, n, 1))
+    state = init_model(cfg, n, 1, seed=0)
+    with Tape() as tape:
+        forward(state, r, d, w, a_pre=np.full((n, n), 1.0 / n))
+    assert len(tape) < 0.7 * PER_GATE_MIX_FORWARD_RECORDS
 
 
 def test_cleared_tape_is_empty():
