@@ -29,17 +29,18 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, get_type_hints
 
 import numpy as np
 
-from trafficast import tensor as tc
 from trafficast.data import (
     DataError,
     DatasetSpec,
@@ -58,17 +59,15 @@ from trafficast.graph import (
     row_normalize,
     write_edge_list,
 )
+from trafficast.gradcheck import run_checks
 from trafficast.model import (
     ModelConfig,
     ModelError,
-    ModelState,
     ORDERS,
-    forward,
     init_model,
     load_checkpoint,
     save_checkpoint,
 )
-from trafficast.tensor import Tape, Tensor, backward, finite_diff_check
 from trafficast.training import (
     ABLATION_VARIANTS,
     DivergenceError,
@@ -76,6 +75,7 @@ from trafficast.training import (
     TrainConfig,
     TrainError,
     TrainSummary,
+    _fmt,
     evaluate,
     horizon_steps_for,
     run_experiment,
@@ -100,10 +100,6 @@ class CheckFailure(RuntimeError):
     """One or more gradient checks exceeded tolerance."""
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -118,127 +114,132 @@ def _write_json(path: str, obj) -> None:
 
 
 # ---------------------------------------------------------------------------
-# configuration document: defaults, validation, resolution
+# configuration schema: one table per section, validation, resolution
 # ---------------------------------------------------------------------------
 
-DATA_DEFAULTS = {
-    "series": None,
-    "edges": None,
-    "l_d": None,
-    "kappa": 1.0,
-    "sigma": None,
-    "synth": None,
+class Key(NamedTuple):
+    """One config key: its default, its kind (see `_typed`), the `gen-data`
+    flag of a data.synth key, and the smallest allowed value, if any."""
+
+    default: object
+    kind: str
+    flag: Optional[str] = None
+    minimum: Optional[int] = None
+
+
+DATA_SCHEMA = {
+    "series": Key(None, "opt_str"),
+    "edges": Key(None, "opt_str"),
+    "l_d": Key(None, "opt_int", minimum=2),
+    "kappa": Key(1.0, "num"),
+    "sigma": Key(None, "opt_num"),
+    "synth": Key(None, "opt_dict"),
 }
-SYNTH_DEFAULTS = {
-    "nodes": 8,
-    "days": 28,
-    "l_d": 48,
-    "shift_max": 2,
-    "noise": 0.1,
-    "seed": 7,
-    "amp_weekly": 0.0,
-}
-DATASET_DEFAULTS = {
-    "P": 12, "Q": 12, "S": 3, "d_count": 1, "w_count": 1,
-    "split": [0.6, 0.2, 0.2],
-}
-MODEL_DEFAULTS = {
-    "d_h": 64, "d_e": 8, "n_head": 8, "K": 2,
-    "w_pre": 0.1, "w_adp": 0.9,
-    "no_pre": False, "no_adp": False, "no_window": False, "no_period": False,
-    "order": "attention_then_dgc",
-}
-TRAIN_DEFAULTS = {
-    "learning_rate": 0.001, "batch_size": 16, "max_epochs": 200,
-    "patience": 15, "seeds": [1, 2, 3, 4, 5], "grad_clip": 5.0,
-    "teacher_forcing": False, "mape_floor": 0.001,
+SYNTH_SCHEMA = {
+    "nodes": Key(8, "int", "--nodes", 1),
+    "days": Key(28, "int", "--days", 1),
+    "l_d": Key(48, "int", "--ld", 2),
+    "shift_max": Key(2, "int", "--shift", 0),
+    "noise": Key(0.1, "num", "--noise", 0),
+    "seed": Key(7, "int", "--seed"),
+    "amp_weekly": Key(0.0, "num", "--amp-weekly"),
 }
 
-DATA_KEYS = {
-    "series": "opt_str", "edges": "opt_str", "l_d": "opt_int",
-    "kappa": "num", "sigma": "opt_num", "synth": "opt_dict",
-}
-SYNTH_KEYS = {
-    "nodes": "int", "days": "int", "l_d": "int", "shift_max": "int",
-    "noise": "num", "seed": "int", "amp_weekly": "num",
-}
-DATASET_KEYS = {
-    "P": "int", "Q": "int", "S": "int", "d_count": "int", "w_count": "int",
-    "split": "split",
-}
-# The last block mirrors dataset/data values; accepted on input (so a
-# manifest's resolved config reloads) but must agree with the governing
-# section.
-MODEL_KEYS = {
-    "d_h": "int", "d_e": "int", "n_head": "int", "K": "int",
-    "w_pre": "num", "w_adp": "num",
-    "no_pre": "bool", "no_adp": "bool", "no_window": "bool",
-    "no_period": "bool", "order": "str",
-    "P": "int", "Q": "int", "S": "int", "d_count": "int", "w_count": "int",
-    "l_d": "int", "l_w": "int",
-}
-MIRRORED_MODEL_KEYS = ("P", "Q", "S", "d_count", "w_count", "l_d", "l_w")
-TRAIN_KEYS = {
-    "learning_rate": "num", "batch_size": "int", "max_epochs": "int",
-    "patience": "int", "seeds": "seeds", "grad_clip": "opt_num",
-    "teacher_forcing": "bool", "mape_floor": "num",
+_KIND_OF_TYPE = {
+    int: "int", float: "num", bool: "bool", str: "str",
+    Optional[float]: "opt_num", Tuple[int, ...]: "seeds",
+    Tuple[float, float, float]: "split",
 }
 
-ABLATION_FLAG_SETS: Dict[str, Dict[str, bool]] = {
-    label: dict(flags) for label, flags in ABLATION_VARIANTS
-}
+
+def _schema_of(cls) -> Dict[str, Key]:
+    hints = get_type_hints(cls)
+    return {f.name: Key(f.default, _KIND_OF_TYPE[hints[f.name]])
+            for f in dataclasses.fields(cls) if f.init}
+
+
+# The dataclasses are the schema of their sections: keys, defaults, kinds.
+SECTION_TYPES = {"dataset": DatasetSpec, "model": ModelConfig, "train": TrainConfig}
+SCHEMAS = {name: _schema_of(cls) for name, cls in SECTION_TYPES.items()}
+# Model keys that the dataset section governs; model values must agree.
+MODEL_MIRRORS = tuple(k for k in SCHEMAS["model"] if k in SCHEMAS["dataset"])
+# Older manifests carry model.l_d/l_w; they must agree with data.l_d and are dropped.
+MODEL_INPUT_SCHEMA = {**SCHEMAS["model"], "l_d": Key(None, "int"), "l_w": Key(None, "int")}
+
+SWITCHES = ("no_pre", "no_adp", "no_window", "no_period")
+ABLATION_FLAG_SETS: Dict[str, Dict[str, bool]] = dict(ABLATION_VARIANTS)
+
+
+_PLAIN_KINDS = {"bool": (bool, "true or false"), "str": (str, "a string"),
+                "dict": (dict, "an object")}
 
 
 def _typed(value, kind: str, path: str):
     def fail(expected):
         raise SchemaError(f"{path}: expected {expected}, got {value!r}")
 
+    if kind.startswith("opt_"):
+        return None if value is None else _typed(value, kind[4:], path)
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             fail("an integer")
         return value
-    if kind == "opt_int":
-        return None if value is None else _typed(value, "int", path)
     if kind == "num":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             fail("a number")
-        return float(value)
-    if kind == "opt_num":
-        return None if value is None else _typed(value, "num", path)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            fail("true or false")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            fail("a string")
-        return value
-    if kind == "opt_str":
-        return None if value is None else _typed(value, "str", path)
-    if kind == "opt_dict":
-        if value is not None and not isinstance(value, dict):
-            fail("an object")
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            fail("a finite number")
+        return number
+    if kind in _PLAIN_KINDS:
+        cls, expected = _PLAIN_KINDS[kind]
+        if not isinstance(value, cls):
+            fail(expected)
         return value
     if kind == "seeds":
         if not isinstance(value, (list, tuple)) or not value:
             fail("a nonempty list of integers")
-        return [_typed(v, "int", path) for v in value]
+        return tuple(_typed(v, "int", path) for v in value)
     if kind == "split":
         if not isinstance(value, (list, tuple)) or len(value) != 3:
             fail("a list of three ratios")
-        return [_typed(v, "num", path) for v in value]
+        return tuple(_typed(v, "num", path) for v in value)
     raise AssertionError(f"unknown kind {kind}")
 
 
-def _merge_section(name: str, defaults: dict, user: dict, keys: dict) -> dict:
+def _merge_section(name: str, user, schema: Dict[str, Key], by_flag: bool = False) -> dict:
+    """The schema defaults overlaid with the checked `user` values.
+
+    Messages name `name.key`, or the key's `gen-data` flag with `by_flag`.
+    """
     if not isinstance(user, dict):
         raise SchemaError(f"{name}: expected an object, got {user!r}")
-    merged = dict(defaults)
+    merged = {key: spec.default for key, spec in schema.items()}
     for key, value in user.items():
-        if key not in keys:
+        spec = schema.get(key)
+        if spec is None:
             raise SchemaError(f"{name}.{key}: unknown key")
-        merged[key] = _typed(value, keys[key], f"{name}.{key}")
+        path = spec.flag if by_flag else f"{name}.{key}"
+        value = _typed(value, spec.kind, path)
+        if spec.minimum is not None and value is not None and value < spec.minimum:
+            raise SchemaError(f"{path}: must be >= {spec.minimum}, got {value}")
+        merged[key] = value
     return merged
+
+
+def _build(name: str, values: dict):
+    try:
+        return SECTION_TYPES[name](**values)
+    except (DataError, ModelError, TrainError) as exc:
+        raise SchemaError(f"{name}: {exc}") from exc
+
+
+def _generate(synth: dict):
+    params = dict(synth)
+    return synth_generate(n_nodes=params.pop("nodes"), **params)
 
 
 @dataclass
@@ -252,27 +253,11 @@ class ResolvedRun:
     train: TrainConfig
 
     def config_doc(self) -> dict:
-        ds, mc, tr = self.dataset, self.model, self.train
-        return {
-            "out_dir": self.out_dir,
-            "data": dict(self.data),
-            "dataset": {
-                "P": ds.P, "Q": ds.Q, "S": ds.S,
-                "d_count": ds.d_count, "w_count": ds.w_count,
-                "split": list(ds.split),
-            },
-            "model": {k: getattr(mc, k) for k in ModelConfig.__dataclass_fields__},
-            "train": {
-                "learning_rate": tr.learning_rate,
-                "batch_size": tr.batch_size,
-                "max_epochs": tr.max_epochs,
-                "patience": tr.patience,
-                "seeds": list(tr.seeds),
-                "grad_clip": tr.grad_clip,
-                "teacher_forcing": tr.teacher_forcing,
-                "mape_floor": tr.mape_floor,
-            },
-        }
+        doc = {"out_dir": self.out_dir, "data": dict(self.data)}
+        for name, schema in SCHEMAS.items():
+            values = {key: getattr(getattr(self, name), key) for key in schema}
+            doc[name] = {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+        return doc
 
 
 def resolve_config(doc: dict) -> ResolvedRun:
@@ -288,81 +273,37 @@ def resolve_config(doc: dict) -> ResolvedRun:
     if out_dir is not None and not isinstance(out_dir, str):
         raise SchemaError(f"out_dir: expected a string, got {out_dir!r}")
 
-    data = _merge_section("data", DATA_DEFAULTS, doc.get("data", {}), DATA_KEYS)
+    data = _merge_section("data", doc.get("data", {}), DATA_SCHEMA)
     if data["synth"] is not None:
-        synth = _merge_section("data.synth", SYNTH_DEFAULTS, data["synth"], SYNTH_KEYS)
-        if synth["nodes"] < 1:
-            raise SchemaError(f"data.synth.nodes: must be >= 1, got {synth['nodes']}")
-        if synth["days"] < 1:
-            raise SchemaError(f"data.synth.days: must be >= 1, got {synth['days']}")
-        if synth["l_d"] < 2:
-            raise SchemaError(f"data.synth.l_d: must be >= 2, got {synth['l_d']}")
-        if synth["shift_max"] < 0:
-            raise SchemaError(f"data.synth.shift_max: must be >= 0, got {synth['shift_max']}")
-        if synth["noise"] < 0:
-            raise SchemaError(f"data.synth.noise: must be >= 0, got {synth['noise']}")
+        synth = _merge_section("data.synth", data["synth"], SYNTH_SCHEMA)
         if data["series"] is not None or data["edges"] is not None:
             raise SchemaError("data.synth: mutually exclusive with data.series/data.edges")
         if data["l_d"] is not None and data["l_d"] != synth["l_d"]:
             raise SchemaError(
                 f"data.l_d: {data['l_d']} conflicts with data.synth.l_d {synth['l_d']}"
             )
-        data["synth"] = synth
-        data["l_d"] = synth["l_d"]
         # synthetic graphs are rings with unit distances and fixed kernel
-        data["kappa"] = 1.0
-        data["sigma"] = 1.0
+        data.update(synth=synth, l_d=synth["l_d"], kappa=1.0, sigma=1.0)
     else:
         for key in ("series", "edges", "l_d"):
             if data[key] is None:
                 raise SchemaError(f"data.{key}: required when data.synth is absent")
-        if data["l_d"] < 2:
-            raise SchemaError(f"data.l_d: must be >= 2, got {data['l_d']}")
 
-    dataset_sec = _merge_section("dataset", DATASET_DEFAULTS, doc.get("dataset", {}), DATASET_KEYS)
-    try:
-        dataset = DatasetSpec(
-            P=dataset_sec["P"], Q=dataset_sec["Q"], S=dataset_sec["S"],
-            d_count=dataset_sec["d_count"], w_count=dataset_sec["w_count"],
-            split=tuple(dataset_sec["split"]),
-        )
-    except DataError as exc:
-        raise SchemaError(f"dataset: {exc}") from exc
+    dataset = _build("dataset", _merge_section("dataset", doc.get("dataset", {}),
+                                               SCHEMAS["dataset"]))
 
     model_user = doc.get("model", {})
-    model_sec = _merge_section("model", MODEL_DEFAULTS, model_user, MODEL_KEYS)
-    mirrored = {
-        "P": dataset.P, "Q": dataset.Q, "S": dataset.S,
-        "d_count": dataset.d_count, "w_count": dataset.w_count,
-        "l_d": data["l_d"], "l_w": 7 * data["l_d"],
-    }
-    for key, value in mirrored.items():
-        if isinstance(model_user, dict) and key in model_user and model_user[key] != value:
-            governing = "data.l_d" if key in ("l_d", "l_w") else f"dataset.{key}"
-            raise SchemaError(
-                f"model.{key}: {model_user[key]} conflicts with {governing} ({value})"
-            )
+    model_sec = _merge_section("model", model_user, MODEL_INPUT_SCHEMA)
+    governing = {key: (f"dataset.{key}", getattr(dataset, key)) for key in MODEL_MIRRORS}
+    governing["l_d"] = ("data.l_d", data["l_d"])
+    governing["l_w"] = ("data.l_d", 7 * data["l_d"])
+    for key, (source, value) in governing.items():
+        if key in model_user and model_sec[key] != value:
+            raise SchemaError(f"model.{key}: {model_sec[key]} conflicts with {source} ({value})")
         model_sec[key] = value
-    try:
-        model = ModelConfig(**model_sec)
-    except ModelError as exc:
-        raise SchemaError(f"model: {exc}") from exc
+    model = _build("model", {key: model_sec[key] for key in SCHEMAS["model"]})
 
-    train_sec = _merge_section("train", TRAIN_DEFAULTS, doc.get("train", {}), TRAIN_KEYS)
-    try:
-        train_cfg = TrainConfig(
-            learning_rate=train_sec["learning_rate"],
-            batch_size=train_sec["batch_size"],
-            max_epochs=train_sec["max_epochs"],
-            patience=train_sec["patience"],
-            seeds=tuple(train_sec["seeds"]),
-            grad_clip=train_sec["grad_clip"],
-            teacher_forcing=train_sec["teacher_forcing"],
-            mape_floor=train_sec["mape_floor"],
-        )
-    except TrainError as exc:
-        raise SchemaError(f"train: {exc}") from exc
-
+    train_cfg = _build("train", _merge_section("train", doc.get("train", {}), SCHEMAS["train"]))
     return ResolvedRun(out_dir=out_dir, data=data, dataset=dataset,
                        model=model, train=train_cfg)
 
@@ -377,16 +318,23 @@ def _load_config_doc(path: Optional[str]) -> Tuple[dict, Optional[dict]]:
         return {}, None
     if not os.path.isfile(path):
         raise SchemaError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"{path}: not UTF-8: byte {raw[exc.start]:#04x} at byte offset {exc.start}"
+        ) from None
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
     if "command" in doc and isinstance(doc.get("config"), dict):
         doc = doc["config"]
-    return doc, {"path": path, "sha256": _sha256(path)}
+    return doc, {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
 
 
 def _set_in_doc(doc: dict, dotted: str, value) -> None:
@@ -416,7 +364,7 @@ def _apply_overrides(doc: dict, args: argparse.Namespace) -> None:
     if ablation is not None:
         flags = ABLATION_FLAG_SETS[ablation]
         model = doc.setdefault("model", {})
-        for key in ("no_pre", "no_adp", "no_window", "no_period"):
+        for key in SWITCHES:
             model[key] = bool(flags.get(key, False))
     order = getattr(args, "order", None)
     if order is not None:
@@ -458,12 +406,7 @@ def _load_inputs(res: ResolvedRun) -> LoadedInputs:
     data = res.data
     digests: dict = {}
     if data["synth"] is not None:
-        s = data["synth"]
-        series, graph = synth_generate(
-            n_nodes=s["nodes"], days=s["days"], l_d=s["l_d"],
-            shift_max=s["shift_max"], noise=s["noise"], seed=s["seed"],
-            amp_weekly=s["amp_weekly"],
-        )
+        series, graph = _generate(data["synth"])
     else:
         for role in ("series", "edges"):
             if not os.path.isfile(data[role]):
@@ -483,7 +426,7 @@ def _load_inputs(res: ResolvedRun) -> LoadedInputs:
 
 
 def _variant_label(cfg: ModelConfig) -> str:
-    state = {k: getattr(cfg, k) for k in ("no_pre", "no_adp", "no_window", "no_period")}
+    state = {k: getattr(cfg, k) for k in SWITCHES}
     for label, flags in ABLATION_VARIANTS:
         expected = {k: bool(flags.get(k, False)) for k in state}
         if expected == state:
@@ -525,7 +468,7 @@ def _manifest_base(command: str, res: ResolvedRun, loaded: LoadedInputs,
         "format_version": 1,
         "command": command,
         "status": "running",
-        "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "started_at": _utc_now(),
         "config": res.config_doc(),
         "derived": _derived_block(res, loaded),
         "inputs": inputs,
@@ -533,6 +476,15 @@ def _manifest_base(command: str, res: ResolvedRun, loaded: LoadedInputs,
         "artifacts": {},
         "timings": {},
     }
+
+
+def _utc_now() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
+def _finish_manifest(path: str, manifest: dict, status: str, **fields) -> None:
+    manifest.update(status=status, finished_at=_utc_now(), **fields)
+    _write_json(path, manifest)
 
 
 def _require_out_dir(res: ResolvedRun) -> str:
@@ -599,23 +551,11 @@ def _timing_block(summary: TrainSummary, total: float) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    if args.nodes < 1:
-        raise SchemaError(f"--nodes must be >= 1, got {args.nodes}")
-    if args.days < 1:
-        raise SchemaError(f"--days must be >= 1, got {args.days}")
-    if args.ld < 2:
-        raise SchemaError(f"--ld must be >= 2, got {args.ld}")
-    if args.shift < 0:
-        raise SchemaError(f"--shift must be >= 0, got {args.shift}")
-    if args.noise < 0:
-        raise SchemaError(f"--noise must be >= 0, got {args.noise}")
+    synth = _merge_section("gen-data", {key: getattr(args, key) for key in SYNTH_SCHEMA},
+                           SYNTH_SCHEMA, by_flag=True)
     os.makedirs(args.out, exist_ok=True)
 
-    series, graph = synth_generate(
-        n_nodes=args.nodes, days=args.days, l_d=args.ld,
-        shift_max=args.shift, noise=args.noise, seed=args.seed,
-        amp_weekly=args.amp_weekly,
-    )
+    series, graph = _generate(synth)
     series_path = os.path.join(args.out, "series.stgt")
     edges_path = os.path.join(args.out, "edges.csv")
     write_tensor_file(series_path, series.data)
@@ -623,11 +563,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     manifest = {
         "format_version": 1,
         "command": "gen-data",
-        "flags": {
-            "nodes": args.nodes, "days": args.days, "l_d": args.ld,
-            "shift_max": args.shift, "noise": args.noise, "seed": args.seed,
-            "amp_weekly": args.amp_weekly,
-        },
+        "flags": synth,
         "outputs": {"series": "series.stgt", "edges": "edges.csv"},
         "sha256": {"series": _sha256(series_path), "edges": _sha256(edges_path)},
         "series_shape": list(series.data.shape),
@@ -661,9 +597,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         summary = train(res.model, loaded.splits, loaded.a_pre, res.train,
                         jobs=args.jobs)
     except DivergenceError:
-        manifest["status"] = "diverged"
-        manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        _write_json(manifest_path, manifest)
+        _finish_manifest(manifest_path, manifest, "diverged")
         raise
     total = time.time() - start
 
@@ -673,11 +607,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                  "seeds": _write_seed_artifacts(out_dir, summary)}
     _write_summary(artifacts["summary"], variant, summary)
 
-    manifest["status"] = "complete"
-    manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    manifest["artifacts"] = artifacts
-    manifest["timings"] = _timing_block(summary, total)
-    _write_json(manifest_path, manifest)
+    _finish_manifest(manifest_path, manifest, "complete", artifacts=artifacts,
+                     timings=_timing_block(summary, total))
 
     print(f"trained {len(summary.runs)} seed(s), variant {variant}, in {total:.4g}s")
     print(f"test MAE  {summary.mae_mean:.4g} +/- {summary.mae_std:.4g}")
@@ -737,11 +668,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             "seeds": _write_seed_artifacts(cell_dir, row.summary, checkpoints=False),
         }
 
-    manifest["status"] = "complete"
-    manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    manifest["artifacts"] = artifacts
-    manifest["timings"] = {"total_seconds": round(total, 3)}
-    _write_json(manifest_path, manifest)
+    _finish_manifest(manifest_path, manifest, "complete", artifacts=artifacts,
+                     timings={"total_seconds": round(total, 3)})
 
     print(f"experiment {args.kind}: {len(rows)} cells in {total:.4g}s")
     for row in rows:
@@ -758,183 +686,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 # gradient checks
 # ---------------------------------------------------------------------------
 
-PRIMITIVE_TOL = 1e-6
-MODEL_TOL = 1e-4
-
-
-def _weighted_sum(out: Tensor, weights: np.ndarray) -> Tensor:
-    # A fixed random weighting makes the scalar sensitive to element order,
-    # so permutation bugs in reshape/transpose/concat cannot cancel out.
-    return tc.reduce_sum(tc.mul(out, Tensor(weights)))
-
-
-def _primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor]]:
-    x34 = rng.standard_normal((3, 4))
-    other = rng.standard_normal((3, 4))
-    vec = rng.standard_normal(4)
-    scalar = np.array([0.7])
-    b43 = rng.standard_normal((4, 3))
-    a34 = rng.standard_normal((3, 4))
-    off_zero = rng.uniform(0.3, 1.2, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
-
-    w34 = rng.standard_normal((3, 4))
-    w33 = rng.standard_normal((3, 3))
-    w38 = rng.standard_normal((3, 8))
-    w32 = rng.standard_normal((3, 2))
-    w4 = rng.standard_normal(4)
-    w3 = rng.standard_normal(3)
-    w26 = rng.standard_normal((2, 6))
-    w43 = rng.standard_normal((4, 3))
-
-    t_other = Tensor(other)
-    t_vec = Tensor(vec)
-    t_scalar = Tensor(scalar)
-    t_b43 = Tensor(b43)
-    t_a34 = Tensor(a34)
-    concat_mate = Tensor(rng.standard_normal((3, 4)))
-    comp_w1 = Tensor(rng.standard_normal((4, 3)))
-    comp_w2 = Tensor(rng.standard_normal((4, 3)))
-    adj33 = rng.standard_normal((3, 3))
-    x234 = rng.standard_normal((2, 3, 4))
-    w234 = rng.standard_normal((2, 3, 4))
-    t_adj33 = Tensor(adj33)
-    t_x234 = Tensor(x234)
-    pool_w = rng.uniform(0.1, 1.0, (3, 3))
-    t_pool_w = Tensor(pool_w)
-    pool_mates = [Tensor(rng.standard_normal((3, 4))) for _ in range(2)]
-
-    checks = [
-        ("add", lambda t: _weighted_sum(tc.add(t, t_other), w34), x34),
-        ("add_vector", lambda t: _weighted_sum(tc.add(t, t_vec), w34), x34),
-        ("add_scalar", lambda t: _weighted_sum(tc.add(t, t_scalar), w34), x34),
-        ("sub", lambda t: _weighted_sum(tc.sub(t, t_other), w34), x34),
-        ("sub_vector", lambda t: _weighted_sum(tc.sub(t, t_vec), w34), x34),
-        ("mul", lambda t: _weighted_sum(tc.mul(t, t_other), w34), x34),
-        ("mul_vector", lambda t: _weighted_sum(tc.mul(t, t_vec), w34), x34),
-        ("mul_scalar", lambda t: _weighted_sum(tc.mul(t, t_scalar), w34), x34),
-        ("matmul_left", lambda t: _weighted_sum(tc.matmul(t, t_b43), w33), x34),
-        ("matmul_right", lambda t: _weighted_sum(tc.matmul(t_a34, t), w33), b43),
-        ("sigmoid", lambda t: _weighted_sum(tc.sigmoid(t), w34), x34),
-        ("tanh", lambda t: _weighted_sum(tc.tanh(t), w34), x34),
-        ("relu", lambda t: _weighted_sum(tc.relu(t), w34), off_zero),
-        ("absolute", lambda t: _weighted_sum(tc.absolute(t), w34), off_zero),
-        ("softmax", lambda t: _weighted_sum(tc.softmax(t, axis=1), w34), x34),
-        ("concat", lambda t: _weighted_sum(tc.concat([t, concat_mate], axis=1), w38), x34),
-        ("slice", lambda t: _weighted_sum(tc.slice_axis(t, 1, 1, 3), w32), x34),
-        ("reduce_sum_all", lambda t: tc.reduce_sum(t), x34),
-        ("reduce_sum_axis0", lambda t: _weighted_sum(tc.reduce_sum(t, axis=0), w4), x34),
-        ("reduce_mean_all", lambda t: tc.reduce_mean(t), x34),
-        ("reduce_mean_axis1", lambda t: _weighted_sum(tc.reduce_mean(t, axis=1), w3), x34),
-        ("reshape", lambda t: _weighted_sum(tc.reshape(t, (2, 6)), w26), x34),
-        ("transpose", lambda t: _weighted_sum(tc.transpose(t, (1, 0)), w43), x34),
-        ("node_mix_adj", lambda t: _weighted_sum(tc.node_mix(t, t_x234), w234), adj33),
-        ("node_mix_x", lambda t: _weighted_sum(tc.node_mix(t_adj33, t), w234), x234),
-        ("weighted_pool_weights", lambda t: _weighted_sum(
-            tc.weighted_pool(t, [t_other, *pool_mates]), w34), pool_w),
-        ("weighted_pool_values", lambda t: _weighted_sum(
-            tc.weighted_pool(t_pool_w, [pool_mates[0], t, pool_mates[1]]), w34), x34),
-        ("composite", lambda t: _weighted_sum(
-            tc.mul(tc.sigmoid(tc.matmul(t, comp_w1)), tc.tanh(tc.matmul(t, comp_w2))), w33), x34),
-    ]
-    return [(name, f, Tensor(x0)) for name, f, x0 in checks]
-
-
-def _toy_model_setup(seed: int = 0):
-    cfg = ModelConfig(d_h=8, d_e=3, n_head=2, K=2, P=3, Q=3, S=1,
-                      d_count=1, w_count=1, l_d=16, l_w=112)
-    n, c, b = 4, 1, 2
-    rng = np.random.default_rng(seed)
-    r = rng.standard_normal((b, cfg.P, n, c))
-    d = rng.standard_normal((b, cfg.d_count, cfg.bank_len, n, c))
-    w = rng.standard_normal((b, cfg.w_count, cfg.bank_len, n, c))
-    y = rng.standard_normal((b, cfg.Q, n, c))
-    ring = GraphSpec(n, [(i, (i + 1) % n, 1.0) for i in range(n)], kappa=1.0, sigma=1.0)
-    a_pre = row_normalize(build_predefined(ring)).matrix.data
-    state = init_model(cfg, n, c, seed=seed)
-    return state, r, d, w, y, a_pre
-
-
-def _model_loss(state: ModelState, r, d, w, y, a_pre) -> Tensor:
-    # Squared error, not MAE: the absolute value's kink turns central
-    # differences into garbage whenever a residual sits near zero.
-    trace = forward(state, r, d, w, a_pre=a_pre)
-    diff = tc.sub(trace.predictions, Tensor(y))
-    return tc.reduce_mean(tc.mul(diff, diff))
-
-
-def _model_param_checks(n_params: int = 20, coords_per: int = 2,
-                        h: float = 1e-5, seed: int = 0):
-    """Central-difference spot checks on sampled model parameters.
-
-    Returns (name, max_rel_error) per sampled parameter tensor.
-    """
-    state, r, d, w, y, a_pre = _toy_model_setup(seed)
-    with Tape() as tape:
-        loss = _model_loss(state, r, d, w, y, a_pre)
-        backward(loss, tape)
-    grads = {name: p.grad.copy() for name, p in state.params.items()}
-    for p in state.params.values():
-        p.grad = None
-
-    rng = np.random.default_rng(seed + 1)
-    names = sorted(state.params)
-    picked = [names[i] for i in rng.choice(len(names), size=min(n_params, len(names)),
-                                           replace=False)]
-    rows = []
-    for name in sorted(picked):
-        param = state.params[name]
-        flat = param.data.reshape(-1)
-        idxs = rng.choice(flat.size, size=min(coords_per, flat.size), replace=False)
-        worst = 0.0
-        for idx in idxs:
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up = _model_loss(state, r, d, w, y, a_pre).item()
-            flat[idx] = orig - h
-            down = _model_loss(state, r, d, w, y, a_pre).item()
-            flat[idx] = orig
-            numeric = (up - down) / (2.0 * h)
-            analytic = grads[name].reshape(-1)[idx]
-            floor = 1e-3 * (1.0 + abs(numeric))
-            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
-            worst = max(worst, rel)
-        rows.append((name, worst))
-    return rows
-
-
-def _install_tanh_fault():
-    """Swap in a tanh whose backward rule carries a constant bias.
-
-    Test hook for the check harness itself: a correct harness must flag
-    this immediately. Returns the original op for restoration.
-    """
-    original = tc.tanh
-
-    def faulty_tanh(a: Tensor) -> Tensor:
-        out = np.tanh(a.data)
-
-        def backward_fn(g):
-            return (g * (1.0 - out * out) + 1e-2,)
-
-        return tc._emit((a,), out, backward_fn)
-
-    tc.tanh = faulty_tanh
-    return original
-
-
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     start = time.time()
-    original_tanh = _install_tanh_fault() if args.inject_fault else None
-    rows: List[Tuple[str, float, float]] = []
-    try:
-        for name, f, x0 in _primitive_checks(np.random.default_rng(0)):
-            report = finite_diff_check(f, x0, tol=PRIMITIVE_TOL)
-            rows.append((f"op:{name}", report.max_rel_error, PRIMITIVE_TOL))
-        for name, max_rel in _model_param_checks():
-            rows.append((f"model:{name}", max_rel, MODEL_TOL))
-    finally:
-        if original_tanh is not None:
-            tc.tanh = original_tanh
+    rows = run_checks(inject_fault=args.inject_fault)
     elapsed = time.time() - start
 
     failures = [(name, rel, tol) for name, rel, tol in rows if rel > tol]
@@ -987,14 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="write a synthetic series, edge list, and manifest")
-    g.add_argument("--nodes", type=int, default=8)
-    g.add_argument("--days", type=int, default=28)
-    g.add_argument("--ld", type=int, default=48, help="samples per day")
-    g.add_argument("--shift", type=int, default=2, help="max per-day phase jitter in steps")
-    g.add_argument("--noise", type=float, default=0.1)
-    g.add_argument("--seed", type=int, default=7)
-    g.add_argument("--amp-weekly", dest="amp_weekly", type=float, default=0.0,
-                   help="weekly component amplitude (0 keeps the signal daily-periodic)")
+    for key, spec in SYNTH_SCHEMA.items():
+        g.add_argument(spec.flag, dest=key, type=int if spec.kind == "int" else float,
+                       default=spec.default, help=f"data.synth.{key} (default %(default)s)")
     g.add_argument("--out", default=".", help="output directory")
     g.set_defaults(func=cmd_gen_data)
 
@@ -1022,29 +771,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once at import: main() may run many times in one process.
+PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ModelError, TrainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (SchemaError, ModelError, TrainError) as exc:
+        code, message = EXIT_USAGE, str(exc)
     except DivergenceError as exc:
-        print(f"error: training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (DataError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        code, message = EXIT_DIVERGED, f"training diverged: {exc}"
+    except (DataError, GraphError, FileNotFoundError) as exc:
+        code, message = EXIT_DATA, str(exc)
     except CheckFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK
+        code, message = EXIT_CHECK, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -224,6 +224,28 @@ def admissible_t0_range(series: SignalSeries, spec: DatasetSpec) -> range:
     return range(first, last + 1)
 
 
+def _checked_t0_range(series: SignalSeries, spec: DatasetSpec) -> range:
+    """The admissible t0 range; DataError if it is empty or leaks.
+
+    The daily offset must exceed L, otherwise the most recent D block would
+    reach into the forecast period itself.
+    """
+    if series.samples_per_day <= spec.L:
+        raise DataError(
+            f"samples_per_day ({series.samples_per_day}) must exceed "
+            f"L = Q + S ({spec.L}); the most recent daily block would overlap "
+            "the forecast window"
+        )
+    t0s = admissible_t0_range(series, spec)
+    if len(t0s) == 0:
+        min_t = spec.w_count * series.samples_per_week + spec.P + spec.Q
+        raise DataError(
+            f"series too short: T={series.n_steps}, need at least {min_t} steps "
+            f"for one sample (w_count*l_w + P + Q)"
+        )
+    return t0s
+
+
 def _cut_sample(data, t0, spec, l_d, l_w) -> TrainingSample:
     r = data[t0 - spec.P : t0]
     d_blocks = [
@@ -247,24 +269,9 @@ def _cut_sample(data, t0, spec, l_d, l_w) -> TrainingSample:
 def build_samples(
     series: SignalSeries, spec: DatasetSpec
 ) -> Tuple[List[TrainingSample], List[TrainingSample], List[TrainingSample]]:
-    """Cut every admissible sample at stride 1 and split chronologically.
-
-    The daily offset must exceed L, otherwise the most recent D block would
-    reach into the forecast period itself.
-    """
+    """Cut every admissible sample at stride 1 and split chronologically."""
+    t0s = _checked_t0_range(series, spec)
     l_d, l_w = series.samples_per_day, series.samples_per_week
-    if l_d <= spec.L:
-        raise DataError(
-            f"samples_per_day ({l_d}) must exceed L = Q + S ({spec.L}); "
-            "the most recent daily block would overlap the forecast window"
-        )
-    t0s = admissible_t0_range(series, spec)
-    if len(t0s) == 0:
-        min_t = spec.w_count * l_w + spec.P + spec.Q
-        raise DataError(
-            f"series too short: T={series.n_steps}, need at least {min_t} steps "
-            f"for one sample (w_count*l_w + P + Q)"
-        )
     samples = [_cut_sample(series.data, t0, spec, l_d, l_w) for t0 in t0s]
     n = len(samples)
     n_train = int(n * spec.split[0])
@@ -332,17 +339,7 @@ def prepare_dataset(series: SignalSeries, spec: DatasetSpec) -> DatasetSplits:
     forecast start, so nothing the validation or test targets cover leaks
     into the scaler.
     """
-    l_d, l_w = series.samples_per_day, series.samples_per_week
-    if l_d <= spec.L:
-        raise DataError(
-            f"samples_per_day ({l_d}) must exceed L = Q + S ({spec.L})"
-        )
-    t0s = list(admissible_t0_range(series, spec))
-    if not t0s:
-        min_t = spec.w_count * l_w + spec.P + spec.Q
-        raise DataError(
-            f"series too short: T={series.n_steps}, need at least {min_t} steps"
-        )
+    t0s = _checked_t0_range(series, spec)
     n_train = int(len(t0s) * spec.split[0])
     fit_end = t0s[n_train] if n_train < len(t0s) else series.n_steps
     normalizer, normed = fit_apply_zscore(series, range(0, fit_end))

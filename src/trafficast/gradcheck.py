@@ -1,0 +1,201 @@
+"""Finite-difference checks of every tape primitive and of the full model.
+
+`primitive_checks` lists one scalar function per primitive (and per
+operand where an op has two), each checked at PRIMITIVE_TOL;
+`model_param_checks` spot-checks sampled parameters of a toy network at
+MODEL_TOL. `run_checks` runs both and returns one row per check, which
+is what `trafficast gradcheck` prints and writes.
+"""
+
+from __future__ import annotations
+
+from typing import List, Tuple
+
+import numpy as np
+
+from trafficast import tensor as tc
+from trafficast.graph import GraphSpec, build_predefined, row_normalize
+from trafficast.model import ModelConfig, ModelState, forward, init_model
+from trafficast.tensor import Tape, Tensor, _rel_errors, backward, finite_diff_check
+
+PRIMITIVE_TOL = 1e-6
+MODEL_TOL = 1e-4
+
+
+def _weighted_sum(out: Tensor, weights: np.ndarray) -> Tensor:
+    # A fixed random weighting makes the scalar sensitive to element order,
+    # so permutation bugs in reshape/transpose/concat cannot cancel out.
+    return tc.reduce_sum(tc.mul(out, Tensor(weights)))
+
+
+def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor]]:
+    x34 = rng.standard_normal((3, 4))
+    other = rng.standard_normal((3, 4))
+    vec = rng.standard_normal(4)
+    scalar = np.array([0.7])
+    b43 = rng.standard_normal((4, 3))
+    a34 = rng.standard_normal((3, 4))
+    off_zero = rng.uniform(0.3, 1.2, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
+
+    w34 = rng.standard_normal((3, 4))
+    w33 = rng.standard_normal((3, 3))
+    w38 = rng.standard_normal((3, 8))
+    w32 = rng.standard_normal((3, 2))
+    w4 = rng.standard_normal(4)
+    w3 = rng.standard_normal(3)
+    w26 = rng.standard_normal((2, 6))
+    w43 = rng.standard_normal((4, 3))
+
+    t_other = Tensor(other)
+    t_vec = Tensor(vec)
+    t_scalar = Tensor(scalar)
+    t_b43 = Tensor(b43)
+    t_a34 = Tensor(a34)
+    concat_mate = Tensor(rng.standard_normal((3, 4)))
+    comp_w1 = Tensor(rng.standard_normal((4, 3)))
+    comp_w2 = Tensor(rng.standard_normal((4, 3)))
+    adj33 = rng.standard_normal((3, 3))
+    x234 = rng.standard_normal((2, 3, 4))
+    w234 = rng.standard_normal((2, 3, 4))
+    t_adj33 = Tensor(adj33)
+    t_x234 = Tensor(x234)
+    pool_w = rng.uniform(0.1, 1.0, (3, 3))
+    t_pool_w = Tensor(pool_w)
+    pool_mates = [Tensor(rng.standard_normal((3, 4))) for _ in range(2)]
+
+    checks = [
+        ("add", lambda t: _weighted_sum(tc.add(t, t_other), w34), x34),
+        ("add_vector", lambda t: _weighted_sum(tc.add(t, t_vec), w34), x34),
+        ("add_scalar", lambda t: _weighted_sum(tc.add(t, t_scalar), w34), x34),
+        ("sub", lambda t: _weighted_sum(tc.sub(t, t_other), w34), x34),
+        ("sub_vector", lambda t: _weighted_sum(tc.sub(t, t_vec), w34), x34),
+        ("mul", lambda t: _weighted_sum(tc.mul(t, t_other), w34), x34),
+        ("mul_vector", lambda t: _weighted_sum(tc.mul(t, t_vec), w34), x34),
+        ("mul_scalar", lambda t: _weighted_sum(tc.mul(t, t_scalar), w34), x34),
+        ("matmul_left", lambda t: _weighted_sum(tc.matmul(t, t_b43), w33), x34),
+        ("matmul_right", lambda t: _weighted_sum(tc.matmul(t_a34, t), w33), b43),
+        ("sigmoid", lambda t: _weighted_sum(tc.sigmoid(t), w34), x34),
+        ("tanh", lambda t: _weighted_sum(tc.tanh(t), w34), x34),
+        ("relu", lambda t: _weighted_sum(tc.relu(t), w34), off_zero),
+        ("absolute", lambda t: _weighted_sum(tc.absolute(t), w34), off_zero),
+        ("softmax", lambda t: _weighted_sum(tc.softmax(t, axis=1), w34), x34),
+        ("concat", lambda t: _weighted_sum(tc.concat([t, concat_mate], axis=1), w38), x34),
+        ("slice", lambda t: _weighted_sum(tc.slice_axis(t, 1, 1, 3), w32), x34),
+        ("reduce_sum_all", lambda t: tc.reduce_sum(t), x34),
+        ("reduce_sum_axis0", lambda t: _weighted_sum(tc.reduce_sum(t, axis=0), w4), x34),
+        ("reduce_mean_all", lambda t: tc.reduce_mean(t), x34),
+        ("reduce_mean_axis1", lambda t: _weighted_sum(tc.reduce_mean(t, axis=1), w3), x34),
+        ("reshape", lambda t: _weighted_sum(tc.reshape(t, (2, 6)), w26), x34),
+        ("transpose", lambda t: _weighted_sum(tc.transpose(t, (1, 0)), w43), x34),
+        ("node_mix_adj", lambda t: _weighted_sum(tc.node_mix(t, t_x234), w234), adj33),
+        ("node_mix_x", lambda t: _weighted_sum(tc.node_mix(t_adj33, t), w234), x234),
+        ("weighted_pool_weights", lambda t: _weighted_sum(
+            tc.weighted_pool(t, [t_other, *pool_mates]), w34), pool_w),
+        ("weighted_pool_values", lambda t: _weighted_sum(
+            tc.weighted_pool(t_pool_w, [pool_mates[0], t, pool_mates[1]]), w34), x34),
+        ("composite", lambda t: _weighted_sum(
+            tc.mul(tc.sigmoid(tc.matmul(t, comp_w1)), tc.tanh(tc.matmul(t, comp_w2))), w33), x34),
+    ]
+    return [(name, f, Tensor(x0)) for name, f, x0 in checks]
+
+
+def toy_model_setup(seed: int = 0):
+    cfg = ModelConfig(d_h=8, d_e=3, n_head=2, K=2, P=3, Q=3, S=1,
+                      d_count=1, w_count=1)
+    n, c, b = 4, 1, 2
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((b, cfg.P, n, c))
+    d = rng.standard_normal((b, cfg.d_count, cfg.bank_len, n, c))
+    w = rng.standard_normal((b, cfg.w_count, cfg.bank_len, n, c))
+    y = rng.standard_normal((b, cfg.Q, n, c))
+    ring = GraphSpec(n, [(i, (i + 1) % n, 1.0) for i in range(n)], kappa=1.0, sigma=1.0)
+    a_pre = row_normalize(build_predefined(ring)).matrix.data
+    state = init_model(cfg, n, c, seed=seed)
+    return state, r, d, w, y, a_pre
+
+
+def model_loss(state: ModelState, r, d, w, y, a_pre) -> Tensor:
+    # Squared error, not MAE: the absolute value's kink turns central
+    # differences into garbage whenever a residual sits near zero.
+    trace = forward(state, r, d, w, a_pre=a_pre)
+    diff = tc.sub(trace.predictions, Tensor(y))
+    return tc.reduce_mean(tc.mul(diff, diff))
+
+
+def model_param_checks(n_params: int = 20, coords_per: int = 2,
+                       h: float = 1e-5, seed: int = 0):
+    """Central-difference spot checks on sampled model parameters.
+
+    Returns (name, max_rel_error) per sampled parameter tensor.
+    """
+    state, r, d, w, y, a_pre = toy_model_setup(seed)
+    with Tape() as tape:
+        loss = model_loss(state, r, d, w, y, a_pre)
+        backward(loss, tape)
+    grads = {name: p.grad.copy() for name, p in state.params.items()}
+    for p in state.params.values():
+        p.grad = None
+
+    rng = np.random.default_rng(seed + 1)
+    names = sorted(state.params)
+    picked = [names[i] for i in rng.choice(len(names), size=min(n_params, len(names)),
+                                           replace=False)]
+    rows = []
+    for name in sorted(picked):
+        param = state.params[name]
+        flat = param.data.reshape(-1)
+        idxs = rng.choice(flat.size, size=min(coords_per, flat.size), replace=False)
+        worst = 0.0
+        for idx in idxs:
+            orig = flat[idx]
+            flat[idx] = orig + h
+            up = model_loss(state, r, d, w, y, a_pre).item()
+            flat[idx] = orig - h
+            down = model_loss(state, r, d, w, y, a_pre).item()
+            flat[idx] = orig
+            numeric = (up - down) / (2.0 * h)
+            analytic = grads[name].reshape(-1)[idx]
+            rel = _rel_errors(np.array([analytic]), np.array([numeric]))[0]
+            worst = max(worst, float(rel))
+        rows.append((name, worst))
+    return rows
+
+
+def install_tanh_fault():
+    """Swap in a tanh whose backward rule carries a constant bias.
+
+    Test hook for the check harness itself: a correct harness must flag
+    this immediately. Returns the original op for restoration.
+    """
+    original = tc.tanh
+
+    def faulty_tanh(a: Tensor) -> Tensor:
+        out = np.tanh(a.data)
+
+        def backward_fn(g):
+            return (g * (1.0 - out * out) + 1e-2,)
+
+        return tc._emit((a,), out, backward_fn)
+
+    tc.tanh = faulty_tanh
+    return original
+
+
+def run_checks(inject_fault: bool = False) -> List[Tuple[str, float, float]]:
+    """Every primitive, then the model: (check, max_rel_error, tol) rows.
+
+    With `inject_fault`, tanh's backward rule is corrupted for the run and
+    restored afterwards.
+    """
+    original_tanh = install_tanh_fault() if inject_fault else None
+    rows: List[Tuple[str, float, float]] = []
+    try:
+        for name, f, x0 in primitive_checks(np.random.default_rng(0)):
+            report = finite_diff_check(f, x0, tol=PRIMITIVE_TOL)
+            rows.append((f"op:{name}", report.max_rel_error, PRIMITIVE_TOL))
+        for name, max_rel in model_param_checks():
+            rows.append((f"model:{name}", max_rel, MODEL_TOL))
+    finally:
+        if original_tanh is not None:
+            tc.tanh = original_tanh
+    return rows

@@ -63,10 +63,9 @@ class GraphSpec:
 
 @dataclass
 class NormalizedAdjacency:
-    """Row-stochastic adjacency; `kind` records which branch produced it."""
+    """Row-stochastic adjacency."""
 
     matrix: Tensor
-    kind: str  # "predefined" | "adaptive-head"
 
 
 @dataclass
@@ -132,7 +131,7 @@ def row_normalize(a: Tensor) -> NormalizedAdjacency:
         mat[i, i] = 1.0
         row_sums[i] = 1.0
     mat /= row_sums[:, None]
-    return NormalizedAdjacency(Tensor(mat), kind="predefined")
+    return NormalizedAdjacency(Tensor(mat))
 
 
 def adaptive_adjacency(emb: NodeEmbeddings, head: int) -> NormalizedAdjacency:
@@ -148,7 +147,7 @@ def adaptive_adjacency(emb: NodeEmbeddings, head: int) -> NormalizedAdjacency:
     e2_h = tc.reshape(tc.slice_axis(emb.e2, 1, head, head + 1), (n, emb.d_e))
     logits = tc.matmul(e1_h, tc.transpose(e2_h, (1, 0)))
     scaled = tc.mul(tc.relu(logits), Tensor([1.0 / emb.d_e]))
-    return NormalizedAdjacency(tc.softmax(scaled, axis=1), kind="adaptive-head")
+    return NormalizedAdjacency(tc.softmax(scaled, axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import numpy as np
 
 from trafficast import tensor as tc
 from trafficast.data import DataError, parse_tensor_blob, tensor_blob
-from trafficast.graph import NodeEmbeddings, adaptive_adjacency
+from trafficast.graph import NodeEmbeddings, adaptive_adjacency, init_embeddings
 from trafficast.tensor import ShapeError, Tensor
 
 ORDERS = ("attention_then_dgc", "dgc_then_attention")
@@ -57,8 +57,6 @@ class ModelConfig:
     S: int = 3
     d_count: int = 1
     w_count: int = 1
-    l_d: int = 288
-    l_w: int = 2016
     no_pre: bool = False
     no_adp: bool = False
     no_window: bool = False
@@ -204,10 +202,8 @@ def init_model(cfg: ModelConfig, n_nodes: int, n_channels: int, seed: int) -> Mo
                 weight(f"dgc.{gate}.{branch}.hop{k}", 2 * d_h, d_h)
         bias(f"dgc.{gate}.bias", d_h)
 
-    e_bound = 1.0 / np.sqrt(cfg.d_e)
-    shape = (n_nodes, cfg.n_head, cfg.d_e)
-    params["embed.e1"] = Tensor(rng.uniform(-e_bound, e_bound, size=shape), requires_grad=True)
-    params["embed.e2"] = Tensor(rng.uniform(-e_bound, e_bound, size=shape), requires_grad=True)
+    emb = init_embeddings(n_nodes, cfg.n_head, cfg.d_e, rng)
+    params["embed.e1"], params["embed.e2"] = emb.e1, emb.e2
 
     weight("out.weight", d_h, n_channels)
     bias("out.bias", n_channels)

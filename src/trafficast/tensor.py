@@ -47,8 +47,6 @@ __all__ = [
     "weighted_pool",
     "finite_diff_check",
     "GradCheckReport",
-    "dump_tensor",
-    "load_dump",
 ]
 
 
@@ -68,9 +66,7 @@ def _as_array(values, shape=None) -> np.ndarray:
 class Tensor:
     """A dense float64 array plus optional gradient storage.
 
-    `data` is always C-contiguous; `values` and `grad` expose the flat
-    row-major views the file formats and debug dumps use. Scalars are
-    shape (1,).
+    `data` is always C-contiguous. Scalars are shape (1,).
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -90,11 +86,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def values(self) -> np.ndarray:
-        """Flat row-major view of the stored values."""
-        return self.data.reshape(-1)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -102,9 +93,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g.reshape(self.data.shape)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def item(self) -> float:
         if self.size != 1:
@@ -635,22 +623,3 @@ def finite_diff_check(
 
     max_err = float(_rel_errors(analytic, numeric).max(initial=0.0))
     return GradCheckReport(max_err, tol, analytic, numeric)
-
-
-# ---------------------------------------------------------------------------
-# debug dump (text fixtures)
-# ---------------------------------------------------------------------------
-
-def dump_tensor(t: Tensor, path) -> None:
-    """Write shape line plus one value per line, 17 significant digits."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(" ".join(str(d) for d in t.shape) + "\n")
-        for v in t.values:
-            fh.write(f"{v:.17g}\n")
-
-
-def load_dump(path) -> Tensor:
-    with open(path, "r", encoding="ascii") as fh:
-        shape = tuple(int(s) for s in fh.readline().split())
-        vals = [float(line) for line in fh if line.strip()]
-    return Tensor(vals, shape=shape)

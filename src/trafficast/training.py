@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from trafficast import tensor as tc
 from trafficast.data import DatasetSplits, Normalizer, TrainingSample
-from trafficast.model import ModelConfig, ModelState, forward, init_model
+from trafficast.model import ORDERS, ModelConfig, ModelState, forward, init_model
 from trafficast.tensor import Tape, Tensor, backward
 
 
@@ -42,9 +42,6 @@ class TrainConfig:
     max_epochs: int = 200
     patience: int = 15
     seeds: Tuple[int, ...] = (1, 2, 3, 4, 5)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     grad_clip: Optional[float] = 5.0
     teacher_forcing: bool = False
     mape_floor: float = 1e-3
@@ -60,6 +57,11 @@ class TrainConfig:
             raise TrainError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not self.seeds:
             raise TrainError("seeds must be nonempty")
+        # a negative bound would flip every gradient, zero would erase it
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise TrainError(
+                f"grad_clip must be positive (null disables clipping), got {self.grad_clip}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +142,11 @@ def metrics(
 # optimizer
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -174,7 +181,7 @@ def clip_gradients(params: Dict[str, Tensor], max_norm: float) -> float:
 def adam_step(opt: AdamState, params: Dict[str, Tensor], cfg: TrainConfig) -> None:
     """One bias-corrected Adam update in place; skips gradient-free tensors."""
     opt.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         if p.grad is None:
             continue
@@ -186,7 +193,7 @@ def adam_step(opt: AdamState, params: Dict[str, Tensor], cfg: TrainConfig) -> No
         opt.v[name] = b2 * opt.v[name] + (1 - b2) * g * g
         m_hat = opt.m[name] / (1 - b1**opt.t)
         v_hat = opt.v[name] / (1 - b2**opt.t)
-        p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +443,6 @@ class GridRow:
     error: Optional[str] = None
 
 
-def _cfg_with(base: ModelConfig, **overrides) -> ModelConfig:
-    fields = {k: getattr(base, k) for k in base.__dataclass_fields__}
-    fields.update(overrides)
-    return ModelConfig(**fields)
-
-
 def run_experiment(
     kind: str,
     model_cfg: ModelConfig,
@@ -458,12 +459,11 @@ def run_experiment(
     order always matches the grid definition.
     """
     if kind == "ablation":
-        cells = [(label, _cfg_with(model_cfg, **flags)) for label, flags in ABLATION_VARIANTS]
+        cells = [(label, replace(model_cfg, **flags)) for label, flags in ABLATION_VARIANTS]
     elif kind == "multihead":
-        cells = [(f"{h}H", _cfg_with(model_cfg, n_head=h)) for h in MULTIHEAD_COUNTS]
+        cells = [(f"{h}H", replace(model_cfg, n_head=h)) for h in MULTIHEAD_COUNTS]
     elif kind == "order":
-        cells = [(order, _cfg_with(model_cfg, order=order)) for order in
-                 ("attention_then_dgc", "dgc_then_attention")]
+        cells = [(order, replace(model_cfg, order=order)) for order in ORDERS]
     else:
         raise TrainError(f"unknown experiment kind {kind!r}")
 

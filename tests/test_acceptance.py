@@ -13,15 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from trafficast.cli import (
-    _load_inputs,
-    _manifest_base,
-    _model_param_checks,
-    _primitive_checks,
-    main,
-    resolve_config,
-)
+from trafficast.cli import _load_inputs, _manifest_base, main, resolve_config
 from trafficast.data import DatasetSpec, DatasetSplits, prepare_dataset, synth_generate
+from trafficast.gradcheck import model_param_checks, primitive_checks
 from trafficast.graph import (
     GraphSpec,
     adaptive_adjacency,
@@ -61,12 +55,12 @@ def test_gradient_fidelity(acceptance):
     start = time.time()
     worst_prim = 0.0
     n_prims = 0
-    for name, f, x0 in _primitive_checks(np.random.default_rng(0)):
+    for name, f, x0 in primitive_checks(np.random.default_rng(0)):
         report = finite_diff_check(f, x0, tol=1e-6)
         worst_prim = max(worst_prim, report.max_rel_error)
         n_prims += 1
     # toy network: N=4, C=1, d_h=8, P=Q=3, S=1, K=2, 2 heads
-    model_rows = _model_param_checks(n_params=20, coords_per=2)
+    model_rows = model_param_checks(n_params=20, coords_per=2)
     worst_model = max(rel for _, rel in model_rows)
     elapsed = time.time() - start
     ok = (worst_prim <= 1e-6 and worst_model <= 1e-4
@@ -144,8 +138,7 @@ def test_overfit_small_zero_noise_dataset(acceptance):
                           normalizer=splits.normalizer, spec=spec)
     assert len(small.train) == 50
     a_pre = row_normalize(build_predefined(graph)).matrix.data
-    model_cfg = ModelConfig(d_h=12, d_e=4, n_head=2, K=2, P=6, Q=3, S=1,
-                            l_d=48, l_w=336)
+    model_cfg = ModelConfig(d_h=12, d_e=4, n_head=2, K=2, P=6, Q=3, S=1)
     train_cfg = TrainConfig(learning_rate=0.01, batch_size=10,
                             max_epochs=5000, patience=5000, seeds=(1,))
     run = train_single(model_cfg, small, a_pre, train_cfg, seed=1, max_steps=800)
@@ -178,8 +171,7 @@ def test_directional_ablation(acceptance):
                             max_epochs=30, patience=8, seeds=seeds)
 
     def median_mae(**flags):
-        cfg = ModelConfig(d_h=12, d_e=2, n_head=2, K=2, P=4, Q=6, S=3,
-                          l_d=24, l_w=168, **flags)
+        cfg = ModelConfig(d_h=12, d_e=2, n_head=2, K=2, P=4, Q=6, S=3, **flags)
         maes = [train_single(cfg, splits, a_pre, train_cfg, seed=s).test_report.mae
                 for s in seeds]
         return float(np.median(maes))
@@ -249,7 +241,7 @@ def test_determinism(acceptance, tmp_path):
 
 def test_node_isolation(acceptance):
     cfg = ModelConfig(d_h=8, d_e=3, n_head=2, K=2, P=3, Q=3, S=1,
-                      l_d=8, l_w=56, no_period=True, no_pre=True, no_adp=True)
+                      no_period=True, no_pre=True, no_adp=True)
     n = 5
     state = init_model(cfg, n, 1, seed=0)
     rng = np.random.default_rng(3)

@@ -7,13 +7,9 @@ import numpy as np
 import pytest
 
 from trafficast import tensor as tc
-from trafficast.cli import (
-    SchemaError,
-    _primitive_checks,
-    main,
-    resolve_config,
-)
+from trafficast.cli import SchemaError, main, resolve_config
 from trafficast.data import load_series, write_tensor_file
+from trafficast.gradcheck import primitive_checks
 from trafficast.graph import write_edge_list
 from trafficast.model import ModelConfig, init_model, save_checkpoint
 
@@ -58,7 +54,6 @@ def test_defaults_materialize():
 def test_resolved_doc_has_no_placeholders():
     res = resolve_config({"data": {"synth": {}}})
     doc = res.config_doc()
-    assert doc["model"]["l_d"] == 48 and doc["model"]["l_w"] == 336
     for key in ModelConfig.__dataclass_fields__:
         assert doc["model"][key] is not None
     for section in ("dataset", "train"):
@@ -103,6 +98,65 @@ def test_mirrored_model_keys_must_agree():
         resolve_config({**base, "model": {"P": 9}})
 
 
+def test_old_manifest_model_l_d_l_w_accepted_and_dropped():
+    base = {"data": {"synth": {"l_d": 24}}}
+    res = resolve_config({**base, "model": {"l_d": 24, "l_w": 168}})
+    assert "l_d" not in res.config_doc()["model"]
+    with pytest.raises(SchemaError, match=r"model\.l_d: 48 conflicts with data\.l_d \(24\)"):
+        resolve_config({**base, "model": {"l_d": 48}})
+    with pytest.raises(SchemaError, match=r"model\.l_w: 7 conflicts with data\.l_d \(168\)"):
+        resolve_config({**base, "model": {"l_w": 7}})
+
+
+# Every key each section accepts. The dataclasses are the schema, so a new
+# field is a new config key; this pins the set.
+ACCEPTED_KEYS = {
+    "data": {"series", "edges", "l_d", "kappa", "sigma", "synth"},
+    "data.synth": {"nodes", "days", "l_d", "shift_max", "noise", "seed", "amp_weekly"},
+    "dataset": {"P", "Q", "S", "d_count", "w_count", "split"},
+    "model": {"d_h", "d_e", "n_head", "K", "w_pre", "w_adp", "P", "Q", "S",
+              "d_count", "w_count", "no_pre", "no_adp", "no_window", "no_period",
+              "order"},
+    "train": {"learning_rate", "batch_size", "max_epochs", "patience", "seeds",
+              "grad_clip", "teacher_forcing", "mape_floor"},
+}
+
+
+def test_accepted_config_keys_are_pinned():
+    doc = resolve_config({"data": {"synth": {}}}).config_doc()
+    assert set(doc) == {"out_dir", "data", "dataset", "model", "train"}
+    assert set(doc["data"]["synth"]) == ACCEPTED_KEYS["data.synth"]
+    for section in ("data", "dataset", "model", "train"):
+        assert set(doc[section]) == ACCEPTED_KEYS[section], section
+    # each key resolves when given its own resolved value back
+    assert resolve_config(doc).config_doc() == doc
+    for key in ("beta1", "beta2", "eps"):
+        with pytest.raises(SchemaError, match=rf"train\.{key}: unknown key"):
+            resolve_config({"data": {"synth": {}}, "train": {key: 0.9}})
+
+
+def test_non_finite_numbers_rejected_at_config_time(tmp_path, capsys):
+    cfg = write_doc(tmp_path / "c.json", tiny_doc(tmp_path / "run"))
+    assert run_cli("train", "--config", cfg, "--set", "model.w_pre=NaN") == 2
+    assert "model.w_pre: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    for section, key, value in (("train", "learning_rate", float("inf")),
+                                ("data", "kappa", float("-inf")),
+                                ("train", "mape_floor", 10 ** 400)):
+        doc = {"data": {"synth": {}}}
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(SchemaError, match=rf"{section}\.{key}: expected a finite number"):
+            resolve_config(doc)
+
+
+def test_nonpositive_grad_clip_is_usage_error(tmp_path, capsys):
+    cfg = write_doc(tmp_path / "c.json", tiny_doc(tmp_path / "run"))
+    for value in ("-1", "0"):
+        assert run_cli("train", "--config", cfg, "--set", f"train.grad_clip={value}") == 2
+        assert "train: grad_clip must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_model_invariant_reported_with_section():
     with pytest.raises(SchemaError, match="model: "):
         resolve_config({"data": {"synth": {}}, "model": {"n_head": 0}})
@@ -140,6 +194,19 @@ def test_gen_data_is_deterministic(tmp_path):
 def test_gen_data_negative_shift_is_usage_error(tmp_path, capsys):
     assert run_cli("gen-data", "--shift", "-1", "--out", str(tmp_path)) == 2
     assert "--shift" in capsys.readouterr().err
+
+
+def test_gen_data_flags_are_the_synth_keys(tmp_path, capsys):
+    # defaults and range checks come from the data.synth schema
+    assert run_cli("gen-data", "--out", str(tmp_path / "d")) == 0
+    manifest = json.loads((tmp_path / "d" / "gen_manifest.json").read_text())
+    assert manifest["flags"] == resolve_config({"data": {"synth": {}}}).data["synth"]
+    for flags, message in ((["--nodes", "0"], "--nodes: must be >= 1, got 0"),
+                           (["--ld", "1"], "--ld: must be >= 2, got 1"),
+                           (["--noise", "nan"], "--noise: expected a finite number")):
+        assert run_cli("gen-data", *flags, "--out", str(tmp_path / "e")) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 # --- train -------------------------------------------------------------------
@@ -279,6 +346,14 @@ def test_bad_json_config_is_usage_error(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_non_utf8_config_names_byte_offset(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_bytes(b'{"out_dir": "r\xff"}\n')
+    assert run_cli("train", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: not UTF-8: byte 0xff at byte offset 14" in err
+
+
 def test_missing_config_file_is_usage_error(tmp_path):
     assert run_cli("train", "--config", str(tmp_path / "absent.json")) == 2
 
@@ -314,8 +389,7 @@ def _constant_setup(tmp_path, q=12, s=3):
         "train": {"seeds": [1]},
     }
     cfg_path = write_doc(tmp_path / "c.json", doc)
-    model_cfg = ModelConfig(d_h=6, d_e=2, n_head=2, K=1, P=12, Q=q, S=s,
-                            l_d=l_d, l_w=7 * l_d)
+    model_cfg = ModelConfig(d_h=6, d_e=2, n_head=2, K=1, P=12, Q=q, S=s)
     return cfg_path, model_cfg
 
 
@@ -399,10 +473,10 @@ def test_gradcheck_passes_and_writes_report(tmp_path, capsys):
 def test_gradcheck_rows_cover_every_exported_op():
     # an op is every exported function that records onto the tape; a row
     # covers the ops its function actually records
-    not_ops = {"backward", "finite_diff_check", "dump_tensor", "load_dump"}
+    not_ops = {"backward", "finite_diff_check"}
     ops = {name for name in tc.__all__ if name[0].islower() and name not in not_ops}
     covered = set()
-    for _, f, x0 in _primitive_checks(np.random.default_rng(0)):
+    for _, f, x0 in primitive_checks(np.random.default_rng(0)):
         with tc.Tape() as tape:
             f(tc.Tensor(x0.data, requires_grad=True))
         covered |= {rec.backward_fn.__qualname__.split(".")[0] for rec in tape.records}

@@ -31,7 +31,7 @@ from trafficast.tensor import ShapeError, Tape, Tensor, backward, finite_diff_ch
 
 
 def _toy_cfg(**kw):
-    base = dict(d_h=8, d_e=3, n_head=2, K=2, P=3, Q=3, S=1, l_d=8, l_w=56)
+    base = dict(d_h=8, d_e=3, n_head=2, K=2, P=3, Q=3, S=1)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -209,7 +209,7 @@ def _rand_banks(cfg, rows, d_h, rng):
 
 def test_attention_candidate_count_default_windows():
     # |d| = |w| = 1 and S = 3: 2 banks x 7 window positions = 14 candidates
-    cfg = ModelConfig(d_h=2, P=3, Q=2, S=3, l_d=16, l_w=112)
+    cfg = ModelConfig(d_h=2, P=3, Q=2, S=3)
     rng = np.random.default_rng(4)
     banks = _rand_banks(cfg, 6, 2, rng)
     a, weights = attention_step(Tensor(rng.standard_normal((6, 2))), banks, 0, cfg,
@@ -219,7 +219,7 @@ def test_attention_candidate_count_default_windows():
 
 
 def test_attention_no_window_single_position():
-    cfg = ModelConfig(d_h=2, P=3, Q=2, S=3, l_d=16, l_w=112, no_window=True)
+    cfg = ModelConfig(d_h=2, P=3, Q=2, S=3, no_window=True)
     rng = np.random.default_rng(4)
     banks = _rand_banks(cfg, 6, 2, rng)
     _, weights = attention_step(Tensor(rng.standard_normal((6, 2))), banks, 1, cfg,
@@ -232,7 +232,7 @@ def test_attention_weights_sum_to_one():
     for trial in range(25):
         s = int(rng.integers(0, 3))
         cfg = ModelConfig(
-            d_h=3, P=3, Q=2, S=s, l_d=16, l_w=112,
+            d_h=3, P=3, Q=2, S=s,
             no_window=bool(rng.integers(0, 2)),
         )
         banks = _rand_banks(cfg, 4, 3, rng)
@@ -244,7 +244,7 @@ def test_attention_weights_sum_to_one():
 
 def test_attention_identical_bank_states_add_residually():
     # every candidate equals u, so the context is u for any weights
-    cfg = ModelConfig(d_h=3, P=2, Q=2, S=2, l_d=16, l_w=112)
+    cfg = ModelConfig(d_h=3, P=2, Q=2, S=2)
     rng = np.random.default_rng(6)
     u = rng.standard_normal((5, 3))
     banks = [
@@ -259,7 +259,7 @@ def test_attention_identical_bank_states_add_residually():
 def test_attention_planted_match_dominates():
     # one candidate scores 5, the other 13 score 0: its softmax weight is
     # e^5 / (e^5 + 13) which clears 0.9
-    cfg = ModelConfig(d_h=1, P=3, Q=1, S=3, l_d=16, l_w=112)
+    cfg = ModelConfig(d_h=1, P=3, Q=1, S=3)
     params = AttentionParams(
         w1=Tensor([[0.0]], shape=(1, 1)),
         w2=Tensor([[3.0]], shape=(1, 1)),
@@ -280,7 +280,7 @@ def test_attention_planted_match_dominates():
 
 
 def test_attention_no_period_passthrough():
-    cfg = ModelConfig(d_h=3, P=3, Q=2, S=1, l_d=16, l_w=112, no_period=True)
+    cfg = ModelConfig(d_h=3, P=3, Q=2, S=1, no_period=True)
     rng = np.random.default_rng(7)
     h_t = Tensor(rng.standard_normal((4, 3)))
     a, weights = attention_step(h_t, [], 0, cfg, _rand_attention(3, rng))
@@ -289,7 +289,7 @@ def test_attention_no_period_passthrough():
 
 
 def test_attention_step_out_of_range():
-    cfg = ModelConfig(d_h=2, P=3, Q=2, S=1, l_d=16, l_w=112)
+    cfg = ModelConfig(d_h=2, P=3, Q=2, S=1)
     rng = np.random.default_rng(8)
     banks = _rand_banks(cfg, 2, 2, rng)
     with pytest.raises(ModelError, match="out of range"):
@@ -299,7 +299,7 @@ def test_attention_step_out_of_range():
 def test_attention_never_mixes_nodes():
     # perturbing node 1's bank rows leaves every other row of a_t bitwise
     # unchanged (rows are (batch, node) pairs; node j occupies rows j mod n)
-    cfg = ModelConfig(d_h=3, P=3, Q=2, S=2, l_d=16, l_w=112)
+    cfg = ModelConfig(d_h=3, P=3, Q=2, S=2)
     rng = np.random.default_rng(9)
     b, n = 2, 3
     rows = b * n

@@ -477,15 +477,3 @@ def test_backward_linearity():
     combined = grads_of(alpha, beta)
     separate = alpha * grads_of(1.0, 0.0) + beta * grads_of(0.0, 1.0)
     np.testing.assert_allclose(combined, separate, rtol=0, atol=1e-12)
-
-
-def test_dump_round_trip(tmp_path):
-    t = rand((3, 2), 90)
-    path = tmp_path / "t.txt"
-    tc.dump_tensor(t, path)
-    loaded = tc.load_dump(path)
-    assert loaded.shape == t.shape
-    np.testing.assert_array_equal(loaded.data, t.data)
-    first_two_lines = path.read_text().splitlines()[:2]
-    assert first_two_lines[0] == "3 2"
-    assert float(first_two_lines[1]) == t.values[0]

@@ -44,7 +44,6 @@ def _tiny_setup(seed=0, **cfg_kw):
     a_pre = row_normalize(build_predefined(graph)).matrix.data
     base = dict(
         d_h=6, d_e=2, n_head=2, K=1, P=3, Q=2, S=1,
-        l_d=12, l_w=84,
     )
     base.update(cfg_kw)
     return ModelConfig(**base), splits, a_pre
@@ -222,6 +221,15 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(TrainError):
         TrainConfig(seeds=())
+
+
+def test_grad_clip_must_be_positive_or_none():
+    # a negative bound turns clipping into gradient ascent, zero erases
+    # every step; None is the documented way to switch clipping off
+    for bad in (-1.0, 0.0, float("nan")):
+        with pytest.raises(TrainError, match="grad_clip must be positive"):
+            TrainConfig(grad_clip=bad)
+    assert TrainConfig(grad_clip=None).grad_clip is None
 
 
 def test_patience_one_stops_after_two_epochs():
