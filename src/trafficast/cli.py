@@ -131,7 +131,7 @@ DATA_SCHEMA = {
     "series": Key(None, "opt_str"),
     "edges": Key(None, "opt_str"),
     "l_d": Key(None, "opt_int", minimum=2),
-    "kappa": Key(1.0, "num"),
+    "kappa": Key(1.0, "num", minimum=0),
     "sigma": Key(None, "opt_num"),
     "synth": Key(None, "opt_dict"),
 }
@@ -274,6 +274,8 @@ def resolve_config(doc: dict) -> ResolvedRun:
         raise SchemaError(f"out_dir: expected a string, got {out_dir!r}")
 
     data = _merge_section("data", doc.get("data", {}), DATA_SCHEMA)
+    if data["sigma"] is not None and data["sigma"] <= 0:
+        raise SchemaError(f"data.sigma: must be > 0, got {data['sigma']}")
     if data["synth"] is not None:
         synth = _merge_section("data.synth", data["synth"], SYNTH_SCHEMA)
         if data["series"] is not None or data["edges"] is not None:

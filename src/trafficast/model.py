@@ -12,14 +12,15 @@ nodes. An affine layer maps its state to the forecast. The attention and
 graph stages can be swapped (`order`), and each mechanism has an off
 switch so its contribution can be measured.
 
-Both decoder mechanisms are arranged to put few records on the tape.
-Attention scores every candidate against one precomputed query and pools
-the context in a single `weighted_pool` record. The graph GRU folds its
-hop weights into one (mixing matrix, weight) term list per gate group once
-per forward; inside a cell the update and reset gates share one set of
-node mixes and one matmul per term (their weights sit side by side, as in
-DCRNN's fused gate convolution), and the candidate does the same on its
-own input. No activation wider than [B, N, 2*d_h] is formed.
+All three GRUs run one gate step (as in DCRNN's DCGRU): each gate is
+sum_k (M_k [..]) W_k + b over a list of mixing matrices, identity first.
+The encoder and decoder GRUs have the identity alone; the graph GRU adds
+the K predefined and K adaptive adjacency powers, with its hop weights and
+fusion weights folded into one weight per matrix once per forward. Each
+M_k [x, h] is formed once and feeds both the update and the reset matmul.
+Every activation is [B*N, d] rows, node-minor (row b*N + n), so no cell
+reshapes or slices. Attention scores every candidate against one
+precomputed query and pools the context in a single `weighted_pool` record.
 
 Everything here runs on the tape from `tensor`; data enters as constant
 tensors, parameters carry requires_grad.
@@ -96,15 +97,21 @@ class ModelConfig:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GruParams:
-    """One GRU's six tensors: update/reset/candidate weights and biases."""
+class GruGates:
+    """One GRU's gates, each sum_k (M_k [..]) W_k + b.
 
-    wz: Tensor
-    bz: Tensor
-    wr: Tensor
-    br: Tensor
-    wc: Tensor
-    bc: Tensor
+    `mats` lists the mixing matrices, the identity (None) first, and each
+    gate holds one weight per matrix: the identity alone for the encoder
+    and decoder GRUs, the folded graph convolution for the DGC-GRU.
+    """
+
+    mats: List[Optional[Tensor]]
+    update: List[Tensor]
+    update_bias: Tensor
+    reset: List[Tensor]
+    reset_bias: Tensor
+    cand: List[Tensor]
+    cand_bias: Tensor
 
 
 @dataclass
@@ -113,24 +120,6 @@ class AttentionParams:
     w2: Tensor
     b: Tensor
     v: Tensor
-
-
-# (mixing matrix, hop weight) pairs; a None matrix is the identity
-Terms = List[Tuple[Optional[Tensor], Tensor]]
-
-
-@dataclass
-class DgcTerms:
-    """A DGC-GRU's graph convolutions, folded for one forward pass.
-
-    `pair` serves the update and reset gates together: each weight is
-    [2*d_h, 2*d_h], update columns first. `cand` serves the candidate.
-    """
-
-    pair: Terms
-    pair_bias: Tensor
-    cand: Terms
-    cand_bias: Tensor
 
 
 @dataclass
@@ -149,13 +138,12 @@ class ModelState:
     def named_parameters(self):
         return self.params.items()
 
-    def gru(self, prefix: str) -> GruParams:
+    def gru(self, prefix: str) -> GruGates:
         p = self.params
-        return GruParams(
-            wz=p[f"{prefix}.update.weight"], bz=p[f"{prefix}.update.bias"],
-            wr=p[f"{prefix}.reset.weight"], br=p[f"{prefix}.reset.bias"],
-            wc=p[f"{prefix}.cand.weight"], bc=p[f"{prefix}.cand.bias"],
-        )
+        w = lambda gate: [p[f"{prefix}.{gate}.weight"]]
+        b = lambda gate: p[f"{prefix}.{gate}.bias"]
+        return GruGates([None], w("update"), b("update"), w("reset"), b("reset"),
+                        w("cand"), b("cand"))
 
     def attention(self) -> AttentionParams:
         p = self.params
@@ -220,26 +208,48 @@ def _gate_mix(z: Tensor, h: Tensor, cand: Tensor) -> Tensor:
     return tc.add(tc.sub(h, tc.mul(z, h)), tc.mul(z, cand))
 
 
-def gru_cell(params: GruParams, x: Tensor, h: Tensor) -> Tensor:
-    """h' = (1-z) * h + z * tanh(Wc [x, r*h] + bc), z/r sigmoid over [x, h]."""
-    if x.shape[1] + h.shape[1] != params.wz.shape[0]:
+def _term_sums(mats: List[Optional[Tensor]], x: Tensor, *weights: List[Tensor]) -> List[Tensor]:
+    """sum_k (M_k x) W_k for each weight list; a None matrix is the identity.
+
+    Each M_k x is formed once and feeds the matmul of every list.
+    """
+    sums: List[Tensor] = []
+    for k, mat in enumerate(mats):
+        mixed = x if mat is None else tc.node_mix(mat, x)
+        terms = [tc.matmul(mixed, w[k]) for w in weights]
+        sums = terms if k == 0 else [tc.add(s, t) for s, t in zip(sums, terms)]
+        del mixed  # off the tape, one mix is alive at a time
+    return sums
+
+
+def _gru_step(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
+    """h' = (1-z) * h + z * tanh(G_c [x, r*h]), z/r = sigmoid(G_z/G_r [x, h]).
+
+    Each G is its gate's sum_k (M_k [..]) W_k + b; x and h are [B*N, d] rows.
+    """
+    if x.shape[1] + h.shape[1] != gates.update[0].shape[0]:
         raise ShapeError(
-            f"gru_cell width mismatch: input {x.shape[1]} + state {h.shape[1]} "
-            f"!= weight rows {params.wz.shape[0]}"
+            f"gru width mismatch: input {x.shape[1]} + state {h.shape[1]} "
+            f"!= weight rows {gates.update[0].shape[0]}"
         )
-    xh = tc.concat([x, h], axis=1)
-    z = tc.sigmoid(tc.add(tc.matmul(xh, params.wz), params.bz))
-    r = tc.sigmoid(tc.add(tc.matmul(xh, params.wr), params.br))
-    xrh = tc.concat([x, tc.mul(r, h)], axis=1)
-    cand = tc.tanh(tc.add(tc.matmul(xrh, params.wc), params.bc))
-    return _gate_mix(z, h, cand)
+    z_sum, r_sum = _term_sums(gates.mats, tc.concat([x, h], axis=1),
+                              gates.update, gates.reset)
+    z = tc.sigmoid(tc.add(z_sum, gates.update_bias))
+    r = tc.sigmoid(tc.add(r_sum, gates.reset_bias))
+    (c_sum,) = _term_sums(gates.mats, tc.concat([x, tc.mul(r, h)], axis=1), gates.cand)
+    return _gate_mix(z, h, tc.tanh(tc.add(c_sum, gates.cand_bias)))
 
 
-def _run_gru(params: GruParams, steps: List[Tensor], h0: Tensor, keep_all: bool):
+def gru_cell(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
+    """One step of the encoder or decoder GRU (identity mixing only)."""
+    return _gru_step(gates, x, h)
+
+
+def _run_gru(gates: GruGates, steps: List[Tensor], h0: Tensor, keep_all: bool):
     h = h0
     states = []
     for x_t in steps:
-        h = gru_cell(params, x_t, h)
+        h = gru_cell(gates, x_t, h)
         if keep_all:
             states.append(h)
     return h, states
@@ -382,14 +392,15 @@ def conv_terms(
     pre_hops: List[Tensor],
     adp_hops: List[Tensor],
     cfg: ModelConfig,
-) -> Terms:
+) -> Tuple[List[Optional[Tensor]], List[Tensor]]:
     """Fold w_pre * sum_k (A_pre^k x) Wpre_k + w_adp * sum_k (M_k x) Wadp_k
-    into one term list.
+    into one sum_k (M_k x) W_k: the matrices, identity (None) first, and
+    one weight per matrix.
 
     Each hop weight is scaled by its branch's fusion weight. The identity
-    term comes first and carries the sum of every identity hop of the
-    active branches; with both branches off (identity adjacencies, a
-    per-node dense map) that is every hop. A switched-off branch drops out.
+    weight is the sum of every identity hop of the active branches; with
+    both branches off (identity adjacencies, a per-node dense map) that is
+    every hop. A switched-off branch drops out.
     """
     both_off = cfg.no_pre and cfg.no_adp
     branches = []
@@ -398,76 +409,44 @@ def conv_terms(
     if not cfg.no_adp or both_off:
         branches.append((adp_mats, adp_hops, cfg.w_adp))
     identity = None
-    terms: Terms = []
-    for mats, hops, weight in branches:
+    mats: List[Optional[Tensor]] = [None]
+    weights: List[Tensor] = []
+    for branch_mats, hops, weight in branches:
         scale = Tensor([weight])
-        for mat, hop in zip(mats, hops, strict=True):
+        for mat, hop in zip(branch_mats, hops, strict=True):
             w_k = tc.mul(hop, scale)
             if mat is not None:
-                terms.append((mat, w_k))
+                mats.append(mat)
+                weights.append(w_k)
             else:
                 identity = w_k if identity is None else tc.add(identity, w_k)
-    return [(None, identity)] + terms
+    return mats, [identity] + weights
 
 
 def dgc_terms(
     state: ModelState,
     pre_mats: List[Optional[Tensor]],
     adp_mats: List[Optional[Tensor]],
-) -> DgcTerms:
-    """The DGC-GRU's term lists, built once per forward pass.
-
-    Update and reset hop weights are joined column-wise so both gates come
-    out of one matmul per term; parameter names and shapes are unchanged.
-    """
-    cfg = state.config
+) -> GruGates:
+    """The DGC-GRU's gates, folded by conv_terms once per forward pass."""
     p = state.params
 
-    def paired(branch):
-        return [tc.concat([u, r], axis=1) for u, r in
-                zip(state.dgc_hops("update", branch), state.dgc_hops("reset", branch))]
+    def fold(gate):
+        return conv_terms(pre_mats, adp_mats, state.dgc_hops(gate, "pre"),
+                          state.dgc_hops(gate, "adp"), state.config)
 
-    pair = conv_terms(pre_mats, adp_mats, paired("pre"), paired("adp"), cfg)
-    cand = conv_terms(pre_mats, adp_mats, state.dgc_hops("cand", "pre"),
-                      state.dgc_hops("cand", "adp"), cfg)
-    pair_bias = tc.concat([p["dgc.update.bias"], p["dgc.reset.bias"]], axis=0)
-    return DgcTerms(pair, pair_bias, cand, p["dgc.cand.bias"])
+    mats, update = fold("update")
+    return GruGates(mats, update, p["dgc.update.bias"], fold("reset")[1],
+                    p["dgc.reset.bias"], fold("cand")[1], p["dgc.cand.bias"])
 
 
-def double_graph_conv(x3: Tensor, terms: Terms) -> Tensor:
-    """sum over terms of (M x) W, for x [B, N, d_in]: [B, N, d_out].
-
-    The terms come from conv_terms, so the two graph branches, their
-    fusion weights and the identity hops are already folded in. Each
-    non-identity matrix mixes x once, and each term is one matmul.
-    """
-    b, n, d_in = x3.shape
-    acc = None
-    for mat, w_k in terms:
-        # the mixed copy stays unnamed: off the tape it is freed at once
-        out = tc.matmul(tc.reshape(x3 if mat is None else tc.node_mix(mat, x3),
-                                   (b * n, d_in)), w_k)
-        acc = out if acc is None else tc.add(acc, out)
-    return tc.reshape(acc, (b, n, acc.shape[1]))
-
-
-def dgcgru_cell(x3: Tensor, h3: Tensor, terms: DgcTerms) -> Tensor:
+def dgcgru_cell(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
     """GRU step whose gate transforms are double graph convolutions.
 
-    The update and reset gates share the node mixes of [x, h]: one
-    double_graph_conv of width 2*d_h, one sigmoid, then a slice each.
+    The same step as gru_cell, over the matrices of dgc_terms; a name of
+    its own keeps the graph GRU apart from the dense ones in profiles.
     """
-    if x3.shape != h3.shape:
-        raise ShapeError(f"dgcgru input {list(x3.shape)} != state {list(h3.shape)}")
-    d_h = h3.shape[2]
-    # Temporaries stay unnamed so that, off the tape, [x, h] and r are
-    # freed before the candidate's convolution runs.
-    zr = tc.sigmoid(tc.add(
-        double_graph_conv(tc.concat([x3, h3], axis=2), terms.pair), terms.pair_bias))
-    z = tc.slice_axis(zr, 2, 0, d_h)
-    xrh = tc.concat([x3, tc.mul(tc.slice_axis(zr, 2, d_h, 2 * d_h), h3)], axis=2)
-    cand = tc.tanh(tc.add(double_graph_conv(xrh, terms.cand), terms.cand_bias))
-    return _gate_mix(z, h3, cand)
+    return _gru_step(gates, x, h)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +457,6 @@ def dgcgru_cell(x3: Tensor, h3: Tensor, terms: DgcTerms) -> Tensor:
 class ForwardTrace:
     predictions: Tensor                       # [B, Q, N, C]
     attention_weights: List[Optional[Tensor]] = field(default_factory=list)
-    banks: List[List[Tensor]] = field(default_factory=list)
 
 
 def forward(
@@ -513,19 +491,19 @@ def forward(
     attn = state.attention()
     w_out, b_out = state.params["out.weight"], state.params["out.bias"]
 
-    g = Tensor(np.zeros((b, n, cfg.d_h)))
+    g = Tensor(np.zeros((b * n, cfg.d_h)))
     x_in = Tensor(np.ascontiguousarray(r[:, -1]).reshape(b * n, c))
-    trace = ForwardTrace(predictions=None, banks=banks)
+    trace = ForwardTrace(predictions=None)
     step_preds = []
     for t in range(cfg.Q):
         h = gru_cell(dec, x_in, h)
         if cfg.order == "attention_then_dgc":
             a_t, w_t = attention_step(h, banks, t, cfg, attn)
-            g = dgcgru_cell(tc.reshape(a_t, (b, n, cfg.d_h)), g, dgc)
-            y_t = tc.add(tc.matmul(tc.reshape(g, (b * n, cfg.d_h)), w_out), b_out)
+            g = dgcgru_cell(dgc, a_t, g)
+            y_t = tc.add(tc.matmul(g, w_out), b_out)
         else:
-            g = dgcgru_cell(tc.reshape(h, (b, n, cfg.d_h)), g, dgc)
-            a_t, w_t = attention_step(tc.reshape(g, (b * n, cfg.d_h)), banks, t, cfg, attn)
+            g = dgcgru_cell(dgc, h, g)
+            a_t, w_t = attention_step(g, banks, t, cfg, attn)
             y_t = tc.add(tc.matmul(a_t, w_out), b_out)
         trace.attention_weights.append(w_t)
         step_preds.append(tc.reshape(y_t, (b, 1, n, c)))

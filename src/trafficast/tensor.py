@@ -102,50 +102,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def relu(self):
-        return relu(self)
-
-    def abs(self):
-        return absolute(self)
-
-    def softmax(self, axis: int):
-        return softmax(self, axis)
-
-    def sum(self, axis: Optional[int] = None):
-        return reduce_sum(self, axis)
-
-    def mean(self, axis: Optional[int] = None):
-        return reduce_mean(self, axis)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, perm: Sequence[int]):
-        return transpose(self, perm)
-
-    def slice_axis(self, axis: int, start: int, stop: int):
-        return slice_axis(self, axis, start, stop)
-
 
 class _Record:
     """One executed primitive: its inputs, output and backward rule."""
@@ -203,10 +159,6 @@ class Tape:
 
     def produced(self, t: Tensor) -> bool:
         return id(t) in self._outputs
-
-    def clear(self) -> None:
-        self.records.clear()
-        self._outputs.clear()
 
 
 def _emit(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:
@@ -460,46 +412,23 @@ def weighted_pool(weights: Tensor, values: Sequence[Tensor]) -> Tensor:
     return _emit((weights, *values), out, bwd)
 
 
-def reduce_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
-    if axis is None:
-        out = a.data.sum().reshape(1)
+def reduce_sum(a: Tensor) -> Tensor:
+    out = a.data.sum().reshape(1)
 
-        def bwd(g):
-            return (np.full_like(a.data, g.reshape(-1)[0]),)
+    def bwd(g):
+        return (np.full_like(a.data, g.reshape(-1)[0]),)
 
-        return _emit((a,), out, bwd)
-
-    axis = axis % len(a.shape)
-    out = a.data.sum(axis=axis)
-    if out.ndim == 0:
-        out = out.reshape(1)
-
-    def bwd_axis(g):
-        return (np.broadcast_to(np.expand_dims(g.reshape(out.shape), axis), a.shape).copy(),)
-
-    return _emit((a,), out, bwd_axis)
+    return _emit((a,), out, bwd)
 
 
-def reduce_mean(a: Tensor, axis: Optional[int] = None) -> Tensor:
-    if axis is None:
-        n = a.size
-        out = a.data.mean().reshape(1)
+def reduce_mean(a: Tensor) -> Tensor:
+    n = a.size
+    out = a.data.mean().reshape(1)
 
-        def bwd(g):
-            return (np.full_like(a.data, g.reshape(-1)[0] / n),)
+    def bwd(g):
+        return (np.full_like(a.data, g.reshape(-1)[0] / n),)
 
-        return _emit((a,), out, bwd)
-
-    axis = axis % len(a.shape)
-    n = a.shape[axis]
-    out = a.data.mean(axis=axis)
-    if out.ndim == 0:
-        out = out.reshape(1)
-
-    def bwd_axis(g):
-        return (np.broadcast_to(np.expand_dims(g.reshape(out.shape) / n, axis), a.shape).copy(),)
-
-    return _emit((a,), out, bwd_axis)
+    return _emit((a,), out, bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -543,16 +472,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def node_mix(adj: Tensor, x: Tensor) -> Tensor:
-    """Left-multiply each batch element's [N, d] signal by adj: [B, N, d]."""
-    if len(adj.shape) != 2 or len(x.shape) != 3 or adj.shape[1] != x.shape[1]:
+    """Left-multiply each batch element's [N, d] signal by adj [N, N].
+
+    x is [B*N, d] with node-minor rows (row b*N + n is node n of batch
+    element b); the result has the same layout.
+    """
+    if (len(adj.shape) != 2 or len(x.shape) != 2 or adj.shape[0] != adj.shape[1]
+            or x.shape[0] % adj.shape[0]):
         raise ShapeError(
-            f"node_mix needs [m,n]x[b,n,d], got {list(adj.shape)} and {list(x.shape)}"
+            f"node_mix needs [n,n]x[b*n,d], got {list(adj.shape)} and {list(x.shape)}"
         )
-    out = np.matmul(adj.data, x.data)
+    x3 = x.data.reshape(-1, adj.shape[0], x.shape[1])
+    out = np.matmul(adj.data, x3).reshape(x.shape)
 
     def bwd(g):
-        return (np.tensordot(g, x.data, axes=([0, 2], [0, 2])) if adj.requires_grad else None,
-                np.matmul(adj.data.T, g) if x.requires_grad else None)
+        g3 = g.reshape(x3.shape)
+        return (np.tensordot(g3, x3, axes=([0, 2], [0, 2])) if adj.requires_grad else None,
+                np.matmul(adj.data.T, g3).reshape(x.shape) if x.requires_grad else None)
 
     return _emit((adj, x), out, bwd)
 

@@ -311,17 +311,38 @@ def test_train_missing_data_file_names_path(tmp_path, capsys):
     assert not (tmp_path / "run" / "seed1").exists()
 
 
-def test_train_bad_edge_field_exits_3(tmp_path, capsys):
+def _file_mode_doc(tmp_path, **data):
+    """A tiny config over `gen-data` files in tmp_path/d."""
     data_dir = tmp_path / "d"
     assert run_cli("gen-data", "--nodes", "4", "--days", "16", "--ld", "12",
                    "--out", str(data_dir)) == 0
-    edges = data_dir / "edges.csv"
+    return tiny_doc(tmp_path / "run", data={
+        "synth": None, "series": str(data_dir / "series.stgt"),
+        "edges": str(data_dir / "edges.csv"), "l_d": 12, **data})
+
+
+def test_train_bad_edge_field_exits_3(tmp_path, capsys):
+    cfg = write_doc(tmp_path / "c.json", _file_mode_doc(tmp_path))
+    edges = tmp_path / "d" / "edges.csv"
     edges.write_text("from,to,cost\n0,1,1.0\n1,2,abc\n")
-    cfg = write_doc(tmp_path / "c.json", tiny_doc(
-        tmp_path / "run", data={"synth": None, "series": str(data_dir / "series.stgt"),
-                                "edges": str(edges), "l_d": 12}))
     assert run_cli("train", "--config", cfg) == 3
     assert f"{edges}:3:" in capsys.readouterr().err
+
+
+def test_nonpositive_sigma_is_usage_error(tmp_path, capsys):
+    for value in (-1.0, 0.0):
+        cfg = write_doc(tmp_path / "c.json", _file_mode_doc(tmp_path, sigma=value))
+        assert run_cli("train", "--config", cfg) == 2
+        assert f"data.sigma: must be > 0, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_negative_kappa_is_usage_error(tmp_path, capsys):
+    # no squared distance is below a negative threshold, so every edge would vanish
+    cfg = write_doc(tmp_path / "c.json", _file_mode_doc(tmp_path, kappa=-5.0))
+    assert run_cli("train", "--config", cfg) == 2
+    assert "data.kappa: must be >= 0, got -5.0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_requires_out_dir(tmp_path, capsys):

@@ -10,15 +10,15 @@ from trafficast.data import DataError
 from trafficast.graph import GraphSpec, NodeEmbeddings, build_predefined, init_embeddings, row_normalize
 from trafficast.model import (
     AttentionParams,
-    GruParams,
+    GruGates,
     ModelConfig,
     ModelError,
+    _term_sums,
     adaptive_mix_mats,
     attention_step,
     conv_terms,
     dgc_terms,
     dgcgru_cell,
-    double_graph_conv,
     encode,
     forward,
     gru_cell,
@@ -80,9 +80,13 @@ def test_config_rejects(kw):
 
 # --- gru_cell ----------------------------------------------------------------
 
+def _dense_gates(wz, bz, wr, br, wc, bc):
+    return GruGates([None], [wz], bz, [wr], br, [wc], bc)
+
+
 def _zero_gru(d_in, d_h):
     z = lambda *s: Tensor(np.zeros(s))
-    return GruParams(
+    return _dense_gates(
         wz=z(d_in, d_h), bz=z(d_h), wr=z(d_in, d_h), br=z(d_h),
         wc=z(d_in, d_h), bc=z(d_h),
     )
@@ -97,7 +101,7 @@ def test_gru_zero_everything_gives_zero():
 def test_gru_output_bounded_by_state_and_one():
     rng = np.random.default_rng(2)
     d_in, d_h = 5, 6
-    params = GruParams(*[
+    params = _dense_gates(*[
         Tensor(rng.standard_normal((d_in + d_h, d_h) if i % 2 == 0 else d_h))
         for i in range(6)
     ])
@@ -131,7 +135,7 @@ def test_gru_three_chained_cells_gradient():
         return tc.reduce_sum(tc.mul(h, h))
 
     for name in ("wz", "wc", "br"):
-        rep = finite_diff_check(lambda t: run(GruParams(**{**fixed, name: t})),
+        rep = finite_diff_check(lambda t: run(_dense_gates(**{**fixed, name: t})),
                                 fixed[name], tol=1e-5)
         assert rep.passed, f"{name}: rel error {rep.max_rel_error}"
 
@@ -140,7 +144,7 @@ def test_gru_three_chained_cells_gradient():
     def run_input(x0):
         h = Tensor(np.zeros((3, d_h)))
         for x in (x0, xs[1], xs[2]):
-            h = gru_cell(GruParams(**fixed), x, h)
+            h = gru_cell(_dense_gates(**fixed), x, h)
         return tc.reduce_sum(tc.mul(h, h))
 
     rep = finite_diff_check(run_input, x_var, tol=1e-5)
@@ -328,25 +332,32 @@ def _identity_gate(d_in, d_h, hops_pre, hops_adp):
     return [Tensor(m) for m in hops_pre], [Tensor(m) for m in hops_adp]
 
 
+def _graph_conv(x, folded):
+    """sum_k (M_k x) W_k over one gate's conv_terms, for x [B*N, d_in]."""
+    mats, weights = folded
+    (out,) = _term_sums(mats, x, weights)
+    return out
+
+
 def test_dgc_identity_adjacency_half_weights_reproduce_input():
     # A = I, K = 1, W0 = W1 = I/2, predefined branch only at weight 1.0
     cfg = _toy_cfg(d_h=2, K=1, n_head=1, w_pre=1.0, no_adp=True)
     eye = np.eye(2)
     gate = _identity_gate(2, 2, [eye / 2, eye / 2], [])
-    x3 = Tensor(np.random.default_rng(10).standard_normal((2, 3, 2)))
+    x = Tensor(np.random.default_rng(10).standard_normal((2, 3, 2)).reshape(6, 2))
     mats = pre_mix_mats(np.eye(3), cfg)
-    out = double_graph_conv(x3, conv_terms(mats, [], *gate, cfg))
-    np.testing.assert_allclose(out.data, x3.data, atol=1e-12)
+    out = _graph_conv(x, conv_terms(mats, [], *gate, cfg))
+    np.testing.assert_allclose(out.data, x.data, atol=1e-12)
 
 
 def test_dgc_one_hop_swaps_two_nodes():
     # A = [[0,1],[1,0]], W0 = 0, W1 = I: output rows are the swapped inputs
     cfg = _toy_cfg(d_h=2, K=1, n_head=1, w_pre=1.0, no_adp=True)
     gate = _identity_gate(2, 2, [np.zeros((2, 2)), np.eye(2)], [])
-    x = np.array([[[1.0, 0.0], [0.0, 1.0]]])  # one batch, nodes e0 and e1
+    x = np.array([[1.0, 0.0], [0.0, 1.0]])  # one batch, nodes e0 and e1
     a_pre = np.array([[0.0, 1.0], [1.0, 0.0]])
-    out = double_graph_conv(Tensor(x), conv_terms(pre_mix_mats(a_pre, cfg), [], *gate, cfg))
-    np.testing.assert_allclose(out.data[0], [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
+    out = _graph_conv(Tensor(x), conv_terms(pre_mix_mats(a_pre, cfg), [], *gate, cfg))
+    np.testing.assert_allclose(out.data, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
 
 def test_dgc_head_mean_matches_single_head():
@@ -362,10 +373,10 @@ def test_dgc_head_mean_matches_single_head():
     cfg2 = _toy_cfg(d_h=d_h, d_e=d_e, K=2, n_head=2, no_pre=True, w_adp=1.0)
     hops = [rng.standard_normal((d_h, d_h)) for _ in range(3)]
     gate = _identity_gate(d_h, d_h, [], hops)
-    x3 = Tensor(rng.standard_normal((2, n, d_h)))
+    x = Tensor(rng.standard_normal((2, n, d_h)).reshape(2 * n, d_h))
 
-    out1 = double_graph_conv(x3, conv_terms([], adaptive_mix_mats(one, cfg1), *gate, cfg1))
-    out2 = double_graph_conv(x3, conv_terms([], adaptive_mix_mats(two, cfg2), *gate, cfg2))
+    out1 = _graph_conv(x, conv_terms([], adaptive_mix_mats(one, cfg1), *gate, cfg1))
+    out2 = _graph_conv(x, conv_terms([], adaptive_mix_mats(two, cfg2), *gate, cfg2))
     np.testing.assert_allclose(out1.data, out2.data, atol=1e-12)
 
 
@@ -376,14 +387,14 @@ def test_dgc_fusion_weights_scale_linearly():
     hops_pre = [rng.standard_normal((d_h, d_h)) for _ in range(3)]
     hops_adp = [rng.standard_normal((d_h, d_h)) for _ in range(3)]
     gate = _identity_gate(d_h, d_h, hops_pre, hops_adp)
-    x3 = Tensor(rng.standard_normal((2, n, d_h)))
+    x = Tensor(rng.standard_normal((2, n, d_h)).reshape(2 * n, d_h))
     a_pre = _ring_adjacency(n)
 
     cfg = _toy_cfg(d_h=d_h, d_e=2, n_head=2, w_pre=0.1, w_adp=0.9)
     cfg2 = _toy_cfg(d_h=d_h, d_e=2, n_head=2, w_pre=0.2, w_adp=1.8)
-    out = double_graph_conv(x3, conv_terms(
+    out = _graph_conv(x, conv_terms(
         pre_mix_mats(a_pre, cfg), adaptive_mix_mats(emb, cfg), *gate, cfg))
-    out2 = double_graph_conv(x3, conv_terms(
+    out2 = _graph_conv(x, conv_terms(
         pre_mix_mats(a_pre, cfg2), adaptive_mix_mats(emb, cfg2), *gate, cfg2))
     np.testing.assert_array_equal(out2.data, 2.0 * out.data)
 
@@ -394,14 +405,14 @@ def test_dgc_gradients_into_hops_and_embeddings():
     cfg = _toy_cfg(d_h=d_h, d_e=2, n_head=2, K=2)
     emb = init_embeddings(n, 2, 2, rng)
     a_pre = _ring_adjacency(n)
-    x3 = Tensor(rng.standard_normal((2, n, d_h)))
+    x = Tensor(rng.standard_normal((2, n, d_h)).reshape(2 * n, d_h))
     hops_pre = [Tensor(rng.standard_normal((d_h, d_h)), requires_grad=True) for _ in range(3)]
     hops_adp = [Tensor(rng.standard_normal((d_h, d_h)), requires_grad=True) for _ in range(3)]
 
     def loss_wrt(tensor, rebuild):
         def f(t):
             pre, adp = rebuild(t)
-            out = double_graph_conv(x3, conv_terms(
+            out = _graph_conv(x, conv_terms(
                 pre_mix_mats(a_pre, cfg), adaptive_mix_mats(emb, cfg), pre, adp, cfg))
             return tc.reduce_sum(tc.mul(out, out))
         return finite_diff_check(f, tensor, tol=1e-5)
@@ -413,7 +424,7 @@ def test_dgc_gradients_into_hops_and_embeddings():
 
     def f_emb(e1):
         mats = adaptive_mix_mats(NodeEmbeddings(e1, emb.e2), cfg)
-        out = double_graph_conv(x3, conv_terms(
+        out = _graph_conv(x, conv_terms(
             pre_mix_mats(a_pre, cfg), mats, hops_pre, hops_adp, cfg))
         return tc.reduce_sum(tc.mul(out, out))
 
@@ -429,9 +440,9 @@ def test_dgcgru_zero_params_zero_state():
     for name, t in state.named_parameters():
         if name.startswith("dgc."):
             t.data[...] = 0.0
-    x3 = Tensor(np.random.default_rng(16).standard_normal((2, 3, 4)))
-    h3 = Tensor(np.zeros((2, 3, 4)))
-    out = dgcgru_cell(x3, h3, dgc_terms(state, [None] * 3, [None] * 3))
+    x = Tensor(np.random.default_rng(16).standard_normal((2, 3, 4)).reshape(6, 4))
+    h = Tensor(np.zeros((6, 4)))
+    out = dgcgru_cell(dgc_terms(state, [None] * 3, [None] * 3), x, h)
     np.testing.assert_array_equal(out.data, 0.0)
 
 
@@ -440,15 +451,15 @@ def test_dgcgru_two_step_gradient():
     state = init_model(cfg, 3, 1, seed=17)
     rng = np.random.default_rng(18)
     a_pre = _ring_adjacency(3)
-    x1 = Tensor(rng.standard_normal((2, 3, 4)))
-    x2 = Tensor(rng.standard_normal((2, 3, 4)))
+    x1 = Tensor(rng.standard_normal((2, 3, 4)).reshape(6, 4))
+    x2 = Tensor(rng.standard_normal((2, 3, 4)).reshape(6, 4))
 
     def run():
-        terms = dgc_terms(state, pre_mix_mats(a_pre, cfg),
+        gates = dgc_terms(state, pre_mix_mats(a_pre, cfg),
                           adaptive_mix_mats(state.embeddings(), cfg))
-        h = Tensor(np.zeros((2, 3, 4)))
-        h = dgcgru_cell(x1, h, terms)
-        h = dgcgru_cell(x2, h, terms)
+        h = Tensor(np.zeros((6, 4)))
+        h = dgcgru_cell(gates, x1, h)
+        h = dgcgru_cell(gates, x2, h)
         return tc.reduce_sum(tc.mul(h, h))
 
     for name in ("dgc.update.pre.hop1", "dgc.cand.adp.hop0", "embed.e1", "dgc.reset.bias"):
@@ -473,14 +484,14 @@ def test_dgcgru_identity_isolation():
     state = init_model(cfg, 3, 1, seed=19)
     rng = np.random.default_rng(20)
     x = rng.standard_normal((2, 3, 4))
-    h3 = Tensor(rng.standard_normal((2, 3, 4)))
-    terms = dgc_terms(state, pre_mix_mats(np.eye(3), cfg), [])
-    out1 = dgcgru_cell(Tensor(x), h3, terms)
+    h = Tensor(rng.standard_normal((2, 3, 4)).reshape(6, 4))
+    gates = dgc_terms(state, pre_mix_mats(np.eye(3), cfg), [])
+    out1 = dgcgru_cell(gates, Tensor(x.reshape(6, 4)), h).data.reshape(2, 3, 4)
     x2 = x.copy()
     x2[:, 2, :] += 1.5
-    out2 = dgcgru_cell(Tensor(x2), h3, terms)
-    np.testing.assert_array_equal(out1.data[:, :2], out2.data[:, :2])
-    assert np.any(out1.data[:, 2] != out2.data[:, 2])
+    out2 = dgcgru_cell(gates, Tensor(x2.reshape(6, 4)), h).data.reshape(2, 3, 4)
+    np.testing.assert_array_equal(out1[:, :2], out2[:, :2])
+    assert np.any(out1[:, 2] != out2[:, 2])
 
 
 # --- full forward ---------------------------------------------------------------

@@ -13,6 +13,7 @@ from trafficast.model import (
     dgc_terms,
     dgcgru_cell,
     forward,
+    gru_cell,
     init_model,
     pre_mix_mats,
 )
@@ -46,16 +47,20 @@ def test_matmul_shape_mismatch_reports_both_shapes():
 
 
 def test_node_mix_is_per_batch_matmul():
-    adj, x = rand((3, 3), 2), rand((2, 3, 4), 3)
+    # rows are node-minor: row b*3 + n is node n of batch element b
+    adj, x = rand((3, 3), 2), rand((6, 4), 3)
     out = tc.node_mix(adj, x)
-    assert out.shape == (2, 3, 4)
+    assert out.shape == (6, 4)
     for b in range(2):
-        np.testing.assert_allclose(out.data[b], adj.data @ x.data[b], rtol=0, atol=1e-14)
+        rows = slice(3 * b, 3 * b + 3)
+        np.testing.assert_allclose(out.data[rows], adj.data @ x.data[rows], rtol=0, atol=1e-14)
 
 
 def test_node_mix_shape_mismatch():
-    with pytest.raises(tc.ShapeError, match=r"\[3, 3\].*\[2, 4, 4\]"):
-        tc.node_mix(rand((3, 3), 0), rand((2, 4, 4), 1))
+    with pytest.raises(tc.ShapeError, match=r"\[3, 4\].*\[6, 4\]"):
+        tc.node_mix(rand((3, 4), 0), rand((6, 4), 1))
+    with pytest.raises(tc.ShapeError, match=r"\[3, 3\].*\[8, 4\]"):
+        tc.node_mix(rand((3, 3), 0), rand((8, 4), 1))
 
 
 def test_weighted_pool_is_per_row_weighted_sum():
@@ -127,9 +132,6 @@ def test_concat_off_axis_mismatch():
 
 def test_reduce_examples():
     assert tc.reduce_mean(Tensor([2.0, 4.0, 6.0])).item() == 4.0
-    np.testing.assert_array_equal(
-        tc.reduce_sum(Tensor(np.ones((3, 2))), axis=0).data, [3.0, 3.0]
-    )
 
 
 def test_backward_sum_gives_ones():
@@ -232,11 +234,10 @@ def test_concat_slice_gradient_routing():
 
 
 def test_reduce_gradients():
-    for axis in (None, 0, 1):
-        rep = finite_diff_check(
-            lambda x: tc.reduce_sum(tc.reduce_mean(x, axis)), rand((3, 4), 50)
-        )
-        assert rep.passed, rep
+    rep = finite_diff_check(
+        lambda x: tc.reduce_sum(tc.reduce_mean(x)), rand((3, 4), 50)
+    )
+    assert rep.passed, rep
 
 
 def test_reshape_transpose_gradients():
@@ -295,15 +296,16 @@ def test_gradients_only_on_requires_grad():
 
 
 def test_constant_operands_get_no_gradient_product(monkeypatch):
-    adj, w = rand((3, 3), 40), rand((2, 3, 4), 41)
-    x = Tensor(rand((2, 3, 4), 42).data, requires_grad=True)
+    adj, w = rand((3, 3), 40), rand((6, 4), 41)
+    x = Tensor(rand((6, 4), 42).data, requires_grad=True)
     calls = []
     tensordot = np.tensordot
     monkeypatch.setattr(np, "tensordot", lambda *a, **k: calls.append(1) or tensordot(*a, **k))
     with Tape() as tape:
         backward(tc.reduce_sum(tc.mul(tc.node_mix(adj, x), w)), tape)
     assert calls == []
-    np.testing.assert_allclose(x.grad, np.matmul(adj.data.T, w.data), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(x.grad, np.matmul(adj.data.T, w.data.reshape(2, 3, 4)).reshape(6, 4),
+                               rtol=0, atol=1e-14)
 
     a, b = rand((2, 3), 43), Tensor(rand((3, 2), 44).data, requires_grad=True)
     with Tape() as tape:
@@ -395,15 +397,28 @@ def test_dgcgru_cell_mixes_each_input_once_per_matrix():
     # 2K non-identity matrices (K predefined powers, K adaptive), applied
     # once to [x, h] for both gates and once to [x, r*h] for the candidate
     cfg, state, a_pre = _toy_state()
-    terms = dgc_terms(state, pre_mix_mats(a_pre, cfg),
+    gates = dgc_terms(state, pre_mix_mats(a_pre, cfg),
                       adaptive_mix_mats(state.embeddings(), cfg))
-    x3 = Tensor(rand((2, 4, cfg.d_h), 50).data, requires_grad=True)
-    h3 = Tensor(rand((2, 4, cfg.d_h), 51).data, requires_grad=True)
+    x = Tensor(rand((8, cfg.d_h), 50).data, requires_grad=True)
+    h = Tensor(rand((8, cfg.d_h), 51).data, requires_grad=True)
     with Tape() as tape:
-        dgcgru_cell(x3, h3, terms)
+        dgcgru_cell(gates, x, h)
     ops = [_op(rec) for rec in tape.records]
     assert ops.count("node_mix") == 4 * cfg.K
-    assert "transpose" not in ops
+    assert not {"transpose", "reshape", "slice_axis"} & set(ops)
+
+
+def test_dense_gru_cell_records_sixteen():
+    # two concats, three matmul + bias + activation gates, r*h, and the
+    # four-record (1-z)*h + z*c: no layout records
+    cfg, state, _ = _toy_state()
+    x = Tensor(rand((8, 1), 52).data, requires_grad=True)
+    h = Tensor(rand((8, cfg.d_h), 53).data, requires_grad=True)
+    with Tape() as tape:
+        gru_cell(state.gru("decoder"), x, h)
+    ops = [_op(rec) for rec in tape.records]
+    assert len(ops) == 16
+    assert not {"transpose", "reshape", "slice_axis"} & set(ops)
 
 
 def test_attention_step_pools_in_one_record():
@@ -435,14 +450,6 @@ def test_forward_records_a_third_fewer_than_per_gate_mixing():
     with Tape() as tape:
         forward(state, r, d, w, a_pre=np.full((n, n), 1.0 / n))
     assert len(tape) < 0.7 * PER_GATE_MIX_FORWARD_RECORDS
-
-
-def test_cleared_tape_is_empty():
-    with Tape() as tape:
-        tc.add(Tensor([1.0], requires_grad=True), Tensor([2.0]))
-        assert len(tape) == 1
-        tape.clear()
-        assert len(tape) == 0
 
 
 def test_tape_determinism_bitwise():
