@@ -11,6 +11,7 @@ uint64 dims, then float64 little-endian payload in row-major order.
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -81,7 +82,7 @@ def parse_tensor_blob(raw: bytes, offset: int, origin: str) -> Tuple[np.ndarray,
                 f"{origin}: nonpositive dimension {dim} "
                 f"at byte offset {dims_start + 8 * k}"
             )
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # Python ints: no wraparound past 2**64
     expected = 8 * count
     if len(raw) - dims_end < expected:
         raise DataError(

@@ -60,6 +60,10 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
     pool_w = rng.uniform(0.1, 1.0, (3, 3))
     t_pool_w = Tensor(pool_w)
     pool_mates = [Tensor(rng.standard_normal((3, 4))) for _ in range(2)]
+    # two row groups: [3, 2*3] weights over three [6, 4] values
+    group_w = rng.uniform(0.1, 1.0, (3, 6))
+    t_group_w = Tensor(group_w)
+    group_mates = [Tensor(rng.standard_normal((6, 4))) for _ in range(2)]
 
     checks = [
         ("add", lambda t: _weighted_sum(tc.add(t, t_other), w34), x34),
@@ -89,6 +93,10 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
             tc.weighted_pool(t, [t_other, *pool_mates]), w34), pool_w),
         ("weighted_pool_values", lambda t: _weighted_sum(
             tc.weighted_pool(t_pool_w, [pool_mates[0], t, pool_mates[1]]), w34), x34),
+        ("weighted_pool_grouped_weights", lambda t: _weighted_sum(
+            tc.weighted_pool(t, [t_x64, *group_mates]), w34), group_w),
+        ("weighted_pool_grouped_values", lambda t: _weighted_sum(
+            tc.weighted_pool(t_group_w, [group_mates[0], t, group_mates[1]]), w34), x64),
         ("composite", lambda t: _weighted_sum(
             tc.mul(tc.sigmoid(tc.matmul(t, comp_w1)), tc.tanh(tc.matmul(t, comp_w2))), w33), x34),
     ]

@@ -1,12 +1,12 @@
 """The forecasting network.
 
-Encoder: one GRU parameter set, run per node over the recent window R and
-over every daily/weekly context block. The R pass ends in the decoder's
-initial state; the block passes leave a bank of hidden states per block
-that attention indexes later.
+Encoder: one GRU parameter set, run per node over the recent window R and,
+in one pass over stacked rows, over every daily/weekly context block. The
+R pass ends in the decoder's initial state; the block pass leaves one bank
+of hidden states, each covering every block, that attention indexes later.
 
 Decoder, per forecast step t: a GRU (separate parameters) advances on its
-own previous output, attention pools a (2S+1)-wide window from each bank
+own previous output, attention pools a (2S+1)-wide window from every block
 around the position aligned with t, and a graph-convolutional GRU mixes
 nodes. An affine layer maps its state to the forecast. The attention and
 graph stages can be swapped (`order`), and each mechanism has an off
@@ -19,8 +19,10 @@ the K predefined and K adaptive adjacency powers, with its hop weights and
 fusion weights folded into one weight per matrix once per forward. Each
 M_k [x, h] is formed once and feeds both the update and the reset matmul.
 Every activation is [B*N, d] rows, node-minor (row b*N + n), so no cell
-reshapes or slices. Attention scores every candidate against one
-precomputed query and pools the context in a single `weighted_pool` record.
+reshapes or slices; the bank's rows add the block as the fastest index
+(row (b*N + n)*G + g). Attention scores each window offset once over
+every block against one precomputed query and pools the context in a
+single `weighted_pool` record.
 
 Everything here runs on the tape from `tensor`; data enters as constant
 tensors, parameters carry requires_grad.
@@ -28,8 +30,10 @@ tensors, parameters carry requires_grad.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,6 +93,8 @@ class ModelConfig:
 
     @property
     def bank_len(self) -> int:
+        """Steps in each daily/weekly block, P+Q+S; the encoder's bank
+        keeps the last Q+2S of them."""
         return self.P + self.Q + self.S
 
 
@@ -245,94 +251,96 @@ def gru_cell(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
     return _gru_step(gates, x, h)
 
 
-def _run_gru(gates: GruGates, steps: List[Tensor], h0: Tensor, keep_all: bool):
-    h = h0
-    states = []
+def _run_gru(gates: GruGates, steps: np.ndarray, h: Tensor) -> Iterator[Tensor]:
+    """Yield the state after each step of the constant inputs [T, rows, C]."""
     for x_t in steps:
-        h = gru_cell(gates, x_t, h)
-        if keep_all:
-            states.append(h)
-    return h, states
+        h = gru_cell(gates, Tensor(x_t), h)
+        yield h
 
 
 def encode(
     state: ModelState, r: np.ndarray, d: np.ndarray, w: np.ndarray
-) -> Tuple[Tensor, List[List[Tensor]]]:
-    """Shared-parameter GRU passes over R and the periodic blocks.
+) -> Tuple[Tensor, List[Tensor]]:
+    """Shared-parameter GRU passes over R and, in one pass, every periodic block.
 
-    Returns the final R state [B*N, d_h] (decoder init) and one hidden
-    bank per block, each a list of P+L states. Banks are ordered daily
-    blocks first, then weekly, both most-distant-first (matching the data
-    layout). Empty when periodic context is switched off.
+    Returns the final R state [B*N, d_h] (decoder init) and the bank: the
+    Q+2S states at block positions P-S .. P+Q+S-1, the ones attention
+    reads. Each is [B*N*G, d_h] over the G = d_count + w_count blocks,
+    node-major and block-minor (row (b*N + n)*G + g), blocks ordered daily
+    first, then weekly, both most-distant-first (matching the data
+    layout). The blocks share one pass because they have the same length,
+    the same zero initial state and the same weights, and a dense GRU
+    treats each row on its own. Empty when periodic context is switched
+    off.
     """
     cfg = state.config
     b, p_len, n, c = r.shape
     if p_len != cfg.P:
         raise ShapeError(f"R has {p_len} steps, config says P={cfg.P}")
     enc = state.gru("encoder")
-    h0 = Tensor(np.zeros((b * n, cfg.d_h)))
-
-    r_steps = [Tensor(np.ascontiguousarray(r[:, t]).reshape(b * n, c)) for t in range(p_len)]
-    h_final, _ = _run_gru(enc, r_steps, h0, keep_all=False)
-
-    banks: List[List[Tensor]] = []
-    if not cfg.no_period:
-        if d.shape[1] != cfg.d_count or w.shape[1] != cfg.w_count:
-            raise ShapeError(
-                f"expected {cfg.d_count} daily and {cfg.w_count} weekly blocks, "
-                f"got {d.shape[1]} and {w.shape[1]}"
-            )
-        if d.shape[2] != cfg.bank_len:
-            raise ShapeError(
-                f"block length {d.shape[2]} != P+Q+S = {cfg.bank_len}"
-            )
-        for source in (d, w):
-            for block in range(source.shape[1]):
-                steps = [
-                    Tensor(np.ascontiguousarray(source[:, block, t]).reshape(b * n, c))
-                    for t in range(source.shape[2])
-                ]
-                _, bank = _run_gru(enc, steps, h0, keep_all=True)
-                banks.append(bank)
-    return h_final, banks
+    r_steps = np.ascontiguousarray(r.transpose(1, 0, 2, 3)).reshape(p_len, b * n, c)
+    h_final = deque(_run_gru(enc, r_steps, Tensor(np.zeros((b * n, cfg.d_h)))),
+                    maxlen=1).pop()
+    if cfg.no_period:
+        return h_final, []
+    if d.shape[1] != cfg.d_count or w.shape[1] != cfg.w_count:
+        raise ShapeError(
+            f"expected {cfg.d_count} daily and {cfg.w_count} weekly blocks, "
+            f"got {d.shape[1]} and {w.shape[1]}"
+        )
+    if d.shape[2] != cfg.bank_len or w.shape[2] != cfg.bank_len:
+        raise ShapeError(
+            f"block lengths {d.shape[2]} and {w.shape[2]} != P+Q+S = {cfg.bank_len}"
+        )
+    g = cfg.d_count + cfg.w_count
+    # [B, G, L, N, C] -> [L, B, N, G, C]: one row per (batch, node, block)
+    blocks = np.concatenate([d, w], axis=1).transpose(2, 0, 3, 1, 4)
+    steps = np.ascontiguousarray(blocks).reshape(cfg.bank_len, b * n * g, c)
+    states = _run_gru(enc, steps, Tensor(np.zeros((b * n * g, cfg.d_h))))
+    return h_final, list(islice(states, cfg.P - cfg.S, None))
 
 
 def attention_step(
     h_t: Tensor,
-    banks: List[List[Tensor]],
+    bank: List[Tensor],
     t: int,
     cfg: ModelConfig,
     params: AttentionParams,
 ) -> Tuple[Tensor, Optional[Tensor]]:
     """Pool periodic hidden states around the position aligned with step t.
 
-    Bank index P+t is the prior-day/week state at the same clock offset as
-    forecast step t; the window takes offsets -S..+S around it (just the
-    aligned state when windowing is off). Scores are v' tanh(W2 h_p + q)
-    per candidate with the query q = W1 h + b computed once, softmaxed per
-    node. The context is the weights' pool of the candidates, one
-    `weighted_pool` record with no stacked copy, and adds residually.
-    Returns (a_t, weights) with weights [B*N, n_candidates] in bank-major,
-    offset-minor candidate order, or (h_t, None) when periodic context is
-    off.
+    Block position P+t is the prior-day/week state at the same clock
+    offset as forecast step t, bank[t+S] in the bank `encode` returns; the
+    window takes offsets -S..+S around it (just the aligned state when
+    windowing is off). Scores are v' tanh(W2 h_p + q) with the query
+    q = W1 h + b computed once and repeated over the G blocks of each row,
+    so each offset is scored once over the whole stack. The [B*N*G, C]
+    scores are viewed as [B*N, G*C], softmaxed per node, and pool the
+    context in one `weighted_pool` record, which adds residually.
+    Returns (a_t, weights) with weights [B*N, G*C] in block-major,
+    offset-minor candidate order (column g*C + c), or (h_t, None) when
+    periodic context is off.
     """
     if not 0 <= t < cfg.Q:
         raise ModelError(f"step {t} out of range for Q={cfg.Q}")
-    if cfg.no_period or not banks:
+    if cfg.no_period or not bank:
         return h_t, None
 
-    offsets = (0,) if cfg.no_window else tuple(range(-cfg.S, cfg.S + 1))
-    center = cfg.P + t
-    candidates = [bank[center + off] for bank in banks for off in offsets]
+    half = 0 if cfg.no_window else cfg.S
+    window = bank[t + cfg.S - half : t + cfg.S + half + 1]
+    rows, width = h_t.shape
+    groups = bank[0].shape[0] // rows
 
     query = tc.add(tc.matmul(h_t, params.w1), params.b)
+    query = tc.reshape(tc.concat([query] * groups, axis=1), (rows * groups, width))
     v_col = tc.reshape(params.v, (params.v.shape[0], 1))
     scores = [
         tc.matmul(tc.tanh(tc.add(tc.matmul(h_p, params.w2), query)), v_col)
-        for h_p in candidates
+        for h_p in window
     ]
-    weights = tc.softmax(tc.concat(scores, axis=1), axis=1)
-    return tc.add(h_t, tc.weighted_pool(weights, candidates)), weights
+    scores = tc.reshape(tc.concat(scores, axis=1), (rows, groups * len(window)))
+    weights = tc.softmax(scores, axis=1)
+    return tc.add(h_t, tc.weighted_pool(weights, window)), weights
 
 
 # ---------------------------------------------------------------------------
@@ -361,21 +369,8 @@ def adaptive_mix_mats(emb: NodeEmbeddings, cfg: ModelConfig) -> List[Optional[Te
     return mats
 
 
-def _precompute_adaptive(state: ModelState) -> List[Optional[Tensor]]:
-    cfg = state.config
-    if cfg.no_adp and not cfg.no_pre:
-        return []
-    if cfg.no_adp and cfg.no_pre:
-        return [None] * (cfg.K + 1)  # identity stand-in
-    return adaptive_mix_mats(state.embeddings(), cfg)
-
-
 def pre_mix_mats(a_pre: Optional[np.ndarray], cfg: ModelConfig) -> List[Optional[Tensor]]:
     """Constant powers of the predefined adjacency, identity first (None)."""
-    if cfg.no_pre and not cfg.no_adp:
-        return []
-    if cfg.no_pre and cfg.no_adp:
-        return [None] * (cfg.K + 1)
     if a_pre is None:
         raise ModelError("predefined adjacency required unless its branch is off")
     mats: List[Optional[Tensor]] = [None]
@@ -397,17 +392,16 @@ def conv_terms(
     into one sum_k (M_k x) W_k: the matrices, identity (None) first, and
     one weight per matrix.
 
-    Each hop weight is scaled by its branch's fusion weight. The identity
-    weight is the sum of every identity hop of the active branches; with
-    both branches off (identity adjacencies, a per-node dense map) that is
-    every hop. A switched-off branch drops out.
+    A switched-off branch passes no matrices and drops out. Each hop
+    weight is scaled by its branch's fusion weight. The identity weight is
+    the sum of every identity hop of the active branches; with both
+    branches off, both stand in as identity adjacencies (a per-node dense
+    map), so that is every hop.
     """
-    both_off = cfg.no_pre and cfg.no_adp
-    branches = []
-    if not cfg.no_pre or both_off:
-        branches.append((pre_mats, pre_hops, cfg.w_pre))
-    if not cfg.no_adp or both_off:
-        branches.append((adp_mats, adp_hops, cfg.w_adp))
+    if not pre_mats and not adp_mats:
+        pre_mats = adp_mats = [None] * (cfg.K + 1)
+    branches = [(m, hops, weight) for m, hops, weight in (
+        (pre_mats, pre_hops, cfg.w_pre), (adp_mats, adp_hops, cfg.w_adp)) if m]
     identity = None
     mats: List[Optional[Tensor]] = [None]
     weights: List[Tensor] = []
@@ -485,8 +479,10 @@ def forward(
     if teacher_forcing and y is None:
         raise ModelError("teacher_forcing requires y")
 
-    h, banks = encode(state, r, d, w)
-    dgc = dgc_terms(state, pre_mix_mats(a_pre, cfg), _precompute_adaptive(state))
+    h, bank = encode(state, r, d, w)
+    pre = [] if cfg.no_pre else pre_mix_mats(a_pre, cfg)
+    adp = [] if cfg.no_adp else adaptive_mix_mats(state.embeddings(), cfg)
+    dgc = dgc_terms(state, pre, adp)
     dec = state.gru("decoder")
     attn = state.attention()
     w_out, b_out = state.params["out.weight"], state.params["out.bias"]
@@ -498,12 +494,12 @@ def forward(
     for t in range(cfg.Q):
         h = gru_cell(dec, x_in, h)
         if cfg.order == "attention_then_dgc":
-            a_t, w_t = attention_step(h, banks, t, cfg, attn)
+            a_t, w_t = attention_step(h, bank, t, cfg, attn)
             g = dgcgru_cell(dgc, a_t, g)
             y_t = tc.add(tc.matmul(g, w_out), b_out)
         else:
             g = dgcgru_cell(dgc, h, g)
-            a_t, w_t = attention_step(g, banks, t, cfg, attn)
+            a_t, w_t = attention_step(g, bank, t, cfg, attn)
             y_t = tc.add(tc.matmul(a_t, w_out), b_out)
         trace.attention_weights.append(w_t)
         step_preds.append(tc.reshape(y_t, (b, 1, n, c)))

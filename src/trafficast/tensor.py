@@ -379,35 +379,42 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def weighted_pool(weights: Tensor, values: Sequence[Tensor]) -> Tensor:
-    """sum_c weights[:, c] * values[c]: pool C [R, d] tensors into one [R, d].
+    """Pool C value tensors of G row groups each into one [R, d].
 
-    The values enter as separate inputs, the way concat takes its operands,
-    so no stacked [C, R, d] copy is made.
+    values are [R*G, d], row r*G + g holding group g of output row r;
+    weights are [R, G*C], group-major: out[r] = sum_{g,c} weights[r, g*C + c]
+    * values[c][r*G + g]. G is read off the shapes; G = 1 is the plain
+    per-row weighted sum of C [R, d] tensors. The values enter as separate
+    inputs, the way concat takes its operands, so no stacked copy is made.
     """
-    if len(weights.shape) != 2 or weights.shape[1] != len(values) or not values:
+    if len(weights.shape) != 2 or not values or weights.shape[1] % len(values):
         raise ShapeError(
-            f"weighted_pool needs [R, C] weights for C values, got "
+            f"weighted_pool needs [R, G*C] weights for C values, got "
             f"{list(weights.shape)} for {len(values)}"
         )
-    rows, width = weights.shape[0], values[0].shape[-1]
+    rows, n_val = weights.shape[0], len(values)
+    groups, width = weights.shape[1] // n_val, values[0].shape[-1]
     for v in values:
-        if v.shape != (rows, width):
+        if v.shape != (rows * groups, width):
             raise ShapeError(
-                f"weighted_pool values must all be [{rows}, {width}], got {list(v.shape)}"
+                f"weighted_pool values must all be [{rows * groups}, {width}], "
+                f"got {list(v.shape)}"
             )
     w = weights.data
-    out = w[:, :1] * values[0].data
-    for c in range(1, len(values)):
-        out += w[:, c:c + 1] * values[c].data
+    grouped = [v.data.reshape(rows, groups, width) for v in values]
+    out = w[:, :1] * grouped[0][:, 0]
+    for k in range(1, groups * n_val):
+        group, c = divmod(k, n_val)
+        out += w[:, k:k + 1] * grouped[c][:, group]
 
     def bwd(g):
+        w3 = w.reshape(rows, groups, n_val)
         g_w = None
         if weights.requires_grad:
-            g_w = np.empty_like(w)
-            for c, v in enumerate(values):
-                g_w[:, c] = np.einsum("rd,rd->r", g, v.data)
-        return [g_w] + [w[:, c:c + 1] * g if v.requires_grad else None
-                        for c, v in enumerate(values)]
+            g_w = np.stack([np.einsum("rd,rgd->rg", g, v) for v in grouped],
+                           axis=2).reshape(w.shape)
+        return [g_w] + [(w3[:, :, c, None] * g[:, None, :]).reshape(v.shape)
+                        if v.requires_grad else None for c, v in enumerate(values)]
 
     return _emit((weights, *values), out, bwd)
 

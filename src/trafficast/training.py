@@ -57,6 +57,9 @@ class TrainConfig:
             raise TrainError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not self.seeds:
             raise TrainError("seeds must be nonempty")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise TrainError(f"seeds must be distinct, got repeats of {repeated}")
         # a negative bound would flip every gradient, zero would erase it
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise TrainError(

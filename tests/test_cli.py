@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -288,6 +289,18 @@ def test_train_seeds_flag(tmp_path):
     assert (out / "seed7").is_dir() and (out / "seed9").is_dir()
 
 
+def test_repeated_seeds_are_usage_error(tmp_path, capsys):
+    # a repeated seed would train the same replica twice and report a
+    # spread over fewer runs than it claims
+    cfg = write_doc(tmp_path / "c.json", tiny_doc(tmp_path / "run"))
+    assert run_cli("train", "--config", cfg, "--seeds", "1,1") == 2
+    assert "train: seeds must be distinct" in capsys.readouterr().err
+    cfg = write_doc(tmp_path / "c2.json", tiny_doc(tmp_path / "run", train={"seeds": [3, 1, 3]}))
+    assert run_cli("train", "--config", cfg) == 2
+    assert "train: seeds must be distinct, got repeats of [3]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_jobs_matches_serial(tmp_path):
     doc = tiny_doc(None, train={"seeds": [1, 2]})
     cfg = write_doc(tmp_path / "c.json", doc)
@@ -327,6 +340,18 @@ def test_train_bad_edge_field_exits_3(tmp_path, capsys):
     edges.write_text("from,to,cost\n0,1,1.0\n1,2,abc\n")
     assert run_cli("train", "--config", cfg) == 3
     assert f"{edges}:3:" in capsys.readouterr().err
+
+
+def test_train_series_dims_past_2_64_exit_3(tmp_path, capsys):
+    # 2**32 * 2**32 values wrap to 0 in 64-bit arithmetic; the length check
+    # must still see that the payload is missing
+    cfg = write_doc(tmp_path / "c.json", _file_mode_doc(tmp_path))
+    series = tmp_path / "d" / "series.stgt"
+    series.write_bytes(b"STGT" + struct.pack("<BB3Q", 1, 3, 2 ** 32, 2 ** 32, 1)
+                       + bytes(64))
+    assert run_cli("train", "--config", cfg) == 3
+    err = capsys.readouterr().err
+    assert str(series) in err and "payload at byte offset 30" in err
 
 
 def test_nonpositive_sigma_is_usage_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Model tests: cells, attention, graph convolution, full forward, checkpoints."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -157,18 +158,39 @@ def test_encode_bank_counts_and_lengths():
     cfg = _toy_cfg()
     state = init_model(cfg, 4, 1, seed=1)
     r, d, w, _ = _toy_batch(cfg)
-    h, banks = encode(state, r, d, w)
+    h, bank = encode(state, r, d, w)
     assert h.shape == (2 * 4, cfg.d_h)
-    assert len(banks) == 2  # one daily block + one weekly block
-    assert all(len(bank) == cfg.bank_len for bank in banks)
+    # the Q+2S states attention reads, each stacking one daily and one
+    # weekly block for every (batch, node) row
+    assert len(bank) == cfg.Q + 2 * cfg.S
+    assert all(s.shape == (2 * 4 * 2, cfg.d_h) for s in bank)
+
+
+def test_encode_stacked_bank_matches_per_block_passes():
+    # row (b*N + n)*G + g of bank[j] is block g's state at position P-S+j,
+    # as a separate GRU pass over that block alone computes it
+    cfg = _toy_cfg(d_count=2, w_count=3)
+    b, n, g = 2, 4, 5
+    state = init_model(cfg, n, 1, seed=1)
+    r, d, w, _ = _toy_batch(cfg, b=b, n=n)
+    _, bank = encode(state, r, d, w)
+    enc = state.gru("encoder")
+    for block, source in enumerate([d[:, i] for i in range(2)] + [w[:, i] for i in range(3)]):
+        h = Tensor(np.zeros((b * n, cfg.d_h)))
+        for pos in range(cfg.bank_len):
+            h = gru_cell(enc, Tensor(source[:, pos].reshape(b * n, 1)), h)
+            j = pos - (cfg.P - cfg.S)
+            if j >= 0:
+                np.testing.assert_allclose(bank[j].data.reshape(b * n, g, cfg.d_h)[:, block],
+                                           h.data, rtol=0, atol=1e-14)
 
 
 def test_encode_no_period_empty_banks():
     cfg = _toy_cfg(no_period=True)
     state = init_model(cfg, 4, 1, seed=1)
     r, d, w, _ = _toy_batch(cfg)
-    h, banks = encode(state, r, d, w)
-    assert banks == []
+    h, bank = encode(state, r, d, w)
+    assert bank == []
     assert h.shape == (8, cfg.d_h)
 
 
@@ -176,12 +198,12 @@ def test_encode_deterministic():
     cfg = _toy_cfg()
     state = init_model(cfg, 4, 1, seed=1)
     r, d, w, _ = _toy_batch(cfg)
-    h1, banks1 = encode(state, r, d, w)
-    h2, banks2 = encode(state, r, d, w)
+    h1, bank1 = encode(state, r, d, w)
+    h2, bank2 = encode(state, r, d, w)
     np.testing.assert_array_equal(h1.data, h2.data)
-    for b1, b2 in zip(banks1, banks2):
-        for s1, s2 in zip(b1, b2):
-            np.testing.assert_array_equal(s1.data, s2.data)
+    assert len(bank1) == len(bank2)
+    for s1, s2 in zip(bank1, bank2):
+        np.testing.assert_array_equal(s1.data, s2.data)
 
 
 def test_encode_rejects_wrong_block_count():
@@ -203,20 +225,19 @@ def _rand_attention(d_h, rng):
     )
 
 
-def _rand_banks(cfg, rows, d_h, rng):
-    n_banks = cfg.d_count + cfg.w_count
-    return [
-        [Tensor(rng.standard_normal((rows, d_h))) for _ in range(cfg.bank_len)]
-        for _ in range(n_banks)
-    ]
+def _rand_bank(cfg, rows, d_h, rng):
+    """The Q+2S stacked states `encode` returns, [rows*G, d_h] each."""
+    n_blocks = cfg.d_count + cfg.w_count
+    return [Tensor(rng.standard_normal((rows * n_blocks, d_h)))
+            for _ in range(cfg.Q + 2 * cfg.S)]
 
 
 def test_attention_candidate_count_default_windows():
     # |d| = |w| = 1 and S = 3: 2 banks x 7 window positions = 14 candidates
     cfg = ModelConfig(d_h=2, P=3, Q=2, S=3)
     rng = np.random.default_rng(4)
-    banks = _rand_banks(cfg, 6, 2, rng)
-    a, weights = attention_step(Tensor(rng.standard_normal((6, 2))), banks, 0, cfg,
+    bank = _rand_bank(cfg, 6, 2, rng)
+    a, weights = attention_step(Tensor(rng.standard_normal((6, 2))), bank, 0, cfg,
                                 _rand_attention(2, rng))
     assert weights.shape == (6, 14)
     assert a.shape == (6, 2)
@@ -225,8 +246,8 @@ def test_attention_candidate_count_default_windows():
 def test_attention_no_window_single_position():
     cfg = ModelConfig(d_h=2, P=3, Q=2, S=3, no_window=True)
     rng = np.random.default_rng(4)
-    banks = _rand_banks(cfg, 6, 2, rng)
-    _, weights = attention_step(Tensor(rng.standard_normal((6, 2))), banks, 1, cfg,
+    bank = _rand_bank(cfg, 6, 2, rng)
+    _, weights = attention_step(Tensor(rng.standard_normal((6, 2))), bank, 1, cfg,
                                 _rand_attention(2, rng))
     assert weights.shape == (6, 2)
 
@@ -239,9 +260,9 @@ def test_attention_weights_sum_to_one():
             d_h=3, P=3, Q=2, S=s,
             no_window=bool(rng.integers(0, 2)),
         )
-        banks = _rand_banks(cfg, 4, 3, rng)
+        bank = _rand_bank(cfg, 4, 3, rng)
         t = int(rng.integers(0, cfg.Q))
-        _, weights = attention_step(Tensor(rng.standard_normal((4, 3))), banks, t,
+        _, weights = attention_step(Tensor(rng.standard_normal((4, 3))), bank, t,
                                     cfg, _rand_attention(3, rng))
         np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-9)
 
@@ -251,12 +272,9 @@ def test_attention_identical_bank_states_add_residually():
     cfg = ModelConfig(d_h=3, P=2, Q=2, S=2)
     rng = np.random.default_rng(6)
     u = rng.standard_normal((5, 3))
-    banks = [
-        [Tensor(u) for _ in range(cfg.bank_len)]
-        for _ in range(2)
-    ]
+    bank = [Tensor(np.repeat(u, 2, axis=0)) for _ in range(cfg.Q + 2 * cfg.S)]
     h_t = Tensor(rng.standard_normal((5, 3)))
-    a, _ = attention_step(h_t, banks, 1, cfg, _rand_attention(3, rng))
+    a, _ = attention_step(h_t, bank, 1, cfg, _rand_attention(3, rng))
     np.testing.assert_allclose(a.data, h_t.data + u, atol=1e-9)
 
 
@@ -270,13 +288,12 @@ def test_attention_planted_match_dominates():
         b=Tensor([0.0]),
         v=Tensor([5.0]),
     )
-    banks = [
-        [Tensor([[0.0]], shape=(1, 1)) for _ in range(cfg.bank_len)]
-        for _ in range(2)
-    ]
-    banks[0][cfg.P] = Tensor([[10.0]], shape=(1, 1))  # tanh(30) == 1.0 -> score 5
+    # one row, two blocks: bank[t+S] is block position P+t, and its row 0
+    # is the daily block's state
+    bank = [Tensor(np.zeros((2, 1))) for _ in range(cfg.Q + 2 * cfg.S)]
+    bank[cfg.S] = Tensor([[10.0], [0.0]])  # tanh(30) == 1.0 -> score 5
     h_t = Tensor([[0.5]], shape=(1, 1))
-    a, weights = attention_step(h_t, banks, 0, cfg, params)
+    a, weights = attention_step(h_t, bank, 0, cfg, params)
     expected = math.exp(5.0) / (math.exp(5.0) + 13.0)
     assert weights.data[0, 3] == pytest.approx(expected, abs=1e-12)
     assert weights.data[0, 3] > 0.9
@@ -295,32 +312,29 @@ def test_attention_no_period_passthrough():
 def test_attention_step_out_of_range():
     cfg = ModelConfig(d_h=2, P=3, Q=2, S=1)
     rng = np.random.default_rng(8)
-    banks = _rand_banks(cfg, 2, 2, rng)
+    bank = _rand_bank(cfg, 2, 2, rng)
     with pytest.raises(ModelError, match="out of range"):
-        attention_step(Tensor(np.zeros((2, 2))), banks, 2, cfg, _rand_attention(2, rng))
+        attention_step(Tensor(np.zeros((2, 2))), bank, 2, cfg, _rand_attention(2, rng))
 
 
 def test_attention_never_mixes_nodes():
     # perturbing node 1's bank rows leaves every other row of a_t bitwise
-    # unchanged (rows are (batch, node) pairs; node j occupies rows j mod n)
+    # unchanged (rows are (batch, node) pairs; node j occupies rows j mod n,
+    # and bank rows (b*n + j)*G + g)
     cfg = ModelConfig(d_h=3, P=3, Q=2, S=2)
     rng = np.random.default_rng(9)
-    b, n = 2, 3
+    b, n, g = 2, 3, 2
     rows = b * n
-    banks = _rand_banks(cfg, rows, 3, rng)
+    bank = _rand_bank(cfg, rows, 3, rng)
     params = _rand_attention(3, rng)
     h_t = Tensor(rng.standard_normal((rows, 3)))
-    a1, _ = attention_step(h_t, banks, 0, cfg, params)
+    a1, _ = attention_step(h_t, bank, 0, cfg, params)
 
     target_rows = [bi * n + 1 for bi in range(b)]
-    banks2 = [
-        [Tensor(s.data.copy()) for s in bank]
-        for bank in banks
-    ]
-    for bank in banks2:
-        for s in bank:
-            s.data[target_rows] += 0.77
-    a2, _ = attention_step(h_t, banks2, 0, cfg, params)
+    bank2 = [Tensor(s.data.copy()) for s in bank]
+    for s in bank2:
+        s.data[[r * g + gi for r in target_rows for gi in range(g)]] += 0.77
+    a2, _ = attention_step(h_t, bank2, 0, cfg, params)
     untouched = [i for i in range(rows) if i not in target_rows]
     np.testing.assert_array_equal(a1.data[untouched], a2.data[untouched])
     assert np.any(a1.data[target_rows] != a2.data[target_rows])
@@ -715,6 +729,17 @@ def test_checkpoint_trailing_bytes(tmp_path):
     with open(path, "ab") as fh:
         fh.write(b"junk")
     _assert_rejected(path, state, f"4 trailing bytes at byte offset {size}")
+
+
+def test_checkpoint_dims_past_2_64(tmp_path):
+    # the first blob claims [2**32, 2**32] values, which wraps to 0 in
+    # 64-bit arithmetic
+    state, path = _saved_checkpoint(tmp_path)
+    raw = path.read_bytes()
+    start = raw.index(b"STGT")
+    dims = struct.pack("<2Q", 2 ** 32, 2 ** 32)
+    path.write_bytes(raw[:start + 6] + dims + raw[start + 6 + len(dims):])
+    _assert_rejected(path, state, f"payload at byte offset {start + 22}")
 
 
 def test_checkpoint_non_ascii_parameter_name(tmp_path):

@@ -12,12 +12,14 @@ from trafficast.model import (
     attention_step,
     dgc_terms,
     dgcgru_cell,
+    encode,
     forward,
     gru_cell,
     init_model,
     pre_mix_mats,
 )
 from trafficast.tensor import Tape, Tensor, backward, finite_diff_check
+from trafficast.training import mae_loss
 
 
 def rand(shape, seed, lo=-2.0, hi=2.0):
@@ -70,11 +72,24 @@ def test_weighted_pool_is_per_row_weighted_sum():
     np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-14)
 
 
+def test_weighted_pool_groups_rows():
+    # G = 2 groups of 3 values: weight column g*3 + c scales row r*2 + g of
+    # value c, and each output row sums its groups
+    weights, values = rand((4, 6), 4), [rand((8, 2), 5 + c) for c in range(3)]
+    out = tc.weighted_pool(weights, values)
+    expected = sum(weights.data[:, g * 3 + c:g * 3 + c + 1] * values[c].data[g::2]
+                   for g in range(2) for c in range(3))
+    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-14)
+
+
 def test_weighted_pool_shape_mismatch():
     with pytest.raises(tc.ShapeError, match=r"\[4, 3\] for 2"):
         tc.weighted_pool(rand((4, 3), 0), [rand((4, 2), 1), rand((4, 2), 2)])
     with pytest.raises(tc.ShapeError, match=r"\[4, 2\], got \[3, 2\]"):
         tc.weighted_pool(rand((4, 2), 0), [rand((4, 2), 1), rand((3, 2), 2)])
+    # four columns over two values is two groups, so values need 8 rows
+    with pytest.raises(tc.ShapeError, match=r"\[8, 2\], got \[4, 2\]"):
+        tc.weighted_pool(rand((4, 4), 0), [rand((4, 2), 1), rand((4, 2), 2)])
 
 
 def test_sigmoid_at_zero():
@@ -423,10 +438,10 @@ def test_dense_gru_cell_records_sixteen():
 
 def test_attention_step_pools_in_one_record():
     cfg, state, _ = _toy_state()
-    banks = [[Tensor(rand((8, cfg.d_h), 60 + 10 * i + j).data, requires_grad=True)
-              for j in range(cfg.bank_len)] for i in range(2)]
+    bank = [Tensor(rand((16, cfg.d_h), 60 + j).data, requires_grad=True)
+            for j in range(cfg.Q + 2 * cfg.S)]
     with Tape() as tape:
-        attention_step(rand((8, cfg.d_h), 59), banks, 1, cfg, state.attention())
+        attention_step(rand((8, cfg.d_h), 59), bank, 1, cfg, state.attention())
     ops = [_op(rec) for rec in tape.records]
     assert "slice_axis" not in ops
     assert ops.count("weighted_pool") == 1
@@ -450,6 +465,47 @@ def test_forward_records_a_third_fewer_than_per_gate_mixing():
     with Tape() as tape:
         forward(state, r, d, w, a_pre=np.full((n, n), 1.0 / n))
     assert len(tape) < 0.7 * PER_GATE_MIX_FORWARD_RECORDS
+
+
+def _default_window_batch(cfg, b, n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((b, cfg.P, n, 1)),
+            rng.standard_normal((b, cfg.d_count, cfg.bank_len, n, 1)),
+            rng.standard_normal((b, cfg.w_count, cfg.bank_len, n, 1)),
+            rng.standard_normal((b, cfg.Q, n, 1)))
+
+
+def _encoder_records(d_count, w_count):
+    cfg = ModelConfig(d_h=4, d_e=2, n_head=2, P=3, Q=2, S=1,
+                      d_count=d_count, w_count=w_count)
+    r, d, w, _ = _default_window_batch(cfg, 2, 3, seed=0)
+    state = init_model(cfg, 3, 1, seed=0)
+    with Tape() as tape:
+        encode(state, r, d, w)
+    return len(tape)
+
+
+def test_encoder_records_do_not_grow_with_block_count():
+    # every daily and weekly block runs in the same stacked pass
+    assert _encoder_records(1, 1) == _encoder_records(2, 3)
+
+
+# One forward plus loss at the default window structure (P=Q=12, S=3, K=2,
+# 8 heads, one daily and one weekly block) put 2,734 records on the tape
+# when each block had its own encoder pass and attention scored each
+# block's candidates apart. The count does not depend on widths, node
+# count or batch size.
+STACKED_BANK_STEP_RECORDS = 2100
+
+
+def test_forward_and_loss_record_budget_at_default_windows():
+    cfg = ModelConfig(d_h=4, d_e=2)
+    r, d, w, y = _default_window_batch(cfg, 1, 3, seed=0)
+    state = init_model(cfg, 3, 1, seed=0)
+    with Tape() as tape:
+        pred = forward(state, r, d, w, a_pre=np.full((3, 3), 1.0 / 3)).predictions
+        mae_loss(pred, Tensor(y))
+    assert len(tape) <= STACKED_BANK_STEP_RECORDS
 
 
 def test_tape_determinism_bitwise():
