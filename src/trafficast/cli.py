@@ -21,7 +21,8 @@ Exit codes:
     0  success
     2  usage or configuration error (bad flags, malformed or conflicting
        config values, checkpoint incompatible with the config)
-    3  data error (missing or unreadable input files, corrupt payloads)
+    3  data or file error (missing or unreadable input files, corrupt
+       payloads, an output path that cannot be written)
     4  numeric divergence during training
     5  gradient check failure
 """
@@ -415,8 +416,11 @@ def _load_inputs(res: ResolvedRun) -> LoadedInputs:
                 raise DataError(f"{role} file not found: {data[role]}")
         series = load_series(data["series"], l_d=data["l_d"])
         edges = read_edge_list(data["edges"])
-        graph = GraphSpec(n_nodes=series.n_nodes, edges=edges,
-                          kappa=data["kappa"], sigma=data["sigma"])
+        try:
+            graph = GraphSpec(n_nodes=series.n_nodes, edges=edges,
+                              kappa=data["kappa"], sigma=data["sigma"])
+        except GraphError as exc:
+            raise GraphError(f"{data['edges']}: {exc}") from None
         digests = {
             "series": {"path": data["series"], "sha256": _sha256(data["series"])},
             "edges": {"path": data["edges"], "sha256": _sha256(data["edges"])},
@@ -454,7 +458,6 @@ def _derived_block(res: ResolvedRun, loaded: LoadedInputs) -> dict:
         "n_test": len(loaded.splits.test),
         "L": ds.L,
         "block_len": ds.block_len,
-        "bank_len": mc.bank_len,
         "attention_candidates": _attention_candidates(mc),
         "variant": _variant_label(mc),
         "horizon_steps": horizon_steps_for(ds.Q),
@@ -785,7 +788,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         code, message = EXIT_USAGE, str(exc)
     except DivergenceError as exc:
         code, message = EXIT_DIVERGED, f"training diverged: {exc}"
-    except (DataError, GraphError, FileNotFoundError) as exc:
+    except (DataError, GraphError, OSError) as exc:
         code, message = EXIT_DATA, str(exc)
     except CheckFailure as exc:
         code, message = EXIT_CHECK, str(exc)

@@ -15,7 +15,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -148,12 +148,12 @@ class SignalSeries:
         return self.data.shape[2]
 
 
-def load_series(path, l_d: int, l_w: Optional[int] = None) -> SignalSeries:
-    """Read a [T, N, C] tensor file; l_w defaults to 7*l_d.
+def load_series(path, l_d: int) -> SignalSeries:
+    """Read a [T, N, C] tensor file with l_d samples per day (7*l_d per week).
 
     A NaN or infinite value raises DataError naming its [t, node, channel].
     """
-    series = SignalSeries(read_tensor_file(path), l_d, 7 * l_d if l_w is None else l_w)
+    series = SignalSeries(read_tensor_file(path), l_d, 7 * l_d)
     bad = np.argwhere(~np.isfinite(series.data))
     if bad.size:
         t, node, channel = (int(i) for i in bad[0])

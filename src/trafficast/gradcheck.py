@@ -40,7 +40,6 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
     w34 = rng.standard_normal((3, 4))
     w33 = rng.standard_normal((3, 3))
     w38 = rng.standard_normal((3, 8))
-    w32 = rng.standard_normal((3, 2))
     w26 = rng.standard_normal((2, 6))
     w43 = rng.standard_normal((4, 3))
 
@@ -64,6 +63,12 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
     group_w = rng.uniform(0.1, 1.0, (3, 6))
     t_group_w = Tensor(group_w)
     group_mates = [Tensor(rng.standard_normal((6, 4))) for _ in range(2)]
+    # two leading indices: [2, 3, 4] x [2, 4, 3]
+    x234 = rng.standard_normal((2, 3, 4))
+    b243 = rng.standard_normal((2, 4, 3))
+    w233 = rng.standard_normal((2, 3, 3))
+    t_a234 = Tensor(rng.standard_normal((2, 3, 4)))
+    t_b243 = Tensor(b243)
 
     checks = [
         ("add", lambda t: _weighted_sum(tc.add(t, t_other), w34), x34),
@@ -76,13 +81,14 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
         ("mul_scalar", lambda t: _weighted_sum(tc.mul(t, t_scalar), w34), x34),
         ("matmul_left", lambda t: _weighted_sum(tc.matmul(t, t_b43), w33), x34),
         ("matmul_right", lambda t: _weighted_sum(tc.matmul(t_a34, t), w33), b43),
+        ("matmul_batched_left", lambda t: _weighted_sum(tc.matmul(t, t_b243), w233), x234),
+        ("matmul_batched_right", lambda t: _weighted_sum(tc.matmul(t_a234, t), w233), b243),
         ("sigmoid", lambda t: _weighted_sum(tc.sigmoid(t), w34), x34),
         ("tanh", lambda t: _weighted_sum(tc.tanh(t), w34), x34),
         ("relu", lambda t: _weighted_sum(tc.relu(t), w34), off_zero),
         ("absolute", lambda t: _weighted_sum(tc.absolute(t), w34), off_zero),
         ("softmax", lambda t: _weighted_sum(tc.softmax(t, axis=1), w34), x34),
         ("concat", lambda t: _weighted_sum(tc.concat([t, concat_mate], axis=1), w38), x34),
-        ("slice", lambda t: _weighted_sum(tc.slice_axis(t, 1, 1, 3), w32), x34),
         ("reduce_sum_all", lambda t: tc.reduce_sum(t), x34),
         ("reduce_mean_all", lambda t: tc.reduce_mean(t), x34),
         ("reshape", lambda t: _weighted_sum(tc.reshape(t, (2, 6)), w26), x34),
@@ -109,8 +115,8 @@ def toy_model_setup(seed: int = 0):
     n, c, b = 4, 1, 2
     rng = np.random.default_rng(seed)
     r = rng.standard_normal((b, cfg.P, n, c))
-    d = rng.standard_normal((b, cfg.d_count, cfg.bank_len, n, c))
-    w = rng.standard_normal((b, cfg.w_count, cfg.bank_len, n, c))
+    d = rng.standard_normal((b, cfg.d_count, cfg.block_len, n, c))
+    w = rng.standard_normal((b, cfg.w_count, cfg.block_len, n, c))
     y = rng.standard_normal((b, cfg.Q, n, c))
     ring = GraphSpec(n, [(i, (i + 1) % n, 1.0) for i in range(n)], kappa=1.0, sigma=1.0)
     a_pre = row_normalize(build_predefined(ring)).matrix.data

@@ -2,8 +2,9 @@
 
 The predefined matrix comes from a thresholded Gaussian kernel over listed
 edge distances and is row-normalized once, offline. The learned ("adaptive")
-matrices are produced per head from two trainable node-embedding tables and
-live on the tape, so gradients flow back into the embeddings.
+matrices come from two trainable node-embedding tables, every head in one
+stacked [n_head, N, N] tensor, and live on the tape, so gradients flow back
+into the embeddings.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class GraphSpec:
 
 @dataclass
 class NormalizedAdjacency:
-    """Row-stochastic adjacency."""
+    """Row-stochastic adjacency: [N, N], or [n_head, N, N] for learned heads."""
 
     matrix: Tensor
 
@@ -74,7 +75,6 @@ class NodeEmbeddings:
 
     e1: Tensor
     e2: Tensor
-    n_head: int = field(init=False)
     d_e: int = field(init=False)
 
     def __post_init__(self):
@@ -83,7 +83,6 @@ class NodeEmbeddings:
                 f"embeddings must share shape [N, n_head, d_e], got "
                 f"{list(self.e1.shape)} and {list(self.e2.shape)}"
             )
-        self.n_head = self.e1.shape[1]
         self.d_e = self.e1.shape[2]
 
 
@@ -134,20 +133,17 @@ def row_normalize(a: Tensor) -> NormalizedAdjacency:
     return NormalizedAdjacency(Tensor(mat))
 
 
-def adaptive_adjacency(emb: NodeEmbeddings, head: int) -> NormalizedAdjacency:
-    """Learned row-stochastic adjacency for one head (tape-recorded).
+def adaptive_adjacency(emb: NodeEmbeddings) -> NormalizedAdjacency:
+    """Every head's learned row-stochastic adjacency, one [n_head, N, N] stack.
 
-    Row-wise softmax over ReLU(E1 E2^T)/d_e; the ReLU kills weakly negative
-    interactions so their logits sit in a flat dead zone.
+    Per head, a row-wise softmax over ReLU(E1 E2^T)/d_e; the ReLU kills
+    weakly negative interactions so their logits sit in a flat dead zone.
+    All heads share one batched matmul (tape-recorded).
     """
-    if not 0 <= head < emb.n_head:
-        raise GraphError(f"head {head} out of range for n_head={emb.n_head}")
-    n = emb.e1.shape[0]
-    e1_h = tc.reshape(tc.slice_axis(emb.e1, 1, head, head + 1), (n, emb.d_e))
-    e2_h = tc.reshape(tc.slice_axis(emb.e2, 1, head, head + 1), (n, emb.d_e))
-    logits = tc.matmul(e1_h, tc.transpose(e2_h, (1, 0)))
-    scaled = tc.mul(tc.relu(logits), Tensor([1.0 / emb.d_e]))
-    return NormalizedAdjacency(tc.softmax(scaled, axis=1))
+    e1 = tc.transpose(emb.e1, (1, 0, 2))  # [H, N, d_e]
+    e2 = tc.transpose(emb.e2, (1, 2, 0))  # [H, d_e, N]
+    scaled = tc.mul(tc.relu(tc.matmul(e1, e2)), Tensor([1.0 / emb.d_e]))
+    return NormalizedAdjacency(tc.softmax(scaled, axis=2))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +181,8 @@ def read_edge_list(path) -> list:
                 ) from None
             if not np.isfinite(dist):
                 raise GraphError(f"{path}:{lineno}: distance must be finite, got {line!r}")
+            if dist < 0:
+                raise GraphError(f"{path}:{lineno}: negative distance in {line!r}")
             edges.append((i, j, dist))
     return edges
 

@@ -16,7 +16,9 @@ All three GRUs run one gate step (as in DCRNN's DCGRU): each gate is
 sum_k (M_k [..]) W_k + b over a list of mixing matrices, identity first.
 The encoder and decoder GRUs have the identity alone; the graph GRU adds
 the K predefined and K adaptive adjacency powers, with its hop weights and
-fusion weights folded into one weight per matrix once per forward. Each
+fusion weights folded into one weight per matrix once per forward. Both
+branches' powers come from one helper over an [H, N, N] adjacency stack:
+every learned head at once, or the predefined matrix as one head. Each
 M_k [x, h] is formed once and feeds both the update and the reset matmul.
 Every activation is [B*N, d] rows, node-minor (row b*N + n), so no cell
 reshapes or slices; the bank's rows add the block as the fastest index
@@ -92,7 +94,7 @@ class ModelConfig:
             raise ModelError(f"order must be one of {ORDERS}, got {self.order!r}")
 
     @property
-    def bank_len(self) -> int:
+    def block_len(self) -> int:
         """Steps in each daily/weekly block, P+Q+S; the encoder's bank
         keeps the last Q+2S of them."""
         return self.P + self.Q + self.S
@@ -288,14 +290,14 @@ def encode(
             f"expected {cfg.d_count} daily and {cfg.w_count} weekly blocks, "
             f"got {d.shape[1]} and {w.shape[1]}"
         )
-    if d.shape[2] != cfg.bank_len or w.shape[2] != cfg.bank_len:
+    if d.shape[2] != cfg.block_len or w.shape[2] != cfg.block_len:
         raise ShapeError(
-            f"block lengths {d.shape[2]} and {w.shape[2]} != P+Q+S = {cfg.bank_len}"
+            f"block lengths {d.shape[2]} and {w.shape[2]} != P+Q+S = {cfg.block_len}"
         )
     g = cfg.d_count + cfg.w_count
     # [B, G, L, N, C] -> [L, B, N, G, C]: one row per (batch, node, block)
     blocks = np.concatenate([d, w], axis=1).transpose(2, 0, 3, 1, 4)
-    steps = np.ascontiguousarray(blocks).reshape(cfg.bank_len, b * n * g, c)
+    steps = np.ascontiguousarray(blocks).reshape(cfg.block_len, b * n * g, c)
     states = _run_gru(enc, steps, Tensor(np.zeros((b * n * g, cfg.d_h))))
     return h_final, list(islice(states, cfg.P - cfg.S, None))
 
@@ -347,38 +349,40 @@ def attention_step(
 # double graph convolution
 # ---------------------------------------------------------------------------
 
+def _mean_powers(stack: Tensor, K: int) -> List[Optional[Tensor]]:
+    """Head-averaged powers M_k = mean_i A_i^k, k = 0..K, of a [H, N, N] stack.
+
+    One batched matmul per power forms every head's A_i^k; one constant
+    [1, H] row of 1/H averages them. M_0 is the identity, returned as None
+    so callers skip the multiply.
+    """
+    heads, n = stack.shape[0], stack.shape[1]
+    mean_row = Tensor(np.full((1, heads), 1.0 / heads))
+    mats: List[Optional[Tensor]] = [None]
+    power = stack
+    for k in range(1, K + 1):
+        if k > 1:
+            power = tc.matmul(stack, power)
+        flat = tc.matmul(mean_row, tc.reshape(power, (heads, n * n)))
+        mats.append(tc.reshape(flat, (n, n)))
+    return mats
+
+
 def adaptive_mix_mats(emb: NodeEmbeddings, cfg: ModelConfig) -> List[Optional[Tensor]]:
-    """Head-averaged adjacency powers M_k = mean_i A_i^k for k = 0..K.
+    """Head-averaged adaptive adjacency powers, identity first (None).
 
     The k-hop chain averaged over heads collapses to these: with shared
-    hop weights, mean_i(A_i^k x) W^k = (M_k x) W^k. M_0 is the identity,
-    returned as None so callers skip the multiply. Computed once per
+    hop weights, mean_i(A_i^k x) W^k = (M_k x) W^k. Computed once per
     forward pass and reused by every gate at every step.
     """
-    mats: List[Optional[Tensor]] = [None]
-    adjs = [adaptive_adjacency(emb, i).matrix for i in range(cfg.n_head)]
-    powers = adjs
-    inv = Tensor([1.0 / cfg.n_head])
-    for k in range(1, cfg.K + 1):
-        total = powers[0]
-        for a in powers[1:]:
-            total = tc.add(total, a)
-        mats.append(tc.mul(total, inv))
-        if k < cfg.K:
-            powers = [tc.matmul(a, p) for a, p in zip(adjs, powers)]
-    return mats
+    return _mean_powers(adaptive_adjacency(emb).matrix, cfg.K)
 
 
 def pre_mix_mats(a_pre: Optional[np.ndarray], cfg: ModelConfig) -> List[Optional[Tensor]]:
     """Constant powers of the predefined adjacency, identity first (None)."""
     if a_pre is None:
         raise ModelError("predefined adjacency required unless its branch is off")
-    mats: List[Optional[Tensor]] = [None]
-    power = a_pre
-    for _ in range(1, cfg.K + 1):
-        mats.append(Tensor(power))
-        power = power @ a_pre
-    return mats
+    return _mean_powers(Tensor(a_pre[None]), cfg.K)
 
 
 def conv_terms(

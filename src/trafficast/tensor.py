@@ -43,7 +43,6 @@ __all__ = [
     "reduce_mean",
     "reshape",
     "transpose",
-    "slice_axis",
     "weighted_pool",
     "finite_diff_check",
     "GradCheckReport",
@@ -315,8 +314,7 @@ def absolute(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# softmax / concat / slice / pool / reduce / reshape / transpose / matmul /
-# node_mix
+# softmax / concat / pool / reduce / reshape / transpose / matmul / node_mix
 # ---------------------------------------------------------------------------
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -357,25 +355,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         return gs
 
     return _emit(tuple(tensors), out, bwd)
-
-
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    rank = len(a.shape)
-    axis = axis % rank
-    if not (0 <= start <= stop <= a.shape[axis]):
-        raise ShapeError(
-            f"slice [{start}:{stop}] out of range for axis {axis} of {list(a.shape)}"
-        )
-    idx = [slice(None)] * rank
-    idx[axis] = slice(start, stop)
-    out = a.data[tuple(idx)].copy()
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[tuple(idx)] = g
-        return (full,)
-
-    return _emit((a,), out, bwd)
 
 
 def weighted_pool(weights: Tensor, values: Sequence[Tensor]) -> Tensor:
@@ -464,16 +443,18 @@ def transpose(a: Tensor, perm: Sequence[int]) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
+    """[m,k] x [k,n], or [h,m,k] x [h,k,n] with one product per leading index."""
+    sa, sb = a.shape, b.shape
+    if len(sa) not in (2, 3) or len(sb) != len(sa) or sa[:-2] != sb[:-2] or sa[-1] != sb[-2]:
         raise ShapeError(
-            f"matmul needs [m,k]x[k,n], got {list(a.shape)} and {list(b.shape)}"
+            f"matmul needs [m,k]x[k,n] or [h,m,k]x[h,k,n], got {list(sa)} and {list(sb)}"
         )
     out = a.data @ b.data
 
     def bwd(g):
         # a constant operand (data, a fixed adjacency) gets no product
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
+        return (g @ b.data.swapaxes(-1, -2) if a.requires_grad else None,
+                a.data.swapaxes(-1, -2) @ g if b.requires_grad else None)
 
     return _emit((a, b), out, bwd)
 

@@ -113,7 +113,7 @@ def test_row_normalization_invariants(acceptance):
         worst_row_err = max(worst_row_err, float(np.abs(pre.sum(axis=1) - 1.0).max()))
         emb = init_embeddings(n, 2, 3, rng)
         for head in range(2):
-            adp = adaptive_adjacency(emb, head).matrix.data
+            adp = adaptive_adjacency(emb).matrix.data[head]
             worst_row_err = max(worst_row_err,
                                 float(np.abs(adp.sum(axis=1) - 1.0).max()))
     ok = worst_row_err <= 1e-9 and threshold_violations == 0
@@ -246,8 +246,8 @@ def test_node_isolation(acceptance):
     state = init_model(cfg, n, 1, seed=0)
     rng = np.random.default_rng(3)
     r = rng.standard_normal((2, cfg.P, n, 1))
-    d = rng.standard_normal((2, 1, cfg.bank_len, n, 1))
-    w = rng.standard_normal((2, 1, cfg.bank_len, n, 1))
+    d = rng.standard_normal((2, 1, cfg.block_len, n, 1))
+    w = rng.standard_normal((2, 1, cfg.block_len, n, 1))
     base = forward(state, r, d, w).predictions.data
     r_pert = r.copy()
     r_pert[:, :, 2] += rng.standard_normal((2, cfg.P, 1))

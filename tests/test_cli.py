@@ -257,6 +257,21 @@ def test_train_rerun_from_manifest(tmp_path):
             == (tmp_path / "run2" / "seed1" / "checkpoint.ckpt").read_bytes())
 
 
+def test_manifest_has_no_bank_len_and_old_manifests_rerun(tmp_path):
+    # manifests once carried derived.bank_len, a copy of derived.block_len;
+    # a manifest fed back through --config is read for its config block only
+    cfg = write_doc(tmp_path / "c.json", tiny_doc(tmp_path / "run1"))
+    assert run_cli("train", "--config", cfg) == 0
+    manifest_path = tmp_path / "run1" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert "bank_len" not in manifest["derived"]
+    manifest["derived"]["bank_len"] = manifest["derived"]["block_len"]
+    old = write_doc(tmp_path / "old_manifest.json", manifest)
+    assert run_cli("train", "--config", old, "--out-dir", str(tmp_path / "run2")) == 0
+    assert ((tmp_path / "run1" / "seed1" / "checkpoint.ckpt").read_bytes()
+            == (tmp_path / "run2" / "seed1" / "checkpoint.ckpt").read_bytes())
+
+
 def test_train_ablation_flag_tags_report(tmp_path):
     out = tmp_path / "run"
     cfg = write_doc(tmp_path / "c.json", tiny_doc(out))
@@ -340,6 +355,18 @@ def test_train_bad_edge_field_exits_3(tmp_path, capsys):
     edges.write_text("from,to,cost\n0,1,1.0\n1,2,abc\n")
     assert run_cli("train", "--config", cfg) == 3
     assert f"{edges}:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1,2,-0.5", ":3: negative distance"),
+    ("1,9,1.0", ": edge (1,9) out of range for 4 nodes"),
+])
+def test_train_bad_edge_names_edge_file(tmp_path, capsys, line, message):
+    cfg = write_doc(tmp_path / "c.json", _file_mode_doc(tmp_path))
+    edges = tmp_path / "d" / "edges.csv"
+    edges.write_text(f"from,to,cost\n0,1,1.0\n{line}\n")
+    assert run_cli("train", "--config", cfg) == 3
+    assert f"{edges}{message}" in capsys.readouterr().err
 
 
 def test_train_series_dims_past_2_64_exit_3(tmp_path, capsys):
@@ -489,6 +516,32 @@ def test_eval_missing_checkpoint_is_data_error(tmp_path):
     cfg_path, _ = _constant_setup(tmp_path)
     assert run_cli("eval", "--config", cfg_path,
                    "--checkpoint", str(tmp_path / "absent.ckpt")) == 3
+
+
+@pytest.mark.parametrize("case", [
+    "train_out_dir_is_file", "gen_data_out_is_file", "eval_out_is_dir",
+    "eval_checkpoint_is_dir", "gradcheck_out_is_dir",
+])
+def test_os_error_on_path_argument_exits_3(tmp_path, capsys, case):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("x")
+    cfg_path, model_cfg = _constant_setup(tmp_path)
+    ckpt = str(tmp_path / "zero.ckpt")
+    _zero_checkpoint(ckpt, model_cfg)
+    argv, path = {
+        "train_out_dir_is_file": (["train", "--config", cfg_path, "--out-dir", a_file], a_file),
+        "gen_data_out_is_file": (["gen-data", "--out", a_file], a_file),
+        "eval_out_is_dir": (["eval", "--config", cfg_path, "--checkpoint", ckpt,
+                             "--out", tmp_path], tmp_path),
+        "eval_checkpoint_is_dir": (["eval", "--config", cfg_path, "--checkpoint", tmp_path],
+                                   tmp_path),
+        "gradcheck_out_is_dir": (["gradcheck", "--out", tmp_path], tmp_path),
+    }[case]
+    capsys.readouterr()
+    assert run_cli(*map(str, argv)) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
 
 
 def test_eval_truncated_checkpoint_is_data_error(tmp_path, capsys):

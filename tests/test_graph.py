@@ -115,7 +115,7 @@ def test_adaptive_zero_embeddings_uniform():
     # all logits 0 after ReLU -> softmax uniform 1/N per row
     e = Tensor(np.zeros((4, 2, 3)), requires_grad=True)
     emb = NodeEmbeddings(e, Tensor(np.zeros((4, 2, 3)), requires_grad=True))
-    adj = adaptive_adjacency(emb, head=0).matrix.data
+    adj = adaptive_adjacency(emb).matrix.data[0]
     np.testing.assert_allclose(adj, 0.25, atol=1e-15)
 
 
@@ -125,7 +125,7 @@ def test_adaptive_hand_computed():
     # row softmax: row0 = [e/(e+1), 1/(e+1)], row1 = [e^2/(e^2+1), 1/(e^2+1)]
     e1 = Tensor(np.array([[[1.0]], [[2.0]]]), requires_grad=True)
     e2 = Tensor(np.array([[[1.0]], [[-1.0]]]), requires_grad=True)
-    adj = adaptive_adjacency(NodeEmbeddings(e1, e2), head=0).matrix.data
+    adj = adaptive_adjacency(NodeEmbeddings(e1, e2)).matrix.data[0]
     e = math.e
     np.testing.assert_allclose(adj[0], [e / (e + 1), 1 / (e + 1)], atol=1e-15)
     np.testing.assert_allclose(
@@ -138,7 +138,7 @@ def test_adaptive_single_hot_embedding_uniform():
     # rows 1 and 2 = [0,0,0]; every row softmaxes to uniform 1/3
     e1 = Tensor(np.array([1.0, 0.0, 0.0]).reshape(3, 1, 1), requires_grad=True)
     e2 = Tensor(np.ones((3, 1, 1)), requires_grad=True)
-    adj = adaptive_adjacency(NodeEmbeddings(e1, e2), head=0).matrix.data
+    adj = adaptive_adjacency(NodeEmbeddings(e1, e2)).matrix.data[0]
     np.testing.assert_allclose(adj, 1.0 / 3.0, atol=1e-15)
 
 
@@ -148,18 +148,36 @@ def test_adaptive_rows_stochastic_many_trials():
         n, h, d_e = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
         emb = init_embeddings(n, h, d_e, rng)
         for head in range(h):
-            adj = adaptive_adjacency(emb, head).matrix.data
+            adj = adaptive_adjacency(emb).matrix.data[head]
             np.testing.assert_allclose(adj.sum(axis=1), 1.0, atol=1e-9)
             assert np.all(adj >= 0)
+
+
+def test_adaptive_stack_matches_per_head_formula():
+    # head i of the stack is softmax(ReLU(E1[:, i] E2[:, i]^T) / d_e) per row
+    rng = np.random.default_rng(5)
+    emb = init_embeddings(5, 3, 4, rng)
+    stack = adaptive_adjacency(emb).matrix.data
+    assert stack.shape == (3, 5, 5)
+    for head in range(3):
+        logits = np.maximum(emb.e1.data[:, head] @ emb.e2.data[:, head].T, 0.0) / 4
+        expected = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(stack[head], expected, rtol=1e-14, atol=0)
 
 
 def test_adaptive_gradients_flow_to_embeddings():
     rng = np.random.default_rng(3)
     emb = init_embeddings(3, 2, 4, rng)
 
+    def head_mask(head):
+        # constant 0/1 mask: only this head's [N, N] matrix reaches the loss
+        mask = np.zeros((2, 3, 3))
+        mask[head] = 1.0
+        return Tensor(mask)
+
     def loss_of_e1(e1):
         both = NodeEmbeddings(e1, emb.e2)
-        adj = adaptive_adjacency(both, head=1).matrix
+        adj = tc.mul(adaptive_adjacency(both).matrix, head_mask(1))
         return tc.reduce_sum(tc.mul(adj, adj))
 
     rep = finite_diff_check(loss_of_e1, emb.e1, tol=1e-5)
@@ -167,7 +185,7 @@ def test_adaptive_gradients_flow_to_embeddings():
 
     def loss_of_e2(e2):
         both = NodeEmbeddings(emb.e1, e2)
-        adj = adaptive_adjacency(both, head=0).matrix
+        adj = tc.mul(adaptive_adjacency(both).matrix, head_mask(0))
         return tc.reduce_sum(tc.mul(adj, adj))
 
     rep = finite_diff_check(loss_of_e2, emb.e2, tol=1e-5)
@@ -181,19 +199,12 @@ def test_adaptive_relu_dead_zone():
     e2 = Tensor(np.full((3, 1, 2), -1.0), requires_grad=True)
     emb = NodeEmbeddings(e1, e2)
     with Tape() as tape:
-        adj = adaptive_adjacency(emb, head=0).matrix
+        adj = adaptive_adjacency(emb).matrix
         loss = tc.reduce_sum(tc.mul(adj, adj))
         backward(loss, tape)
     np.testing.assert_allclose(adj.data, 1.0 / 3.0, atol=1e-15)
     np.testing.assert_array_equal(e1.grad, 0.0)
     np.testing.assert_array_equal(e2.grad, 0.0)
-
-
-def test_head_out_of_range():
-    rng = np.random.default_rng(0)
-    emb = init_embeddings(3, 2, 2, rng)
-    with pytest.raises(GraphError, match="head"):
-        adaptive_adjacency(emb, head=2)
 
 
 def test_init_embeddings_deterministic_and_bounded():
@@ -228,7 +239,7 @@ def test_edge_list_malformed_line(tmp_path):
         read_edge_list(p)
 
 
-@pytest.mark.parametrize("field", ["abc", "nan", "inf"])
+@pytest.mark.parametrize("field", ["abc", "nan", "inf", "-1.5"])
 def test_edge_list_bad_distance(tmp_path, field):
     p = tmp_path / "edges.csv"
     p.write_text(f"from,to,cost\n0,1,1.5\n0,1,{field}\n")

@@ -41,8 +41,8 @@ def _toy_batch(cfg, b=2, n=4, c=1, seed=0):
     rng = np.random.default_rng(seed)
     return (
         rng.standard_normal((b, cfg.P, n, c)),
-        rng.standard_normal((b, cfg.d_count, cfg.bank_len, n, c)),
-        rng.standard_normal((b, cfg.w_count, cfg.bank_len, n, c)),
+        rng.standard_normal((b, cfg.d_count, cfg.block_len, n, c)),
+        rng.standard_normal((b, cfg.w_count, cfg.block_len, n, c)),
         rng.standard_normal((b, cfg.Q, n, c)),
     )
 
@@ -177,7 +177,7 @@ def test_encode_stacked_bank_matches_per_block_passes():
     enc = state.gru("encoder")
     for block, source in enumerate([d[:, i] for i in range(2)] + [w[:, i] for i in range(3)]):
         h = Tensor(np.zeros((b * n, cfg.d_h)))
-        for pos in range(cfg.bank_len):
+        for pos in range(cfg.block_len):
             h = gru_cell(enc, Tensor(source[:, pos].reshape(b * n, 1)), h)
             j = pos - (cfg.P - cfg.S)
             if j >= 0:
