@@ -71,6 +71,7 @@ from trafficast.model import (
 )
 from trafficast.training import (
     ABLATION_VARIANTS,
+    MAPE_FLOOR,
     DivergenceError,
     MetricReport,
     TrainConfig,
@@ -156,16 +157,16 @@ _KIND_OF_TYPE = {
 def _schema_of(cls) -> Dict[str, Key]:
     hints = get_type_hints(cls)
     return {f.name: Key(f.default, _KIND_OF_TYPE[hints[f.name]])
-            for f in dataclasses.fields(cls) if f.init}
+            for f in dataclasses.fields(cls)}
 
 
 # The dataclasses are the schema of their sections: keys, defaults, kinds.
 SECTION_TYPES = {"dataset": DatasetSpec, "model": ModelConfig, "train": TrainConfig}
 SCHEMAS = {name: _schema_of(cls) for name, cls in SECTION_TYPES.items()}
-# Model keys that the dataset section governs; model values must agree.
-MODEL_MIRRORS = tuple(k for k in SCHEMAS["model"] if k in SCHEMAS["dataset"])
-# Older manifests carry model.l_d/l_w; they must agree with data.l_d and are dropped.
-MODEL_INPUT_SCHEMA = {**SCHEMAS["model"], "l_d": Key(None, "int"), "l_w": Key(None, "int")}
+# ModelConfig copies the dataset's windows (P, Q, S, d_count, w_count);
+# only the dataset section sets them.
+WINDOWS = tuple(key for key in SCHEMAS["dataset"] if key in SCHEMAS["model"])
+SCHEMAS["model"] = {k: v for k, v in SCHEMAS["model"].items() if k not in WINDOWS}
 
 SWITCHES = ("no_pre", "no_adp", "no_window", "no_period")
 ABLATION_FLAG_SETS: Dict[str, Dict[str, bool]] = dict(ABLATION_VARIANTS)
@@ -211,15 +212,24 @@ def _typed(value, kind: str, path: str):
     raise AssertionError(f"unknown kind {kind}")
 
 
-def _merge_section(name: str, user, schema: Dict[str, Key], by_flag: bool = False) -> dict:
+def _merge_section(name: str, user, schema: Dict[str, Key], by_flag: bool = False,
+                   pinned: Optional[dict] = None) -> dict:
     """The schema defaults overlaid with the checked `user` values.
 
-    Messages name `name.key`, or the key's `gen-data` flag with `by_flag`.
+    A `pinned` key sets nothing: typed as its (source, value) entry's value,
+    it must equal that value and is dropped. Messages name `name.key`, or
+    the key's `gen-data` flag with `by_flag`.
     """
     if not isinstance(user, dict):
         raise SchemaError(f"{name}: expected an object, got {user!r}")
     merged = {key: spec.default for key, spec in schema.items()}
     for key, value in user.items():
+        if key in (pinned or {}):
+            source, expected = pinned[key]
+            value = _typed(value, _KIND_OF_TYPE[type(expected)], f"{name}.{key}")
+            if value != expected:
+                raise SchemaError(f"{name}.{key}: {value} conflicts with {source} ({expected})")
+            continue
         spec = schema.get(key)
         if spec is None:
             raise SchemaError(f"{name}.{key}: unknown key")
@@ -294,19 +304,20 @@ def resolve_config(doc: dict) -> ResolvedRun:
 
     dataset = _build("dataset", _merge_section("dataset", doc.get("dataset", {}),
                                                SCHEMAS["dataset"]))
+    windows = {key: getattr(dataset, key) for key in WINDOWS}
 
-    model_user = doc.get("model", {})
-    model_sec = _merge_section("model", model_user, MODEL_INPUT_SCHEMA)
-    governing = {key: (f"dataset.{key}", getattr(dataset, key)) for key in MODEL_MIRRORS}
-    governing["l_d"] = ("data.l_d", data["l_d"])
-    governing["l_w"] = ("data.l_d", 7 * data["l_d"])
-    for key, (source, value) in governing.items():
-        if key in model_user and model_sec[key] != value:
-            raise SchemaError(f"model.{key}: {model_sec[key]} conflicts with {source} ({value})")
-        model_sec[key] = value
-    model = _build("model", {key: model_sec[key] for key in SCHEMAS["model"]})
-
-    train_cfg = _build("train", _merge_section("train", doc.get("train", {}), SCHEMAS["train"]))
+    # Keys that older manifests carry but that set nothing: the model's
+    # copies of the windows and of data.l_d, and retired train knobs.
+    only = "its only accepted value"
+    pinned = {
+        "model": {**{key: (f"dataset.{key}", value) for key, value in windows.items()},
+                  "l_d": ("data.l_d", data["l_d"]), "l_w": ("data.l_d", 7 * data["l_d"])},
+        "train": {"teacher_forcing": (only, False), "mape_floor": (only, MAPE_FLOOR)},
+    }
+    model = _build("model", {**_merge_section("model", doc.get("model", {}), SCHEMAS["model"],
+                                              pinned=pinned["model"]), **windows})
+    train_cfg = _build("train", _merge_section("train", doc.get("train", {}), SCHEMAS["train"],
+                                               pinned=pinned["train"]))
     return ResolvedRun(out_dir=out_dir, data=data, dataset=dataset,
                        model=model, train=train_cfg)
 
@@ -399,7 +410,6 @@ def _resolve_from_args(args: argparse.Namespace) -> Tuple[ResolvedRun, Optional[
 @dataclass
 class LoadedInputs:
     series: SignalSeries
-    graph: GraphSpec
     a_pre: np.ndarray
     splits: DatasetSplits
     digests: dict
@@ -410,25 +420,26 @@ def _load_inputs(res: ResolvedRun) -> LoadedInputs:
     digests: dict = {}
     if data["synth"] is not None:
         series, graph = _generate(data["synth"])
+        edges = graph.edges
     else:
         for role in ("series", "edges"):
             if not os.path.isfile(data[role]):
                 raise DataError(f"{role} file not found: {data[role]}")
         series = load_series(data["series"], l_d=data["l_d"])
         edges = read_edge_list(data["edges"])
-        try:
-            graph = GraphSpec(n_nodes=series.n_nodes, edges=edges,
-                              kappa=data["kappa"], sigma=data["sigma"])
-        except GraphError as exc:
-            raise GraphError(f"{data['edges']}: {exc}") from None
         digests = {
             "series": {"path": data["series"], "sha256": _sha256(data["series"])},
             "edges": {"path": data["edges"], "sha256": _sha256(data["edges"])},
         }
-    a_pre = row_normalize(build_predefined(graph)).matrix.data
+    # a synthetic ring with data.kappa/sigma cannot fail, so errors are the edge file's
+    try:
+        graph = GraphSpec(n_nodes=series.n_nodes, edges=edges,
+                          kappa=data["kappa"], sigma=data["sigma"])
+        a_pre = row_normalize(build_predefined(graph)).matrix.data
+    except GraphError as exc:
+        raise GraphError(f"{data['edges']}: {exc}") from None
     splits = prepare_dataset(series, res.dataset)
-    return LoadedInputs(series=series, graph=graph, a_pre=a_pre,
-                        splits=splits, digests=digests)
+    return LoadedInputs(series=series, a_pre=a_pre, splits=splits, digests=digests)
 
 
 def _variant_label(cfg: ModelConfig) -> str:

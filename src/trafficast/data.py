@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -103,11 +103,7 @@ def read_tensor_file(path) -> np.ndarray:
         raw = fh.read()
     arr, end = parse_tensor_blob(raw, 0, origin=str(path))
     if end != len(raw):
-        raise DataError(
-            f"{path}: payload at byte offset {end - 8 * arr.size} "
-            f"expected {8 * arr.size} bytes ({arr.size} values), "
-            f"got {len(raw) - (end - 8 * arr.size)}"
-        )
+        raise DataError(f"{path}: {len(raw) - end} trailing bytes at byte offset {end}")
     return arr
 
 
@@ -117,11 +113,10 @@ def read_tensor_file(path) -> np.ndarray:
 
 @dataclass
 class SignalSeries:
-    """A [T, N, C] observation array with its daily/weekly cadence."""
+    """A [T, N, C] observation array with its daily cadence; a week is 7 days."""
 
     data: np.ndarray
     samples_per_day: int
-    samples_per_week: int
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -129,11 +124,10 @@ class SignalSeries:
             raise DataError(f"series must be [T, N, C], got rank {self.data.ndim}")
         if self.samples_per_day <= 0:
             raise DataError("samples_per_day must be positive")
-        if self.samples_per_week != 7 * self.samples_per_day:
-            raise DataError(
-                f"samples_per_week must be 7*samples_per_day "
-                f"({7 * self.samples_per_day}), got {self.samples_per_week}"
-            )
+
+    @property
+    def samples_per_week(self) -> int:
+        return 7 * self.samples_per_day
 
     @property
     def n_steps(self) -> int:
@@ -153,7 +147,7 @@ def load_series(path, l_d: int) -> SignalSeries:
 
     A NaN or infinite value raises DataError naming its [t, node, channel].
     """
-    series = SignalSeries(read_tensor_file(path), l_d, 7 * l_d)
+    series = SignalSeries(read_tensor_file(path), l_d)
     bad = np.argwhere(~np.isfinite(series.data))
     if bad.size:
         t, node, channel = (int(i) for i in bad[0])
@@ -180,7 +174,6 @@ class DatasetSpec:
     d_count: int = 1
     w_count: int = 1
     split: Tuple[float, float, float] = (0.6, 0.2, 0.2)
-    L: int = field(init=False)
 
     def __post_init__(self):
         for name in ("P", "Q", "S", "d_count", "w_count"):
@@ -188,11 +181,14 @@ class DatasetSpec:
                 raise DataError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d_count < 1 or self.w_count < 1:
             raise DataError("d_count and w_count must be at least 1")
-        self.L = self.Q + self.S
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise DataError(f"split must sum to 1, got {self.split}")
         if any(s < 0 for s in self.split):
             raise DataError(f"split ratios must be nonnegative, got {self.split}")
+
+    @property
+    def L(self) -> int:
+        return self.Q + self.S
 
     @property
     def block_len(self) -> int:
@@ -318,9 +314,7 @@ def fit_apply_zscore(series: SignalSeries, train_range) -> Tuple[Normalizer, Sig
         )
         std = np.where(floored, 1e-8, std)
     norm = Normalizer(mean=mean, std=std)
-    out = SignalSeries(
-        norm.apply(series.data), series.samples_per_day, series.samples_per_week
-    )
+    out = SignalSeries(norm.apply(series.data), series.samples_per_day)
     return norm, out
 
 
@@ -397,7 +391,7 @@ def synth_generate(
     if noise > 0:
         x = x + noise * rng.standard_normal(size=(t_total, n_nodes))
 
-    series = SignalSeries(x[:, :, None], samples_per_day=l_d, samples_per_week=l_w)
+    series = SignalSeries(x[:, :, None], samples_per_day=l_d)
     edges = [(i, (i + 1) % n_nodes, 1.0) for i in range(n_nodes)] if n_nodes > 1 else []
     graph = GraphSpec(n_nodes=n_nodes, edges=edges, kappa=1.0, sigma=1.0)
     return series, graph

@@ -187,9 +187,8 @@ def read_edge_list(path) -> list:
     return edges
 
 
-def write_edge_list(path, edges, header: bool = True) -> None:
+def write_edge_list(path, edges) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        if header:
-            fh.write("from,to,cost\n")
+        fh.write("from,to,cost\n")
         for i, j, dist in edges:
             fh.write(f"{i},{j},{dist:.17g}\n")

@@ -463,15 +463,13 @@ def forward(
     d: np.ndarray,
     w: np.ndarray,
     a_pre: Optional[np.ndarray] = None,
-    y: Optional[np.ndarray] = None,
-    teacher_forcing: bool = False,
 ) -> ForwardTrace:
     """Unroll the full network over Q forecast steps.
 
-    The decoder feeds on its own previous projection (teacher_forcing
-    swaps in the ground truth y, normalized scale). Per step: decoder GRU
-    advances, then attention and the graph GRU run in the configured
-    order, then the output affine produces that step's forecast.
+    The decoder starts from the last observed step of R and then feeds on
+    its own previous projection. Per step: decoder GRU advances, then
+    attention and the graph GRU run in the configured order, then the
+    output affine produces that step's forecast.
     """
     cfg = state.config
     b, _, n, c = r.shape
@@ -480,8 +478,6 @@ def forward(
             f"batch is {n} nodes x {c} channels, model was built for "
             f"{state.n_nodes} x {state.n_channels}"
         )
-    if teacher_forcing and y is None:
-        raise ModelError("teacher_forcing requires y")
 
     h, bank = encode(state, r, d, w)
     pre = [] if cfg.no_pre else pre_mix_mats(a_pre, cfg)
@@ -507,11 +503,7 @@ def forward(
             y_t = tc.add(tc.matmul(a_t, w_out), b_out)
         trace.attention_weights.append(w_t)
         step_preds.append(tc.reshape(y_t, (b, 1, n, c)))
-        if t + 1 < cfg.Q:
-            if teacher_forcing:
-                x_in = Tensor(np.ascontiguousarray(y[:, t]).reshape(b * n, c))
-            else:
-                x_in = y_t
+        x_in = y_t
     trace.predictions = step_preds[0] if cfg.Q == 1 else tc.concat(step_preds, axis=1)
     return trace
 

@@ -53,15 +53,6 @@ class ShapeError(ValueError):
     """Raised when operand shapes do not satisfy an op's contract."""
 
 
-def _as_array(values, shape=None) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    return np.ascontiguousarray(arr)
-
-
 class Tensor:
     """A dense float64 array plus optional gradient storage.
 
@@ -70,8 +61,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, values, shape=None, requires_grad: bool = False):
-        self.data = _as_array(values, shape)
+    def __init__(self, values, requires_grad: bool = False):
+        data = np.asarray(values, dtype=np.float64)
+        self.data = np.ascontiguousarray(data.reshape(1) if data.ndim == 0 else data)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
 

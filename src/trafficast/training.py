@@ -43,8 +43,6 @@ class TrainConfig:
     patience: int = 15
     seeds: Tuple[int, ...] = (1, 2, 3, 4, 5)
     grad_clip: Optional[float] = 5.0
-    teacher_forcing: bool = False
-    mape_floor: float = 1e-3
 
     def __post_init__(self):
         if self.patience < 1:
@@ -101,8 +99,11 @@ class MetricReport:
             yield step, self.per_step_mae[i], self.per_step_mape[i], self.per_step_rmse[i]
 
 
-def _masked_mape(err: np.ndarray, truth: np.ndarray, floor: float) -> float:
-    mask = np.abs(truth) > floor
+MAPE_FLOOR = 1e-3
+
+
+def _masked_mape(err: np.ndarray, truth: np.ndarray) -> float:
+    mask = np.abs(truth) > MAPE_FLOOR
     if not np.any(mask):
         return 0.0
     return float(np.mean(np.abs(err[mask]) / np.abs(truth[mask])) * 100.0)
@@ -112,13 +113,12 @@ def horizon_steps_for(q: int) -> List[int]:
     return sorted({max(1, round(q * k / 4)) for k in range(1, 5)})
 
 
-def metrics(
-    pred: np.ndarray,
-    target: np.ndarray,
-    normalizer: Normalizer,
-    mape_floor: float = 1e-3,
-) -> MetricReport:
-    """Compute the report from normalized-scale arrays shaped [B, Q, N, C]."""
+def metrics(pred: np.ndarray, target: np.ndarray, normalizer: Normalizer) -> MetricReport:
+    """Compute the report from normalized-scale arrays shaped [B, Q, N, C].
+
+    MAPE skips targets whose magnitude, in original units, is at most
+    MAPE_FLOOR.
+    """
     if pred.shape != target.shape:
         raise TrainError(f"metric shapes differ: {pred.shape} vs {target.shape}")
     p = normalizer.inverse(pred)
@@ -127,12 +127,10 @@ def metrics(
     q = pred.shape[1]
     per_mae = np.array([np.mean(np.abs(err[:, t])) for t in range(q)])
     per_rmse = np.array([np.sqrt(np.mean(err[:, t] ** 2)) for t in range(q)])
-    per_mape = np.array(
-        [_masked_mape(err[:, t], y[:, t], mape_floor) for t in range(q)]
-    )
+    per_mape = np.array([_masked_mape(err[:, t], y[:, t]) for t in range(q)])
     return MetricReport(
         mae=float(np.mean(np.abs(err))),
-        mape=_masked_mape(err, y, mape_floor),
+        mape=_masked_mape(err, y),
         rmse=float(np.sqrt(np.mean(err**2))),
         per_step_mae=per_mae,
         per_step_mape=per_mape,
@@ -237,7 +235,7 @@ def evaluate(
     cfg: TrainConfig,
 ) -> MetricReport:
     pred, target = predict(state, samples, a_pre, cfg.batch_size)
-    return metrics(pred, target, normalizer, mape_floor=cfg.mape_floor)
+    return metrics(pred, target, normalizer)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +300,7 @@ def train_single(
             chunk = [splits.train[i] for i in order[start : start + cfg.batch_size]]
             r, d, w, y = stack_batch(chunk)
             with Tape() as tape:
-                trace = forward(
-                    state, r, d, w, a_pre=a_pre,
-                    y=y if cfg.teacher_forcing else None,
-                    teacher_forcing=cfg.teacher_forcing,
-                )
+                trace = forward(state, r, d, w, a_pre=a_pre)
                 loss = mae_loss(trace.predictions, Tensor(y))
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):

@@ -3,12 +3,13 @@
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trafficast import tensor as tc
-from trafficast.cli import SchemaError, main, resolve_config
+from trafficast.cli import DATA_SCHEMA, SCHEMAS, SchemaError, main, resolve_config
 from trafficast.data import load_series, write_tensor_file
 from trafficast.gradcheck import primitive_checks
 from trafficast.graph import write_edge_list
@@ -55,7 +56,7 @@ def test_defaults_materialize():
 def test_resolved_doc_has_no_placeholders():
     res = resolve_config({"data": {"synth": {}}})
     doc = res.config_doc()
-    for key in ModelConfig.__dataclass_fields__:
+    for key in SCHEMAS["model"]:
         assert doc["model"][key] is not None
     for section in ("dataset", "train"):
         for value in doc[section].values():
@@ -109,17 +110,48 @@ def test_old_manifest_model_l_d_l_w_accepted_and_dropped():
         resolve_config({**base, "model": {"l_w": 7}})
 
 
+# Every key a document may carry that sets nothing, under tiny_doc (P=3,
+# Q=2, S=1, l_d=12): an agreeing value, a conflicting one, a mistyped one
+# and the start of its type message.
+PINNED_KEYS = [
+    ("model.P", 3, 9, 3.0, "an integer"),
+    ("model.Q", 2, 5, "2", "an integer"),
+    ("model.S", 1, 0, True, "an integer"),
+    ("model.d_count", 1, 2, None, "an integer"),
+    ("model.w_count", 1, 2, [1], "an integer"),
+    ("model.l_d", 12, 48, 12.5, "an integer"),
+    ("model.l_w", 84, 7, "84", "an integer"),
+    ("train.teacher_forcing", False, True, 0, "true or false"),
+    ("train.mape_floor", 0.001, 0.01, "0.001", "a number"),
+]
+
+
+@pytest.mark.parametrize("path, agree, conflict, mistyped, expected", PINNED_KEYS)
+def test_pinned_keys_must_agree_and_are_dropped(tmp_path, capsys, path, agree, conflict,
+                                                 mistyped, expected):
+    section, key = path.split(".")
+    doc = resolve_config(tiny_doc(**{section: {key: agree}})).config_doc()
+    assert key not in doc[section]
+    assert doc == resolve_config(tiny_doc()).config_doc()
+    for value, message in ((conflict, f"{path}: {conflict} conflicts with"),
+                           (mistyped, f"{path}: expected {expected}, got {mistyped!r}")):
+        cfg = write_doc(tmp_path / "c.json", tiny_doc(tmp_path / "run", **{section: {key: value}}))
+        assert run_cli("train", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 # Every key each section accepts. The dataclasses are the schema, so a new
 # field is a new config key; this pins the set.
 ACCEPTED_KEYS = {
     "data": {"series", "edges", "l_d", "kappa", "sigma", "synth"},
     "data.synth": {"nodes", "days", "l_d", "shift_max", "noise", "seed", "amp_weekly"},
     "dataset": {"P", "Q", "S", "d_count", "w_count", "split"},
-    "model": {"d_h", "d_e", "n_head", "K", "w_pre", "w_adp", "P", "Q", "S",
-              "d_count", "w_count", "no_pre", "no_adp", "no_window", "no_period",
-              "order"},
+    "model": {"d_h", "d_e", "n_head", "K", "w_pre", "w_adp", "no_pre", "no_adp",
+              "no_window", "no_period", "order"},
     "train": {"learning_rate", "batch_size", "max_epochs", "patience", "seeds",
-              "grad_clip", "teacher_forcing", "mape_floor"},
+              "grad_clip"},
 }
 
 
@@ -134,6 +166,13 @@ def test_accepted_config_keys_are_pinned():
     for key in ("beta1", "beta2", "eps"):
         with pytest.raises(SchemaError, match=rf"train\.{key}: unknown key"):
             resolve_config({"data": {"synth": {}}, "train": {key: 0.9}})
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    keys = [f"data.{key}" for key in DATA_SCHEMA]
+    keys += [f"{section}.{key}" for section, schema in SCHEMAS.items() for key in schema]
+    assert [key for key in keys if f"`{key}`" not in readme] == []
 
 
 def test_non_finite_numbers_rejected_at_config_time(tmp_path, capsys):
@@ -272,6 +311,24 @@ def test_manifest_has_no_bank_len_and_old_manifests_rerun(tmp_path):
             == (tmp_path / "run2" / "seed1" / "checkpoint.ckpt").read_bytes())
 
 
+def test_manifest_states_each_setting_once_and_old_manifests_rerun(tmp_path):
+    # manifests once copied the windows and data.l_d under model and carried
+    # train.teacher_forcing and train.mape_floor; such a manifest still reruns
+    cfg = write_doc(tmp_path / "c.json", tiny_doc(tmp_path / "run1"))
+    assert run_cli("train", "--config", cfg) == 0
+    manifest = json.loads((tmp_path / "run1" / "manifest.json").read_text())
+    config = manifest["config"]
+    windows = ("P", "Q", "S", "d_count", "w_count")
+    assert set(config["model"]).isdisjoint(windows + ("l_d", "l_w"))
+    assert set(config["train"]).isdisjoint({"teacher_forcing", "mape_floor"})
+    config["model"].update({key: config["dataset"][key] for key in windows}, l_d=12, l_w=84)
+    config["train"].update(teacher_forcing=False, mape_floor=0.001)
+    old = write_doc(tmp_path / "old_manifest.json", manifest)
+    assert run_cli("train", "--config", old, "--out-dir", str(tmp_path / "run2")) == 0
+    for rel in ("seed1/checkpoint.ckpt", "seed1/metrics.txt", "summary.txt"):
+        assert (tmp_path / "run1" / rel).read_bytes() == (tmp_path / "run2" / rel).read_bytes()
+
+
 def test_train_ablation_flag_tags_report(tmp_path):
     out = tmp_path / "run"
     cfg = write_doc(tmp_path / "c.json", tiny_doc(out))
@@ -360,6 +417,7 @@ def test_train_bad_edge_field_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("line, message", [
     ("1,2,-0.5", ":3: negative distance"),
     ("1,9,1.0", ": edge (1,9) out of range for 4 nodes"),
+    ("1,2,1.0", ": sigma must be positive, got 0.0"),  # data.sigma unset, equal distances
 ])
 def test_train_bad_edge_names_edge_file(tmp_path, capsys, line, message):
     cfg = write_doc(tmp_path / "c.json", _file_mode_doc(tmp_path))
@@ -367,6 +425,15 @@ def test_train_bad_edge_names_edge_file(tmp_path, capsys, line, message):
     edges.write_text(f"from,to,cost\n0,1,1.0\n{line}\n")
     assert run_cli("train", "--config", cfg) == 3
     assert f"{edges}{message}" in capsys.readouterr().err
+
+
+def test_train_header_only_edge_file_names_it(tmp_path, capsys):
+    # with data.sigma unset, sigma comes from the listed distances
+    cfg = write_doc(tmp_path / "c.json", _file_mode_doc(tmp_path))
+    edges = tmp_path / "d" / "edges.csv"
+    edges.write_text("from,to,cost\n")
+    assert run_cli("train", "--config", cfg) == 3
+    assert f"{edges}: cannot derive sigma from an empty edge list" in capsys.readouterr().err
 
 
 def test_train_series_dims_past_2_64_exit_3(tmp_path, capsys):

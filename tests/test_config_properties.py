@@ -17,11 +17,23 @@ _DOC = {
     "train": {"max_epochs": 2, "seeds": [1], "batch_size": 8},
 }
 _CONFIG_BYTES = json.dumps(_DOC).encode()
-# a run manifest as `train` writes it: the resolved config under "config"
-_MANIFEST_BYTES = json.dumps({
-    "format_version": 1, "command": "train", "status": "complete",
-    "config": resolve_config(_DOC).config_doc(), "seeds": [1],
-}, indent=2, sort_keys=True).encode()
+
+
+def _manifest_bytes(config):
+    """A run manifest as `train` writes it: the resolved config under "config"."""
+    return json.dumps({
+        "format_version": 1, "command": "train", "status": "complete",
+        "config": config, "seeds": [1],
+    }, indent=2, sort_keys=True).encode()
+
+
+_MANIFEST_BYTES = _manifest_bytes(resolve_config(_DOC).config_doc())
+# an older manifest, carrying every key that sets nothing at its one value
+_OLD_CONFIG = resolve_config(_DOC).config_doc()
+_OLD_CONFIG["model"].update(P=3, Q=2, S=1, d_count=1, w_count=1, l_d=12, l_w=84)
+_OLD_CONFIG["train"].update(teacher_forcing=False, mape_floor=0.001)
+_OLD_MANIFEST_BYTES = _manifest_bytes(_OLD_CONFIG)
+_SEEDS = [_CONFIG_BYTES, _MANIFEST_BYTES, _OLD_MANIFEST_BYTES]
 # any byte, or one that keeps a number or the JSON syntax plausible
 _BYTE = st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789"),
                   st.sampled_from(b'-.eE"{}[],:ntf '))
@@ -29,7 +41,7 @@ _BYTE = st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789"),
 
 @st.composite
 def _mutated_config_bytes(draw):
-    out = bytearray(draw(st.sampled_from([_CONFIG_BYTES, _MANIFEST_BYTES])))
+    out = bytearray(draw(st.sampled_from(_SEEDS)))
     for _ in range(draw(st.integers(1, 2))):
         op = draw(st.sampled_from(["replace", "replace", "replace", "insert", "delete",
                                    "truncate"]))
@@ -67,7 +79,7 @@ _JSON_VALUE = st.recursive(
 
 @st.composite
 def _mutated_config_docs(draw):
-    doc = json.loads(draw(st.sampled_from([_CONFIG_BYTES, _MANIFEST_BYTES])))
+    doc = json.loads(draw(st.sampled_from(_SEEDS)))
     for _ in range(draw(st.integers(1, 2))):
         node = doc
         while draw(st.booleans()):

@@ -72,6 +72,14 @@ def test_tensor_file_truncated_payload(tmp_path):
         read_tensor_file(p)
 
 
+def test_tensor_file_trailing_bytes(tmp_path):
+    # dims (2, 3): 22 header bytes and 48 payload bytes end at offset 70
+    p = tmp_path / "t.stgt"
+    p.write_bytes(b"STGT" + struct.pack("<BB", 1, 2) + struct.pack("<2Q", 2, 3) + bytes(56))
+    with pytest.raises(DataError, match=r"t\.stgt: 8 trailing bytes at byte offset 70$"):
+        read_tensor_file(p)
+
+
 def test_load_series_shape_and_cadence(tmp_path):
     p = tmp_path / "s.stgt"
     write_tensor_file(p, np.arange(400, dtype=float).reshape(100, 4, 1))
@@ -93,13 +101,8 @@ def test_load_series_rejects_non_finite_value(tmp_path, bad):
 
 def test_pems_style_cadence_accepted():
     # 12 samples/hour -> 288/day, 2016/week
-    s = SignalSeries(np.zeros((3000, 2, 1)), samples_per_day=288, samples_per_week=2016)
-    assert s.samples_per_week == 7 * s.samples_per_day
-
-
-def test_series_rejects_wrong_week_length():
-    with pytest.raises(DataError, match="7"):
-        SignalSeries(np.zeros((10, 2, 1)), samples_per_day=4, samples_per_week=30)
+    s = SignalSeries(np.zeros((3000, 2, 1)), samples_per_day=288)
+    assert s.samples_per_week == 2016
 
 
 # --- dataset spec ------------------------------------------------------------
@@ -123,12 +126,12 @@ def _toy_series(t=400, n=3, l_d=40):
         np.arange(t)[:, None, None] * 1000.0
         + np.arange(n)[None, :, None]
     )
-    return SignalSeries(data, samples_per_day=l_d, samples_per_week=7 * l_d)
+    return SignalSeries(data, samples_per_day=l_d)
 
 
 def test_first_admissible_t0():
     spec = DatasetSpec(P=12, Q=12, S=3)
-    series = SignalSeries(np.zeros((2100, 2, 1)), 288, 2016)
+    series = SignalSeries(np.zeros((2100, 2, 1)), 288)
     t0s = admissible_t0_range(series, spec)
     assert t0s[0] == 2016 + 12 == 2028
 
@@ -213,7 +216,7 @@ def test_chronological_split_ordering():
 def test_zscore_two_point_example():
     # train values {1, 3}: mean 2, population std 1 -> normalized {-1, +1}
     data = np.array([1.0, 3.0, 5.0])[:, None, None]
-    series = SignalSeries(data, 1, 7)
+    series = SignalSeries(data, 1)
     norm, out = fit_apply_zscore(series, range(0, 2))
     assert norm.mean[0] == pytest.approx(2.0)
     assert norm.std[0] == pytest.approx(1.0)
@@ -222,7 +225,7 @@ def test_zscore_two_point_example():
 
 def test_zscore_constant_channel_floored():
     data = np.full((10, 2, 1), 5.0)
-    series = SignalSeries(data, 1, 7)
+    series = SignalSeries(data, 1)
     with pytest.warns(UserWarning, match="floored"):
         norm, out = fit_apply_zscore(series, range(0, 10))
     np.testing.assert_array_equal(out.data, 0.0)
@@ -232,7 +235,7 @@ def test_zscore_constant_channel_floored():
 def test_zscore_round_trip():
     rng = np.random.default_rng(9)
     data = rng.uniform(-50, 50, size=(64, 3, 2))
-    series = SignalSeries(data, 8, 56)
+    series = SignalSeries(data, 8)
     norm, out = fit_apply_zscore(series, range(0, 40))
     np.testing.assert_allclose(norm.inverse(out.data), data, atol=1e-12)
 

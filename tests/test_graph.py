@@ -93,7 +93,7 @@ def test_row_normalize_isolated_row_self_loop():
 
 def test_row_normalize_rejects_negative():
     with pytest.raises(GraphError, match="nonnegative"):
-        row_normalize(Tensor([[1.0, -0.5], [0.0, 1.0]], shape=(2, 2)))
+        row_normalize(Tensor([[1.0, -0.5], [0.0, 1.0]]))
 
 
 def test_row_normalize_randomized_property():

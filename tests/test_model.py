@@ -283,8 +283,8 @@ def test_attention_planted_match_dominates():
     # e^5 / (e^5 + 13) which clears 0.9
     cfg = ModelConfig(d_h=1, P=3, Q=1, S=3)
     params = AttentionParams(
-        w1=Tensor([[0.0]], shape=(1, 1)),
-        w2=Tensor([[3.0]], shape=(1, 1)),
+        w1=Tensor([[0.0]]),
+        w2=Tensor([[3.0]]),
         b=Tensor([0.0]),
         v=Tensor([5.0]),
     )
@@ -292,7 +292,7 @@ def test_attention_planted_match_dominates():
     # is the daily block's state
     bank = [Tensor(np.zeros((2, 1))) for _ in range(cfg.Q + 2 * cfg.S)]
     bank[cfg.S] = Tensor([[10.0], [0.0]])  # tanh(30) == 1.0 -> score 5
-    h_t = Tensor([[0.5]], shape=(1, 1))
+    h_t = Tensor([[0.5]])
     a, weights = attention_step(h_t, bank, 0, cfg, params)
     expected = math.exp(5.0) / (math.exp(5.0) + 13.0)
     assert weights.data[0, 3] == pytest.approx(expected, abs=1e-12)
@@ -573,19 +573,6 @@ def test_forward_orders_differ_but_both_run():
     t2 = forward(init_model(cfg2, 4, 1, seed=25), r, d, w, a_pre=a_pre)
     assert t1.predictions.shape == t2.predictions.shape
     assert not np.array_equal(t1.predictions.data, t2.predictions.data)
-
-
-def test_forward_teacher_forcing():
-    cfg = _toy_cfg()
-    state = init_model(cfg, 4, 1, seed=26)
-    r, d, w, y = _toy_batch(cfg)
-    a_pre = _ring_adjacency(4)
-    free = forward(state, r, d, w, a_pre=a_pre)
-    forced = forward(state, r, d, w, a_pre=a_pre, y=y, teacher_forcing=True)
-    assert forced.predictions.shape == free.predictions.shape
-    assert not np.array_equal(free.predictions.data, forced.predictions.data)
-    with pytest.raises(ModelError, match="requires y"):
-        forward(state, r, d, w, a_pre=a_pre, teacher_forcing=True)
 
 
 def test_forward_deterministic():
