@@ -438,7 +438,12 @@ def _load_inputs(res: ResolvedRun) -> LoadedInputs:
         a_pre = row_normalize(build_predefined(graph)).matrix.data
     except GraphError as exc:
         raise GraphError(f"{data['edges']}: {exc}") from None
-    splits = prepare_dataset(series, res.dataset)
+    try:
+        splits = prepare_dataset(series, res.dataset)
+    except DataError as exc:
+        if data["synth"] is not None:
+            raise
+        raise DataError(f"{data['series']}: {exc}") from None
     return LoadedInputs(series=series, a_pre=a_pre, splits=splits, digests=digests)
 
 

@@ -181,6 +181,11 @@ class DatasetSpec:
                 raise DataError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d_count < 1 or self.w_count < 1:
             raise DataError("d_count and w_count must be at least 1")
+        if self.P < self.S:
+            raise DataError(
+                f"P ({self.P}) must be >= S ({self.S}): the attention window at "
+                "step 0 reaches S positions before the aligned bank index P"
+            )
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise DataError(f"split must sum to 1, got {self.split}")
         if any(s < 0 for s in self.split):
@@ -304,8 +309,16 @@ def fit_apply_zscore(series: SignalSeries, train_range) -> Tuple[Normalizer, Sig
     if idx.size == 0:
         raise DataError("train_range is empty")
     train = series.data[idx]  # [Ttrain, N, C]
-    mean = train.mean(axis=(0, 1))
-    std = train.std(axis=(0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.mean(axis=(0, 1))
+        std = train.std(axis=(0, 1))
+    overflow = ~(np.isfinite(mean) & np.isfinite(std))
+    if np.any(overflow):
+        raise DataError(
+            f"channel(s) {np.nonzero(overflow)[0].tolist()}: values too large to "
+            f"normalize (largest magnitude {np.abs(train).max():.6g}; the "
+            "training rows' mean or standard deviation overflows float64)"
+        )
     floored = std < 1e-8
     if np.any(floored):
         warnings.warn(

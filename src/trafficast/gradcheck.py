@@ -51,11 +51,20 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
     concat_mate = Tensor(rng.standard_normal((3, 4)))
     comp_w1 = Tensor(rng.standard_normal((4, 3)))
     comp_w2 = Tensor(rng.standard_normal((4, 3)))
-    adj33 = rng.standard_normal((3, 3))
     x64 = rng.standard_normal((6, 4))  # two batch elements of three nodes
-    w64 = rng.standard_normal((6, 4))
-    t_adj33 = Tensor(adj33)
     t_x64 = Tensor(x64)
+    # gate_sum over the identity and two [3, 3] matrices, [6, 4] rows to [6, 3]
+    adj33 = rng.standard_normal((3, 3))
+    gate_mats = [None, Tensor(rng.standard_normal((3, 3))), Tensor(adj33)]
+    gate_w = [Tensor(rng.standard_normal((4, 3))) for _ in gate_mats]
+    gate_b = Tensor(rng.standard_normal(3))
+    w63 = rng.standard_normal((6, 3))
+    # GRU gates [z | r] of width 2, a state and a candidate of width 2
+    zr = rng.uniform(0.1, 0.9, (3, 4))
+    x32 = rng.standard_normal((3, 2))
+    w32 = rng.standard_normal((3, 2))
+    t_zr, t_x32 = Tensor(zr), Tensor(x32)
+    t_cand = Tensor(rng.standard_normal((3, 2)))
     pool_w = rng.uniform(0.1, 1.0, (3, 3))
     t_pool_w = Tensor(pool_w)
     pool_mates = [Tensor(rng.standard_normal((3, 4))) for _ in range(2)]
@@ -93,8 +102,19 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
         ("reduce_mean_all", lambda t: tc.reduce_mean(t), x34),
         ("reshape", lambda t: _weighted_sum(tc.reshape(t, (2, 6)), w26), x34),
         ("transpose", lambda t: _weighted_sum(tc.transpose(t, (1, 0)), w43), x34),
-        ("node_mix_adj", lambda t: _weighted_sum(tc.node_mix(t, t_x64), w64), adj33),
-        ("node_mix_x", lambda t: _weighted_sum(tc.node_mix(t_adj33, t), w64), x64),
+        ("gate_sum_x", lambda t: _weighted_sum(
+            tc.gate_sum(gate_mats, t, gate_w, gate_b), w63), x64),
+        ("gate_sum_weight", lambda t: _weighted_sum(
+            tc.gate_sum(gate_mats, t_x64, [gate_w[0], t, gate_w[2]], gate_b), w63), b43),
+        ("gate_sum_bias", lambda t: _weighted_sum(
+            tc.gate_sum(gate_mats, t_x64, gate_w, t), w63), gate_b.data),
+        ("gate_sum_matrix", lambda t: _weighted_sum(
+            tc.gate_sum([*gate_mats[:2], t], t_x64, gate_w, gate_b), w63), adj33),
+        ("reset_mul_gates", lambda t: _weighted_sum(tc.reset_mul(t, t_x32), w32), zr),
+        ("reset_mul_state", lambda t: _weighted_sum(tc.reset_mul(t_zr, t), w32), x32),
+        ("gate_mix_gates", lambda t: _weighted_sum(tc.gate_mix(t, t_x32, t_cand), w32), zr),
+        ("gate_mix_state", lambda t: _weighted_sum(tc.gate_mix(t_zr, t, t_cand), w32), x32),
+        ("gate_mix_cand", lambda t: _weighted_sum(tc.gate_mix(t_zr, t_x32, t), w32), x32),
         ("weighted_pool_weights", lambda t: _weighted_sum(
             tc.weighted_pool(t, [t_other, *pool_mates]), w34), pool_w),
         ("weighted_pool_values", lambda t: _weighted_sum(

@@ -18,8 +18,11 @@ The encoder and decoder GRUs have the identity alone; the graph GRU adds
 the K predefined and K adaptive adjacency powers, with its hop weights and
 fusion weights folded into one weight per matrix once per forward. Both
 branches' powers come from one helper over an [H, N, N] adjacency stack:
-every learned head at once, or the predefined matrix as one head. Each
-M_k [x, h] is formed once and feeds both the update and the reset matmul.
+every learned head at once, or the predefined matrix as one head. The
+update and reset gates share one sum: per matrix their weights are joined
+as [W_z | W_r] once per forward, so one `gate_sum` record forms every
+M_k [x, h] once, and one sigmoid gives [z | r]. With `reset_mul` for r*h
+and `gate_mix` for (1-z)*h + z*c, a step is 8 records for every GRU.
 Every activation is [B*N, d] rows, node-minor (row b*N + n), so no cell
 reshapes or slices; the bank's rows add the block as the fastest index
 (row (b*N + n)*G + g). Attention scores each window offset once over
@@ -110,16 +113,22 @@ class GruGates:
 
     `mats` lists the mixing matrices, the identity (None) first, and each
     gate holds one weight per matrix: the identity alone for the encoder
-    and decoder GRUs, the folded graph convolution for the DGC-GRU.
+    and decoder GRUs, the folded graph convolution for the DGC-GRU. The
+    update and reset gates share one sum: per matrix, `update_reset` is
+    [W_z | W_r] and its bias [b_z | b_r], so z is the left half.
     """
 
     mats: List[Optional[Tensor]]
-    update: List[Tensor]
-    update_bias: Tensor
-    reset: List[Tensor]
-    reset_bias: Tensor
+    update_reset: List[Tensor]
+    update_reset_bias: Tensor
     cand: List[Tensor]
     cand_bias: Tensor
+
+    @classmethod
+    def join(cls, mats, update, update_bias, reset, reset_bias, cand, cand_bias):
+        """Gates from separate update and reset weights, joined column-wise."""
+        joined = [tc.concat([u, r], axis=1) for u, r in zip(update, reset, strict=True)]
+        return cls(mats, joined, tc.concat([update_bias, reset_bias], axis=0), cand, cand_bias)
 
 
 @dataclass
@@ -150,8 +159,8 @@ class ModelState:
         p = self.params
         w = lambda gate: [p[f"{prefix}.{gate}.weight"]]
         b = lambda gate: p[f"{prefix}.{gate}.bias"]
-        return GruGates([None], w("update"), b("update"), w("reset"), b("reset"),
-                        w("cand"), b("cand"))
+        return GruGates.join([None], w("update"), b("update"), w("reset"), b("reset"),
+                             w("cand"), b("cand"))
 
     def attention(self) -> AttentionParams:
         p = self.params
@@ -210,42 +219,23 @@ def init_model(cfg: ModelConfig, n_nodes: int, n_channels: int, seed: int) -> Mo
 # cells
 # ---------------------------------------------------------------------------
 
-def _gate_mix(z: Tensor, h: Tensor, cand: Tensor) -> Tensor:
-    # (1 - z) * h + z * cand, written as h - z*h + z*cand so every op is
-    # an equal-shape binary
-    return tc.add(tc.sub(h, tc.mul(z, h)), tc.mul(z, cand))
-
-
-def _term_sums(mats: List[Optional[Tensor]], x: Tensor, *weights: List[Tensor]) -> List[Tensor]:
-    """sum_k (M_k x) W_k for each weight list; a None matrix is the identity.
-
-    Each M_k x is formed once and feeds the matmul of every list.
-    """
-    sums: List[Tensor] = []
-    for k, mat in enumerate(mats):
-        mixed = x if mat is None else tc.node_mix(mat, x)
-        terms = [tc.matmul(mixed, w[k]) for w in weights]
-        sums = terms if k == 0 else [tc.add(s, t) for s, t in zip(sums, terms)]
-        del mixed  # off the tape, one mix is alive at a time
-    return sums
-
-
 def _gru_step(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
-    """h' = (1-z) * h + z * tanh(G_c [x, r*h]), z/r = sigmoid(G_z/G_r [x, h]).
+    """h' = (1-z) * h + z * tanh(G_c [x, r*h]), [z | r] = sigmoid(G_zr [x, h]).
 
-    Each G is its gate's sum_k (M_k [..]) W_k + b; x and h are [B*N, d] rows.
+    Each G is its gates' sum_k (M_k [..]) W_k + b, one `gate_sum` record;
+    x and h are [B*N, d] rows. Eight records per step.
     """
-    if x.shape[1] + h.shape[1] != gates.update[0].shape[0]:
+    rows = gates.cand[0].shape[0]
+    if x.shape[1] + h.shape[1] != rows:
         raise ShapeError(
             f"gru width mismatch: input {x.shape[1]} + state {h.shape[1]} "
-            f"!= weight rows {gates.update[0].shape[0]}"
+            f"!= weight rows {rows}"
         )
-    z_sum, r_sum = _term_sums(gates.mats, tc.concat([x, h], axis=1),
-                              gates.update, gates.reset)
-    z = tc.sigmoid(tc.add(z_sum, gates.update_bias))
-    r = tc.sigmoid(tc.add(r_sum, gates.reset_bias))
-    (c_sum,) = _term_sums(gates.mats, tc.concat([x, tc.mul(r, h)], axis=1), gates.cand)
-    return _gate_mix(z, h, tc.tanh(tc.add(c_sum, gates.cand_bias)))
+    zr = tc.sigmoid(tc.gate_sum(gates.mats, tc.concat([x, h], axis=1),
+                                gates.update_reset, gates.update_reset_bias))
+    xrh = tc.concat([x, tc.reset_mul(zr, h)], axis=1)
+    cand = tc.tanh(tc.gate_sum(gates.mats, xrh, gates.cand, gates.cand_bias))
+    return tc.gate_mix(zr, h, cand)
 
 
 def gru_cell(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
@@ -434,8 +424,8 @@ def dgc_terms(
                           state.dgc_hops(gate, "adp"), state.config)
 
     mats, update = fold("update")
-    return GruGates(mats, update, p["dgc.update.bias"], fold("reset")[1],
-                    p["dgc.reset.bias"], fold("cand")[1], p["dgc.cand.bias"])
+    return GruGates.join(mats, update, p["dgc.update.bias"], fold("reset")[1],
+                         p["dgc.reset.bias"], fold("cand")[1], p["dgc.cand.bias"])
 
 
 def dgcgru_cell(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:

@@ -19,6 +19,7 @@ tape produced are intermediates; their `.grad` stays None.
 from __future__ import annotations
 
 import threading
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
-    "node_mix",
     "sigmoid",
     "tanh",
     "relu",
@@ -44,6 +44,9 @@ __all__ = [
     "reshape",
     "transpose",
     "weighted_pool",
+    "gate_sum",
+    "reset_mul",
+    "gate_mix",
     "finite_diff_check",
     "GradCheckReport",
 ]
@@ -306,7 +309,7 @@ def absolute(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# softmax / concat / pool / reduce / reshape / transpose / matmul / node_mix
+# softmax / concat / pool / reduce / reshape / transpose / matmul
 # ---------------------------------------------------------------------------
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -326,25 +329,24 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ShapeError("concat needs at least one tensor")
-    first = tensors[0].shape
-    for t in tensors[1:]:
-        if len(t.shape) != len(first) or any(
-            t.shape[i] != first[i] for i in range(len(first)) if i != axis % len(first)
-        ):
+    datas = [t.data for t in tensors]
+    first = datas[0].shape
+    if not -len(first) <= axis < len(first):
+        raise ShapeError(f"concat axis {axis} invalid for shape {list(first)}")
+    axis %= len(first)
+    for data in datas[1:]:
+        shape = data.shape
+        if (len(shape) != len(first) or shape[:axis] != first[:axis]
+                or shape[axis + 1:] != first[axis + 1:]):
             raise ShapeError(
-                f"concat shapes differ off-axis: {list(first)} vs {list(t.shape)}"
+                f"concat shapes differ off-axis: {list(first)} vs {list(shape)}"
             )
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    extents = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + extents)
+    out = np.concatenate(datas, axis=axis)
+    offsets = list(accumulate((data.shape[axis] for data in datas), initial=0))
+    lead = (slice(None),) * axis
 
     def bwd(g):
-        gs = []
-        for i in range(len(extents)):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(offsets[i], offsets[i + 1])
-            gs.append(g[tuple(idx)])
-        return gs
+        return [g[lead + (slice(lo, hi),)] for lo, hi in zip(offsets, offsets[1:])]
 
     return _emit(tuple(tensors), out, bwd)
 
@@ -451,26 +453,141 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit((a, b), out, bwd)
 
 
-def node_mix(adj: Tensor, x: Tensor) -> Tensor:
-    """Left-multiply each batch element's [N, d] signal by adj [N, N].
+# ---------------------------------------------------------------------------
+# GRU gates: one record per gate sum, reset product and state mix
+# ---------------------------------------------------------------------------
 
-    x is [B*N, d] with node-minor rows (row b*N + n is node n of batch
-    element b); the result has the same layout.
+def _node_mix(adj: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """adj [N, N] times each batch element's [N, d] block of x [B*N, d].
+
+    Rows are node-minor: row b*N + n is node n of batch element b.
     """
-    if (len(adj.shape) != 2 or len(x.shape) != 2 or adj.shape[0] != adj.shape[1]
-            or x.shape[0] % adj.shape[0]):
+    return np.matmul(adj, x.reshape(-1, adj.shape[0], x.shape[1])).reshape(x.shape)
+
+
+def gate_sum(mats: Sequence[Optional[Tensor]], x: Tensor,
+             weights: Sequence[Tensor], bias: Tensor) -> Tensor:
+    """sum_k (M_k x) W_k + b in one record, for x [B*N, d_in] rows.
+
+    mats[0] is None, the identity; every other M_k is [N, N] and mixes the
+    node-minor rows of each batch element. Each W_k is [d_in, d_out] and b
+    is [d_out]. The terms are summed in place in k order, then b is added.
+    The mixed operands M_k x are kept for the backward rule only when the
+    record goes on a tape. A constant operand gets no gradient product.
+    """
+    if not mats or mats[0] is not None or len(mats) != len(weights):
         raise ShapeError(
-            f"node_mix needs [n,n]x[b*n,d], got {list(adj.shape)} and {list(x.shape)}"
+            f"gate_sum needs the identity (None) first and one weight per matrix, "
+            f"got {len(mats)} matrices and {len(weights)} weights"
         )
-    x3 = x.data.reshape(-1, adj.shape[0], x.shape[1])
-    out = np.matmul(adj.data, x3).reshape(x.shape)
+    xd = x.data
+    if xd.ndim != 2:
+        raise ShapeError(f"gate_sum needs [b*n,d] rows, got {list(xd.shape)}")
+    for mat in mats[1:]:
+        shape = mat.data.shape
+        if len(shape) != 2 or shape[0] != shape[1] or xd.shape[0] % shape[0]:
+            raise ShapeError(
+                f"gate_sum needs [n,n] matrices over [b*n,d] rows, "
+                f"got {list(shape)} and {list(xd.shape)}"
+            )
+    w_shape = (xd.shape[1], weights[0].data.shape[-1])
+    for w in weights:
+        if w.data.shape != w_shape:
+            raise ShapeError(
+                f"gate_sum weights must be {list(w_shape)}, got {list(w.data.shape)}"
+            )
+    if bias.data.shape != w_shape[1:]:
+        raise ShapeError(
+            f"gate_sum bias must be [{w_shape[1]}], got {list(bias.data.shape)}"
+        )
+
+    inputs = (x, bias, *weights, *mats[1:])
+    keep = _active_tape() is not None and any(t.requires_grad for t in inputs)
+    mixes = [xd]
+    out = xd @ weights[0].data
+    for mat, w in zip(mats[1:], weights[1:]):
+        mixed = _node_mix(mat.data, xd)
+        out += mixed @ w.data
+        if keep:
+            mixes.append(mixed)
+    out += bias.data
 
     def bwd(g):
-        g3 = g.reshape(x3.shape)
-        return (np.tensordot(g3, x3, axes=([0, 2], [0, 2])) if adj.requires_grad else None,
-                np.matmul(adj.data.T, g3).reshape(x.shape) if x.requires_grad else None)
+        g_x, g_w, g_m = None, [None] * len(weights), [None] * (len(mats) - 1)
+        # highest k first: x's adjoint sums its terms in the order a
+        # backward pass over one record per term would
+        for k in range(len(mats) - 1, -1, -1):
+            w, mat = weights[k], mats[k]
+            if w.requires_grad:
+                g_w[k] = mixes[k].T @ g
+            mat_grad = mat is not None and mat.requires_grad
+            if not (x.requires_grad or mat_grad):
+                continue
+            g_mixed = g @ w.data.T
+            if mat_grad:
+                n = mat.data.shape[0]
+                g_m[k - 1] = np.tensordot(g_mixed.reshape(-1, n, g_mixed.shape[1]),
+                                          xd.reshape(-1, n, xd.shape[1]),
+                                          axes=([0, 2], [0, 2]))
+            if x.requires_grad:
+                if mat is not None:
+                    g_mixed = _node_mix(mat.data.T, g_mixed)
+                g_x = g_mixed if g_x is None else g_x + g_mixed
+        g_b = g.sum(axis=0) if bias.requires_grad else None
+        return [g_x, g_b, *g_w, *g_m]
 
-    return _emit((adj, x), out, bwd)
+    return _emit(inputs, out, bwd)
+
+
+def _gate_halves(zr: Tensor, h: Tensor, op: str) -> int:
+    if len(h.shape) != 2 or zr.shape != (h.shape[0], 2 * h.shape[1]):
+        raise ShapeError(
+            f"{op} needs [rows,2d] gates against a [rows,d] state, "
+            f"got {list(zr.shape)} and {list(h.shape)}"
+        )
+    return h.shape[1]
+
+
+def reset_mul(zr: Tensor, h: Tensor) -> Tensor:
+    """r * h, with r the right half of the gates zr = [z | r]."""
+    d = _gate_halves(zr, h, "reset_mul")
+    r = zr.data[:, d:]
+    out = r * h.data
+
+    def bwd(g):
+        g_zr = None
+        if zr.requires_grad:
+            g_zr = np.zeros_like(zr.data)
+            g_zr[:, d:] = g * h.data
+        return g_zr, g * r if h.requires_grad else None
+
+    return _emit((zr, h), out, bwd)
+
+
+def gate_mix(zr: Tensor, h: Tensor, cand: Tensor) -> Tensor:
+    """(1 - z) * h + z * cand, with z the left half of the gates zr = [z | r].
+
+    Computed as (h - z*h) + z*cand, so no `1 - z` is formed.
+    """
+    d = _gate_halves(zr, h, "gate_mix")
+    if cand.shape != h.shape:
+        raise ShapeError(
+            f"gate_mix needs equal state and candidate shapes, "
+            f"got {list(h.shape)} and {list(cand.shape)}"
+        )
+    z = zr.data[:, :d]
+    out = h.data - z * h.data
+    out += z * cand.data
+
+    def bwd(g):
+        g_zr = None
+        if zr.requires_grad:
+            g_zr = np.zeros_like(zr.data)
+            g_zr[:, :d] = g * cand.data - g * h.data
+        return (g_zr, g - g * z if h.requires_grad else None,
+                g * z if cand.requires_grad else None)
+
+    return _emit((zr, h, cand), out, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,16 @@ def test_nonpositive_grad_clip_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_window_shorter_than_attention_reach_names_dataset(tmp_path, capsys):
+    # the windows are set only under `dataset`, so the P >= S check names it
+    cfg = write_doc(tmp_path / "c.json", tiny_doc(tmp_path / "run"))
+    assert run_cli("train", "--config", cfg, "--set", "dataset.P=2", "--set", "dataset.S=3") == 2
+    err = capsys.readouterr().err
+    assert "error: dataset: P (2) must be >= S (3)" in err
+    assert "model" not in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_model_invariant_reported_with_section():
     with pytest.raises(SchemaError, match="model: "):
         resolve_config({"data": {"synth": {}}, "model": {"n_head": 0}})

@@ -14,7 +14,6 @@ from trafficast.model import (
     GruGates,
     ModelConfig,
     ModelError,
-    _term_sums,
     adaptive_mix_mats,
     attention_step,
     conv_terms,
@@ -82,7 +81,7 @@ def test_config_rejects(kw):
 # --- gru_cell ----------------------------------------------------------------
 
 def _dense_gates(wz, bz, wr, br, wc, bc):
-    return GruGates([None], [wz], bz, [wr], br, [wc], bc)
+    return GruGates.join([None], [wz], bz, [wr], br, [wc], bc)
 
 
 def _zero_gru(d_in, d_h):
@@ -111,6 +110,22 @@ def test_gru_output_bounded_by_state_and_one():
     out = gru_cell(params, x, h).data
     bound = np.maximum(np.abs(h.data), 1.0)
     assert np.all(np.abs(out) <= bound)
+
+
+def test_gru_matches_textbook_equations():
+    # z and r come from separate weights joined column-wise; a swapped
+    # half would feed r into the state mix and z into r*h
+    rng = np.random.default_rng(4)
+    d_in, d_h = 3, 4
+    wz, wr, wc = (rng.standard_normal((d_in + d_h, d_h)) for _ in range(3))
+    bz, br, bc = (rng.standard_normal(d_h) for _ in range(3))
+    x, h = rng.standard_normal((5, d_in)), rng.standard_normal((5, d_h))
+    sig = lambda a: 1.0 / (1.0 + np.exp(-a))
+    z = sig(np.concatenate([x, h], axis=1) @ wz + bz)
+    r = sig(np.concatenate([x, h], axis=1) @ wr + br)
+    c = np.tanh(np.concatenate([x, r * h], axis=1) @ wc + bc)
+    out = gru_cell(_dense_gates(*map(Tensor, (wz, bz, wr, br, wc, bc))), Tensor(x), Tensor(h))
+    np.testing.assert_allclose(out.data, (1.0 - z) * h + z * c, rtol=0, atol=1e-14)
 
 
 def test_gru_width_mismatch_rejected():
@@ -349,8 +364,7 @@ def _identity_gate(d_in, d_h, hops_pre, hops_adp):
 def _graph_conv(x, folded):
     """sum_k (M_k x) W_k over one gate's conv_terms, for x [B*N, d_in]."""
     mats, weights = folded
-    (out,) = _term_sums(mats, x, weights)
-    return out
+    return tc.gate_sum(mats, x, weights, Tensor(np.zeros(weights[0].shape[1])))
 
 
 def test_dgc_identity_adjacency_half_weights_reproduce_input():

@@ -60,21 +60,74 @@ def test_batched_matmul_is_one_product_per_leading_index():
         np.testing.assert_array_equal(out.data[i], a.data[i] @ b.data[i])
 
 
-def test_node_mix_is_per_batch_matmul():
+def _mix_only(adj, d):
+    # gate_sum weights and bias that reduce it to M x: 0 on the identity, I on adj
+    return [None, adj], [Tensor(np.zeros((d, d))), Tensor(np.eye(d))], Tensor(np.zeros(d))
+
+
+def test_gate_sum_mixes_each_batch_element():
     # rows are node-minor: row b*3 + n is node n of batch element b
     adj, x = rand((3, 3), 2), rand((6, 4), 3)
-    out = tc.node_mix(adj, x)
+    mats, weights, bias = _mix_only(adj, 4)
+    out = tc.gate_sum(mats, x, weights, bias)
     assert out.shape == (6, 4)
     for b in range(2):
         rows = slice(3 * b, 3 * b + 3)
         np.testing.assert_allclose(out.data[rows], adj.data @ x.data[rows], rtol=0, atol=1e-14)
 
 
-def test_node_mix_shape_mismatch():
+def test_gate_sum_is_term_by_term_sum_then_bias():
+    mats = [None, rand((3, 3), 4), rand((3, 3), 5)]
+    x, bias = rand((6, 4), 6), rand((5,), 7)
+    weights = [rand((4, 5), 8 + k) for k in range(3)]
+    expected = x.data @ weights[0].data
+    for mat, w in zip(mats[1:], weights[1:]):
+        mixed = np.concatenate([mat.data @ x.data[rows] for rows in (slice(0, 3), slice(3, 6))])
+        expected = expected + mixed @ w.data
+    np.testing.assert_array_equal(tc.gate_sum(mats, x, weights, bias).data, expected + bias.data)
+
+
+def test_gate_sum_shape_mismatch():
+    w, b = [rand((4, 4), 2)] * 2, rand((4,), 3)
     with pytest.raises(tc.ShapeError, match=r"\[3, 4\].*\[6, 4\]"):
-        tc.node_mix(rand((3, 4), 0), rand((6, 4), 1))
+        tc.gate_sum([None, rand((3, 4), 0)], rand((6, 4), 1), w, b)
     with pytest.raises(tc.ShapeError, match=r"\[3, 3\].*\[8, 4\]"):
-        tc.node_mix(rand((3, 3), 0), rand((8, 4), 1))
+        tc.gate_sum([None, rand((3, 3), 0)], rand((8, 4), 1), w, b)
+    with pytest.raises(tc.ShapeError, match="identity"):
+        tc.gate_sum([rand((3, 3), 0), None], rand((6, 4), 1), w, b)
+    with pytest.raises(tc.ShapeError, match=r"weights must be \[4, 4\], got \[4, 3\]"):
+        tc.gate_sum([None, rand((3, 3), 0)], rand((6, 4), 1), [w[0], rand((4, 3), 4)], b)
+    with pytest.raises(tc.ShapeError, match="bias"):
+        tc.gate_sum([None], rand((6, 4), 1), w[:1], rand((3,), 4))
+
+
+def test_gate_halves_are_update_left_reset_right():
+    zr, h, c = rand((3, 4), 5, 0.0, 1.0), rand((3, 2), 6), rand((3, 2), 7)
+    z, r = zr.data[:, :2], zr.data[:, 2:]
+    np.testing.assert_array_equal(tc.reset_mul(zr, h).data, r * h.data)
+    np.testing.assert_array_equal(tc.gate_mix(zr, h, c).data,
+                                  (h.data - z * h.data) + z * c.data)
+    with pytest.raises(tc.ShapeError, match=r"\[3, 3\].*\[3, 2\]"):
+        tc.reset_mul(rand((3, 3), 5), h)
+    with pytest.raises(tc.ShapeError, match="candidate"):
+        tc.gate_mix(zr, h, rand((3, 3), 7))
+
+
+def test_gate_sum_keeps_mixes_only_on_a_tape(monkeypatch):
+    # forward-only calls drop each M_k x once it is summed; taped ones keep it
+    kept = []
+    mats, x, bias = [None, rand((3, 3), 2)], rand((6, 4), 3), rand((4,), 4)
+    weights = [Tensor(rand((4, 4), 5 + k).data, requires_grad=True) for k in range(2)]
+    node_mix = tc._node_mix
+    monkeypatch.setattr(tc, "_node_mix", lambda *a: kept.append(weakref.ref(
+        out := node_mix(*a))) or out)
+    tc.gate_sum(mats, x, weights, bias)
+    assert [ref() for ref in kept] == [None]
+    with Tape() as tape:
+        tc.gate_sum(mats, x, weights, bias)
+    assert kept[1]() is not None
+    del tape
+    assert kept[1]() is None
 
 
 def test_weighted_pool_is_per_row_weighted_sum():
@@ -155,6 +208,10 @@ def test_concat_width_arithmetic():
 def test_concat_off_axis_mismatch():
     with pytest.raises(tc.ShapeError):
         tc.concat([rand((2, 3), 0), rand((3, 3), 1)], axis=1)
+    with pytest.raises(tc.ShapeError, match="differ off-axis"):
+        tc.concat([rand((2, 3), 0), rand((2, 3, 1), 1)], axis=-1)
+    with pytest.raises(tc.ShapeError, match="axis 2 invalid"):
+        tc.concat([rand((2, 3), 0), rand((2, 3), 1)], axis=2)
 
 
 def test_reduce_examples():
@@ -326,11 +383,12 @@ def test_gradients_only_on_requires_grad():
 def test_constant_operands_get_no_gradient_product(monkeypatch):
     adj, w = rand((3, 3), 40), rand((6, 4), 41)
     x = Tensor(rand((6, 4), 42).data, requires_grad=True)
+    mats, weights, bias = _mix_only(adj, 4)
     calls = []
     tensordot = np.tensordot
     monkeypatch.setattr(np, "tensordot", lambda *a, **k: calls.append(1) or tensordot(*a, **k))
     with Tape() as tape:
-        backward(tc.reduce_sum(tc.mul(tc.node_mix(adj, x), w)), tape)
+        backward(tc.reduce_sum(tc.mul(tc.gate_sum(mats, x, weights, bias), w)), tape)
     assert calls == []
     np.testing.assert_allclose(x.grad, np.matmul(adj.data.T, w.data.reshape(2, 3, 4)).reshape(6, 4),
                                rtol=0, atol=1e-14)
@@ -421,32 +479,62 @@ def _toy_state():
     return cfg, init_model(cfg, 4, 1, seed=0), np.full((4, 4), 0.25)
 
 
-def test_dgcgru_cell_mixes_each_input_once_per_matrix():
+# Every GRU step, dense or graph: [x, h], the shared update/reset sum and
+# its sigmoid, r*h, [x, r*h], the candidate sum and its tanh, then the mix.
+GRU_STEP_OPS = ["concat", "gate_sum", "sigmoid", "reset_mul",
+                "concat", "gate_sum", "tanh", "gate_mix"]
+
+
+def _dgc_gates(cfg, state, a_pre):
+    return dgc_terms(state, pre_mix_mats(a_pre, cfg),
+                     adaptive_mix_mats(state.embeddings(), cfg))
+
+
+def test_dgcgru_cell_mixes_each_input_once_per_matrix(monkeypatch):
     # 2K non-identity matrices (K predefined powers, K adaptive), applied
     # once to [x, h] for both gates and once to [x, r*h] for the candidate
     cfg, state, a_pre = _toy_state()
-    gates = dgc_terms(state, pre_mix_mats(a_pre, cfg),
-                      adaptive_mix_mats(state.embeddings(), cfg))
+    gates = _dgc_gates(cfg, state, a_pre)
     x = Tensor(rand((8, cfg.d_h), 50).data, requires_grad=True)
     h = Tensor(rand((8, cfg.d_h), 51).data, requires_grad=True)
+    mixed = []
+    node_mix = tc._node_mix
+    monkeypatch.setattr(tc, "_node_mix",
+                        lambda adj, rows: mixed.append((adj, rows)) or node_mix(adj, rows))
     with Tape() as tape:
         dgcgru_cell(gates, x, h)
     ops = [_op(rec) for rec in tape.records]
-    assert ops.count("node_mix") == 4 * cfg.K
+    assert len(mixed) == 4 * cfg.K
+    # each of the two gate sums mixes its own input once by each matrix
+    sums = [rec for rec in tape.records if _op(rec) == "gate_sum"]
+    for rec, calls in zip(sums, (mixed[:2 * cfg.K], mixed[2 * cfg.K:])):
+        assert all(rows is rec.inputs[0].data for _, rows in calls)
+        assert [id(adj) for adj, _ in calls] == [id(m.data) for m in gates.mats[1:]]
     assert not {"transpose", "reshape"} & set(ops)
 
 
-def test_dense_gru_cell_records_sixteen():
-    # two concats, three matmul + bias + activation gates, r*h, and the
-    # four-record (1-z)*h + z*c: no layout records
+def test_dense_gru_cell_records_eight():
     cfg, state, _ = _toy_state()
     x = Tensor(rand((8, 1), 52).data, requires_grad=True)
     h = Tensor(rand((8, cfg.d_h), 53).data, requires_grad=True)
+    gates = state.gru("decoder")
     with Tape() as tape:
-        gru_cell(state.gru("decoder"), x, h)
-    ops = [_op(rec) for rec in tape.records]
-    assert len(ops) == 16
-    assert not {"transpose", "reshape"} & set(ops)
+        gru_cell(gates, x, h)
+    assert [_op(rec) for rec in tape.records] == GRU_STEP_OPS
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("n_head", [2, 8])
+def test_dgcgru_cell_records_eight(K, n_head):
+    cfg = ModelConfig(d_h=4, d_e=2, n_head=n_head, K=K, P=3, Q=3, S=1)
+    state = init_model(cfg, 4, 1, seed=0)
+    gates = _dgc_gates(cfg, state, np.full((4, 4), 0.25))
+    assert len(gates.mats) == 2 * K + 1
+    x = Tensor(rand((8, cfg.d_h), 54).data, requires_grad=True)
+    h = Tensor(rand((8, cfg.d_h), 55).data, requires_grad=True)
+    with Tape() as tape:
+        dgcgru_cell(gates, x, h)
+    assert [_op(rec) for rec in tape.records] == GRU_STEP_OPS
 
 
 def test_attention_step_pools_in_one_record():
@@ -520,10 +608,12 @@ def test_adaptive_mix_mats_records_do_not_grow_with_heads():
 # One forward plus loss at the default window structure (P=Q=12, S=3, K=2,
 # 8 heads, one daily and one weekly block) put 2,734 records on the tape
 # when each block had its own encoder pass and attention scored each
-# block's candidates apart, and 2,003 when the adaptive adjacency was
-# built one head at a time. The count does not depend on widths, node
-# count or batch size.
-STACKED_BANK_STEP_RECORDS = 1930
+# block's candidates apart, 2,003 when the adaptive adjacency was built
+# one head at a time, and 1,920 when a dense GRU step took 16 records and
+# a DGC-GRU step 47. With 8-record steps it is 1,042; the budget allows
+# under 2% more. The count does not depend on widths, node count or batch
+# size.
+GATE_SUM_STEP_RECORDS = 1060
 
 
 def test_forward_and_loss_record_budget_at_default_windows():
@@ -533,7 +623,7 @@ def test_forward_and_loss_record_budget_at_default_windows():
     with Tape() as tape:
         pred = forward(state, r, d, w, a_pre=np.full((3, 3), 1.0 / 3)).predictions
         mae_loss(pred, Tensor(y))
-    assert len(tape) <= STACKED_BANK_STEP_RECORDS
+    assert len(tape) <= GATE_SUM_STEP_RECORDS
 
 
 def test_tape_determinism_bitwise():
