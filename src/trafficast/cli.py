@@ -509,9 +509,10 @@ def _finish_manifest(path: str, manifest: dict, status: str, **fields) -> None:
 
 
 def _require_out_dir(res: ResolvedRun) -> str:
+    # checked before the inputs load; the directory is made only after they
+    # do, so a run that fails on its inputs leaves nothing behind
     if not res.out_dir:
         raise SchemaError("out_dir: required (set it in the config or pass --out-dir)")
-    os.makedirs(res.out_dir, exist_ok=True)
     return res.out_dir
 
 
@@ -608,6 +609,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     res, config_digest = _resolve_from_args(args)
     out_dir = _require_out_dir(res)
     loaded = _load_inputs(res)
+    os.makedirs(out_dir, exist_ok=True)
 
     manifest = _manifest_base("train", res, loaded, config_digest, res.train.seeds)
     manifest_path = os.path.join(out_dir, "manifest.json")
@@ -659,6 +661,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     res, config_digest = _resolve_from_args(args)
     out_dir = _require_out_dir(res)
     loaded = _load_inputs(res)
+    os.makedirs(out_dir, exist_ok=True)
 
     manifest = _manifest_base("experiment", res, loaded, config_digest, res.train.seeds)
     manifest["kind"] = args.kind

@@ -78,6 +78,18 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
     w233 = rng.standard_normal((2, 3, 3))
     t_a234 = Tensor(rng.standard_normal((2, 3, 4)))
     t_b243 = Tensor(b243)
+    # additive scores of three [6, 4] window states, two row groups each,
+    # against a [3, 4] query: [3, 2*3] scores through an inner width of 3
+    att_h = rng.standard_normal((3, 4))
+    att_w1, att_w2 = 0.5 * rng.standard_normal((4, 3)), 0.5 * rng.standard_normal((4, 3))
+    att_b, att_v = rng.standard_normal(3), rng.standard_normal(3)
+    att_k = rng.standard_normal((6, 4))
+    t_att_window = [Tensor(rng.standard_normal((6, 4))), Tensor(att_k),
+                    Tensor(rng.standard_normal((6, 4)))]
+
+    def scores(h=Tensor(att_h), window=t_att_window, w1=Tensor(att_w1), b=Tensor(att_b),
+               w2=Tensor(att_w2), v=Tensor(att_v)):
+        return _weighted_sum(tc.additive_scores(h, window, w1, b, w2, v), group_w)
 
     checks = [
         ("add", lambda t: _weighted_sum(tc.add(t, t_other), w34), x34),
@@ -123,6 +135,13 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
             tc.weighted_pool(t, [t_x64, *group_mates]), w34), group_w),
         ("weighted_pool_grouped_values", lambda t: _weighted_sum(
             tc.weighted_pool(t_group_w, [group_mates[0], t, group_mates[1]]), w34), x64),
+        ("additive_scores_query", lambda t: scores(h=t), att_h),
+        ("additive_scores_w1", lambda t: scores(w1=t), att_w1),
+        ("additive_scores_bias", lambda t: scores(b=t), att_b),
+        ("additive_scores_w2", lambda t: scores(w2=t), att_w2),
+        ("additive_scores_v", lambda t: scores(v=t), att_v),
+        ("additive_scores_window", lambda t: scores(
+            window=[t_att_window[0], t, t_att_window[2]]), att_k),
         ("composite", lambda t: _weighted_sum(
             tc.mul(tc.sigmoid(tc.matmul(t, comp_w1)), tc.tanh(tc.matmul(t, comp_w2))), w33), x34),
     ]

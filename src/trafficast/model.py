@@ -25,9 +25,10 @@ M_k [x, h] once, and one sigmoid gives [z | r]. With `reset_mul` for r*h
 and `gate_mix` for (1-z)*h + z*c, a step is 8 records for every GRU.
 Every activation is [B*N, d] rows, node-minor (row b*N + n), so no cell
 reshapes or slices; the bank's rows add the block as the fastest index
-(row (b*N + n)*G + g). Attention scores each window offset once over
-every block against one precomputed query and pools the context in a
-single `weighted_pool` record.
+(row (b*N + n)*G + g). Attention is 4 records a step: one
+`additive_scores` record scores every window offset over every block
+against one query, then a softmax, one `weighted_pool` record for the
+context, and the residual add.
 
 Everything here runs on the tape from `tensor`; data enters as constant
 tensors, parameters carry requires_grad.
@@ -304,11 +305,10 @@ def attention_step(
     Block position P+t is the prior-day/week state at the same clock
     offset as forecast step t, bank[t+S] in the bank `encode` returns; the
     window takes offsets -S..+S around it (just the aligned state when
-    windowing is off). Scores are v' tanh(W2 h_p + q) with the query
-    q = W1 h + b computed once and repeated over the G blocks of each row,
-    so each offset is scored once over the whole stack. The [B*N*G, C]
-    scores are viewed as [B*N, G*C], softmaxed per node, and pool the
-    context in one `weighted_pool` record, which adds residually.
+    windowing is off). Four records: one `additive_scores` forms every
+    score v' tanh(W2 h_p + W1 h + b) of the window over the G blocks of
+    each row, as [B*N, G*C]; a softmax per node turns them into weights;
+    one `weighted_pool` pools the context, which adds residually.
     Returns (a_t, weights) with weights [B*N, G*C] in block-major,
     offset-minor candidate order (column g*C + c), or (h_t, None) when
     periodic context is off.
@@ -320,17 +320,7 @@ def attention_step(
 
     half = 0 if cfg.no_window else cfg.S
     window = bank[t + cfg.S - half : t + cfg.S + half + 1]
-    rows, width = h_t.shape
-    groups = bank[0].shape[0] // rows
-
-    query = tc.add(tc.matmul(h_t, params.w1), params.b)
-    query = tc.reshape(tc.concat([query] * groups, axis=1), (rows * groups, width))
-    v_col = tc.reshape(params.v, (params.v.shape[0], 1))
-    scores = [
-        tc.matmul(tc.tanh(tc.add(tc.matmul(h_p, params.w2), query)), v_col)
-        for h_p in window
-    ]
-    scores = tc.reshape(tc.concat(scores, axis=1), (rows, groups * len(window)))
+    scores = tc.additive_scores(h_t, window, params.w1, params.b, params.w2, params.v)
     weights = tc.softmax(scores, axis=1)
     return tc.add(h_t, tc.weighted_pool(weights, window)), weights
 

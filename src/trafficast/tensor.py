@@ -47,6 +47,7 @@ __all__ = [
     "gate_sum",
     "reset_mul",
     "gate_mix",
+    "additive_scores",
     "finite_diff_check",
     "GradCheckReport",
 ]
@@ -272,7 +273,13 @@ def mul(a: Tensor, b) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def sigmoid(a: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-a.data))
+    # 1 / (1 + exp(-a)) in place; exp overflows to inf for a below about
+    # -709, which gives the correct 0 without a warning
+    y = np.negative(a.data)
+    with np.errstate(over="ignore"):
+        np.exp(y, out=y)
+    y += 1.0
+    np.divide(1.0, y, out=y)
 
     def bwd(g):
         return (g * y * (1.0 - y),)
@@ -588,6 +595,102 @@ def gate_mix(zr: Tensor, h: Tensor, cand: Tensor) -> Tensor:
                 g * z if cand.requires_grad else None)
 
     return _emit((zr, h, cand), out, bwd)
+
+
+# ---------------------------------------------------------------------------
+# attention: one record for every additive score of a decoder step
+# ---------------------------------------------------------------------------
+
+def additive_scores(h: Tensor, window: Sequence[Tensor], w1: Tensor, b: Tensor,
+                    w2: Tensor, v: Tensor) -> Tensor:
+    """Scores v' tanh(k W2 + q), q = h W1 + b, of C window states in one record.
+
+    h is [R, d] and each window state is [R*G, d], row r*G + g holding row
+    group g of query row r; w1 and w2 are [d, a], b and v are [a]. Returns
+    [R, G*C] scores, column g*C + c scoring window[c]'s row r*G + g. The
+    query is formed once and repeated over the G row groups; per offset the
+    arithmetic runs in the order separate matmul, add, tanh and matmul
+    records would. The tanh outputs are kept for the backward rule only
+    when the record goes on a tape; otherwise one scratch buffer serves
+    every offset. A constant operand gets no gradient product.
+    """
+    if not window:
+        raise ShapeError("additive_scores needs at least one window state")
+    hd = h.data
+    if hd.ndim != 2:
+        raise ShapeError(f"additive_scores needs a [r,d] query, got {list(hd.shape)}")
+    rows, width = hd.shape
+    k_shape = window[0].data.shape
+    if (len(k_shape) != 2 or not rows or not k_shape[0] or k_shape[0] % rows
+            or k_shape[1] != width):
+        raise ShapeError(
+            f"additive_scores needs [r*g,{width}] window states for {rows} query "
+            f"rows, got {list(k_shape)}"
+        )
+    for k in window:
+        if k.data.shape != k_shape:
+            raise ShapeError(
+                f"additive_scores window states must all be {list(k_shape)}, "
+                f"got {list(k.data.shape)}"
+            )
+    a_shape = (width, v.data.shape[0])
+    for name, t, shape in (("w1", w1, a_shape), ("w2", w2, a_shape),
+                           ("b", b, a_shape[1:]), ("v", v, a_shape[1:])):
+        if t.data.shape != shape:
+            raise ShapeError(
+                f"additive_scores {name} must be {list(shape)}, got {list(t.data.shape)}"
+            )
+
+    groups, n_off = k_shape[0] // rows, len(window)
+    inputs = (h, w1, b, w2, v, *window)
+    keep = _active_tape() is not None and any(t.requires_grad for t in inputs)
+    q = hd @ w1.data
+    q += b.data
+    q_rep = np.repeat(q, groups, axis=0)  # row r*G + g is q[r]
+    v_col = v.data.reshape(-1, 1)
+    scores = np.empty((k_shape[0], n_off))
+    acts = []
+    act = None
+    for c, k in enumerate(window):
+        if keep or act is None:
+            act = k.data @ w2.data
+        else:
+            np.matmul(k.data, w2.data, out=act)
+        act += q_rep
+        np.tanh(act, out=act)
+        scores[:, c] = (act @ v_col)[:, 0]
+        if keep:
+            acts.append(act)
+
+    def bwd(g):
+        g = g.reshape(scores.shape)
+        need_q = h.requires_grad or w1.requires_grad or b.requires_grad
+        g_q = np.zeros_like(q_rep) if need_q else None
+        g_w2 = np.zeros_like(w2.data) if w2.requires_grad else None
+        g_v = np.zeros_like(v.data) if v.requires_grad else None
+        g_k = [None] * n_off
+        # last offset first, the order a pass over per-offset records takes
+        for c in range(n_off - 1, -1, -1):
+            k, act, g_c = window[c], acts[c], g[:, c]
+            if g_v is not None:
+                g_v += act.T @ g_c
+            g_pre = g_c[:, None] * v.data
+            g_pre *= 1.0 - act * act
+            if g_q is not None:
+                g_q += g_pre
+            if g_w2 is not None:
+                g_w2 += k.data.T @ g_pre
+            if k.requires_grad:
+                g_k[c] = g_pre @ w2.data.T
+        g_h = g_w1 = g_b = None
+        if g_q is not None:
+            g_q = g_q.reshape(rows, groups, -1).sum(axis=1)
+            g_h = g_q @ w1.data.T if h.requires_grad else None
+            g_w1 = hd.T @ g_q if w1.requires_grad else None
+            g_b = g_q.sum(axis=0) if b.requires_grad else None
+        return [g_h, g_w1, g_b, g_w2, g_v, *g_k]
+
+    return _emit(inputs, scores.reshape(rows, groups * n_off), bwd)
 
 
 # ---------------------------------------------------------------------------

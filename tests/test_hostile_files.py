@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from trafficast.cli import main
 from trafficast.data import read_tensor_file, write_tensor_file
+from trafficast.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
 
 _CONFIG = {
     "data": {"series": "series.stgt", "edges": "edges.csv", "l_d": 6,
@@ -126,4 +127,38 @@ def test_series_too_large_to_normalize_names_the_file(files, tmp_path):
                             "--out-dir", tmp_path / "run")
     assert code == 3
     assert f"{tmp_path / 'big.stgt'}: channel(s) [0]: values too large to normalize" in err
+    assert [w.message for w in caught] == []
+
+
+@pytest.mark.parametrize("command", [["train"], ["experiment", "order"]])
+def test_failed_load_leaves_no_run_directory(files, tmp_path, command):
+    root, config, _ = files
+    series = read_tensor_file(root / "series.stgt")
+    series[5, 1, 0] = 1e160
+    write_tensor_file(tmp_path / "big.stgt", series)
+    doc = json.loads(json.dumps(config))
+    doc["data"]["series"] = str(tmp_path / "big.stgt")
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    code, _, err = _run(*command, "--config", tmp_path / "c.json",
+                        "--out-dir", tmp_path / "runx")
+    assert code == 3, err
+    assert not (tmp_path / "runx").exists()
+
+
+def test_eval_with_huge_weights_prints_no_overflow_warning(files, tmp_path):
+    # gate pre-activations far below -709 overflow exp inside the sigmoid;
+    # the saturated gate, 0, is the right answer and needs no warning
+    root, _, checkpoint = files
+    state = init_model(ModelConfig(**_CONFIG["model"], **_CONFIG["dataset"]), 3, 1, seed=0)
+    load_checkpoint(checkpoint, state)
+    for p in state.params.values():
+        p.data *= 1e3
+    save_checkpoint(state, tmp_path / "huge.ckpt")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run("eval", "--config", root / "c.json",
+                              "--checkpoint", tmp_path / "huge.ckpt")
+    _assert_clean(code, out, err)
+    assert code == 0
+    assert "RuntimeWarning" not in err
     assert [w.message for w in caught] == []

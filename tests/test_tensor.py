@@ -1,5 +1,6 @@
 """Engine primitives: frozen examples, gradient oracles, tape invariants."""
 
+import warnings
 import weakref
 
 import numpy as np
@@ -157,8 +158,95 @@ def test_weighted_pool_shape_mismatch():
         tc.weighted_pool(rand((4, 4), 0), [rand((4, 2), 1), rand((4, 2), 2)])
 
 
+def _unfused_scores(h, window, w1, b, w2, v):
+    # the per-offset chain attention recorded before additive_scores fused
+    # it: the query repeated over row groups, then matmul, add, tanh, matmul
+    rows, width = h.shape
+    groups = window[0].shape[0] // rows
+    query = tc.add(tc.matmul(h, w1), b)
+    query = tc.reshape(tc.concat([query] * groups, axis=1), (rows * groups, width))
+    v_col = tc.reshape(v, (v.shape[0], 1))
+    scores = [tc.matmul(tc.tanh(tc.add(tc.matmul(k, w2), query)), v_col) for k in window]
+    return tc.reshape(tc.concat(scores, axis=1), (rows, groups * len(window)))
+
+
+def _score_operands(rows, groups, n_off, d, seed, requires_grad=False):
+    ops = [rand(shape, seed + i) for i, shape in enumerate(
+        [(rows, d), (d, d), (d,), (d, d), (d,)])]
+    window = [rand((rows * groups, d), seed + 5 + c) for c in range(n_off)]
+    for t in ops + window:
+        t.requires_grad = requires_grad
+    return ops[0], window, *ops[1:]
+
+
+@pytest.mark.parametrize("rows,groups,n_off", [(3, 2, 3), (4, 1, 1), (2, 5, 7)])
+def test_additive_scores_bitwise_equals_unfused_chain(rows, groups, n_off):
+    h, window, w1, b, w2, v = _score_operands(rows, groups, n_off, 4, 70)
+    expected = _unfused_scores(h, window, w1, b, w2, v).data
+    np.testing.assert_array_equal(tc.additive_scores(h, window, w1, b, w2, v).data, expected)
+    h, window, w1, b, w2, v = _score_operands(rows, groups, n_off, 4, 70, requires_grad=True)
+    with Tape():
+        np.testing.assert_array_equal(
+            tc.additive_scores(h, window, w1, b, w2, v).data, expected)
+
+
+def test_additive_scores_keeps_tanh_outputs_only_on_a_tape(monkeypatch):
+    # forward-only calls score every offset in one scratch buffer, dropped
+    # on return; taped ones keep each offset's tanh output
+    kept = []
+    np_tanh = np.tanh
+
+    def tanh(x, out=None):
+        res = np_tanh(x, out=out)
+        kept.append((weakref.ref(res), res.ctypes.data))
+        return res
+
+    monkeypatch.setattr(np, "tanh", tanh)
+    operands = _score_operands(3, 2, 4, 4, 80, requires_grad=True)
+    tc.additive_scores(*operands)
+    assert len(kept) == 4 and len({addr for _, addr in kept}) == 1
+    assert all(ref() is None for ref, _ in kept)
+    del kept[:]
+    with Tape() as tape:
+        tc.additive_scores(*operands)
+    assert len({addr for _, addr in kept}) == 4
+    assert all(ref() is not None for ref, _ in kept)
+    del tape
+    assert all(ref() is None for ref, _ in kept)
+
+
+def test_additive_scores_shape_mismatch():
+    h, window, w1, b, w2, v = _score_operands(3, 2, 3, 4, 90)
+    with pytest.raises(tc.ShapeError, match="at least one window state"):
+        tc.additive_scores(h, [], w1, b, w2, v)
+    # 7 rows is no whole number of row groups for 3 query rows
+    with pytest.raises(tc.ShapeError, match=r"\[r\*g,4\].*\[7, 4\]"):
+        tc.additive_scores(h, [rand((7, 4), 1)], w1, b, w2, v)
+    with pytest.raises(tc.ShapeError, match=r"must all be \[6, 4\], got \[3, 4\]"):
+        tc.additive_scores(h, [window[0], rand((3, 4), 1)], w1, b, w2, v)
+    # window states narrower than the query
+    with pytest.raises(tc.ShapeError, match=r"\[r\*g,4\].*\[6, 3\]"):
+        tc.additive_scores(h, [rand((6, 3), 1)], w1, b, w2, v)
+    with pytest.raises(tc.ShapeError, match=r"w2 must be \[4, 4\], got \[4, 3\]"):
+        tc.additive_scores(h, window, w1, b, rand((4, 3), 1), v)
+    with pytest.raises(tc.ShapeError, match=r"b must be \[4\], got \[3\]"):
+        tc.additive_scores(h, window, w1, rand((3,), 1), w2, v)
+
+
 def test_sigmoid_at_zero():
     assert tc.sigmoid(Tensor([0.0])).item() == 0.5
+
+
+def test_sigmoid_saturates_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = tc.sigmoid(Tensor([-1000.0, 0.0, 1000.0]))
+    np.testing.assert_array_equal(out.data, [0.0, 0.5, 1.0])
+
+
+def test_sigmoid_is_bitwise_the_textbook_formula():
+    x = np.concatenate([rand((40, 16), 11).data.ravel(), rand((200,), 12, -60.0, 60.0).data])
+    np.testing.assert_array_equal(tc.sigmoid(Tensor(x)).data, 1.0 / (1.0 + np.exp(-x)))
 
 
 def test_relu_definition():
@@ -538,13 +626,17 @@ def test_dgcgru_cell_records_eight(K, n_head):
 
 
 def test_attention_step_pools_in_one_record():
+    # scores, weights, pooled context, residual: four records, windowed or not
     cfg, state, _ = _toy_state()
     bank = [Tensor(rand((16, cfg.d_h), 60 + j).data, requires_grad=True)
             for j in range(cfg.Q + 2 * cfg.S)]
-    with Tape() as tape:
-        attention_step(rand((8, cfg.d_h), 59), bank, 1, cfg, state.attention())
-    ops = [_op(rec) for rec in tape.records]
-    assert ops.count("weighted_pool") == 1
+    for no_window, n_off in ((False, 2 * cfg.S + 1), (True, 1)):
+        cfg.no_window = no_window
+        with Tape() as tape:
+            attention_step(rand((8, cfg.d_h), 59), bank, 1, cfg, state.attention())
+        ops = [_op(rec) for rec in tape.records]
+        assert ops == ["additive_scores", "softmax", "weighted_pool", "add"]
+        assert len(tape.records[0].inputs) == 5 + n_off
 
 
 # One forward at the default window structure (P=Q=12, S=3, K=2, one daily
@@ -610,10 +702,11 @@ def test_adaptive_mix_mats_records_do_not_grow_with_heads():
 # when each block had its own encoder pass and attention scored each
 # block's candidates apart, 2,003 when the adaptive adjacency was built
 # one head at a time, and 1,920 when a dense GRU step took 16 records and
-# a DGC-GRU step 47. With 8-record steps it is 1,042; the budget allows
-# under 2% more. The count does not depend on widths, node count or batch
-# size.
-GATE_SUM_STEP_RECORDS = 1060
+# a DGC-GRU step 47, and 1,042 when attention took 38 records a step
+# (4 per window offset plus the query and score joins). With 4-record
+# attention steps it is 634; the budget allows 2.5% more. The count does
+# not depend on widths, node count or batch size.
+ADDITIVE_SCORE_STEP_RECORDS = 650
 
 
 def test_forward_and_loss_record_budget_at_default_windows():
@@ -623,7 +716,7 @@ def test_forward_and_loss_record_budget_at_default_windows():
     with Tape() as tape:
         pred = forward(state, r, d, w, a_pre=np.full((3, 3), 1.0 / 3)).predictions
         mae_loss(pred, Tensor(y))
-    assert len(tape) <= GATE_SUM_STEP_RECORDS
+    assert len(tape) <= ADDITIVE_SCORE_STEP_RECORDS
 
 
 def test_tape_determinism_bitwise():
