@@ -143,7 +143,7 @@ SYNTH_SCHEMA = {
     "l_d": Key(48, "int", "--ld", 2),
     "shift_max": Key(2, "int", "--shift", 0),
     "noise": Key(0.1, "num", "--noise", 0),
-    "seed": Key(7, "int", "--seed"),
+    "seed": Key(7, "int", "--seed", 0),
     "amp_weekly": Key(0.0, "num", "--amp-weekly"),
 }
 
@@ -447,6 +447,15 @@ def _load_inputs(res: ResolvedRun) -> LoadedInputs:
     return LoadedInputs(series=series, a_pre=a_pre, splits=splits, digests=digests)
 
 
+def _require_samples(splits: DatasetSplits, roles: Tuple[str, ...]) -> None:
+    # checked before any output exists; train_single keeps its own check
+    counts = "/".join(str(len(split)) for split in (splits.train, splits.val, splits.test))
+    empty = [role for role in roles if not getattr(splits, role)]
+    if empty:
+        raise SchemaError(f"dataset.split: no {'/'.join(empty)} samples, "
+                          f"got {counts} train/val/test")
+
+
 def _variant_label(cfg: ModelConfig) -> str:
     state = {k: getattr(cfg, k) for k in SWITCHES}
     for label, flags in ABLATION_VARIANTS:
@@ -609,6 +618,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     res, config_digest = _resolve_from_args(args)
     out_dir = _require_out_dir(res)
     loaded = _load_inputs(res)
+    _require_samples(loaded.splits, ("train", "val", "test"))
     os.makedirs(out_dir, exist_ok=True)
 
     manifest = _manifest_base("train", res, loaded, config_digest, res.train.seeds)
@@ -644,6 +654,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     res, _ = _resolve_from_args(args)
     loaded = _load_inputs(res)
+    _require_samples(loaded.splits, ("test",))
     state = init_model(res.model, loaded.series.n_nodes, loaded.series.n_channels, seed=0)
     load_checkpoint(args.checkpoint, state)
     report = evaluate(state, loaded.splits.test, loaded.a_pre,
@@ -661,6 +672,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     res, config_digest = _resolve_from_args(args)
     out_dir = _require_out_dir(res)
     loaded = _load_inputs(res)
+    _require_samples(loaded.splits, ("train", "val", "test"))
     os.makedirs(out_dir, exist_ok=True)
 
     manifest = _manifest_base("experiment", res, loaded, config_digest, res.train.seeds)

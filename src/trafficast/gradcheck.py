@@ -51,35 +51,28 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
     concat_mate = Tensor(rng.standard_normal((3, 4)))
     comp_w1 = Tensor(rng.standard_normal((4, 3)))
     comp_w2 = Tensor(rng.standard_normal((4, 3)))
-    x64 = rng.standard_normal((6, 4))  # two batch elements of three nodes
-    t_x64 = Tensor(x64)
-    # gate_sum over the identity and two [3, 3] matrices, [6, 4] rows to [6, 3]
-    adj33 = rng.standard_normal((3, 3))
-    gate_mats = [None, Tensor(rng.standard_normal((3, 3))), Tensor(adj33)]
-    gate_w = [Tensor(rng.standard_normal((4, 3))) for _ in gate_mats]
-    gate_b = Tensor(rng.standard_normal(3))
+    # a GRU step over the identity and two [3, 3] matrices: a [6, 2] input
+    # and a [6, 3] state, two batch elements of three nodes
+    gru_x, gru_h = rng.standard_normal((6, 2)), rng.uniform(-0.9, 0.9, (6, 3))
+    gru_mats = [None] + [Tensor(rng.standard_normal((3, 3))) for _ in range(2)]
+    gru_zr = [Tensor(0.5 * rng.standard_normal((5, 6))) for _ in gru_mats]
+    gru_zr_b = rng.standard_normal(6)
+    gru_c = [Tensor(0.5 * rng.standard_normal((5, 3))) for _ in gru_mats]
+    gru_c_b = rng.standard_normal(3)
     w63 = rng.standard_normal((6, 3))
-    # GRU gates [z | r] of width 2, a state and a candidate of width 2
-    zr = rng.uniform(0.1, 0.9, (3, 4))
-    x32 = rng.standard_normal((3, 2))
-    w32 = rng.standard_normal((3, 2))
-    t_zr, t_x32 = Tensor(zr), Tensor(x32)
-    t_cand = Tensor(rng.standard_normal((3, 2)))
-    pool_w = rng.uniform(0.1, 1.0, (3, 3))
-    t_pool_w = Tensor(pool_w)
-    pool_mates = [Tensor(rng.standard_normal((3, 4))) for _ in range(2)]
-    # two row groups: [3, 2*3] weights over three [6, 4] values
-    group_w = rng.uniform(0.1, 1.0, (3, 6))
-    t_group_w = Tensor(group_w)
-    group_mates = [Tensor(rng.standard_normal((6, 4))) for _ in range(2)]
+
+    def gru(x=Tensor(gru_x), h=Tensor(gru_h), mats=gru_mats, zr=gru_zr,
+            zr_b=Tensor(gru_zr_b), c=gru_c, c_b=Tensor(gru_c_b)):
+        return _weighted_sum(tc.gru_step(mats, x, h, zr, zr_b, c, c_b), w63)
+
     # two leading indices: [2, 3, 4] x [2, 4, 3]
     x234 = rng.standard_normal((2, 3, 4))
     b243 = rng.standard_normal((2, 4, 3))
     w233 = rng.standard_normal((2, 3, 3))
     t_a234 = Tensor(rng.standard_normal((2, 3, 4)))
     t_b243 = Tensor(b243)
-    # additive scores of three [6, 4] window states, two row groups each,
-    # against a [3, 4] query: [3, 2*3] scores through an inner width of 3
+    # attention over three [6, 4] window states, two row groups each,
+    # against a [3, 4] query, through an inner width of 3
     att_h = rng.standard_normal((3, 4))
     att_w1, att_w2 = 0.5 * rng.standard_normal((4, 3)), 0.5 * rng.standard_normal((4, 3))
     att_b, att_v = rng.standard_normal(3), rng.standard_normal(3)
@@ -87,9 +80,9 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
     t_att_window = [Tensor(rng.standard_normal((6, 4))), Tensor(att_k),
                     Tensor(rng.standard_normal((6, 4)))]
 
-    def scores(h=Tensor(att_h), window=t_att_window, w1=Tensor(att_w1), b=Tensor(att_b),
-               w2=Tensor(att_w2), v=Tensor(att_v)):
-        return _weighted_sum(tc.additive_scores(h, window, w1, b, w2, v), group_w)
+    def attention(h=Tensor(att_h), window=t_att_window, w1=Tensor(att_w1), b=Tensor(att_b),
+                  w2=Tensor(att_w2), v=Tensor(att_v)):
+        return _weighted_sum(tc.additive_attention(h, window, w1, b, w2, v)[0], w34)
 
     checks = [
         ("add", lambda t: _weighted_sum(tc.add(t, t_other), w34), x34),
@@ -114,33 +107,20 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
         ("reduce_mean_all", lambda t: tc.reduce_mean(t), x34),
         ("reshape", lambda t: _weighted_sum(tc.reshape(t, (2, 6)), w26), x34),
         ("transpose", lambda t: _weighted_sum(tc.transpose(t, (1, 0)), w43), x34),
-        ("gate_sum_x", lambda t: _weighted_sum(
-            tc.gate_sum(gate_mats, t, gate_w, gate_b), w63), x64),
-        ("gate_sum_weight", lambda t: _weighted_sum(
-            tc.gate_sum(gate_mats, t_x64, [gate_w[0], t, gate_w[2]], gate_b), w63), b43),
-        ("gate_sum_bias", lambda t: _weighted_sum(
-            tc.gate_sum(gate_mats, t_x64, gate_w, t), w63), gate_b.data),
-        ("gate_sum_matrix", lambda t: _weighted_sum(
-            tc.gate_sum([*gate_mats[:2], t], t_x64, gate_w, gate_b), w63), adj33),
-        ("reset_mul_gates", lambda t: _weighted_sum(tc.reset_mul(t, t_x32), w32), zr),
-        ("reset_mul_state", lambda t: _weighted_sum(tc.reset_mul(t_zr, t), w32), x32),
-        ("gate_mix_gates", lambda t: _weighted_sum(tc.gate_mix(t, t_x32, t_cand), w32), zr),
-        ("gate_mix_state", lambda t: _weighted_sum(tc.gate_mix(t_zr, t, t_cand), w32), x32),
-        ("gate_mix_cand", lambda t: _weighted_sum(tc.gate_mix(t_zr, t_x32, t), w32), x32),
-        ("weighted_pool_weights", lambda t: _weighted_sum(
-            tc.weighted_pool(t, [t_other, *pool_mates]), w34), pool_w),
-        ("weighted_pool_values", lambda t: _weighted_sum(
-            tc.weighted_pool(t_pool_w, [pool_mates[0], t, pool_mates[1]]), w34), x34),
-        ("weighted_pool_grouped_weights", lambda t: _weighted_sum(
-            tc.weighted_pool(t, [t_x64, *group_mates]), w34), group_w),
-        ("weighted_pool_grouped_values", lambda t: _weighted_sum(
-            tc.weighted_pool(t_group_w, [group_mates[0], t, group_mates[1]]), w34), x64),
-        ("additive_scores_query", lambda t: scores(h=t), att_h),
-        ("additive_scores_w1", lambda t: scores(w1=t), att_w1),
-        ("additive_scores_bias", lambda t: scores(b=t), att_b),
-        ("additive_scores_w2", lambda t: scores(w2=t), att_w2),
-        ("additive_scores_v", lambda t: scores(v=t), att_v),
-        ("additive_scores_window", lambda t: scores(
+        ("gru_step_x", lambda t: gru(x=t), gru_x),
+        ("gru_step_state", lambda t: gru(h=t), gru_h),
+        ("gru_step_update_reset_weight", lambda t: gru(zr=[gru_zr[0], t, gru_zr[2]]),
+         gru_zr[1].data),
+        ("gru_step_update_reset_bias", lambda t: gru(zr_b=t), gru_zr_b),
+        ("gru_step_cand_weight", lambda t: gru(c=[t, *gru_c[1:]]), gru_c[0].data),
+        ("gru_step_cand_bias", lambda t: gru(c_b=t), gru_c_b),
+        ("gru_step_matrix", lambda t: gru(mats=[*gru_mats[:2], t]), gru_mats[2].data),
+        ("additive_attention_query", lambda t: attention(h=t), att_h),
+        ("additive_attention_w1", lambda t: attention(w1=t), att_w1),
+        ("additive_attention_bias", lambda t: attention(b=t), att_b),
+        ("additive_attention_w2", lambda t: attention(w2=t), att_w2),
+        ("additive_attention_v", lambda t: attention(v=t), att_v),
+        ("additive_attention_window", lambda t: attention(
             window=[t_att_window[0], t, t_att_window[2]]), att_k),
         ("composite", lambda t: _weighted_sum(
             tc.mul(tc.sigmoid(tc.matmul(t, comp_w1)), tc.tanh(tc.matmul(t, comp_w2))), w33), x34),
@@ -210,33 +190,33 @@ def model_param_checks(n_params: int = 20, coords_per: int = 2,
     return rows
 
 
-def install_tanh_fault():
-    """Swap in a tanh whose backward rule carries a constant bias.
+def install_matmul_fault():
+    """Swap in a matmul whose backward rule carries a constant bias.
 
     Test hook for the check harness itself: a correct harness must flag
-    this immediately. Returns the original op for restoration.
+    this immediately, in the primitive rows and in the model rows (the
+    output layer and the adjacency powers record matmul). Returns the
+    original op for restoration.
     """
-    original = tc.tanh
+    original = tc.matmul
 
-    def faulty_tanh(a: Tensor) -> Tensor:
-        out = np.tanh(a.data)
-
+    def faulty_matmul(a: Tensor, b: Tensor) -> Tensor:
         def backward_fn(g):
-            return (g * (1.0 - out * out) + 1e-2,)
+            return (g @ b.data.swapaxes(-1, -2) + 1e-2, a.data.swapaxes(-1, -2) @ g + 1e-2)
 
-        return tc._emit((a,), out, backward_fn)
+        return tc._emit((a, b), a.data @ b.data, backward_fn)
 
-    tc.tanh = faulty_tanh
+    tc.matmul = faulty_matmul
     return original
 
 
 def run_checks(inject_fault: bool = False) -> List[Tuple[str, float, float]]:
     """Every primitive, then the model: (check, max_rel_error, tol) rows.
 
-    With `inject_fault`, tanh's backward rule is corrupted for the run and
-    restored afterwards.
+    With `inject_fault`, matmul's backward rule is corrupted for the run
+    and restored afterwards.
     """
-    original_tanh = install_tanh_fault() if inject_fault else None
+    original_matmul = install_matmul_fault() if inject_fault else None
     rows: List[Tuple[str, float, float]] = []
     try:
         for name, f, x0 in primitive_checks(np.random.default_rng(0)):
@@ -245,6 +225,6 @@ def run_checks(inject_fault: bool = False) -> List[Tuple[str, float, float]]:
         for name, max_rel in model_param_checks():
             rows.append((f"model:{name}", max_rel, MODEL_TOL))
     finally:
-        if original_tanh is not None:
-            tc.tanh = original_tanh
+        if original_matmul is not None:
+            tc.matmul = original_matmul
     return rows

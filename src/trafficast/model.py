@@ -20,15 +20,13 @@ fusion weights folded into one weight per matrix once per forward. Both
 branches' powers come from one helper over an [H, N, N] adjacency stack:
 every learned head at once, or the predefined matrix as one head. The
 update and reset gates share one sum: per matrix their weights are joined
-as [W_z | W_r] once per forward, so one `gate_sum` record forms every
-M_k [x, h] once, and one sigmoid gives [z | r]. With `reset_mul` for r*h
-and `gate_mix` for (1-z)*h + z*c, a step is 8 records for every GRU.
+as [W_z | W_r] once per forward. Every GRU step, dense or graph, is one
+`gru_step` record, and every attention step one `additive_attention`
+record: the scores of every window offset over every block against one
+query, the softmax per node, the pooled context and the residual add.
 Every activation is [B*N, d] rows, node-minor (row b*N + n), so no cell
 reshapes or slices; the bank's rows add the block as the fastest index
-(row (b*N + n)*G + g). Attention is 4 records a step: one
-`additive_scores` record scores every window offset over every block
-against one query, then a softmax, one `weighted_pool` record for the
-context, and the residual add.
+(row (b*N + n)*G + g).
 
 Everything here runs on the tape from `tensor`; data enters as constant
 tensors, parameters carry requires_grad.
@@ -220,28 +218,11 @@ def init_model(cfg: ModelConfig, n_nodes: int, n_channels: int, seed: int) -> Mo
 # cells
 # ---------------------------------------------------------------------------
 
-def _gru_step(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
-    """h' = (1-z) * h + z * tanh(G_c [x, r*h]), [z | r] = sigmoid(G_zr [x, h]).
-
-    Each G is its gates' sum_k (M_k [..]) W_k + b, one `gate_sum` record;
-    x and h are [B*N, d] rows. Eight records per step.
-    """
-    rows = gates.cand[0].shape[0]
-    if x.shape[1] + h.shape[1] != rows:
-        raise ShapeError(
-            f"gru width mismatch: input {x.shape[1]} + state {h.shape[1]} "
-            f"!= weight rows {rows}"
-        )
-    zr = tc.sigmoid(tc.gate_sum(gates.mats, tc.concat([x, h], axis=1),
-                                gates.update_reset, gates.update_reset_bias))
-    xrh = tc.concat([x, tc.reset_mul(zr, h)], axis=1)
-    cand = tc.tanh(tc.gate_sum(gates.mats, xrh, gates.cand, gates.cand_bias))
-    return tc.gate_mix(zr, h, cand)
-
-
 def gru_cell(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
-    """One step of the encoder or decoder GRU (identity mixing only)."""
-    return _gru_step(gates, x, h)
+    """One step of the encoder or decoder GRU (identity mixing only):
+    h' = (1-z) * h + z * tanh(G_c [x, r*h]), [z | r] = sigmoid(G_zr [x, h])."""
+    return tc.gru_step(gates.mats, x, h, gates.update_reset, gates.update_reset_bias,
+                       gates.cand, gates.cand_bias)
 
 
 def _run_gru(gates: GruGates, steps: np.ndarray, h: Tensor) -> Iterator[Tensor]:
@@ -305,24 +286,20 @@ def attention_step(
     Block position P+t is the prior-day/week state at the same clock
     offset as forecast step t, bank[t+S] in the bank `encode` returns; the
     window takes offsets -S..+S around it (just the aligned state when
-    windowing is off). Four records: one `additive_scores` forms every
-    score v' tanh(W2 h_p + W1 h + b) of the window over the G blocks of
-    each row, as [B*N, G*C]; a softmax per node turns them into weights;
-    one `weighted_pool` pools the context, which adds residually.
-    Returns (a_t, weights) with weights [B*N, G*C] in block-major,
-    offset-minor candidate order (column g*C + c), or (h_t, None) when
-    periodic context is off.
+    windowing is off). One `additive_attention` record forms every score
+    v' tanh(W2 h_p + W1 h + b) of the window over the G blocks of each
+    row, turns them into weights with a softmax per node, and adds the
+    pooled context residually. Returns (a_t, weights) with weights
+    [B*N, G*C] a constant tensor in block-major, offset-minor candidate
+    order (column g*C + c), or (h_t, None) when periodic context is off.
     """
     if not 0 <= t < cfg.Q:
         raise ModelError(f"step {t} out of range for Q={cfg.Q}")
     if cfg.no_period or not bank:
         return h_t, None
-
     half = 0 if cfg.no_window else cfg.S
     window = bank[t + cfg.S - half : t + cfg.S + half + 1]
-    scores = tc.additive_scores(h_t, window, params.w1, params.b, params.w2, params.v)
-    weights = tc.softmax(scores, axis=1)
-    return tc.add(h_t, tc.weighted_pool(weights, window)), weights
+    return tc.additive_attention(h_t, window, params.w1, params.b, params.w2, params.v)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +401,8 @@ def dgcgru_cell(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
     The same step as gru_cell, over the matrices of dgc_terms; a name of
     its own keeps the graph GRU apart from the dense ones in profiles.
     """
-    return _gru_step(gates, x, h)
+    return tc.gru_step(gates.mats, x, h, gates.update_reset, gates.update_reset_bias,
+                       gates.cand, gates.cand_bias)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,11 +43,8 @@ __all__ = [
     "reduce_mean",
     "reshape",
     "transpose",
-    "weighted_pool",
-    "gate_sum",
-    "reset_mul",
-    "gate_mix",
-    "additive_scores",
+    "gru_step",
+    "additive_attention",
     "finite_diff_check",
     "GradCheckReport",
 ]
@@ -272,14 +269,19 @@ def mul(a: Tensor, b) -> Tensor:
 # elementwise unary ops
 # ---------------------------------------------------------------------------
 
-def sigmoid(a: Tensor) -> Tensor:
-    # 1 / (1 + exp(-a)) in place; exp overflows to inf for a below about
-    # -709, which gives the correct 0 without a warning
-    y = np.negative(a.data)
+def _sigmoid(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    # 1 / (1 + exp(-a)) in one buffer (`out` may be `a`); exp overflows to
+    # inf for a below about -709, which gives the correct 0 without a warning
+    y = np.negative(a, out=out)
     with np.errstate(over="ignore"):
         np.exp(y, out=y)
     y += 1.0
     np.divide(1.0, y, out=y)
+    return y
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = _sigmoid(a.data)
 
     def bwd(g):
         return (g * y * (1.0 - y),)
@@ -316,19 +318,26 @@ def absolute(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# softmax / concat / pool / reduce / reshape / transpose / matmul
+# softmax / concat / reduce / reshape / transpose / matmul
 # ---------------------------------------------------------------------------
+
+def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    dot = (g * y).sum(axis=axis, keepdims=True)
+    return y * (g - dot)
+
 
 def softmax(a: Tensor, axis: int) -> Tensor:
     if not -len(a.shape) <= axis < len(a.shape):
         raise ShapeError(f"softmax axis {axis} invalid for shape {list(a.shape)}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(a.data, axis)
 
     def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        return (_softmax_grad(y, g, axis),)
 
     return _emit((a,), y, bwd)
 
@@ -356,47 +365,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         return [g[lead + (slice(lo, hi),)] for lo, hi in zip(offsets, offsets[1:])]
 
     return _emit(tuple(tensors), out, bwd)
-
-
-def weighted_pool(weights: Tensor, values: Sequence[Tensor]) -> Tensor:
-    """Pool C value tensors of G row groups each into one [R, d].
-
-    values are [R*G, d], row r*G + g holding group g of output row r;
-    weights are [R, G*C], group-major: out[r] = sum_{g,c} weights[r, g*C + c]
-    * values[c][r*G + g]. G is read off the shapes; G = 1 is the plain
-    per-row weighted sum of C [R, d] tensors. The values enter as separate
-    inputs, the way concat takes its operands, so no stacked copy is made.
-    """
-    if len(weights.shape) != 2 or not values or weights.shape[1] % len(values):
-        raise ShapeError(
-            f"weighted_pool needs [R, G*C] weights for C values, got "
-            f"{list(weights.shape)} for {len(values)}"
-        )
-    rows, n_val = weights.shape[0], len(values)
-    groups, width = weights.shape[1] // n_val, values[0].shape[-1]
-    for v in values:
-        if v.shape != (rows * groups, width):
-            raise ShapeError(
-                f"weighted_pool values must all be [{rows * groups}, {width}], "
-                f"got {list(v.shape)}"
-            )
-    w = weights.data
-    grouped = [v.data.reshape(rows, groups, width) for v in values]
-    out = w[:, :1] * grouped[0][:, 0]
-    for k in range(1, groups * n_val):
-        group, c = divmod(k, n_val)
-        out += w[:, k:k + 1] * grouped[c][:, group]
-
-    def bwd(g):
-        w3 = w.reshape(rows, groups, n_val)
-        g_w = None
-        if weights.requires_grad:
-            g_w = np.stack([np.einsum("rd,rgd->rg", g, v) for v in grouped],
-                           axis=2).reshape(w.shape)
-        return [g_w] + [(w3[:, :, c, None] * g[:, None, :]).reshape(v.shape)
-                        if v.requires_grad else None for c, v in enumerate(values)]
-
-    return _emit((weights, *values), out, bwd)
 
 
 def reduce_sum(a: Tensor) -> Tensor:
@@ -461,7 +429,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# GRU gates: one record per gate sum, reset product and state mix
+# recurrent cells: one record per GRU step
 # ---------------------------------------------------------------------------
 
 def _node_mix(adj: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -472,45 +440,13 @@ def _node_mix(adj: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(adj, x.reshape(-1, adj.shape[0], x.shape[1])).reshape(x.shape)
 
 
-def gate_sum(mats: Sequence[Optional[Tensor]], x: Tensor,
-             weights: Sequence[Tensor], bias: Tensor) -> Tensor:
-    """sum_k (M_k x) W_k + b in one record, for x [B*N, d_in] rows.
+def _gate_sum(mats, xd: np.ndarray, weights, bias: Tensor, keep: bool):
+    """sum_k (M_k xd) W_k + b, summed in place in k order, then b added.
 
-    mats[0] is None, the identity; every other M_k is [N, N] and mixes the
-    node-minor rows of each batch element. Each W_k is [d_in, d_out] and b
-    is [d_out]. The terms are summed in place in k order, then b is added.
-    The mixed operands M_k x are kept for the backward rule only when the
-    record goes on a tape. A constant operand gets no gradient product.
+    mats[0] is None, the identity. Returns the sum and, when `keep`, the
+    mixed operands [xd, M_1 xd, ...] for the backward rule; else None.
     """
-    if not mats or mats[0] is not None or len(mats) != len(weights):
-        raise ShapeError(
-            f"gate_sum needs the identity (None) first and one weight per matrix, "
-            f"got {len(mats)} matrices and {len(weights)} weights"
-        )
-    xd = x.data
-    if xd.ndim != 2:
-        raise ShapeError(f"gate_sum needs [b*n,d] rows, got {list(xd.shape)}")
-    for mat in mats[1:]:
-        shape = mat.data.shape
-        if len(shape) != 2 or shape[0] != shape[1] or xd.shape[0] % shape[0]:
-            raise ShapeError(
-                f"gate_sum needs [n,n] matrices over [b*n,d] rows, "
-                f"got {list(shape)} and {list(xd.shape)}"
-            )
-    w_shape = (xd.shape[1], weights[0].data.shape[-1])
-    for w in weights:
-        if w.data.shape != w_shape:
-            raise ShapeError(
-                f"gate_sum weights must be {list(w_shape)}, got {list(w.data.shape)}"
-            )
-    if bias.data.shape != w_shape[1:]:
-        raise ShapeError(
-            f"gate_sum bias must be [{w_shape[1]}], got {list(bias.data.shape)}"
-        )
-
-    inputs = (x, bias, *weights, *mats[1:])
-    keep = _active_tape() is not None and any(t.requires_grad for t in inputs)
-    mixes = [xd]
+    mixes = [xd] if keep else None
     out = xd @ weights[0].data
     for mat, w in zip(mats[1:], weights[1:]):
         mixed = _node_mix(mat.data, xd)
@@ -518,119 +454,159 @@ def gate_sum(mats: Sequence[Optional[Tensor]], x: Tensor,
         if keep:
             mixes.append(mixed)
     out += bias.data
+    return out, mixes
+
+
+def _gate_sum_grad(g, mats, mixes, weights, bias: Tensor, need_x: bool, g_mats: list):
+    """Adjoints of one _gate_sum for its output adjoint g.
+
+    Returns (x's or None, one per weight, the bias's) and adds each
+    matrix's into g_mats. A constant operand gets no gradient product.
+    """
+    xd, g_x, g_w = mixes[0], None, [None] * len(weights)
+    # highest k first: x's adjoint sums its terms in the order a backward
+    # pass over one record per term would
+    for k in range(len(mats) - 1, -1, -1):
+        w, mat = weights[k], mats[k]
+        if w.requires_grad:
+            g_w[k] = mixes[k].T @ g
+        mat_grad = mat is not None and mat.requires_grad
+        if not (need_x or mat_grad):
+            continue
+        g_mixed = g @ w.data.T
+        if mat_grad:
+            n = mat.data.shape[0]
+            g_m = np.tensordot(g_mixed.reshape(-1, n, g_mixed.shape[1]),
+                               xd.reshape(-1, n, xd.shape[1]), axes=([0, 2], [0, 2]))
+            g_mats[k - 1] = g_m if g_mats[k - 1] is None else g_mats[k - 1] + g_m
+        if need_x:
+            if mat is not None:
+                g_mixed = _node_mix(mat.data.T, g_mixed)
+            g_x = g_mixed if g_x is None else g_x + g_mixed
+    return g_x, g_w, g.sum(axis=0) if bias.requires_grad else None
+
+
+def gru_step(mats: Sequence[Optional[Tensor]], x: Tensor, h: Tensor,
+             update_reset: Sequence[Tensor], update_reset_bias: Tensor,
+             cand: Sequence[Tensor], cand_bias: Tensor) -> Tensor:
+    """h' = (1 - z) h + z c for x [rows, d_x] and h [rows, d_h], one record.
+
+    [z | r] = sigmoid(G_zr [x, h]) and c = tanh(G_c [x, r h]), each G a
+    gate sum sum_k (M_k [..]) W_k + b over the matrices `mats`, the
+    identity (None) first, then [N, N] matrices that mix the node-minor
+    rows (row b*N + n) of each batch element. Per matrix, update_reset is
+    [W_z | W_r], [d_x + d_h, 2 d_h], so z is the left half; cand is
+    [d_x + d_h, d_h]. The mix is formed as (h - z h) + z c. The arithmetic
+    runs in the order separate concat, gate-sum, sigmoid, product, tanh
+    and mix records would. The mixed operands are kept for the backward
+    rule only when the record goes on a tape, and a forward-only call
+    drops [x, h] before the candidate sum.
+    """
+    if x.data.ndim != 2 or h.data.ndim != 2 or x.shape[0] != h.shape[0]:
+        raise ShapeError(f"gru_step needs [rows,d] input and state, "
+                         f"got {list(x.shape)} and {list(h.shape)}")
+    if not mats or mats[0] is not None or not len(update_reset) == len(cand) == len(mats):
+        raise ShapeError(
+            f"gru_step needs the identity (None) first and one weight per matrix "
+            f"per gate, got {len(mats)} matrices, {len(update_reset)} update/reset "
+            f"and {len(cand)} candidate weights"
+        )
+    rows, d_x, d_h = x.shape[0], x.shape[1], h.shape[1]
+    for mat in mats[1:]:
+        if len(mat.shape) != 2 or mat.shape[0] != mat.shape[1] or rows % mat.shape[0]:
+            raise ShapeError(f"gru_step needs [n,n] matrices over [b*n,d] rows, "
+                             f"got {list(mat.shape)} and {rows} rows")
+    for gate, weights, bias, width in (("update/reset", update_reset, update_reset_bias, 2 * d_h),
+                                       ("candidate", cand, cand_bias, d_h)):
+        for w in weights:
+            if w.shape != (d_x + d_h, width):
+                raise ShapeError(
+                    f"gru width mismatch: input {d_x} + state {d_h} needs {gate} "
+                    f"weights [{d_x + d_h}, {width}], got {list(w.shape)}"
+                )
+        if bias.shape != (width,):
+            raise ShapeError(f"gru_step {gate} bias must be [{width}], got {list(bias.shape)}")
+
+    inputs = (x, h, update_reset_bias, *update_reset, cand_bias, *cand, *mats[1:])
+    keep = _active_tape() is not None and any(t.requires_grad for t in inputs)
+    hd = h.data
+    zr, zr_mixes = _gate_sum(mats, np.concatenate([x.data, hd], axis=1),
+                             update_reset, update_reset_bias, keep)
+    _sigmoid(zr, out=zr)
+    z, r = zr[:, :d_h], zr[:, d_h:]
+    c, c_mixes = _gate_sum(mats, np.concatenate([x.data, r * hd], axis=1),
+                           cand, cand_bias, keep)
+    np.tanh(c, out=c)
+    out = hd - z * hd
+    out += z * c
 
     def bwd(g):
-        g_x, g_w, g_m = None, [None] * len(weights), [None] * (len(mats) - 1)
-        # highest k first: x's adjoint sums its terms in the order a
-        # backward pass over one record per term would
-        for k in range(len(mats) - 1, -1, -1):
-            w, mat = weights[k], mats[k]
-            if w.requires_grad:
-                g_w[k] = mixes[k].T @ g
-            mat_grad = mat is not None and mat.requires_grad
-            if not (x.requires_grad or mat_grad):
-                continue
-            g_mixed = g @ w.data.T
-            if mat_grad:
-                n = mat.data.shape[0]
-                g_m[k - 1] = np.tensordot(g_mixed.reshape(-1, n, g_mixed.shape[1]),
-                                          xd.reshape(-1, n, xd.shape[1]),
-                                          axes=([0, 2], [0, 2]))
+        need_xh = x.requires_grad or h.requires_grad
+        need_xrh = need_xh or any(t.requires_grad for t in (
+            update_reset_bias, *update_reset, *mats[1:]))
+        g_mats = [None] * (len(mats) - 1)
+        g_c = g * z
+        g_c *= 1.0 - c * c
+        g_xrh, g_cw, g_cb = _gate_sum_grad(g_c, mats, c_mixes, cand, cand_bias,
+                                           need_xrh, g_mats)
+        g_h = g - g * z if h.requires_grad else None
+        g_x, g_zrw, g_zrb = None, [None] * len(update_reset), None
+        if need_xrh:
+            g_rh = g_xrh[:, d_x:]
+            g_zr = np.empty_like(zr)
+            np.subtract(g * c, g * hd, out=g_zr[:, :d_h])
+            np.multiply(g_rh, hd, out=g_zr[:, d_h:])
+            g_zr *= zr
+            g_zr *= 1.0 - zr
+            g_xh, g_zrw, g_zrb = _gate_sum_grad(g_zr, mats, zr_mixes, update_reset,
+                                                update_reset_bias, need_xh, g_mats)
+            if h.requires_grad:
+                g_h += g_rh * r
+                g_h += g_xh[:, d_x:]
             if x.requires_grad:
-                if mat is not None:
-                    g_mixed = _node_mix(mat.data.T, g_mixed)
-                g_x = g_mixed if g_x is None else g_x + g_mixed
-        g_b = g.sum(axis=0) if bias.requires_grad else None
-        return [g_x, g_b, *g_w, *g_m]
+                g_x = g_xrh[:, :d_x] + g_xh[:, :d_x]
+        return [g_x, g_h, g_zrb, *g_zrw, g_cb, *g_cw, *g_mats]
 
     return _emit(inputs, out, bwd)
 
 
-def _gate_halves(zr: Tensor, h: Tensor, op: str) -> int:
-    if len(h.shape) != 2 or zr.shape != (h.shape[0], 2 * h.shape[1]):
-        raise ShapeError(
-            f"{op} needs [rows,2d] gates against a [rows,d] state, "
-            f"got {list(zr.shape)} and {list(h.shape)}"
-        )
-    return h.shape[1]
-
-
-def reset_mul(zr: Tensor, h: Tensor) -> Tensor:
-    """r * h, with r the right half of the gates zr = [z | r]."""
-    d = _gate_halves(zr, h, "reset_mul")
-    r = zr.data[:, d:]
-    out = r * h.data
-
-    def bwd(g):
-        g_zr = None
-        if zr.requires_grad:
-            g_zr = np.zeros_like(zr.data)
-            g_zr[:, d:] = g * h.data
-        return g_zr, g * r if h.requires_grad else None
-
-    return _emit((zr, h), out, bwd)
-
-
-def gate_mix(zr: Tensor, h: Tensor, cand: Tensor) -> Tensor:
-    """(1 - z) * h + z * cand, with z the left half of the gates zr = [z | r].
-
-    Computed as (h - z*h) + z*cand, so no `1 - z` is formed.
-    """
-    d = _gate_halves(zr, h, "gate_mix")
-    if cand.shape != h.shape:
-        raise ShapeError(
-            f"gate_mix needs equal state and candidate shapes, "
-            f"got {list(h.shape)} and {list(cand.shape)}"
-        )
-    z = zr.data[:, :d]
-    out = h.data - z * h.data
-    out += z * cand.data
-
-    def bwd(g):
-        g_zr = None
-        if zr.requires_grad:
-            g_zr = np.zeros_like(zr.data)
-            g_zr[:, :d] = g * cand.data - g * h.data
-        return (g_zr, g - g * z if h.requires_grad else None,
-                g * z if cand.requires_grad else None)
-
-    return _emit((zr, h, cand), out, bwd)
-
-
 # ---------------------------------------------------------------------------
-# attention: one record for every additive score of a decoder step
+# attention: one record per decoder step
 # ---------------------------------------------------------------------------
 
-def additive_scores(h: Tensor, window: Sequence[Tensor], w1: Tensor, b: Tensor,
-                    w2: Tensor, v: Tensor) -> Tensor:
-    """Scores v' tanh(k W2 + q), q = h W1 + b, of C window states in one record.
+def additive_attention(h: Tensor, window: Sequence[Tensor], w1: Tensor, b: Tensor,
+                       w2: Tensor, v: Tensor) -> Tuple[Tensor, Tensor]:
+    """h + sum_j a_j k_j, a = softmax_j(v' tanh(k_j W2 + h W1 + b)), one record.
 
     h is [R, d] and each window state is [R*G, d], row r*G + g holding row
-    group g of query row r; w1 and w2 are [d, a], b and v are [a]. Returns
-    [R, G*C] scores, column g*C + c scoring window[c]'s row r*G + g. The
-    query is formed once and repeated over the G row groups; per offset the
-    arithmetic runs in the order separate matmul, add, tanh and matmul
+    group g of query row r; w1 and w2 are [d, a], b and v are [a]. Each
+    query row attends over its G*C candidates: column g*C + c of the
+    returned weights [R, G*C] is window[c]'s row r*G + g. Returns the
+    output [R, d] and the weights as a constant tensor.
+
+    The query is formed once and repeated over the G row groups; the
+    arithmetic runs in the order separate score, softmax, pool and add
     records would. The tanh outputs are kept for the backward rule only
     when the record goes on a tape; otherwise one scratch buffer serves
     every offset. A constant operand gets no gradient product.
     """
     if not window:
-        raise ShapeError("additive_scores needs at least one window state")
+        raise ShapeError("additive_attention needs at least one window state")
     hd = h.data
     if hd.ndim != 2:
-        raise ShapeError(f"additive_scores needs a [r,d] query, got {list(hd.shape)}")
+        raise ShapeError(f"additive_attention needs a [r,d] query, got {list(hd.shape)}")
     rows, width = hd.shape
     k_shape = window[0].data.shape
     if (len(k_shape) != 2 or not rows or not k_shape[0] or k_shape[0] % rows
             or k_shape[1] != width):
         raise ShapeError(
-            f"additive_scores needs [r*g,{width}] window states for {rows} query "
+            f"additive_attention needs [r*g,{width}] window states for {rows} query "
             f"rows, got {list(k_shape)}"
         )
     for k in window:
         if k.data.shape != k_shape:
             raise ShapeError(
-                f"additive_scores window states must all be {list(k_shape)}, "
+                f"additive_attention window states must all be {list(k_shape)}, "
                 f"got {list(k.data.shape)}"
             )
     a_shape = (width, v.data.shape[0])
@@ -638,7 +614,7 @@ def additive_scores(h: Tensor, window: Sequence[Tensor], w1: Tensor, b: Tensor,
                            ("b", b, a_shape[1:]), ("v", v, a_shape[1:])):
         if t.data.shape != shape:
             raise ShapeError(
-                f"additive_scores {name} must be {list(shape)}, got {list(t.data.shape)}"
+                f"additive_attention {name} must be {list(shape)}, got {list(t.data.shape)}"
             )
 
     groups, n_off = k_shape[0] // rows, len(window)
@@ -661,17 +637,27 @@ def additive_scores(h: Tensor, window: Sequence[Tensor], w1: Tensor, b: Tensor,
         scores[:, c] = (act @ v_col)[:, 0]
         if keep:
             acts.append(act)
+    weights = _softmax(scores.reshape(rows, groups * n_off), axis=1)
+    grouped = [k.data.reshape(rows, groups, width) for k in window]
+    out = weights[:, :1] * grouped[0][:, 0]
+    for j in range(1, groups * n_off):
+        group, c = divmod(j, n_off)
+        out += weights[:, j:j + 1] * grouped[c][:, group]
+    out += hd
 
     def bwd(g):
-        g = g.reshape(scores.shape)
+        g_w = np.stack([np.einsum("rd,rgd->rg", g, kg) for kg in grouped],
+                       axis=2).reshape(weights.shape)
+        g_s = _softmax_grad(weights, g_w, axis=1).reshape(-1, n_off)
+        w3 = weights.reshape(rows, groups, n_off)
         need_q = h.requires_grad or w1.requires_grad or b.requires_grad
-        g_q = np.zeros_like(q_rep) if need_q else None
+        g_q = np.zeros((k_shape[0], a_shape[1])) if need_q else None
         g_w2 = np.zeros_like(w2.data) if w2.requires_grad else None
         g_v = np.zeros_like(v.data) if v.requires_grad else None
         g_k = [None] * n_off
         # last offset first, the order a pass over per-offset records takes
         for c in range(n_off - 1, -1, -1):
-            k, act, g_c = window[c], acts[c], g[:, c]
+            k, act, g_c = window[c], acts[c], g_s[:, c]
             if g_v is not None:
                 g_v += act.T @ g_c
             g_pre = g_c[:, None] * v.data
@@ -681,16 +667,17 @@ def additive_scores(h: Tensor, window: Sequence[Tensor], w1: Tensor, b: Tensor,
             if g_w2 is not None:
                 g_w2 += k.data.T @ g_pre
             if k.requires_grad:
-                g_k[c] = g_pre @ w2.data.T
+                g_k[c] = (w3[:, :, c, None] * g[:, None, :]).reshape(k_shape)
+                g_k[c] += g_pre @ w2.data.T
         g_h = g_w1 = g_b = None
         if g_q is not None:
             g_q = g_q.reshape(rows, groups, -1).sum(axis=1)
-            g_h = g_q @ w1.data.T if h.requires_grad else None
+            g_h = g + g_q @ w1.data.T if h.requires_grad else None
             g_w1 = hd.T @ g_q if w1.requires_grad else None
             g_b = g_q.sum(axis=0) if b.requires_grad else None
         return [g_h, g_w1, g_b, g_w2, g_v, *g_k]
 
-    return _emit(inputs, scores.reshape(rows, groups * n_off), bwd)
+    return _emit(inputs, out, bwd), Tensor(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,9 @@ class TrainConfig:
             raise TrainError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not self.seeds:
             raise TrainError("seeds must be nonempty")
+        negative = [s for s in self.seeds if s < 0]
+        if negative:
+            raise TrainError(f"seeds must be >= 0, got {negative}")
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise TrainError(f"seeds must be distinct, got repeats of {repeated}")

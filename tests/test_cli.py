@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -383,6 +384,43 @@ def test_repeated_seeds_are_usage_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv,doc,message", [
+    (["train", "--seeds=-1"], {}, "train: seeds must be >= 0, got [-1]"),
+    (["experiment", "order", "--seeds=-1"], {}, "train: seeds must be >= 0, got [-1]"),
+    (["train"], {"data": {"synth": {"seed": -1}}}, "data.synth.seed: must be >= 0, got -1"),
+    (["gen-data", "--seed", "-1"], None, "--seed: must be >= 0, got -1"),
+], ids=["train_flag", "experiment_flag", "synth_key", "gen_data_flag"])
+def test_negative_seeds_are_usage_error(tmp_path, capsys, argv, doc, message):
+    out = tmp_path / "run"
+    if doc is None:
+        argv = argv + ["--out", str(out)]
+    else:
+        argv = argv + ["--config", write_doc(tmp_path / "c.json", tiny_doc(out, **doc))]
+    assert run_cli(*argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["train"], ["experiment", "order"]])
+def test_empty_split_is_usage_error_before_run_dir(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    cfg = write_doc(tmp_path / "c.json", tiny_doc(out, dataset={"split": [1, 0, 0]}))
+    assert run_cli(*argv, "--config", cfg) == 2
+    assert re.search(r"dataset\.split: no val/test samples, got \d+/0/0 train/val/test",
+                     capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_eval_needs_only_a_test_split(tmp_path, capsys):
+    cfg = write_doc(tmp_path / "c.json", tiny_doc())
+    _zero_checkpoint(tmp_path / "zero.ckpt", ModelConfig(d_h=6, d_e=2, n_head=2, K=1,
+                                                         P=3, Q=2, S=1))
+    argv = ["eval", "--config", cfg, "--checkpoint", str(tmp_path / "zero.ckpt")]
+    assert run_cli(*argv, "--set", "dataset.split=[0,0,1]") == 0
+    assert run_cli(*argv, "--set", "dataset.split=[1,0,0]") == 2
+    assert re.search(r"no test samples, got \d+/0/0", capsys.readouterr().err)
+
+
 def test_train_jobs_matches_serial(tmp_path):
     doc = tiny_doc(None, train={"seeds": [1, 2]})
     cfg = write_doc(tmp_path / "c.json", doc)
@@ -660,11 +698,14 @@ def test_gradcheck_rows_cover_every_exported_op():
 
 
 def test_gradcheck_inject_fault_fails_and_restores(tmp_path):
-    original = tc.tanh
+    original = tc.matmul
     assert run_cli("gradcheck", "--inject-fault", "--out", str(tmp_path / "r.csv")) == 5
-    assert tc.tanh is original
-    text = (tmp_path / "r.csv").read_text()
-    assert ",fail" in text
+    assert tc.matmul is original
+    failed = [line.split(",")[0] for line in (tmp_path / "r.csv").read_text().splitlines()
+              if line.endswith(",fail")]
+    # the fault reaches the model's own backward, not only the primitive rows
+    assert any(name.startswith("op:") for name in failed)
+    assert any(name.startswith("model:") for name in failed)
 
 
 # --- experiment --------------------------------------------------------------

@@ -29,6 +29,9 @@ from trafficast.model import (
 )
 from trafficast.tensor import ShapeError, Tape, Tensor, backward, finite_diff_check
 
+import reference_model
+from test_tensor import unfused_gate_sum
+
 
 def _toy_cfg(**kw):
     base = dict(d_h=8, d_e=3, n_head=2, K=2, P=3, Q=3, S=1)
@@ -364,7 +367,7 @@ def _identity_gate(d_in, d_h, hops_pre, hops_adp):
 def _graph_conv(x, folded):
     """sum_k (M_k x) W_k over one gate's conv_terms, for x [B*N, d_in]."""
     mats, weights = folded
-    return tc.gate_sum(mats, x, weights, Tensor(np.zeros(weights[0].shape[1])))
+    return unfused_gate_sum(mats, x, weights, Tensor(np.zeros(weights[0].shape[1])))
 
 
 def test_dgc_identity_adjacency_half_weights_reproduce_input():
@@ -597,6 +600,32 @@ def test_forward_deterministic():
     t1 = forward(state, r, d, w, a_pre=a_pre)
     t2 = forward(state, r, d, w, a_pre=a_pre)
     np.testing.assert_array_equal(t1.predictions.data, t2.predictions.data)
+
+
+# --- reference forward -------------------------------------------------------------
+
+@pytest.mark.parametrize("kw", [
+    {},
+    dict(n_head=8, K=3),
+    dict(no_pre=True),
+    dict(no_adp=True),
+    dict(no_pre=True, no_adp=True),
+    dict(no_window=True),
+    dict(no_period=True),
+    dict(order="dgc_then_attention"),
+    dict(d_count=2, w_count=3),
+], ids=["toy", "8heads_K3", "no_pre", "no_adp", "no_graph", "no_window", "no_period",
+        "dgc_first", "d2_w3"])
+def test_forward_matches_numpy_reference(kw):
+    # the plain-numpy loops of tests/reference_model.py, from the same
+    # parameters, agree to rounding
+    cfg = _toy_cfg(Q=4, **kw)
+    state = init_model(cfg, 4, 2, seed=40)
+    r, d, w, _ = _toy_batch(cfg, c=2, seed=41)
+    a_pre = _ring_adjacency(4)
+    pred = forward(state, r, d, w, a_pre=a_pre).predictions.data
+    expected = reference_model.forward(state, r, d, w, a_pre=a_pre)
+    assert np.abs(pred - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 # --- full-model gradient checks ---------------------------------------------------

@@ -61,20 +61,86 @@ def test_batched_matmul_is_one_product_per_leading_index():
         np.testing.assert_array_equal(out.data[i], a.data[i] @ b.data[i])
 
 
-def _mix_only(adj, d):
-    # gate_sum weights and bias that reduce it to M x: 0 on the identity, I on adj
-    return [None, adj], [Tensor(np.zeros((d, d))), Tensor(np.eye(d))], Tensor(np.zeros(d))
+# ---------------------------------------------------------------------------
+# fused steps: gru_step and additive_attention against their unfused chains
+# ---------------------------------------------------------------------------
+
+def unfused_gate_sum(mats, x, weights, bias):
+    # sum_k (M_k x) W_k + b from generic ops, each M_k tiled over the batch
+    out = tc.matmul(x, weights[0])
+    for mat, w in zip(mats[1:], weights[1:]):
+        n = mat.shape[0]
+        b = x.shape[0] // n
+        tiled = tc.reshape(tc.concat([mat] * b, axis=0), (b, n, n))
+        mixed = tc.matmul(tiled, tc.reshape(x, (b, n, x.shape[1])))
+        out = tc.add(out, tc.matmul(tc.reshape(mixed, x.shape), w))
+    return tc.add(out, bias)
+
+
+def unfused_gru_step(mats, x, h, update_reset, update_reset_bias, cand, cand_bias):
+    # the chain of records a GRU step took before gru_step fused it; a
+    # product with columns of the identity picks the z and r halves exactly
+    d = h.shape[1]
+    zr = tc.sigmoid(unfused_gate_sum(mats, tc.concat([x, h], axis=1),
+                                     update_reset, update_reset_bias))
+    z = tc.matmul(zr, Tensor(np.eye(2 * d)[:, :d]))
+    r = tc.matmul(zr, Tensor(np.eye(2 * d)[:, d:]))
+    c = tc.tanh(unfused_gate_sum(mats, tc.concat([x, tc.mul(r, h)], axis=1), cand, cand_bias))
+    return tc.add(tc.sub(h, tc.mul(z, h)), tc.mul(z, c))
+
+
+def _gru_operands(n_mats, rows, d_x, d_h, seed, requires_grad=False):
+    mats = [None] + [rand((3, 3), seed + k, 0.0, 1.0) for k in range(1, n_mats)]
+    x, h = rand((rows, d_x), seed + 10), rand((rows, d_h), seed + 11, -1.0, 1.0)
+    update_reset = [rand((d_x + d_h, 2 * d_h), seed + 20 + k, -0.5, 0.5) for k in range(n_mats)]
+    cand = [rand((d_x + d_h, d_h), seed + 30 + k, -0.5, 0.5) for k in range(n_mats)]
+    zr_b, c_b = rand((2 * d_h,), seed + 40), rand((d_h,), seed + 41)
+    for t in [x, h, zr_b, c_b, *update_reset, *cand, *mats[1:]]:
+        t.requires_grad = requires_grad
+    return mats, x, h, update_reset, zr_b, cand, c_b
+
+
+@pytest.mark.parametrize("n_mats", [1, 3])
+def test_gru_step_bitwise_equals_unfused_chain(n_mats):
+    # the dense GRUs mix by the identity alone; a graph GRU adds matrices
+    operands = _gru_operands(n_mats, 6, 2, 3, 100)
+    expected = unfused_gru_step(*operands).data
+    np.testing.assert_array_equal(tc.gru_step(*operands).data, expected)
+    operands = _gru_operands(n_mats, 6, 2, 3, 100, requires_grad=True)
+    with Tape():
+        np.testing.assert_array_equal(tc.gru_step(*operands).data, expected)
+
+
+def _leaf_grads(step, operands, leaves, weights):
+    # d sum(weights * output) / d leaf for every leaf, from one backward
+    for t in leaves:
+        t.grad = None
+    with Tape() as tape:
+        out = step(*operands)
+        out = out[0] if isinstance(out, tuple) else out
+        backward(tc.reduce_sum(tc.mul(out, weights)), tape)
+    return [t.grad.copy() for t in leaves]
+
+
+def test_gru_step_gradients_match_unfused_chain():
+    operands = _gru_operands(3, 6, 2, 3, 110, requires_grad=True)
+    mats, x, h, update_reset, zr_b, cand, c_b = operands
+    leaves, weights = [x, h, zr_b, c_b, *update_reset, *cand, *mats[1:]], rand((6, 3), 119)
+    for fused, plain in zip(_leaf_grads(tc.gru_step, operands, leaves, weights),
+                            _leaf_grads(unfused_gru_step, operands, leaves, weights)):
+        np.testing.assert_allclose(fused, plain, rtol=0, atol=1e-14 * np.abs(plain).max())
 
 
 def test_gate_sum_mixes_each_batch_element():
-    # rows are node-minor: row b*3 + n is node n of batch element b
+    # rows are node-minor: row b*3 + n is node n of batch element b; weights
+    # 0 on the identity and I on adj reduce the gate sum to M x
     adj, x = rand((3, 3), 2), rand((6, 4), 3)
-    mats, weights, bias = _mix_only(adj, 4)
-    out = tc.gate_sum(mats, x, weights, bias)
+    weights, bias = [Tensor(np.zeros((4, 4))), Tensor(np.eye(4))], Tensor(np.zeros(4))
+    out, _ = tc._gate_sum([None, adj], x.data, weights, bias, keep=False)
     assert out.shape == (6, 4)
     for b in range(2):
         rows = slice(3 * b, 3 * b + 3)
-        np.testing.assert_allclose(out.data[rows], adj.data @ x.data[rows], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(out[rows], adj.data @ x.data[rows], rtol=0, atol=1e-14)
 
 
 def test_gate_sum_is_term_by_term_sum_then_bias():
@@ -85,82 +151,60 @@ def test_gate_sum_is_term_by_term_sum_then_bias():
     for mat, w in zip(mats[1:], weights[1:]):
         mixed = np.concatenate([mat.data @ x.data[rows] for rows in (slice(0, 3), slice(3, 6))])
         expected = expected + mixed @ w.data
-    np.testing.assert_array_equal(tc.gate_sum(mats, x, weights, bias).data, expected + bias.data)
+    out, _ = tc._gate_sum(mats, x.data, weights, bias, keep=False)
+    np.testing.assert_array_equal(out, expected + bias.data)
 
 
 def test_gate_sum_shape_mismatch():
-    w, b = [rand((4, 4), 2)] * 2, rand((4,), 3)
-    with pytest.raises(tc.ShapeError, match=r"\[3, 4\].*\[6, 4\]"):
-        tc.gate_sum([None, rand((3, 4), 0)], rand((6, 4), 1), w, b)
-    with pytest.raises(tc.ShapeError, match=r"\[3, 3\].*\[8, 4\]"):
-        tc.gate_sum([None, rand((3, 3), 0)], rand((8, 4), 1), w, b)
+    mats, x, h, zr, zr_b, cand, c_b = _gru_operands(2, 6, 2, 3, 120)
+    with pytest.raises(tc.ShapeError, match=r"\[3, 4\] and 6 rows"):
+        tc.gru_step([None, rand((3, 4), 0)], x, h, zr, zr_b, cand, c_b)
+    with pytest.raises(tc.ShapeError, match=r"\[3, 3\] and 8 rows"):
+        tc.gru_step(mats, rand((8, 2), 1), rand((8, 3), 2), zr, zr_b, cand, c_b)
     with pytest.raises(tc.ShapeError, match="identity"):
-        tc.gate_sum([rand((3, 3), 0), None], rand((6, 4), 1), w, b)
-    with pytest.raises(tc.ShapeError, match=r"weights must be \[4, 4\], got \[4, 3\]"):
-        tc.gate_sum([None, rand((3, 3), 0)], rand((6, 4), 1), [w[0], rand((4, 3), 4)], b)
-    with pytest.raises(tc.ShapeError, match="bias"):
-        tc.gate_sum([None], rand((6, 4), 1), w[:1], rand((3,), 4))
+        tc.gru_step(mats[::-1], x, h, zr, zr_b, cand, c_b)
+    with pytest.raises(tc.ShapeError, match="one weight per matrix"):
+        tc.gru_step(mats, x, h, zr, zr_b, cand[:1], c_b)
+    with pytest.raises(tc.ShapeError, match=r"candidate weights \[5, 3\], got \[5, 2\]"):
+        tc.gru_step(mats, x, h, zr, zr_b, [cand[0], rand((5, 2), 3)], c_b)
+    with pytest.raises(tc.ShapeError, match=r"update/reset bias must be \[6\]"):
+        tc.gru_step(mats, x, h, zr, c_b, cand, c_b)
+    with pytest.raises(tc.ShapeError, match=r"\[6, 2\] and \[4, 3\]"):
+        tc.gru_step(mats, x, rand((4, 3), 4), zr, zr_b, cand, c_b)
 
 
 def test_gate_halves_are_update_left_reset_right():
-    zr, h, c = rand((3, 4), 5, 0.0, 1.0), rand((3, 2), 6), rand((3, 2), 7)
-    z, r = zr.data[:, :2], zr.data[:, 2:]
-    np.testing.assert_array_equal(tc.reset_mul(zr, h).data, r * h.data)
-    np.testing.assert_array_equal(tc.gate_mix(zr, h, c).data,
-                                  (h.data - z * h.data) + z * c.data)
-    with pytest.raises(tc.ShapeError, match=r"\[3, 3\].*\[3, 2\]"):
-        tc.reset_mul(rand((3, 3), 5), h)
-    with pytest.raises(tc.ShapeError, match="candidate"):
-        tc.gate_mix(zr, h, rand((3, 3), 7))
+    # [z | r] = sigmoid([x, h] W + b): z mixes the state, r gates it
+    _, x, h, zr_w, zr_b, cand, c_b = _gru_operands(1, 4, 2, 3, 130)
+    xh = np.concatenate([x.data, h.data], axis=1)
+    zr = 1.0 / (1.0 + np.exp(-(xh @ zr_w[0].data + zr_b.data)))
+    z, r = zr[:, :3], zr[:, 3:]
+    c = np.tanh(np.concatenate([x.data, r * h.data], axis=1) @ cand[0].data + c_b.data)
+    np.testing.assert_array_equal(tc.gru_step([None], x, h, zr_w, zr_b, cand, c_b).data,
+                                  (h.data - z * h.data) + z * c)
 
 
 def test_gate_sum_keeps_mixes_only_on_a_tape(monkeypatch):
-    # forward-only calls drop each M_k x once it is summed; taped ones keep it
+    # forward-only calls drop each M_k [..] once it is summed; taped ones
+    # keep it until the tape goes
     kept = []
-    mats, x, bias = [None, rand((3, 3), 2)], rand((6, 4), 3), rand((4,), 4)
-    weights = [Tensor(rand((4, 4), 5 + k).data, requires_grad=True) for k in range(2)]
     node_mix = tc._node_mix
     monkeypatch.setattr(tc, "_node_mix", lambda *a: kept.append(weakref.ref(
         out := node_mix(*a))) or out)
-    tc.gate_sum(mats, x, weights, bias)
-    assert [ref() for ref in kept] == [None]
+    operands = _gru_operands(2, 6, 2, 3, 140, requires_grad=True)
+    tc.gru_step(*operands)
+    assert len(kept) == 2 and all(ref() is None for ref in kept)
+    del kept[:]
     with Tape() as tape:
-        tc.gate_sum(mats, x, weights, bias)
-    assert kept[1]() is not None
+        tc.gru_step(*operands)
+    assert len(kept) == 2 and all(ref() is not None for ref in kept)
     del tape
-    assert kept[1]() is None
-
-
-def test_weighted_pool_is_per_row_weighted_sum():
-    weights, values = rand((4, 3), 4), [rand((4, 2), 5 + c) for c in range(3)]
-    out = tc.weighted_pool(weights, values)
-    expected = sum(weights.data[:, c:c + 1] * values[c].data for c in range(3))
-    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-14)
-
-
-def test_weighted_pool_groups_rows():
-    # G = 2 groups of 3 values: weight column g*3 + c scales row r*2 + g of
-    # value c, and each output row sums its groups
-    weights, values = rand((4, 6), 4), [rand((8, 2), 5 + c) for c in range(3)]
-    out = tc.weighted_pool(weights, values)
-    expected = sum(weights.data[:, g * 3 + c:g * 3 + c + 1] * values[c].data[g::2]
-                   for g in range(2) for c in range(3))
-    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-14)
-
-
-def test_weighted_pool_shape_mismatch():
-    with pytest.raises(tc.ShapeError, match=r"\[4, 3\] for 2"):
-        tc.weighted_pool(rand((4, 3), 0), [rand((4, 2), 1), rand((4, 2), 2)])
-    with pytest.raises(tc.ShapeError, match=r"\[4, 2\], got \[3, 2\]"):
-        tc.weighted_pool(rand((4, 2), 0), [rand((4, 2), 1), rand((3, 2), 2)])
-    # four columns over two values is two groups, so values need 8 rows
-    with pytest.raises(tc.ShapeError, match=r"\[8, 2\], got \[4, 2\]"):
-        tc.weighted_pool(rand((4, 4), 0), [rand((4, 2), 1), rand((4, 2), 2)])
+    assert all(ref() is None for ref in kept)
 
 
 def _unfused_scores(h, window, w1, b, w2, v):
-    # the per-offset chain attention recorded before additive_scores fused
-    # it: the query repeated over row groups, then matmul, add, tanh, matmul
+    # the per-offset chain attention recorded before its scores fused: the
+    # query repeated over row groups, then matmul, add, tanh, matmul
     rows, width = h.shape
     groups = window[0].shape[0] // rows
     query = tc.add(tc.matmul(h, w1), b)
@@ -168,6 +212,23 @@ def _unfused_scores(h, window, w1, b, w2, v):
     v_col = tc.reshape(v, (v.shape[0], 1))
     scores = [tc.matmul(tc.tanh(tc.add(tc.matmul(k, w2), query)), v_col) for k in window]
     return tc.reshape(tc.concat(scores, axis=1), (rows, groups * len(window)))
+
+
+def unfused_attention(h, window, w1, b, w2, v):
+    # scores, a softmax per row, then the context pooled one candidate at a
+    # time (column g*C + c weights row r*G + g of window[c]) and added to h
+    rows, width = h.shape
+    groups, n_off = window[0].shape[0] // rows, len(window)
+    weights = tc.softmax(_unfused_scores(h, window, w1, b, w2, v), axis=1)
+    ones = Tensor(np.ones((1, width)))
+    pooled = None
+    for j in range(groups * n_off):
+        group, c = divmod(j, n_off)
+        k_rows = tc.matmul(Tensor(np.eye(rows * groups)[group::groups]), window[c])
+        scale = tc.matmul(tc.matmul(weights, Tensor(np.eye(groups * n_off)[:, j:j + 1])), ones)
+        term = tc.mul(scale, k_rows)
+        pooled = term if pooled is None else tc.add(pooled, term)
+    return tc.add(h, pooled), weights
 
 
 def _score_operands(rows, groups, n_off, d, seed, requires_grad=False):
@@ -181,13 +242,27 @@ def _score_operands(rows, groups, n_off, d, seed, requires_grad=False):
 
 @pytest.mark.parametrize("rows,groups,n_off", [(3, 2, 3), (4, 1, 1), (2, 5, 7)])
 def test_additive_scores_bitwise_equals_unfused_chain(rows, groups, n_off):
-    h, window, w1, b, w2, v = _score_operands(rows, groups, n_off, 4, 70)
-    expected = _unfused_scores(h, window, w1, b, w2, v).data
-    np.testing.assert_array_equal(tc.additive_scores(h, window, w1, b, w2, v).data, expected)
-    h, window, w1, b, w2, v = _score_operands(rows, groups, n_off, 4, 70, requires_grad=True)
+    # output and weights, with and without a tape
+    operands = _score_operands(rows, groups, n_off, 4, 70)
+    out, weights = unfused_attention(*operands)
+    fused = tc.additive_attention(*operands)
+    np.testing.assert_array_equal(fused[0].data, out.data)
+    np.testing.assert_array_equal(fused[1].data, weights.data)
+    operands = _score_operands(rows, groups, n_off, 4, 70, requires_grad=True)
     with Tape():
-        np.testing.assert_array_equal(
-            tc.additive_scores(h, window, w1, b, w2, v).data, expected)
+        fused = tc.additive_attention(*operands)
+    np.testing.assert_array_equal(fused[0].data, out.data)
+    np.testing.assert_array_equal(fused[1].data, weights.data)
+    assert not fused[1].requires_grad
+
+
+def test_additive_attention_gradients_match_unfused_chain():
+    operands = _score_operands(3, 2, 3, 4, 75, requires_grad=True)
+    h, window, *params = operands
+    leaves, weights = [h, *window, *params], rand((3, 4), 79)
+    for fused, plain in zip(_leaf_grads(tc.additive_attention, operands, leaves, weights),
+                            _leaf_grads(unfused_attention, operands, leaves, weights)):
+        np.testing.assert_allclose(fused, plain, rtol=0, atol=1e-14 * np.abs(plain).max())
 
 
 def test_additive_scores_keeps_tanh_outputs_only_on_a_tape(monkeypatch):
@@ -203,34 +278,58 @@ def test_additive_scores_keeps_tanh_outputs_only_on_a_tape(monkeypatch):
 
     monkeypatch.setattr(np, "tanh", tanh)
     operands = _score_operands(3, 2, 4, 4, 80, requires_grad=True)
-    tc.additive_scores(*operands)
+    tc.additive_attention(*operands)
     assert len(kept) == 4 and len({addr for _, addr in kept}) == 1
     assert all(ref() is None for ref, _ in kept)
     del kept[:]
     with Tape() as tape:
-        tc.additive_scores(*operands)
+        tc.additive_attention(*operands)
     assert len({addr for _, addr in kept}) == 4
     assert all(ref() is not None for ref, _ in kept)
     del tape
     assert all(ref() is None for ref, _ in kept)
 
 
-def test_additive_scores_shape_mismatch():
+def test_weighted_pool_is_per_row_weighted_sum():
+    # one row group: the context is sum_c weights[:, c] * window[c]
+    h, window, w1, b, w2, v = _score_operands(4, 1, 3, 2, 140)
+    out, weights = tc.additive_attention(h, window, w1, b, w2, v)
+    expected = sum(weights.data[:, c:c + 1] * window[c].data for c in range(3))
+    np.testing.assert_allclose(out.data - h.data, expected, rtol=0, atol=1e-14)
+
+
+def test_weighted_pool_groups_rows():
+    # G = 2 groups of 3 values: weight column g*3 + c scales row r*2 + g of
+    # value c, and each output row sums its groups
+    h, window, w1, b, w2, v = _score_operands(4, 2, 3, 2, 150)
+    out, weights = tc.additive_attention(h, window, w1, b, w2, v)
+    expected = sum(weights.data[:, g * 3 + c:g * 3 + c + 1] * window[c].data[g::2]
+                   for g in range(2) for c in range(3))
+    np.testing.assert_allclose(out.data - h.data, expected, rtol=0, atol=1e-14)
+
+
+def test_weighted_pool_shape_mismatch():
     h, window, w1, b, w2, v = _score_operands(3, 2, 3, 4, 90)
     with pytest.raises(tc.ShapeError, match="at least one window state"):
-        tc.additive_scores(h, [], w1, b, w2, v)
+        tc.additive_attention(h, [], w1, b, w2, v)
     # 7 rows is no whole number of row groups for 3 query rows
     with pytest.raises(tc.ShapeError, match=r"\[r\*g,4\].*\[7, 4\]"):
-        tc.additive_scores(h, [rand((7, 4), 1)], w1, b, w2, v)
+        tc.additive_attention(h, [rand((7, 4), 1)], w1, b, w2, v)
     with pytest.raises(tc.ShapeError, match=r"must all be \[6, 4\], got \[3, 4\]"):
-        tc.additive_scores(h, [window[0], rand((3, 4), 1)], w1, b, w2, v)
+        tc.additive_attention(h, [window[0], rand((3, 4), 1)], w1, b, w2, v)
     # window states narrower than the query
     with pytest.raises(tc.ShapeError, match=r"\[r\*g,4\].*\[6, 3\]"):
-        tc.additive_scores(h, [rand((6, 3), 1)], w1, b, w2, v)
+        tc.additive_attention(h, [rand((6, 3), 1)], w1, b, w2, v)
+
+
+def test_additive_scores_shape_mismatch():
+    h, window, w1, b, w2, v = _score_operands(3, 2, 3, 4, 90)
+    with pytest.raises(tc.ShapeError, match=r"\[r,d\] query"):
+        tc.additive_attention(rand((3, 4, 1), 1), window, w1, b, w2, v)
     with pytest.raises(tc.ShapeError, match=r"w2 must be \[4, 4\], got \[4, 3\]"):
-        tc.additive_scores(h, window, w1, b, rand((4, 3), 1), v)
+        tc.additive_attention(h, window, w1, b, rand((4, 3), 1), v)
     with pytest.raises(tc.ShapeError, match=r"b must be \[4\], got \[3\]"):
-        tc.additive_scores(h, window, w1, rand((3,), 1), w2, v)
+        tc.additive_attention(h, window, w1, rand((3,), 1), w2, v)
 
 
 def test_sigmoid_at_zero():
@@ -469,17 +568,33 @@ def test_gradients_only_on_requires_grad():
 
 
 def test_constant_operands_get_no_gradient_product(monkeypatch):
-    adj, w = rand((3, 3), 40), rand((6, 4), 41)
-    x = Tensor(rand((6, 4), 42).data, requires_grad=True)
-    mats, weights, bias = _mix_only(adj, 4)
+    # only x needs a gradient: the constant adjacency gets no product, and
+    # neither do the weights, the biases or the state
+    mats, x, h, zr, zr_b, cand, c_b = _gru_operands(2, 6, 2, 3, 160)
+    x.requires_grad = True
     calls = []
     tensordot = np.tensordot
     monkeypatch.setattr(np, "tensordot", lambda *a, **k: calls.append(1) or tensordot(*a, **k))
+    w = rand((6, 3), 161)
     with Tape() as tape:
-        backward(tc.reduce_sum(tc.mul(tc.gate_sum(mats, x, weights, bias), w)), tape)
+        backward(tc.reduce_sum(tc.mul(tc.gru_step(mats, x, h, zr, zr_b, cand, c_b), w)), tape)
     assert calls == []
-    np.testing.assert_allclose(x.grad, np.matmul(adj.data.T, w.data.reshape(2, 3, 4)).reshape(6, 4),
-                               rtol=0, atol=1e-14)
+    g = tape.records[0].backward_fn(w.data)
+    assert g[0] is not None and all(t is None for t in g[1:])
+    fused = x.grad.copy()
+    x.grad = None
+    with Tape() as tape:
+        backward(tc.reduce_sum(tc.mul(unfused_gru_step(mats, x, h, zr, zr_b, cand, c_b), w)),
+                 tape)
+    np.testing.assert_allclose(fused, x.grad, rtol=0, atol=1e-14)
+
+    # attention with only the query variable: no window or weight products
+    h, window, w1, b, w2, v = _score_operands(3, 2, 3, 4, 162)
+    h.requires_grad = True
+    with Tape() as tape:
+        tc.additive_attention(h, window, w1, b, w2, v)
+    g = tape.records[0].backward_fn(np.ones((3, 4)))
+    assert g[0] is not None and all(t is None for t in g[1:])
 
     a, b = rand((2, 3), 43), Tensor(rand((3, 2), 44).data, requires_grad=True)
     with Tape() as tape:
@@ -567,12 +682,6 @@ def _toy_state():
     return cfg, init_model(cfg, 4, 1, seed=0), np.full((4, 4), 0.25)
 
 
-# Every GRU step, dense or graph: [x, h], the shared update/reset sum and
-# its sigmoid, r*h, [x, r*h], the candidate sum and its tanh, then the mix.
-GRU_STEP_OPS = ["concat", "gate_sum", "sigmoid", "reset_mul",
-                "concat", "gate_sum", "tanh", "gate_mix"]
-
-
 def _dgc_gates(cfg, state, a_pre):
     return dgc_terms(state, pre_mix_mats(a_pre, cfg),
                      adaptive_mix_mats(state.embeddings(), cfg))
@@ -588,27 +697,35 @@ def test_dgcgru_cell_mixes_each_input_once_per_matrix(monkeypatch):
     mixed = []
     node_mix = tc._node_mix
     monkeypatch.setattr(tc, "_node_mix",
-                        lambda adj, rows: mixed.append((adj, rows)) or node_mix(adj, rows))
+                        lambda adj, rows: mixed.append((adj, rows.copy())) or node_mix(adj, rows))
     with Tape() as tape:
         dgcgru_cell(gates, x, h)
-    ops = [_op(rec) for rec in tape.records]
+    assert [_op(rec) for rec in tape.records] == ["gru_step"]
     assert len(mixed) == 4 * cfg.K
-    # each of the two gate sums mixes its own input once by each matrix
-    sums = [rec for rec in tape.records if _op(rec) == "gate_sum"]
-    for rec, calls in zip(sums, (mixed[:2 * cfg.K], mixed[2 * cfg.K:])):
-        assert all(rows is rec.inputs[0].data for _, rows in calls)
+    # the two inputs gru_step forms: [x, h], then [x, r*h] with r the
+    # right half of sigmoid(G_zr [x, h])
+    zr = tc.sigmoid(unfused_gate_sum(gates.mats, tc.concat([x, h], axis=1),
+                                     gates.update_reset, gates.update_reset_bias)).data
+    inner = [np.concatenate([x.data, h.data], axis=1),
+             np.concatenate([x.data, zr[:, cfg.d_h:] * h.data], axis=1)]
+    for rows, calls in zip(inner, (mixed[:2 * cfg.K], mixed[2 * cfg.K:])):
+        assert all(np.array_equal(seen, rows) for _, seen in calls)
         assert [id(adj) for adj, _ in calls] == [id(m.data) for m in gates.mats[1:]]
-    assert not {"transpose", "reshape"} & set(ops)
+
+
+def _eight_steps(cell, gates, x, h):
+    with Tape() as tape:
+        for _ in range(8):
+            h = cell(gates, x, h)
+    return [_op(rec) for rec in tape.records]
 
 
 def test_dense_gru_cell_records_eight():
+    # eight steps, eight records: a step is one gru_step record
     cfg, state, _ = _toy_state()
     x = Tensor(rand((8, 1), 52).data, requires_grad=True)
     h = Tensor(rand((8, cfg.d_h), 53).data, requires_grad=True)
-    gates = state.gru("decoder")
-    with Tape() as tape:
-        gru_cell(gates, x, h)
-    assert [_op(rec) for rec in tape.records] == GRU_STEP_OPS
+    assert _eight_steps(gru_cell, state.gru("decoder"), x, h) == ["gru_step"] * 8
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])
@@ -620,13 +737,11 @@ def test_dgcgru_cell_records_eight(K, n_head):
     assert len(gates.mats) == 2 * K + 1
     x = Tensor(rand((8, cfg.d_h), 54).data, requires_grad=True)
     h = Tensor(rand((8, cfg.d_h), 55).data, requires_grad=True)
-    with Tape() as tape:
-        dgcgru_cell(gates, x, h)
-    assert [_op(rec) for rec in tape.records] == GRU_STEP_OPS
+    assert _eight_steps(dgcgru_cell, gates, x, h) == ["gru_step"] * 8
 
 
 def test_attention_step_pools_in_one_record():
-    # scores, weights, pooled context, residual: four records, windowed or not
+    # scores, weights, pooled context and residual: one record, windowed or not
     cfg, state, _ = _toy_state()
     bank = [Tensor(rand((16, cfg.d_h), 60 + j).data, requires_grad=True)
             for j in range(cfg.Q + 2 * cfg.S)]
@@ -634,8 +749,7 @@ def test_attention_step_pools_in_one_record():
         cfg.no_window = no_window
         with Tape() as tape:
             attention_step(rand((8, cfg.d_h), 59), bank, 1, cfg, state.attention())
-        ops = [_op(rec) for rec in tape.records]
-        assert ops == ["additive_scores", "softmax", "weighted_pool", "add"]
+        assert [_op(rec) for rec in tape.records] == ["additive_attention"]
         assert len(tape.records[0].inputs) == 5 + n_off
 
 
@@ -702,11 +816,11 @@ def test_adaptive_mix_mats_records_do_not_grow_with_heads():
 # when each block had its own encoder pass and attention scored each
 # block's candidates apart, 2,003 when the adaptive adjacency was built
 # one head at a time, and 1,920 when a dense GRU step took 16 records and
-# a DGC-GRU step 47, and 1,042 when attention took 38 records a step
-# (4 per window offset plus the query and score joins). With 4-record
-# attention steps it is 634; the budget allows 2.5% more. The count does
-# not depend on widths, node count or batch size.
-ADDITIVE_SCORE_STEP_RECORDS = 650
+# a DGC-GRU step 47, 1,042 when attention took 38 records a step, and 634
+# when a GRU step took 8 records and attention 4. With one record per GRU
+# step and per attention step it is 159; the budget allows 4% more. The
+# count does not depend on widths, node count or batch size.
+FUSED_STEP_RECORDS = 165
 
 
 def test_forward_and_loss_record_budget_at_default_windows():
@@ -716,7 +830,7 @@ def test_forward_and_loss_record_budget_at_default_windows():
     with Tape() as tape:
         pred = forward(state, r, d, w, a_pre=np.full((3, 3), 1.0 / 3)).predictions
         mae_loss(pred, Tensor(y))
-    assert len(tape) <= ADDITIVE_SCORE_STEP_RECORDS
+    assert len(tape) <= FUSED_STEP_RECORDS
 
 
 def test_tape_determinism_bitwise():
