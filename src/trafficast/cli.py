@@ -730,7 +730,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     failures = [(name, rel, tol) for name, rel, tol in rows if rel > tol]
     for name, rel, tol in rows:
         status = "FAIL" if rel > tol else "pass"
-        print(f"{name:<34} max_rel {rel:<12.4g} tol {tol:g}  {status}")
+        print(f"{name:<36} max_rel {rel:<12.4g} tol {tol:g}  {status}")
     print(f"gradcheck: {len(rows) - len(failures)}/{len(rows)} checks passed "
           f"in {elapsed:.4g}s")
 

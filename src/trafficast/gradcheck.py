@@ -71,18 +71,27 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
     w233 = rng.standard_normal((2, 3, 3))
     t_a234 = Tensor(rng.standard_normal((2, 3, 4)))
     t_b243 = Tensor(b243)
-    # attention over three [6, 4] window states, two row groups each,
-    # against a [3, 4] query, through an inner width of 3
+    # attention over a window of three of a bank's five [6, 4] states,
+    # two row groups each, against a [3, 4] query, through an inner width of 3
     att_h = rng.standard_normal((3, 4))
     att_w1, att_w2 = 0.5 * rng.standard_normal((4, 3)), 0.5 * rng.standard_normal((4, 3))
     att_b, att_v = rng.standard_normal(3), rng.standard_normal(3)
-    att_k = rng.standard_normal((6, 4))
-    t_att_window = [Tensor(rng.standard_normal((6, 4))), Tensor(att_k),
-                    Tensor(rng.standard_normal((6, 4)))]
+    att_bank = rng.standard_normal((5, 6, 4))
 
-    def attention(h=Tensor(att_h), window=t_att_window, w1=Tensor(att_w1), b=Tensor(att_b),
+    def attention(h=Tensor(att_h), bank=Tensor(att_bank), w1=Tensor(att_w1), b=Tensor(att_b),
                   w2=Tensor(att_w2), v=Tensor(att_v)):
-        return _weighted_sum(tc.additive_attention(h, window, w1, b, w2, v)[0], w34)
+        return _weighted_sum(tc.additive_attention(h, bank, 1, 3, w1, b, w2, v)[0], w34)
+
+    # a dense GRU over four constant [6, 2] steps from a [6, 3] state,
+    # returning the last three states
+    seq_x, seq_h0 = rng.standard_normal((4, 6, 2)), rng.uniform(-0.9, 0.9, (6, 3))
+    seq_zr, seq_zr_b = 0.5 * rng.standard_normal((5, 6)), rng.standard_normal(6)
+    seq_c, seq_c_b = 0.5 * rng.standard_normal((5, 3)), rng.standard_normal(3)
+    w363 = rng.standard_normal((3, 6, 3))
+
+    def sequence(h0=Tensor(seq_h0), zr=Tensor(seq_zr), zr_b=Tensor(seq_zr_b),
+                 c=Tensor(seq_c), c_b=Tensor(seq_c_b)):
+        return _weighted_sum(tc.gru_sequence(seq_x, h0, zr, zr_b, c, c_b, first=1), w363)
 
     checks = [
         ("add", lambda t: _weighted_sum(tc.add(t, t_other), w34), x34),
@@ -120,8 +129,12 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
         ("additive_attention_bias", lambda t: attention(b=t), att_b),
         ("additive_attention_w2", lambda t: attention(w2=t), att_w2),
         ("additive_attention_v", lambda t: attention(v=t), att_v),
-        ("additive_attention_window", lambda t: attention(
-            window=[t_att_window[0], t, t_att_window[2]]), att_k),
+        ("additive_attention_bank", lambda t: attention(bank=t), att_bank),
+        ("gru_sequence_state0", lambda t: sequence(h0=t), seq_h0),
+        ("gru_sequence_update_reset_weight", lambda t: sequence(zr=t), seq_zr),
+        ("gru_sequence_update_reset_bias", lambda t: sequence(zr_b=t), seq_zr_b),
+        ("gru_sequence_cand_weight", lambda t: sequence(c=t), seq_c),
+        ("gru_sequence_cand_bias", lambda t: sequence(c_b=t), seq_c_b),
         ("composite", lambda t: _weighted_sum(
             tc.mul(tc.sigmoid(tc.matmul(t, comp_w1)), tc.tanh(tc.matmul(t, comp_w2))), w33), x34),
     ]

@@ -1,9 +1,10 @@
 """The forecasting network.
 
 Encoder: one GRU parameter set, run per node over the recent window R and,
-in one pass over stacked rows, over every daily/weekly context block. The
-R pass ends in the decoder's initial state; the block pass leaves one bank
-of hidden states, each covering every block, that attention indexes later.
+in one pass over stacked rows, over every daily/weekly context block; each
+pass is one `gru_sequence` record. The R pass ends in the decoder's
+initial state; the block pass leaves the bank, one [Q+2S, B*N*G, d_h]
+tensor of hidden states covering every block, that attention indexes.
 
 Decoder, per forecast step t: a GRU (separate parameters) advances on its
 own previous output, attention pools a (2S+1)-wide window from every block
@@ -20,10 +21,12 @@ fusion weights folded into one weight per matrix once per forward. Both
 branches' powers come from one helper over an [H, N, N] adjacency stack:
 every learned head at once, or the predefined matrix as one head. The
 update and reset gates share one sum: per matrix their weights are joined
-as [W_z | W_r] once per forward. Every GRU step, dense or graph, is one
-`gru_step` record, and every attention step one `additive_attention`
-record: the scores of every window offset over every block against one
-query, the softmax per node, the pooled context and the residual add.
+as [W_z | W_r] once per forward. Every decoder GRU step, dense or graph,
+is one `gru_step` record, each encoder pass one `gru_sequence` record,
+and every attention step one `additive_attention` record: the window read
+out of the bank, the scores of every window offset over every block
+against one query, the softmax per node, the pooled context and the
+residual add.
 Every activation is [B*N, d] rows, node-minor (row b*N + n), so no cell
 reshapes or slices; the bank's rows add the block as the fastest index
 (row (b*N + n)*G + g).
@@ -34,10 +37,8 @@ tensors, parameters carry requires_grad.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -225,38 +226,37 @@ def gru_cell(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
                        gates.cand, gates.cand_bias)
 
 
-def _run_gru(gates: GruGates, steps: np.ndarray, h: Tensor) -> Iterator[Tensor]:
-    """Yield the state after each step of the constant inputs [T, rows, C]."""
-    for x_t in steps:
-        h = gru_cell(gates, Tensor(x_t), h)
-        yield h
-
-
 def encode(
     state: ModelState, r: np.ndarray, d: np.ndarray, w: np.ndarray
-) -> Tuple[Tensor, List[Tensor]]:
+) -> Tuple[Tensor, Optional[Tensor]]:
     """Shared-parameter GRU passes over R and, in one pass, every periodic block.
 
-    Returns the final R state [B*N, d_h] (decoder init) and the bank: the
-    Q+2S states at block positions P-S .. P+Q+S-1, the ones attention
-    reads. Each is [B*N*G, d_h] over the G = d_count + w_count blocks,
-    node-major and block-minor (row (b*N + n)*G + g), blocks ordered daily
-    first, then weekly, both most-distant-first (matching the data
-    layout). The blocks share one pass because they have the same length,
-    the same zero initial state and the same weights, and a dense GRU
-    treats each row on its own. Empty when periodic context is switched
-    off.
+    Each pass is one `gru_sequence` record. Returns the final R state
+    [B*N, d_h] (decoder init) and the bank: one [Q+2S, B*N*G, d_h] tensor
+    holding the states at block positions P-S .. P+Q+S-1, the ones
+    attention reads, over the G = d_count + w_count blocks, node-major and
+    block-minor (row (b*N + n)*G + g), blocks ordered daily first, then
+    weekly, both most-distant-first (matching the data layout). The blocks
+    share one pass because they have the same length, the same zero
+    initial state and the same weights, and a dense GRU treats each row on
+    its own. None when periodic context is switched off.
     """
     cfg = state.config
     b, p_len, n, c = r.shape
     if p_len != cfg.P:
         raise ShapeError(f"R has {p_len} steps, config says P={cfg.P}")
     enc = state.gru("encoder")
+    (update_reset,), (cand,) = enc.update_reset, enc.cand
+
+    def run(steps, first):
+        h0 = Tensor(np.zeros((steps.shape[1], cfg.d_h)))
+        return tc.gru_sequence(steps, h0, update_reset, enc.update_reset_bias,
+                               cand, enc.cand_bias, first)
+
     r_steps = np.ascontiguousarray(r.transpose(1, 0, 2, 3)).reshape(p_len, b * n, c)
-    h_final = deque(_run_gru(enc, r_steps, Tensor(np.zeros((b * n, cfg.d_h)))),
-                    maxlen=1).pop()
+    h_final = tc.reshape(run(r_steps, p_len - 1), (b * n, cfg.d_h))
     if cfg.no_period:
-        return h_final, []
+        return h_final, None
     if d.shape[1] != cfg.d_count or w.shape[1] != cfg.w_count:
         raise ShapeError(
             f"expected {cfg.d_count} daily and {cfg.w_count} weekly blocks, "
@@ -270,13 +270,12 @@ def encode(
     # [B, G, L, N, C] -> [L, B, N, G, C]: one row per (batch, node, block)
     blocks = np.concatenate([d, w], axis=1).transpose(2, 0, 3, 1, 4)
     steps = np.ascontiguousarray(blocks).reshape(cfg.block_len, b * n * g, c)
-    states = _run_gru(enc, steps, Tensor(np.zeros((b * n * g, cfg.d_h))))
-    return h_final, list(islice(states, cfg.P - cfg.S, None))
+    return h_final, run(steps, cfg.P - cfg.S)
 
 
 def attention_step(
     h_t: Tensor,
-    bank: List[Tensor],
+    bank: Optional[Tensor],
     t: int,
     cfg: ModelConfig,
     params: AttentionParams,
@@ -284,22 +283,25 @@ def attention_step(
     """Pool periodic hidden states around the position aligned with step t.
 
     Block position P+t is the prior-day/week state at the same clock
-    offset as forecast step t, bank[t+S] in the bank `encode` returns; the
-    window takes offsets -S..+S around it (just the aligned state when
-    windowing is off). One `additive_attention` record forms every score
-    v' tanh(W2 h_p + W1 h + b) of the window over the G blocks of each
-    row, turns them into weights with a softmax per node, and adds the
-    pooled context residually. Returns (a_t, weights) with weights
-    [B*N, G*C] a constant tensor in block-major, offset-minor candidate
-    order (column g*C + c), or (h_t, None) when periodic context is off.
+    offset as forecast step t, bank[t+S] in the one-tensor bank `encode`
+    returns; the window takes offsets -S..+S around it (just the aligned
+    state when windowing is off). One `additive_attention` record reads
+    that window out of the bank, forms every score v' tanh(W2 h_p + W1 h
+    + b) of the window over the G blocks of each row, turns them into
+    weights with a softmax per node, and adds the pooled context
+    residually; its backward adds the window's rows into the bank's one
+    adjoint.
+    Returns (a_t, weights) with weights [B*N, G*C] a constant tensor in
+    block-major, offset-minor candidate order (column g*C + c), or
+    (h_t, None) when periodic context is off.
     """
     if not 0 <= t < cfg.Q:
         raise ModelError(f"step {t} out of range for Q={cfg.Q}")
-    if cfg.no_period or not bank:
+    if cfg.no_period or bank is None:
         return h_t, None
     half = 0 if cfg.no_window else cfg.S
-    window = bank[t + cfg.S - half : t + cfg.S + half + 1]
-    return tc.additive_attention(h_t, window, params.w1, params.b, params.w2, params.v)
+    return tc.additive_attention(h_t, bank, t + cfg.S - half, 2 * half + 1,
+                                 params.w1, params.b, params.w2, params.v)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ __all__ = [
     "reshape",
     "transpose",
     "gru_step",
+    "gru_sequence",
     "additive_attention",
     "finite_diff_check",
     "GradCheckReport",
@@ -153,6 +154,17 @@ class Tape:
         return id(t) in self._outputs
 
 
+class _Rows:
+    """An adjoint that is `data` on rows start .. start+len(data)-1 of an
+    input's leading axis and zero elsewhere."""
+
+    __slots__ = ("start", "data")
+
+    def __init__(self, start: int, data: np.ndarray):
+        self.start = start
+        self.data = data
+
+
 def _emit(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:
     """Wrap a primitive's result and record it on the active tape."""
     out = Tensor(out_data)
@@ -174,7 +186,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
     Replays the tape's backward rules in reverse execution order. Every
     consumer of an intermediate runs after the record that produced it, so
-    by the time that record is replayed its adjoint is complete.
+    by the time that record is replayed its adjoint is complete. A rule
+    may return a `_Rows` for an input it reads only a run of leading rows
+    of; that run is added into the input's whole adjoint in place.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -182,22 +196,38 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise ValueError("loss was not produced on this tape")
 
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    # adjoints this pass allocated itself: no backward rule holds them, so
+    # later contributions are added in place
+    owned: set[int] = set()
     leaves: dict[int, Tensor] = {}
 
     for rec in reversed(tape.records):
         g_out = adjoints.pop(id(rec.output), None)
+        owned.discard(id(rec.output))
         if g_out is None:
             continue
         for inp, g in zip(rec.inputs, rec.backward_fn(g_out)):
             if g is None or not inp.requires_grad:
                 continue
             key = id(inp)
-            if key in adjoints:
-                adjoints[key] = adjoints[key] + g
-            else:
+            acc = adjoints.get(key)
+            if acc is None and not tape.produced(inp):
+                leaves[key] = inp
+            if type(g) is _Rows:
+                if key not in owned:
+                    whole = np.zeros(inp.shape)
+                    if acc is not None:
+                        whole += acc
+                    adjoints[key] = acc = whole
+                    owned.add(key)
+                acc[g.start:g.start + len(g.data)] += g.data
+            elif acc is None:
                 adjoints[key] = g
-                if not tape.produced(inp):
-                    leaves[key] = inp
+            elif key in owned and acc.shape == g.shape:
+                acc += g
+            else:
+                adjoints[key] = acc + g
+                owned.add(key)
 
     for key, t in leaves.items():
         t.accumulate_grad(adjoints[key])
@@ -429,7 +459,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# recurrent cells: one record per GRU step
+# recurrent cells: one record per GRU step, or per dense GRU pass
 # ---------------------------------------------------------------------------
 
 def _node_mix(adj: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -486,6 +516,79 @@ def _gate_sum_grad(g, mats, mixes, weights, bias: Tensor, need_x: bool, g_mats: 
     return g_x, g_w, g.sum(axis=0) if bias.requires_grad else None
 
 
+def _joined(xd: np.ndarray, hd: np.ndarray, r: Optional[np.ndarray] = None) -> np.ndarray:
+    """A GRU gate sum's operand: [x, h], or [x, r h] given the reset gate r."""
+    return np.concatenate([xd, hd if r is None else r * hd], axis=1)
+
+
+def _gru_forward(mats, xd: np.ndarray, hd: np.ndarray, update_reset, update_reset_bias: Tensor,
+                 cand, cand_bias: Tensor, keep: bool, out: Optional[np.ndarray] = None):
+    """One GRU step's arithmetic, shared by gru_step and gru_sequence.
+
+    Returns (h', [z | r], c, mixes of the update/reset sum, mixes of the
+    candidate sum); the mixes are None unless `keep`. h' is written to
+    `out` when given, which may be hd itself.
+    """
+    d_h = hd.shape[1]
+    zr, zr_mixes = _gate_sum(mats, _joined(xd, hd), update_reset, update_reset_bias, keep)
+    _sigmoid(zr, out=zr)
+    z, r = zr[:, :d_h], zr[:, d_h:]
+    c, c_mixes = _gate_sum(mats, _joined(xd, hd, r), cand, cand_bias, keep)
+    np.tanh(c, out=c)
+    out = np.subtract(hd, z * hd, out=out)
+    out += z * c
+    return out, zr, c, zr_mixes, c_mixes
+
+
+def _gru_grad(g, need_x: bool, need_h: bool, mats, hd, zr, c, zr_mixes, c_mixes,
+              update_reset, update_reset_bias: Tensor, cand, cand_bias: Tensor) -> list:
+    """Adjoints of one _gru_forward step for its output adjoint g, in
+    gru_step's input order: x, h, the update/reset bias and weights, the
+    candidate bias and weights, the matrices after the identity."""
+    d_h = hd.shape[1]
+    d_x = c_mixes[0].shape[1] - d_h
+    need_xh = need_x or need_h
+    need_xrh = need_xh or any(t.requires_grad for t in (
+        update_reset_bias, *update_reset, *mats[1:]))
+    g_mats = [None] * (len(mats) - 1)
+    z, r = zr[:, :d_h], zr[:, d_h:]
+    g_c = g * z
+    g_c *= 1.0 - c * c
+    g_xrh, g_cw, g_cb = _gate_sum_grad(g_c, mats, c_mixes, cand, cand_bias, need_xrh, g_mats)
+    g_h = g - g * z if need_h else None
+    g_x, g_zrw, g_zrb = None, [None] * len(update_reset), None
+    if need_xrh:
+        g_rh = g_xrh[:, d_x:]
+        g_zr = np.empty_like(zr)
+        np.subtract(g * c, g * hd, out=g_zr[:, :d_h])
+        np.multiply(g_rh, hd, out=g_zr[:, d_h:])
+        g_zr *= zr
+        g_zr *= 1.0 - zr
+        g_xh, g_zrw, g_zrb = _gate_sum_grad(g_zr, mats, zr_mixes, update_reset,
+                                            update_reset_bias, need_xh, g_mats)
+        if need_h:
+            g_h += g_rh * r
+            g_h += g_xh[:, d_x:]
+        if need_x:
+            g_x = g_xrh[:, :d_x] + g_xh[:, :d_x]
+    return [g_x, g_h, g_zrb, *g_zrw, g_cb, *g_cw, *g_mats]
+
+
+def _check_gates(op: str, d_x: int, d_h: int, update_reset, update_reset_bias: Tensor,
+                 cand, cand_bias: Tensor) -> None:
+    """Reject gate weights or biases that do not fit d_x inputs and d_h states."""
+    for gate, weights, bias, width in (("update/reset", update_reset, update_reset_bias, 2 * d_h),
+                                       ("candidate", cand, cand_bias, d_h)):
+        for w in weights:
+            if w.shape != (d_x + d_h, width):
+                raise ShapeError(
+                    f"gru width mismatch: input {d_x} + state {d_h} needs {gate} "
+                    f"weights [{d_x + d_h}, {width}], got {list(w.shape)}"
+                )
+        if bias.shape != (width,):
+            raise ShapeError(f"{op} {gate} bias must be [{width}], got {list(bias.shape)}")
+
+
 def gru_step(mats: Sequence[Optional[Tensor]], x: Tensor, h: Tensor,
              update_reset: Sequence[Tensor], update_reset_bias: Tensor,
              cand: Sequence[Tensor], cand_bias: Tensor) -> Tensor:
@@ -511,78 +614,109 @@ def gru_step(mats: Sequence[Optional[Tensor]], x: Tensor, h: Tensor,
             f"per gate, got {len(mats)} matrices, {len(update_reset)} update/reset "
             f"and {len(cand)} candidate weights"
         )
-    rows, d_x, d_h = x.shape[0], x.shape[1], h.shape[1]
+    rows = x.shape[0]
     for mat in mats[1:]:
         if len(mat.shape) != 2 or mat.shape[0] != mat.shape[1] or rows % mat.shape[0]:
             raise ShapeError(f"gru_step needs [n,n] matrices over [b*n,d] rows, "
                              f"got {list(mat.shape)} and {rows} rows")
-    for gate, weights, bias, width in (("update/reset", update_reset, update_reset_bias, 2 * d_h),
-                                       ("candidate", cand, cand_bias, d_h)):
-        for w in weights:
-            if w.shape != (d_x + d_h, width):
-                raise ShapeError(
-                    f"gru width mismatch: input {d_x} + state {d_h} needs {gate} "
-                    f"weights [{d_x + d_h}, {width}], got {list(w.shape)}"
-                )
-        if bias.shape != (width,):
-            raise ShapeError(f"gru_step {gate} bias must be [{width}], got {list(bias.shape)}")
+    _check_gates("gru_step", x.shape[1], h.shape[1], update_reset, update_reset_bias,
+                 cand, cand_bias)
 
     inputs = (x, h, update_reset_bias, *update_reset, cand_bias, *cand, *mats[1:])
     keep = _active_tape() is not None and any(t.requires_grad for t in inputs)
-    hd = h.data
-    zr, zr_mixes = _gate_sum(mats, np.concatenate([x.data, hd], axis=1),
-                             update_reset, update_reset_bias, keep)
-    _sigmoid(zr, out=zr)
-    z, r = zr[:, :d_h], zr[:, d_h:]
-    c, c_mixes = _gate_sum(mats, np.concatenate([x.data, r * hd], axis=1),
-                           cand, cand_bias, keep)
-    np.tanh(c, out=c)
-    out = hd - z * hd
-    out += z * c
+    out, zr, c, zr_mixes, c_mixes = _gru_forward(mats, x.data, h.data, update_reset,
+                                                 update_reset_bias, cand, cand_bias, keep)
 
     def bwd(g):
-        need_xh = x.requires_grad or h.requires_grad
-        need_xrh = need_xh or any(t.requires_grad for t in (
-            update_reset_bias, *update_reset, *mats[1:]))
-        g_mats = [None] * (len(mats) - 1)
-        g_c = g * z
-        g_c *= 1.0 - c * c
-        g_xrh, g_cw, g_cb = _gate_sum_grad(g_c, mats, c_mixes, cand, cand_bias,
-                                           need_xrh, g_mats)
-        g_h = g - g * z if h.requires_grad else None
-        g_x, g_zrw, g_zrb = None, [None] * len(update_reset), None
-        if need_xrh:
-            g_rh = g_xrh[:, d_x:]
-            g_zr = np.empty_like(zr)
-            np.subtract(g * c, g * hd, out=g_zr[:, :d_h])
-            np.multiply(g_rh, hd, out=g_zr[:, d_h:])
-            g_zr *= zr
-            g_zr *= 1.0 - zr
-            g_xh, g_zrw, g_zrb = _gate_sum_grad(g_zr, mats, zr_mixes, update_reset,
-                                                update_reset_bias, need_xh, g_mats)
-            if h.requires_grad:
-                g_h += g_rh * r
-                g_h += g_xh[:, d_x:]
-            if x.requires_grad:
-                g_x = g_xrh[:, :d_x] + g_xh[:, :d_x]
-        return [g_x, g_h, g_zrb, *g_zrw, g_cb, *g_cw, *g_mats]
+        return _gru_grad(g, x.requires_grad, h.requires_grad, mats, h.data, zr, c,
+                         zr_mixes, c_mixes, update_reset, update_reset_bias, cand, cand_bias)
 
     return _emit(inputs, out, bwd)
+
+
+def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
+                 update_reset_bias: Tensor, cand: Tensor, cand_bias: Tensor,
+                 first: int = 0) -> Tensor:
+    """Every step of a dense GRU over constant inputs, one record.
+
+    h_t = gru_step([None], x_t, h_{t-1}, [update_reset], update_reset_bias,
+    [cand], cand_bias) for the steps x_t of `steps` [T, rows, d_x], from
+    h_{-1} = h0 [rows, d_h], with the same per-step arithmetic, so the
+    states are bitwise those of T chained gru_step calls. Returns the
+    states h_first .. h_{T-1} as one [T - first, rows, d_h] tensor.
+
+    On a tape the record keeps every state and each step's gates [z | r]
+    and c, never the [x, h] or [x, r h] operands: its backward rebuilds
+    them, one step at a time, from the constant steps and the kept states.
+    That backward is backpropagation through time in a loop inside the
+    record. Without a tape no gate and no state before `first` is kept.
+    """
+    xs = np.asarray(steps, dtype=np.float64)
+    if xs.ndim != 3 or h0.data.ndim != 2 or xs.shape[1] != h0.shape[0]:
+        raise ShapeError(f"gru_sequence needs [T,rows,d] steps and a [rows,d] state, "
+                         f"got {list(xs.shape)} and {list(h0.shape)}")
+    (n_steps, rows, d_x), d_h = xs.shape, h0.shape[1]
+    if not 0 <= first < n_steps:
+        raise ShapeError(f"gru_sequence first state {first} out of range for {n_steps} steps")
+    mats, zr_w, c_w = [None], [update_reset], [cand]
+    _check_gates("gru_sequence", d_x, d_h, zr_w, update_reset_bias, c_w, cand_bias)
+
+    inputs = (h0, update_reset_bias, update_reset, cand_bias, cand)
+    keep = _active_tape() is not None and any(t.requires_grad for t in inputs)
+    # untaped, every state before `first` is written over slot 0 in place
+    skip = 0 if keep else first
+    states = np.empty((n_steps - skip, rows, d_h))
+    gates = []
+    hd = h0.data
+    for t in range(n_steps):
+        hd, zr, c, _, _ = _gru_forward(mats, xs[t], hd, zr_w, update_reset_bias, c_w,
+                                       cand_bias, False, out=states[max(t - skip, 0)])
+        if keep:
+            gates.append((zr, c))
+        del zr, c  # untaped, a step's gates are gone before the next step runs
+
+    def bwd(g):
+        carry, sums = None, None
+        for t in range(n_steps - 1, -1, -1):
+            if t < first:
+                g_t = carry
+            elif carry is None:
+                g_t = g[t - first]
+            else:
+                g_t = g[t - first] + carry
+            hd = states[t - 1] if t else h0.data
+            zr, c = gates[t]
+            _, carry, *grads = _gru_grad(g_t, False, t > 0 or h0.requires_grad, mats, hd,
+                                         zr, c, [_joined(xs[t], hd)],
+                                         [_joined(xs[t], hd, zr[:, d_h:])], zr_w,
+                                         update_reset_bias, c_w, cand_bias)
+            if sums is None:
+                sums = grads
+            else:
+                for total, step in zip(sums, grads):
+                    if total is not None:
+                        total += step
+        return [carry, *sums]  # past step 0, carry is h0's adjoint
+
+    return _emit(inputs, states[first - skip:], bwd)
 
 
 # ---------------------------------------------------------------------------
 # attention: one record per decoder step
 # ---------------------------------------------------------------------------
 
-def additive_attention(h: Tensor, window: Sequence[Tensor], w1: Tensor, b: Tensor,
-                       w2: Tensor, v: Tensor) -> Tuple[Tensor, Tensor]:
+def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tensor,
+                       b: Tensor, w2: Tensor, v: Tensor) -> Tuple[Tensor, Tensor]:
     """h + sum_j a_j k_j, a = softmax_j(v' tanh(k_j W2 + h W1 + b)), one record.
 
-    h is [R, d] and each window state is [R*G, d], row r*G + g holding row
-    group g of query row r; w1 and w2 are [d, a], b and v are [a]. Each
-    query row attends over its G*C candidates: column g*C + c of the
-    returned weights [R, G*C] is window[c]'s row r*G + g. Returns the
-    output [R, d] and the weights as a constant tensor.
+    h is [R, d] and the bank [L, R*G, d]; the window is the n_off states
+    bank[start .. start+n_off-1], read inside the record. Row r*G + g of
+    a state holds row group g of query row r; w1 and w2 are [d, a], b and
+    v are [a]. Each query row attends over its G*n_off candidates: column
+    g*n_off + c of the returned weights [R, G*n_off] is window state c's
+    row r*G + g. Returns the output [R, d] and the weights as a constant
+    tensor; the backward returns the bank's adjoint as the window's rows
+    (`_Rows`), zero outside them.
 
     The query is formed once and repeated over the G row groups; the
     arithmetic runs in the order separate score, softmax, pool and add
@@ -590,25 +724,21 @@ def additive_attention(h: Tensor, window: Sequence[Tensor], w1: Tensor, b: Tenso
     when the record goes on a tape; otherwise one scratch buffer serves
     every offset. A constant operand gets no gradient product.
     """
-    if not window:
-        raise ShapeError("additive_attention needs at least one window state")
-    hd = h.data
+    hd, bd = h.data, bank.data
     if hd.ndim != 2:
         raise ShapeError(f"additive_attention needs a [r,d] query, got {list(hd.shape)}")
     rows, width = hd.shape
-    k_shape = window[0].data.shape
-    if (len(k_shape) != 2 or not rows or not k_shape[0] or k_shape[0] % rows
-            or k_shape[1] != width):
+    if (bd.ndim != 3 or not rows or not bd.shape[1] or bd.shape[1] % rows
+            or bd.shape[2] != width):
         raise ShapeError(
-            f"additive_attention needs [r*g,{width}] window states for {rows} query "
-            f"rows, got {list(k_shape)}"
+            f"additive_attention needs a [l,r*g,{width}] bank for {rows} query rows, "
+            f"got {list(bd.shape)}"
         )
-    for k in window:
-        if k.data.shape != k_shape:
-            raise ShapeError(
-                f"additive_attention window states must all be {list(k_shape)}, "
-                f"got {list(k.data.shape)}"
-            )
+    if n_off < 1 or start < 0 or start + n_off > bd.shape[0]:
+        raise ShapeError(
+            f"additive_attention window {start}..{start + n_off - 1} outside a bank "
+            f"of {bd.shape[0]} states"
+        )
     a_shape = (width, v.data.shape[0])
     for name, t, shape in (("w1", w1, a_shape), ("w2", w2, a_shape),
                            ("b", b, a_shape[1:]), ("v", v, a_shape[1:])):
@@ -617,28 +747,29 @@ def additive_attention(h: Tensor, window: Sequence[Tensor], w1: Tensor, b: Tenso
                 f"additive_attention {name} must be {list(shape)}, got {list(t.data.shape)}"
             )
 
-    groups, n_off = k_shape[0] // rows, len(window)
-    inputs = (h, w1, b, w2, v, *window)
+    window = bd[start:start + n_off]
+    k_rows, groups = bd.shape[1], bd.shape[1] // rows
+    inputs = (h, w1, b, w2, v, bank)
     keep = _active_tape() is not None and any(t.requires_grad for t in inputs)
     q = hd @ w1.data
     q += b.data
     q_rep = np.repeat(q, groups, axis=0)  # row r*G + g is q[r]
     v_col = v.data.reshape(-1, 1)
-    scores = np.empty((k_shape[0], n_off))
+    scores = np.empty((k_rows, n_off))
     acts = []
     act = None
     for c, k in enumerate(window):
         if keep or act is None:
-            act = k.data @ w2.data
+            act = k @ w2.data
         else:
-            np.matmul(k.data, w2.data, out=act)
+            np.matmul(k, w2.data, out=act)
         act += q_rep
         np.tanh(act, out=act)
         scores[:, c] = (act @ v_col)[:, 0]
         if keep:
             acts.append(act)
     weights = _softmax(scores.reshape(rows, groups * n_off), axis=1)
-    grouped = [k.data.reshape(rows, groups, width) for k in window]
+    grouped = window.reshape(n_off, rows, groups, width)
     out = weights[:, :1] * grouped[0][:, 0]
     for j in range(1, groups * n_off):
         group, c = divmod(j, n_off)
@@ -651,10 +782,10 @@ def additive_attention(h: Tensor, window: Sequence[Tensor], w1: Tensor, b: Tenso
         g_s = _softmax_grad(weights, g_w, axis=1).reshape(-1, n_off)
         w3 = weights.reshape(rows, groups, n_off)
         need_q = h.requires_grad or w1.requires_grad or b.requires_grad
-        g_q = np.zeros((k_shape[0], a_shape[1])) if need_q else None
+        g_q = np.zeros((k_rows, a_shape[1])) if need_q else None
         g_w2 = np.zeros_like(w2.data) if w2.requires_grad else None
         g_v = np.zeros_like(v.data) if v.requires_grad else None
-        g_k = [None] * n_off
+        g_window = np.empty(window.shape) if bank.requires_grad else None
         # last offset first, the order a pass over per-offset records takes
         for c in range(n_off - 1, -1, -1):
             k, act, g_c = window[c], acts[c], g_s[:, c]
@@ -665,17 +796,20 @@ def additive_attention(h: Tensor, window: Sequence[Tensor], w1: Tensor, b: Tenso
             if g_q is not None:
                 g_q += g_pre
             if g_w2 is not None:
-                g_w2 += k.data.T @ g_pre
-            if k.requires_grad:
-                g_k[c] = (w3[:, :, c, None] * g[:, None, :]).reshape(k_shape)
-                g_k[c] += g_pre @ w2.data.T
+                g_w2 += k.T @ g_pre
+            if g_window is not None:
+                g_k = g_window[c]
+                np.multiply(w3[:, :, c, None], g[:, None, :],
+                            out=g_k.reshape(rows, groups, width))
+                g_k += g_pre @ w2.data.T
         g_h = g_w1 = g_b = None
         if g_q is not None:
             g_q = g_q.reshape(rows, groups, -1).sum(axis=1)
             g_h = g + g_q @ w1.data.T if h.requires_grad else None
             g_w1 = hd.T @ g_q if w1.requires_grad else None
             g_b = g_q.sum(axis=0) if b.requires_grad else None
-        return [g_h, g_w1, g_b, g_w2, g_v, *g_k]
+        return [g_h, g_w1, g_b, g_w2, g_v,
+                None if g_window is None else _Rows(start, g_window)]
 
     return _emit(inputs, out, bwd), Tensor(weights)
 

@@ -178,14 +178,13 @@ def test_encode_bank_counts_and_lengths():
     r, d, w, _ = _toy_batch(cfg)
     h, bank = encode(state, r, d, w)
     assert h.shape == (2 * 4, cfg.d_h)
-    # the Q+2S states attention reads, each stacking one daily and one
-    # weekly block for every (batch, node) row
-    assert len(bank) == cfg.Q + 2 * cfg.S
-    assert all(s.shape == (2 * 4 * 2, cfg.d_h) for s in bank)
+    # one tensor of the Q+2S states attention reads, each stacking one
+    # daily and one weekly block for every (batch, node) row
+    assert bank.shape == (cfg.Q + 2 * cfg.S, 2 * 4 * 2, cfg.d_h)
 
 
 def test_encode_stacked_bank_matches_per_block_passes():
-    # row (b*N + n)*G + g of bank[j] is block g's state at position P-S+j,
+    # row (b*N + n)*G + g of bank state j is block g's state at position P-S+j,
     # as a separate GRU pass over that block alone computes it
     cfg = _toy_cfg(d_count=2, w_count=3)
     b, n, g = 2, 4, 5
@@ -199,7 +198,7 @@ def test_encode_stacked_bank_matches_per_block_passes():
             h = gru_cell(enc, Tensor(source[:, pos].reshape(b * n, 1)), h)
             j = pos - (cfg.P - cfg.S)
             if j >= 0:
-                np.testing.assert_allclose(bank[j].data.reshape(b * n, g, cfg.d_h)[:, block],
+                np.testing.assert_allclose(bank.data[j].reshape(b * n, g, cfg.d_h)[:, block],
                                            h.data, rtol=0, atol=1e-14)
 
 
@@ -208,7 +207,7 @@ def test_encode_no_period_empty_banks():
     state = init_model(cfg, 4, 1, seed=1)
     r, d, w, _ = _toy_batch(cfg)
     h, bank = encode(state, r, d, w)
-    assert bank == []
+    assert bank is None
     assert h.shape == (8, cfg.d_h)
 
 
@@ -219,9 +218,7 @@ def test_encode_deterministic():
     h1, bank1 = encode(state, r, d, w)
     h2, bank2 = encode(state, r, d, w)
     np.testing.assert_array_equal(h1.data, h2.data)
-    assert len(bank1) == len(bank2)
-    for s1, s2 in zip(bank1, bank2):
-        np.testing.assert_array_equal(s1.data, s2.data)
+    np.testing.assert_array_equal(bank1.data, bank2.data)
 
 
 def test_encode_rejects_wrong_block_count():
@@ -244,10 +241,9 @@ def _rand_attention(d_h, rng):
 
 
 def _rand_bank(cfg, rows, d_h, rng):
-    """The Q+2S stacked states `encode` returns, [rows*G, d_h] each."""
+    """The bank `encode` returns: Q+2S stacked states, [Q+2S, rows*G, d_h]."""
     n_blocks = cfg.d_count + cfg.w_count
-    return [Tensor(rng.standard_normal((rows * n_blocks, d_h)))
-            for _ in range(cfg.Q + 2 * cfg.S)]
+    return Tensor(rng.standard_normal((cfg.Q + 2 * cfg.S, rows * n_blocks, d_h)))
 
 
 def test_attention_candidate_count_default_windows():
@@ -290,7 +286,7 @@ def test_attention_identical_bank_states_add_residually():
     cfg = ModelConfig(d_h=3, P=2, Q=2, S=2)
     rng = np.random.default_rng(6)
     u = rng.standard_normal((5, 3))
-    bank = [Tensor(np.repeat(u, 2, axis=0)) for _ in range(cfg.Q + 2 * cfg.S)]
+    bank = Tensor(np.tile(np.repeat(u, 2, axis=0), (cfg.Q + 2 * cfg.S, 1, 1)))
     h_t = Tensor(rng.standard_normal((5, 3)))
     a, _ = attention_step(h_t, bank, 1, cfg, _rand_attention(3, rng))
     np.testing.assert_allclose(a.data, h_t.data + u, atol=1e-9)
@@ -306,10 +302,10 @@ def test_attention_planted_match_dominates():
         b=Tensor([0.0]),
         v=Tensor([5.0]),
     )
-    # one row, two blocks: bank[t+S] is block position P+t, and its row 0
-    # is the daily block's state
-    bank = [Tensor(np.zeros((2, 1))) for _ in range(cfg.Q + 2 * cfg.S)]
-    bank[cfg.S] = Tensor([[10.0], [0.0]])  # tanh(30) == 1.0 -> score 5
+    # one row, two blocks: bank state t+S is block position P+t, and its
+    # row 0 is the daily block's state
+    bank = Tensor(np.zeros((cfg.Q + 2 * cfg.S, 2, 1)))
+    bank.data[cfg.S] = [[10.0], [0.0]]  # tanh(30) == 1.0 -> score 5
     h_t = Tensor([[0.5]])
     a, weights = attention_step(h_t, bank, 0, cfg, params)
     expected = math.exp(5.0) / (math.exp(5.0) + 13.0)
@@ -322,7 +318,7 @@ def test_attention_no_period_passthrough():
     cfg = ModelConfig(d_h=3, P=3, Q=2, S=1, no_period=True)
     rng = np.random.default_rng(7)
     h_t = Tensor(rng.standard_normal((4, 3)))
-    a, weights = attention_step(h_t, [], 0, cfg, _rand_attention(3, rng))
+    a, weights = attention_step(h_t, None, 0, cfg, _rand_attention(3, rng))
     assert a is h_t
     assert weights is None
 
@@ -349,9 +345,8 @@ def test_attention_never_mixes_nodes():
     a1, _ = attention_step(h_t, bank, 0, cfg, params)
 
     target_rows = [bi * n + 1 for bi in range(b)]
-    bank2 = [Tensor(s.data.copy()) for s in bank]
-    for s in bank2:
-        s.data[[r * g + gi for r in target_rows for gi in range(g)]] += 0.77
+    bank2 = Tensor(bank.data.copy())
+    bank2.data[:, [r * g + gi for r in target_rows for gi in range(g)]] += 0.77
     a2, _ = attention_step(h_t, bank2, 0, cfg, params)
     untouched = [i for i in range(rows) if i not in target_rows]
     np.testing.assert_array_equal(a1.data[untouched], a2.data[untouched])

@@ -1,5 +1,6 @@
 """Engine primitives: frozen examples, gradient oracles, tape invariants."""
 
+import tracemalloc
 import warnings
 import weakref
 
@@ -131,6 +132,67 @@ def test_gru_step_gradients_match_unfused_chain():
         np.testing.assert_allclose(fused, plain, rtol=0, atol=1e-14 * np.abs(plain).max())
 
 
+def gru_step_loop(steps, h0, update_reset, update_reset_bias, cand, cand_bias, first=0):
+    # the records an encoder pass took before gru_sequence fused it: one
+    # gru_step per constant step, the states from `first` on stacked
+    h, states = h0, []
+    for x_t in steps:
+        h = tc.gru_step([None], Tensor(x_t), h, [update_reset], update_reset_bias,
+                        [cand], cand_bias)
+        states.append(tc.reshape(h, (1, *h.shape)))
+    return tc.concat(states[first:], axis=0)
+
+
+def _sequence_operands(n_steps, rows, d_x, d_h, seed, requires_grad=False):
+    steps = rand((n_steps, rows, d_x), seed).data
+    h0 = rand((rows, d_h), seed + 1, -1.0, 1.0)
+    zr, zr_b = rand((d_x + d_h, 2 * d_h), seed + 2, -0.5, 0.5), rand((2 * d_h,), seed + 3)
+    c, c_b = rand((d_x + d_h, d_h), seed + 4, -0.5, 0.5), rand((d_h,), seed + 5)
+    for t in (h0, zr, zr_b, c, c_b):
+        t.requires_grad = requires_grad
+    return steps, h0, zr, zr_b, c, c_b
+
+
+@pytest.mark.parametrize("first", [0, 3, 6])
+def test_gru_sequence_bitwise_equals_gru_step_loop(first):
+    operands = _sequence_operands(7, 6, 2, 3, 170)
+    expected = gru_step_loop(*operands, first=first).data
+    np.testing.assert_array_equal(tc.gru_sequence(*operands, first=first).data, expected)
+    operands = _sequence_operands(7, 6, 2, 3, 170, requires_grad=True)
+    with Tape() as tape:
+        out = tc.gru_sequence(*operands, first=first)
+    assert [_op(rec) for rec in tape.records] == ["gru_sequence"]
+    assert out.shape == (7 - first, 6, 3)
+    np.testing.assert_array_equal(out.data, expected)
+
+
+@pytest.mark.parametrize("first", [0, 3, 6])
+def test_gru_sequence_gradients_match_gru_step_loop(first):
+    operands = _sequence_operands(7, 6, 2, 3, 180, requires_grad=True)
+    leaves, weights = operands[1:], rand((7 - first, 6, 3), 189)
+    for fused, plain in zip(
+            _leaf_grads(lambda *ops: tc.gru_sequence(*ops, first=first), operands, leaves,
+                        weights),
+            _leaf_grads(lambda *ops: gru_step_loop(*ops, first=first), operands, leaves,
+                        weights)):
+        np.testing.assert_allclose(fused, plain, rtol=0, atol=1e-13 * np.abs(plain).max())
+
+
+def test_gru_sequence_shape_mismatch():
+    steps, h0, zr, zr_b, c, c_b = _sequence_operands(4, 6, 2, 3, 190)
+    with pytest.raises(tc.ShapeError, match=r"\[T,rows,d\].*\[4, 6, 2\] and \[5, 3\]"):
+        tc.gru_sequence(steps, rand((5, 3), 1), zr, zr_b, c, c_b)
+    with pytest.raises(tc.ShapeError, match=r"\[T,rows,d\].*\[6, 2\]"):
+        tc.gru_sequence(steps[0], h0, zr, zr_b, c, c_b)
+    for first in (-1, 4):
+        with pytest.raises(tc.ShapeError, match=f"first state {first} out of range for 4"):
+            tc.gru_sequence(steps, h0, zr, zr_b, c, c_b, first=first)
+    with pytest.raises(tc.ShapeError, match=r"width mismatch.*\[5, 6\], got \[4, 6\]"):
+        tc.gru_sequence(steps, h0, rand((4, 6), 1), zr_b, c, c_b)
+    with pytest.raises(tc.ShapeError, match=r"gru_sequence candidate bias must be \[3\]"):
+        tc.gru_sequence(steps, h0, zr, zr_b, c, rand((6,), 1))
+
+
 def test_gate_sum_mixes_each_batch_element():
     # rows are node-minor: row b*3 + n is node n of batch element b; weights
     # 0 on the identity and I on adj reduce the gate sum to M x
@@ -202,6 +264,32 @@ def test_gate_sum_keeps_mixes_only_on_a_tape(monkeypatch):
     assert all(ref() is None for ref in kept)
 
 
+def test_gru_sequence_keeps_gates_only_on_a_tape(monkeypatch):
+    # a taped pass keeps every state and each step's gates for its
+    # backward, never the [x, h] or [x, r*h] operands of the gate sums; an
+    # untaped one keeps no gate and no state before `first`
+    seen = []
+    gate_sum = tc._gate_sum
+
+    def spy(mats, xd, weights, bias, keep):
+        out, mixes = gate_sum(mats, xd, weights, bias, keep)
+        seen.append((weakref.ref(xd), weakref.ref(out)))
+        return out, mixes
+
+    monkeypatch.setattr(tc, "_gate_sum", spy)
+    operands = _sequence_operands(7, 6, 2, 3, 200, requires_grad=True)
+    out = tc.gru_sequence(*operands, first=4)
+    assert len(seen) == 14 and all(xd() is None and g() is None for xd, g in seen)
+    assert out.data.base.shape == (3, 6, 3)
+    del seen[:]
+    with Tape() as tape:
+        out = tc.gru_sequence(*operands, first=4)
+    assert len(seen) == 14 and all(xd() is None and g() is not None for xd, g in seen)
+    assert out.data.base.shape == (7, 6, 3)
+    del tape, out
+    assert all(g() is None for _, g in seen)
+
+
 def _unfused_scores(h, window, w1, b, w2, v):
     # the per-offset chain attention recorded before its scores fused: the
     # query repeated over row groups, then matmul, add, tanh, matmul
@@ -214,11 +302,21 @@ def _unfused_scores(h, window, w1, b, w2, v):
     return tc.reshape(tc.concat(scores, axis=1), (rows, groups * len(window)))
 
 
-def unfused_attention(h, window, w1, b, w2, v):
-    # scores, a softmax per row, then the context pooled one candidate at a
-    # time (column g*C + c weights row r*G + g of window[c]) and added to h
+def _window(bank, start, n_off):
+    # the window states picked out of the bank exactly, by rows of the identity
+    n, k_rows, d = bank.shape
+    flat = tc.reshape(bank, (n, k_rows * d))
+    return [tc.reshape(tc.matmul(Tensor(np.eye(n)[start + c:start + c + 1]), flat), (k_rows, d))
+            for c in range(n_off)]
+
+
+def unfused_attention(h, bank, start, n_off, w1, b, w2, v):
+    # the window read out of the bank, scores, a softmax per row, then the
+    # context pooled one candidate at a time (column g*C + c weights row
+    # r*G + g of window[c]) and added to h
+    window = _window(bank, start, n_off)
     rows, width = h.shape
-    groups, n_off = window[0].shape[0] // rows, len(window)
+    groups = window[0].shape[0] // rows
     weights = tc.softmax(_unfused_scores(h, window, w1, b, w2, v), axis=1)
     ones = Tensor(np.ones((1, width)))
     pooled = None
@@ -232,12 +330,12 @@ def unfused_attention(h, window, w1, b, w2, v):
 
 
 def _score_operands(rows, groups, n_off, d, seed, requires_grad=False):
+    # the window is n_off states of a bank with one state on either side
     ops = [rand(shape, seed + i) for i, shape in enumerate(
-        [(rows, d), (d, d), (d,), (d, d), (d,)])]
-    window = [rand((rows * groups, d), seed + 5 + c) for c in range(n_off)]
-    for t in ops + window:
+        [(rows, d), (n_off + 2, rows * groups, d), (d, d), (d,), (d, d), (d,)])]
+    for t in ops:
         t.requires_grad = requires_grad
-    return ops[0], window, *ops[1:]
+    return ops[0], ops[1], 1, n_off, *ops[2:]
 
 
 @pytest.mark.parametrize("rows,groups,n_off", [(3, 2, 3), (4, 1, 1), (2, 5, 7)])
@@ -258,8 +356,8 @@ def test_additive_scores_bitwise_equals_unfused_chain(rows, groups, n_off):
 
 def test_additive_attention_gradients_match_unfused_chain():
     operands = _score_operands(3, 2, 3, 4, 75, requires_grad=True)
-    h, window, *params = operands
-    leaves, weights = [h, *window, *params], rand((3, 4), 79)
+    h, bank, _, _, *params = operands
+    leaves, weights = [h, bank, *params], rand((3, 4), 79)
     for fused, plain in zip(_leaf_grads(tc.additive_attention, operands, leaves, weights),
                             _leaf_grads(unfused_attention, operands, leaves, weights)):
         np.testing.assert_allclose(fused, plain, rtol=0, atol=1e-14 * np.abs(plain).max())
@@ -292,44 +390,49 @@ def test_additive_scores_keeps_tanh_outputs_only_on_a_tape(monkeypatch):
 
 def test_weighted_pool_is_per_row_weighted_sum():
     # one row group: the context is sum_c weights[:, c] * window[c]
-    h, window, w1, b, w2, v = _score_operands(4, 1, 3, 2, 140)
-    out, weights = tc.additive_attention(h, window, w1, b, w2, v)
-    expected = sum(weights.data[:, c:c + 1] * window[c].data for c in range(3))
-    np.testing.assert_allclose(out.data - h.data, expected, rtol=0, atol=1e-14)
+    operands = _score_operands(4, 1, 3, 2, 140)
+    out, weights = tc.additive_attention(*operands)
+    window = operands[1].data[1:4]
+    expected = sum(weights.data[:, c:c + 1] * window[c] for c in range(3))
+    np.testing.assert_allclose(out.data - operands[0].data, expected, rtol=0, atol=1e-14)
 
 
 def test_weighted_pool_groups_rows():
     # G = 2 groups of 3 values: weight column g*3 + c scales row r*2 + g of
     # value c, and each output row sums its groups
-    h, window, w1, b, w2, v = _score_operands(4, 2, 3, 2, 150)
-    out, weights = tc.additive_attention(h, window, w1, b, w2, v)
-    expected = sum(weights.data[:, g * 3 + c:g * 3 + c + 1] * window[c].data[g::2]
+    operands = _score_operands(4, 2, 3, 2, 150)
+    out, weights = tc.additive_attention(*operands)
+    window = operands[1].data[1:4]
+    expected = sum(weights.data[:, g * 3 + c:g * 3 + c + 1] * window[c][g::2]
                    for g in range(2) for c in range(3))
-    np.testing.assert_allclose(out.data - h.data, expected, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out.data - operands[0].data, expected, rtol=0, atol=1e-14)
 
 
 def test_weighted_pool_shape_mismatch():
-    h, window, w1, b, w2, v = _score_operands(3, 2, 3, 4, 90)
-    with pytest.raises(tc.ShapeError, match="at least one window state"):
-        tc.additive_attention(h, [], w1, b, w2, v)
+    h, bank, _, _, w1, b, w2, v = _score_operands(3, 2, 3, 4, 90)
+    # an empty window, and windows that run off either end of 5 states
+    for start, n_off in ((1, 0), (-1, 3), (3, 3)):
+        with pytest.raises(tc.ShapeError, match="outside a bank of 5 states"):
+            tc.additive_attention(h, bank, start, n_off, w1, b, w2, v)
     # 7 rows is no whole number of row groups for 3 query rows
-    with pytest.raises(tc.ShapeError, match=r"\[r\*g,4\].*\[7, 4\]"):
-        tc.additive_attention(h, [rand((7, 4), 1)], w1, b, w2, v)
-    with pytest.raises(tc.ShapeError, match=r"must all be \[6, 4\], got \[3, 4\]"):
-        tc.additive_attention(h, [window[0], rand((3, 4), 1)], w1, b, w2, v)
-    # window states narrower than the query
-    with pytest.raises(tc.ShapeError, match=r"\[r\*g,4\].*\[6, 3\]"):
-        tc.additive_attention(h, [rand((6, 3), 1)], w1, b, w2, v)
+    with pytest.raises(tc.ShapeError, match=r"\[l,r\*g,4\].*\[5, 7, 4\]"):
+        tc.additive_attention(h, rand((5, 7, 4), 1), 1, 3, w1, b, w2, v)
+    # a bank of one state per tensor, not a stack of states
+    with pytest.raises(tc.ShapeError, match=r"\[l,r\*g,4\].*\[6, 4\]"):
+        tc.additive_attention(h, rand((6, 4), 1), 0, 1, w1, b, w2, v)
+    # bank states narrower than the query
+    with pytest.raises(tc.ShapeError, match=r"\[l,r\*g,4\].*\[5, 6, 3\]"):
+        tc.additive_attention(h, rand((5, 6, 3), 1), 1, 3, w1, b, w2, v)
 
 
 def test_additive_scores_shape_mismatch():
-    h, window, w1, b, w2, v = _score_operands(3, 2, 3, 4, 90)
+    h, bank, start, n_off, w1, b, w2, v = _score_operands(3, 2, 3, 4, 90)
     with pytest.raises(tc.ShapeError, match=r"\[r,d\] query"):
-        tc.additive_attention(rand((3, 4, 1), 1), window, w1, b, w2, v)
+        tc.additive_attention(rand((3, 4, 1), 1), bank, start, n_off, w1, b, w2, v)
     with pytest.raises(tc.ShapeError, match=r"w2 must be \[4, 4\], got \[4, 3\]"):
-        tc.additive_attention(h, window, w1, b, rand((4, 3), 1), v)
+        tc.additive_attention(h, bank, start, n_off, w1, b, rand((4, 3), 1), v)
     with pytest.raises(tc.ShapeError, match=r"b must be \[4\], got \[3\]"):
-        tc.additive_attention(h, window, w1, rand((3,), 1), w2, v)
+        tc.additive_attention(h, bank, start, n_off, w1, rand((3,), 1), w2, v)
 
 
 def test_sigmoid_at_zero():
@@ -588,11 +691,11 @@ def test_constant_operands_get_no_gradient_product(monkeypatch):
                  tape)
     np.testing.assert_allclose(fused, x.grad, rtol=0, atol=1e-14)
 
-    # attention with only the query variable: no window or weight products
-    h, window, w1, b, w2, v = _score_operands(3, 2, 3, 4, 162)
-    h.requires_grad = True
+    # attention with only the query variable: no bank or weight products
+    operands = _score_operands(3, 2, 3, 4, 162)
+    operands[0].requires_grad = True
     with Tape() as tape:
-        tc.additive_attention(h, window, w1, b, w2, v)
+        tc.additive_attention(*operands)
     g = tape.records[0].backward_fn(np.ones((3, 4)))
     assert g[0] is not None and all(t is None for t in g[1:])
 
@@ -645,6 +748,72 @@ def test_backward_frees_each_adjoint_after_use():
         backward(tc.reduce_sum(keep_ref(probe(x))), tape)
     assert alive == [False]
     np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+
+
+# The pass adds a later contribution in place only into an adjoint it
+# allocated itself; integer-valued operands make every sum exact, so any
+# order of summation gives these gradients, and a write through an alias
+# would not.
+
+def test_backward_add_of_a_leaf_to_itself():
+    # add hands back its output adjoint for both operands, the same array twice
+    x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    w = Tensor([3.0, 5.0, -7.0])
+    with Tape() as tape:
+        backward(tc.reduce_sum(tc.mul(tc.add(x, x), w)), tape)
+    np.testing.assert_array_equal(x.grad, [6.0, 10.0, -14.0])
+
+
+def test_backward_aliased_adjoint_is_not_added_into():
+    # y and z first receive add's one array; y's next contribution must
+    # leave z's adjoint alone
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    s1, s2, u, v = (Tensor(a) for a in ([2.0, 3.0], [5.0, -1.0], [1.0, 4.0], [-3.0, 2.0]))
+    with Tape() as tape:
+        y, z = tc.mul(x, s1), tc.mul(x, s2)
+        late = tc.reduce_sum(tc.mul(y, v))
+        loss = tc.add(late, tc.reduce_sum(tc.mul(tc.add(y, z), u)))
+        backward(loss, tape)
+    np.testing.assert_array_equal(x.grad, (u.data + v.data) * s1.data + u.data * s2.data)
+
+
+def test_backward_reshape_view_adjoint():
+    # y's adjoint sums three contributions, in place from the third; its
+    # reshape hands x a view of it, and x then takes two more
+    x = Tensor(np.arange(6.0), requires_grad=True)
+    u, v, w = (Tensor(np.arange(6.0).reshape(2, 3) + k) for k in (1.0, -4.0, 2.0))
+    p, q = Tensor(np.arange(6.0) - 2.0), Tensor(np.arange(6.0) * 3.0)
+    with Tape() as tape:
+        direct = [tc.mul(x, p), tc.mul(x, q)]
+        y = tc.reshape(x, (2, 3))
+        terms = [tc.mul(y, u), tc.mul(y, v), tc.mul(y, w)]
+        loss = tc.add(tc.reduce_sum(tc.concat(terms, axis=0)),
+                      tc.reduce_sum(tc.concat(direct, axis=0)))
+        backward(loss, tape)
+    expected = (u.data + v.data + w.data).reshape(-1) + p.data + q.data
+    np.testing.assert_array_equal(x.grad, expected)
+
+
+def test_backward_adds_row_adjoints_into_the_whole_input():
+    # the bank reaches the loss through two attention windows, which hand
+    # back only their rows, and through whole-bank products recorded
+    # before and after them
+    h, bank, _, _, w1, b, w2, v = _score_operands(3, 2, 3, 4, 210, requires_grad=True)
+    u1, u2, weights = rand(bank.shape, 211), rand(bank.shape, 212), rand((3, 4), 213)
+
+    def bank_grad(attend):
+        bank.grad = None
+        with Tape() as tape:
+            total = tc.reduce_sum(tc.mul(bank, u1))
+            for start in (0, 2):
+                out = attend(h, bank, start, 3, w1, b, w2, v)[0]
+                total = tc.add(total, tc.reduce_sum(tc.mul(out, weights)))
+            backward(tc.add(total, tc.reduce_sum(tc.mul(bank, u2))), tape)
+        return bank.grad
+
+    plain = bank_grad(unfused_attention)
+    np.testing.assert_allclose(bank_grad(tc.additive_attention), plain, rtol=0,
+                               atol=1e-14 * np.abs(plain).max())
 
 
 def test_reshape_is_a_view_and_routes_gradient():
@@ -741,16 +910,18 @@ def test_dgcgru_cell_records_eight(K, n_head):
 
 
 def test_attention_step_pools_in_one_record():
-    # scores, weights, pooled context and residual: one record, windowed or not
+    # window read, scores, weights, pooled context and residual: one record
+    # over the whole bank, windowed or not
     cfg, state, _ = _toy_state()
-    bank = [Tensor(rand((16, cfg.d_h), 60 + j).data, requires_grad=True)
-            for j in range(cfg.Q + 2 * cfg.S)]
+    bank = Tensor(rand((cfg.Q + 2 * cfg.S, 16, cfg.d_h), 60).data, requires_grad=True)
     for no_window, n_off in ((False, 2 * cfg.S + 1), (True, 1)):
         cfg.no_window = no_window
         with Tape() as tape:
-            attention_step(rand((8, cfg.d_h), 59), bank, 1, cfg, state.attention())
+            _, weights = attention_step(rand((8, cfg.d_h), 59), bank, 1, cfg,
+                                        state.attention())
         assert [_op(rec) for rec in tape.records] == ["additive_attention"]
-        assert len(tape.records[0].inputs) == 5 + n_off
+        assert tape.records[0].inputs[-1] is bank and len(tape.records[0].inputs) == 6
+        assert weights.shape == (8, 2 * n_off)
 
 
 # One forward at the default window structure (P=Q=12, S=3, K=2, one daily
@@ -781,8 +952,8 @@ def _default_window_batch(cfg, b, n, seed):
             rng.standard_normal((b, cfg.Q, n, 1)))
 
 
-def _encoder_records(d_count, w_count):
-    cfg = ModelConfig(d_h=4, d_e=2, n_head=2, P=3, Q=2, S=1,
+def _encoder_records(d_count=1, w_count=1, P=3):
+    cfg = ModelConfig(d_h=4, d_e=2, n_head=2, P=P, Q=2, S=1,
                       d_count=d_count, w_count=w_count)
     r, d, w, _ = _default_window_batch(cfg, 2, 3, seed=0)
     state = init_model(cfg, 3, 1, seed=0)
@@ -794,6 +965,38 @@ def _encoder_records(d_count, w_count):
 def test_encoder_records_do_not_grow_with_block_count():
     # every daily and weekly block runs in the same stacked pass
     assert _encoder_records(1, 1) == _encoder_records(2, 3)
+
+
+def test_encoder_records_do_not_grow_with_window_length():
+    # each pass is one gru_sequence record however many steps it runs: the
+    # two gate joins, the R pass and its reshape, the block pass
+    assert _encoder_records(P=3) == _encoder_records(P=12) == 5
+
+
+def _untaped_encode_peak(P):
+    # the peak bytes an untaped encode allocates, and its bank's bytes
+    cfg = ModelConfig(d_h=64, d_e=2, n_head=2, P=P, Q=12, S=3)
+    r, d, w, _ = _default_window_batch(cfg, 8, 32, seed=0)
+    state = init_model(cfg, 32, 1, seed=0)
+    tracemalloc.start()
+    try:
+        _, bank = encode(state, r, d, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, bank.data.nbytes
+
+
+def test_untaped_encode_keeps_no_state_before_the_bank():
+    # a forward-only pass keeps no state before the ones it returns: at
+    # P=12 the 9 block states before the bank and the 11 R states before
+    # the last would add about 14 states. The rest of the peak is one
+    # step's working set ([x, h], [z | r], [x, r h] and c, about 4.5
+    # states), the zero initial state, the last R state and the inputs.
+    state_bytes = 8 * 32 * 2 * 64 * 8
+    peak, bank_bytes = _untaped_encode_peak(12)
+    assert peak < bank_bytes + 8 * state_bytes
+    assert peak < _untaped_encode_peak(3)[0] + state_bytes
 
 
 def _adaptive_records(n_head):
@@ -816,11 +1019,12 @@ def test_adaptive_mix_mats_records_do_not_grow_with_heads():
 # when each block had its own encoder pass and attention scored each
 # block's candidates apart, 2,003 when the adaptive adjacency was built
 # one head at a time, and 1,920 when a dense GRU step took 16 records and
-# a DGC-GRU step 47, 1,042 when attention took 38 records a step, and 634
-# when a GRU step took 8 records and attention 4. With one record per GRU
-# step and per attention step it is 159; the budget allows 4% more. The
-# count does not depend on widths, node count or batch size.
-FUSED_STEP_RECORDS = 165
+# a DGC-GRU step 47, 1,042 when attention took 38 records a step, 634
+# when a GRU step took 8 records and attention 4, and 159 with one record
+# per GRU step and per attention step. With one record per encoder pass
+# it is 123; the budget allows 4% more. The count does not depend on
+# widths, node count or batch size.
+FUSED_STEP_RECORDS = 128
 
 
 def test_forward_and_loss_record_budget_at_default_windows():
