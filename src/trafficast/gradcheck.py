@@ -122,6 +122,7 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
          gru_zr[1].data),
         ("gru_step_update_reset_bias", lambda t: gru(zr_b=t), gru_zr_b),
         ("gru_step_cand_weight", lambda t: gru(c=[t, *gru_c[1:]]), gru_c[0].data),
+        ("gru_step_cand_matrix_weight", lambda t: gru(c=[*gru_c[:2], t]), gru_c[2].data),
         ("gru_step_cand_bias", lambda t: gru(c_b=t), gru_c_b),
         ("gru_step_matrix", lambda t: gru(mats=[*gru_mats[:2], t]), gru_mats[2].data),
         ("additive_attention_query", lambda t: attention(h=t), att_h),

@@ -26,7 +26,8 @@ is one `gru_step` record, each encoder pass one `gru_sequence` record,
 and every attention step one `additive_attention` record: the window read
 out of the bank, the scores of every window offset over every block
 against one query, the softmax per node, the pooled context and the
-residual add.
+residual add. A GRU record keeps only its gates, never the mixes
+M_k [x, h] or M_k [x, r*h]: its backward mixes the adjoint by each M_k^T.
 Every activation is [B*N, d] rows, node-minor (row b*N + n), so no cell
 reshapes or slices; the bank's rows add the block as the fastest index
 (row (b*N + n)*G + g).

@@ -470,83 +470,76 @@ def _node_mix(adj: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(adj, x.reshape(-1, adj.shape[0], x.shape[1])).reshape(x.shape)
 
 
-def _gate_sum(mats, xd: np.ndarray, weights, bias: Tensor, keep: bool):
+def _gate_sum(mats, xd: np.ndarray, weights, bias: Tensor) -> np.ndarray:
     """sum_k (M_k xd) W_k + b, summed in place in k order, then b added.
-
-    mats[0] is None, the identity. Returns the sum and, when `keep`, the
-    mixed operands [xd, M_1 xd, ...] for the backward rule; else None.
-    """
-    mixes = [xd] if keep else None
+    mats[0] is None, the identity. Each mix M_k xd is dropped once summed."""
     out = xd @ weights[0].data
     for mat, w in zip(mats[1:], weights[1:]):
-        mixed = _node_mix(mat.data, xd)
-        out += mixed @ w.data
-        if keep:
-            mixes.append(mixed)
+        out += _node_mix(mat.data, xd) @ w.data
     out += bias.data
-    return out, mixes
+    return out
 
 
-def _gate_sum_grad(g, mats, mixes, weights, bias: Tensor, need_x: bool, g_mats: list):
-    """Adjoints of one _gate_sum for its output adjoint g.
+def _gate_sum_grad(g, mats, xd: np.ndarray, weights, bias: Tensor, need_x: bool, g_mats: list):
+    """Adjoints of one _gate_sum over the operand xd for its output adjoint g.
 
-    Returns (x's or None, one per weight, the bias's) and adds each
-    matrix's into g_mats. A constant operand gets no gradient product.
+    Works on the adjoint side, as (M_k xd)^T g = xd^T (M_k^T g): per matrix
+    one node mix at the gate's width, Y_k = M_k^T g (Y_0 = g), then W_k's
+    adjoint is xd^T Y_k and xd's gains Y_k W_k^T. Returns (xd's or None,
+    one per weight, the bias's) and adds each matrix's, sum_b g_b (xd_b W_k)^T
+    over batch elements b, into g_mats. A constant gets no gradient product.
     """
-    xd, g_x, g_w = mixes[0], None, [None] * len(weights)
+    g_x, g_w = None, [None] * len(weights)
     # highest k first: x's adjoint sums its terms in the order a backward
     # pass over one record per term would
     for k in range(len(mats) - 1, -1, -1):
         w, mat = weights[k], mats[k]
-        if w.requires_grad:
-            g_w[k] = mixes[k].T @ g
-        mat_grad = mat is not None and mat.requires_grad
-        if not (need_x or mat_grad):
-            continue
-        g_mixed = g @ w.data.T
-        if mat_grad:
-            n = mat.data.shape[0]
-            g_m = np.tensordot(g_mixed.reshape(-1, n, g_mixed.shape[1]),
-                               xd.reshape(-1, n, xd.shape[1]), axes=([0, 2], [0, 2]))
+        if mat is not None and mat.requires_grad:
+            n, width = mat.data.shape[0], g.shape[1]
+            xw = (xd @ w.data).reshape(-1, n, width)
+            g_m = np.matmul(g.reshape(-1, n, width), xw.transpose(0, 2, 1)).sum(axis=0)
             g_mats[k - 1] = g_m if g_mats[k - 1] is None else g_mats[k - 1] + g_m
+        if not (need_x or w.requires_grad):
+            continue
+        y = g if mat is None else _node_mix(mat.data.T, g)
+        if w.requires_grad:
+            g_w[k] = xd.T @ y
         if need_x:
-            if mat is not None:
-                g_mixed = _node_mix(mat.data.T, g_mixed)
-            g_x = g_mixed if g_x is None else g_x + g_mixed
+            y = y @ w.data.T
+            g_x = y if g_x is None else g_x + y
     return g_x, g_w, g.sum(axis=0) if bias.requires_grad else None
 
 
-def _joined(xd: np.ndarray, hd: np.ndarray, r: Optional[np.ndarray] = None) -> np.ndarray:
-    """A GRU gate sum's operand: [x, h], or [x, r h] given the reset gate r."""
-    return np.concatenate([xd, hd if r is None else r * hd], axis=1)
-
-
 def _gru_forward(mats, xd: np.ndarray, hd: np.ndarray, update_reset, update_reset_bias: Tensor,
-                 cand, cand_bias: Tensor, keep: bool, out: Optional[np.ndarray] = None):
+                 cand, cand_bias: Tensor, buf: np.ndarray, out: Optional[np.ndarray] = None):
     """One GRU step's arithmetic, shared by gru_step and gru_sequence.
 
-    Returns (h', [z | r], c, mixes of the update/reset sum, mixes of the
-    candidate sum); the mixes are None unless `keep`. h' is written to
-    `out` when given, which may be hd itself.
+    Returns (h', [z | r], c). Both gate sums read the operand buffer buf
+    [rows, d_x + d_h]: [x, h], then [x, r h] in place; its h half then
+    holds z h and z c. h' is written to `out` when given, which may be hd.
     """
-    d_h = hd.shape[1]
-    zr, zr_mixes = _gate_sum(mats, _joined(xd, hd), update_reset, update_reset_bias, keep)
+    d_x, d_h = xd.shape[1], hd.shape[1]
+    buf[:, :d_x], buf[:, d_x:] = xd, hd
+    zr = _gate_sum(mats, buf, update_reset, update_reset_bias)
     _sigmoid(zr, out=zr)
-    z, r = zr[:, :d_h], zr[:, d_h:]
-    c, c_mixes = _gate_sum(mats, _joined(xd, hd, r), cand, cand_bias, keep)
+    z, r, half = zr[:, :d_h], zr[:, d_h:], buf[:, d_x:]
+    half *= r  # now [x, r h]
+    c = _gate_sum(mats, buf, cand, cand_bias)
     np.tanh(c, out=c)
-    out = np.subtract(hd, z * hd, out=out)
-    out += z * c
-    return out, zr, c, zr_mixes, c_mixes
+    out = np.subtract(hd, np.multiply(z, hd, out=half), out=out)
+    out += np.multiply(z, c, out=half)
+    return out, zr, c
 
 
-def _gru_grad(g, need_x: bool, need_h: bool, mats, hd, zr, c, zr_mixes, c_mixes,
-              update_reset, update_reset_bias: Tensor, cand, cand_bias: Tensor) -> list:
+def _gru_grad(g, need_x: bool, need_h: bool, mats, xd, hd, zr, c, update_reset,
+              update_reset_bias: Tensor, cand, cand_bias: Tensor, buf: np.ndarray) -> list:
     """Adjoints of one _gru_forward step for its output adjoint g, in
     gru_step's input order: x, h, the update/reset bias and weights, the
-    candidate bias and weights, the matrices after the identity."""
-    d_h = hd.shape[1]
-    d_x = c_mixes[0].shape[1] - d_h
+    candidate bias and weights, the matrices after the identity. Reads only
+    the step's inputs and gates: the operand is rebuilt in buf, [x, r h]
+    for the candidate sum and then [x, h] in place.
+    """
+    d_x, d_h = xd.shape[1], hd.shape[1]
     need_xh = need_x or need_h
     need_xrh = need_xh or any(t.requires_grad for t in (
         update_reset_bias, *update_reset, *mats[1:]))
@@ -554,7 +547,9 @@ def _gru_grad(g, need_x: bool, need_h: bool, mats, hd, zr, c, zr_mixes, c_mixes,
     z, r = zr[:, :d_h], zr[:, d_h:]
     g_c = g * z
     g_c *= 1.0 - c * c
-    g_xrh, g_cw, g_cb = _gate_sum_grad(g_c, mats, c_mixes, cand, cand_bias, need_xrh, g_mats)
+    buf[:, :d_x], buf[:, d_x:] = xd, hd
+    buf[:, d_x:] *= r  # now [x, r h]
+    g_xrh, g_cw, g_cb = _gate_sum_grad(g_c, mats, buf, cand, cand_bias, need_xrh, g_mats)
     g_h = g - g * z if need_h else None
     g_x, g_zrw, g_zrb = None, [None] * len(update_reset), None
     if need_xrh:
@@ -564,7 +559,8 @@ def _gru_grad(g, need_x: bool, need_h: bool, mats, hd, zr, c, zr_mixes, c_mixes,
         np.multiply(g_rh, hd, out=g_zr[:, d_h:])
         g_zr *= zr
         g_zr *= 1.0 - zr
-        g_xh, g_zrw, g_zrb = _gate_sum_grad(g_zr, mats, zr_mixes, update_reset,
+        buf[:, d_x:] = hd
+        g_xh, g_zrw, g_zrb = _gate_sum_grad(g_zr, mats, buf, update_reset,
                                             update_reset_bias, need_xh, g_mats)
         if need_h:
             g_h += g_rh * r
@@ -601,9 +597,10 @@ def gru_step(mats: Sequence[Optional[Tensor]], x: Tensor, h: Tensor,
     [W_z | W_r], [d_x + d_h, 2 d_h], so z is the left half; cand is
     [d_x + d_h, d_h]. The mix is formed as (h - z h) + z c. The arithmetic
     runs in the order separate concat, gate-sum, sigmoid, product, tanh
-    and mix records would. The mixed operands are kept for the backward
-    rule only when the record goes on a tape, and a forward-only call
-    drops [x, h] before the candidate sum.
+    and mix records would, over one buffer holding [x, h] and then, in
+    place, [x, r h]. On a tape the record keeps only [z | r] and c, no mix
+    M_k [..] and no operand: its backward rebuilds the operand from x, h
+    and r, and mixes the adjoint by each M_k^T instead.
     """
     if x.data.ndim != 2 or h.data.ndim != 2 or x.shape[0] != h.shape[0]:
         raise ShapeError(f"gru_step needs [rows,d] input and state, "
@@ -623,13 +620,14 @@ def gru_step(mats: Sequence[Optional[Tensor]], x: Tensor, h: Tensor,
                  cand, cand_bias)
 
     inputs = (x, h, update_reset_bias, *update_reset, cand_bias, *cand, *mats[1:])
-    keep = _active_tape() is not None and any(t.requires_grad for t in inputs)
-    out, zr, c, zr_mixes, c_mixes = _gru_forward(mats, x.data, h.data, update_reset,
-                                                 update_reset_bias, cand, cand_bias, keep)
+    width = x.shape[1] + h.shape[1]
+    out, zr, c = _gru_forward(mats, x.data, h.data, update_reset, update_reset_bias,
+                              cand, cand_bias, np.empty((rows, width)))
 
     def bwd(g):
-        return _gru_grad(g, x.requires_grad, h.requires_grad, mats, h.data, zr, c,
-                         zr_mixes, c_mixes, update_reset, update_reset_bias, cand, cand_bias)
+        return _gru_grad(g, x.requires_grad, h.requires_grad, mats, x.data, h.data, zr, c,
+                         update_reset, update_reset_bias, cand, cand_bias,
+                         np.empty((rows, width)))
 
     return _emit(inputs, out, bwd)
 
@@ -649,7 +647,8 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
     and c, never the [x, h] or [x, r h] operands: its backward rebuilds
     them, one step at a time, from the constant steps and the kept states.
     That backward is backpropagation through time in a loop inside the
-    record. Without a tape no gate and no state before `first` is kept.
+    record; it and the forward each build every step's operand in one
+    buffer. Without a tape no gate and no state before `first` is kept.
     """
     xs = np.asarray(steps, dtype=np.float64)
     if xs.ndim != 3 or h0.data.ndim != 2 or xs.shape[1] != h0.shape[0]:
@@ -667,16 +666,16 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
     skip = 0 if keep else first
     states = np.empty((n_steps - skip, rows, d_h))
     gates = []
-    hd = h0.data
+    hd, buf = h0.data, np.empty((rows, d_x + d_h))
     for t in range(n_steps):
-        hd, zr, c, _, _ = _gru_forward(mats, xs[t], hd, zr_w, update_reset_bias, c_w,
-                                       cand_bias, False, out=states[max(t - skip, 0)])
+        hd, zr, c = _gru_forward(mats, xs[t], hd, zr_w, update_reset_bias, c_w, cand_bias,
+                                 buf, out=states[max(t - skip, 0)])
         if keep:
             gates.append((zr, c))
         del zr, c  # untaped, a step's gates are gone before the next step runs
 
     def bwd(g):
-        carry, sums = None, None
+        carry, sums, buf = None, None, np.empty((rows, d_x + d_h))
         for t in range(n_steps - 1, -1, -1):
             if t < first:
                 g_t = carry
@@ -686,10 +685,9 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
                 g_t = g[t - first] + carry
             hd = states[t - 1] if t else h0.data
             zr, c = gates[t]
-            _, carry, *grads = _gru_grad(g_t, False, t > 0 or h0.requires_grad, mats, hd,
-                                         zr, c, [_joined(xs[t], hd)],
-                                         [_joined(xs[t], hd, zr[:, d_h:])], zr_w,
-                                         update_reset_bias, c_w, cand_bias)
+            _, carry, *grads = _gru_grad(g_t, False, t > 0 or h0.requires_grad, mats, xs[t],
+                                         hd, zr, c, zr_w, update_reset_bias, c_w, cand_bias,
+                                         buf)
             if sums is None:
                 sums = grads
             else:

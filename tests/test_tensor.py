@@ -198,7 +198,7 @@ def test_gate_sum_mixes_each_batch_element():
     # 0 on the identity and I on adj reduce the gate sum to M x
     adj, x = rand((3, 3), 2), rand((6, 4), 3)
     weights, bias = [Tensor(np.zeros((4, 4))), Tensor(np.eye(4))], Tensor(np.zeros(4))
-    out, _ = tc._gate_sum([None, adj], x.data, weights, bias, keep=False)
+    out = tc._gate_sum([None, adj], x.data, weights, bias)
     assert out.shape == (6, 4)
     for b in range(2):
         rows = slice(3 * b, 3 * b + 3)
@@ -213,7 +213,7 @@ def test_gate_sum_is_term_by_term_sum_then_bias():
     for mat, w in zip(mats[1:], weights[1:]):
         mixed = np.concatenate([mat.data @ x.data[rows] for rows in (slice(0, 3), slice(3, 6))])
         expected = expected + mixed @ w.data
-    out, _ = tc._gate_sum(mats, x.data, weights, bias, keep=False)
+    out = tc._gate_sum(mats, x.data, weights, bias)
     np.testing.assert_array_equal(out, expected + bias.data)
 
 
@@ -246,22 +246,52 @@ def test_gate_halves_are_update_left_reset_right():
                                   (h.data - z * h.data) + z * c)
 
 
-def test_gate_sum_keeps_mixes_only_on_a_tape(monkeypatch):
-    # forward-only calls drop each M_k [..] once it is summed; taped ones
-    # keep it until the tape goes
-    kept = []
-    node_mix = tc._node_mix
-    monkeypatch.setattr(tc, "_node_mix", lambda *a: kept.append(weakref.ref(
+def test_gru_step_keeps_no_mix_or_operand_on_a_tape(monkeypatch):
+    # each M_k [..] is dropped once it is summed and the [x, h] / [x, r*h]
+    # operand once the step is formed, taped or not: the backward rebuilds
+    # the operand and mixes the adjoint instead
+    mixes, operands = [], []
+    node_mix, gate_sum = tc._node_mix, tc._gate_sum
+    monkeypatch.setattr(tc, "_node_mix", lambda *a: mixes.append(weakref.ref(
         out := node_mix(*a))) or out)
-    operands = _gru_operands(2, 6, 2, 3, 140, requires_grad=True)
-    tc.gru_step(*operands)
-    assert len(kept) == 2 and all(ref() is None for ref in kept)
-    del kept[:]
+    monkeypatch.setattr(tc, "_gate_sum", lambda mats, xd, *a: operands.append(
+        weakref.ref(xd)) or gate_sum(mats, xd, *a))
+    step = _gru_operands(2, 6, 2, 3, 140, requires_grad=True)
+    tc.gru_step(*step)
+    assert len(mixes) == 2 and len(operands) == 2
+    assert all(ref() is None for ref in mixes + operands)
+    del mixes[:], operands[:]
     with Tape() as tape:
-        tc.gru_step(*operands)
-    assert len(kept) == 2 and all(ref() is not None for ref in kept)
-    del tape
-    assert all(ref() is None for ref in kept)
+        loss = tc.reduce_sum(tc.gru_step(*step))
+    assert len(mixes) == 2 and len(operands) == 2
+    assert all(ref() is None for ref in mixes + operands)
+    backward(loss, tape)
+    assert all(t.grad is not None for t in [step[1], step[2], *step[0][1:]])
+
+
+def _kept_bytes(n_mats, rows=256, d_x=16, d_h=16):
+    # bytes a taped gru_step allocates and keeps while its tape is alive
+    operands = _gru_operands(n_mats, rows, d_x, d_h, 150, requires_grad=True)
+    # [32, 32] matrices, so that they tile the rows
+    operands[0][1:] = [rand((32, 32), 151 + k, 0.0, 1.0) for k in range(1, n_mats)]
+    for t in operands[0][1:]:
+        t.requires_grad = True
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            tc.gru_step(*operands)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    return kept
+
+
+def test_gru_step_keeps_the_same_bytes_for_any_number_of_matrices():
+    # the record keeps h', [z | r] and c whatever the matrices: 2K mixes
+    # of [x, h] and of [x, r*h] would add 8 operands from 1 to 5 matrices
+    gate_bytes = 256 * 16 * 8
+    assert abs(_kept_bytes(5) - _kept_bytes(1)) < gate_bytes
 
 
 def test_gru_sequence_keeps_gates_only_on_a_tape(monkeypatch):
@@ -271,10 +301,10 @@ def test_gru_sequence_keeps_gates_only_on_a_tape(monkeypatch):
     seen = []
     gate_sum = tc._gate_sum
 
-    def spy(mats, xd, weights, bias, keep):
-        out, mixes = gate_sum(mats, xd, weights, bias, keep)
+    def spy(mats, xd, weights, bias):
+        out = gate_sum(mats, xd, weights, bias)
         seen.append((weakref.ref(xd), weakref.ref(out)))
-        return out, mixes
+        return out
 
     monkeypatch.setattr(tc, "_gate_sum", spy)
     operands = _sequence_operands(7, 6, 2, 3, 200, requires_grad=True)
@@ -671,19 +701,42 @@ def test_gradients_only_on_requires_grad():
 
 
 def test_constant_operands_get_no_gradient_product(monkeypatch):
-    # only x needs a gradient: the constant adjacency gets no product, and
-    # neither do the weights, the biases or the state
+    # a matrix's gradient is one np.matmul over [b, n, width] stacks, and
+    # the adjoint is mixed by M_k^T through np.matmul of the [n, n] matrix:
+    # a constant matrix gets no such product, and an adjoint is mixed only
+    # for an operand that needs it (not for constant weights, state or x)
     mats, x, h, zr, zr_b, cand, c_b = _gru_operands(2, 6, 2, 3, 160)
-    x.requires_grad = True
-    calls = []
-    tensordot = np.tensordot
-    monkeypatch.setattr(np, "tensordot", lambda *a, **k: calls.append(1) or tensordot(*a, **k))
     w = rand((6, 3), 161)
+    products, mixes, matmul = [], [], np.matmul
+
+    def spy(a, *rest, **kw):
+        (products if a.ndim == 3 else mixes).append(1)
+        return matmul(a, *rest, **kw)
+
+    def step_grads(variable):
+        # the gru_step record's adjoints with only `variable` variable
+        variable.requires_grad = True
+        with Tape() as tape:
+            tc.gru_step(mats, x, h, zr, zr_b, cand, c_b)
+        del products[:], mixes[:]
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "matmul", spy)
+            g = tape.records[0].backward_fn(w.data)
+        variable.requires_grad = False
+        return g
+
+    g = step_grads(x)  # x's adjoint needs one mix per gate
+    assert g[0] is not None and all(t is None for t in g[1:])
+    assert products == [] and len(mixes) == 2
+    g = step_grads(c_b)  # the candidate bias needs neither
+    assert g[5] is not None and sum(t is not None for t in g) == 1
+    assert products == [] and mixes == []
+    g = step_grads(mats[1])  # a variable matrix: one product per gate
+    assert g[-1] is not None and len(products) == 2
+
+    x.requires_grad = True
     with Tape() as tape:
         backward(tc.reduce_sum(tc.mul(tc.gru_step(mats, x, h, zr, zr_b, cand, c_b), w)), tape)
-    assert calls == []
-    g = tape.records[0].backward_fn(w.data)
-    assert g[0] is not None and all(t is None for t in g[1:])
     fused = x.grad.copy()
     x.grad = None
     with Tape() as tape:
