@@ -79,8 +79,13 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
     att_bank = rng.standard_normal((5, 6, 4))
 
     def attention(h=Tensor(att_h), bank=Tensor(att_bank), w1=Tensor(att_w1), b=Tensor(att_b),
-                  w2=Tensor(att_w2), v=Tensor(att_v)):
-        return _weighted_sum(tc.additive_attention(h, bank, 1, 3, w1, b, w2, v)[0], w34)
+                  w2=Tensor(att_w2), v=Tensor(att_v), keys=None):
+        return _weighted_sum(tc.additive_attention(h, bank, 1, 3, w1, b, w2, v, keys=keys)[0],
+                             w34)
+
+    def keyed_attention(bank=Tensor(att_bank), w2=Tensor(att_w2)):
+        # keys formed from the probed operand, as model.forward forms them
+        return attention(bank=bank, w2=w2, keys=tc.attention_keys(bank, w2))
 
     # a dense GRU over four constant [6, 2] steps from a [6, 3] state,
     # returning the last three states
@@ -131,6 +136,8 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
         ("additive_attention_w2", lambda t: attention(w2=t), att_w2),
         ("additive_attention_v", lambda t: attention(v=t), att_v),
         ("additive_attention_bank", lambda t: attention(bank=t), att_bank),
+        ("additive_attention_keyed_w2", lambda t: keyed_attention(w2=t), att_w2),
+        ("additive_attention_keyed_bank", lambda t: keyed_attention(bank=t), att_bank),
         ("gru_sequence_state0", lambda t: sequence(h0=t), seq_h0),
         ("gru_sequence_update_reset_weight", lambda t: sequence(zr=t), seq_zr),
         ("gru_sequence_update_reset_bias", lambda t: sequence(zr_b=t), seq_zr_b),

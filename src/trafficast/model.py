@@ -28,6 +28,9 @@ out of the bank, the scores of every window offset over every block
 against one query, the softmax per node, the pooled context and the
 residual add. A GRU record keeps only its gates, never the mixes
 M_k [x, h] or M_k [x, r*h]: its backward mixes the adjoint by each M_k^T.
+On a tape the attention keys W2 h_p are formed once per forward, one
+product per bank state, and shared by every attention record; a record
+keeps no tanh output and recomputes them from the keys in its backward.
 Every activation is [B*N, d] rows, node-minor (row b*N + n), so no cell
 reshapes or slices; the bank's rows add the block as the fastest index
 (row (b*N + n)*G + g).
@@ -280,6 +283,7 @@ def attention_step(
     t: int,
     cfg: ModelConfig,
     params: AttentionParams,
+    keys: Optional[np.ndarray] = None,
 ) -> Tuple[Tensor, Optional[Tensor]]:
     """Pool periodic hidden states around the position aligned with step t.
 
@@ -291,7 +295,9 @@ def attention_step(
     + b) of the window over the G blocks of each row, turns them into
     weights with a softmax per node, and adds the pooled context
     residually; its backward adds the window's rows into the bank's one
-    adjoint.
+    adjoint. `keys` (`tc.attention_keys` of the bank and W2, formed once
+    per taped forward) lets the record read each W2 h_p instead of forming
+    it; without them it forms its window's keys itself.
     Returns (a_t, weights) with weights [B*N, G*C] a constant tensor in
     block-major, offset-minor candidate order (column g*C + c), or
     (h_t, None) when periodic context is off.
@@ -302,7 +308,7 @@ def attention_step(
         return h_t, None
     half = 0 if cfg.no_window else cfg.S
     return tc.additive_attention(h_t, bank, t + cfg.S - half, 2 * half + 1,
-                                 params.w1, params.b, params.w2, params.v)
+                                 params.w1, params.b, params.w2, params.v, keys=keys)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +452,7 @@ def forward(
     dgc = dgc_terms(state, pre, adp)
     dec = state.gru("decoder")
     attn = state.attention()
+    keys = None if bank is None else tc.attention_keys(bank, attn.w2)
     w_out, b_out = state.params["out.weight"], state.params["out.bias"]
 
     g = Tensor(np.zeros((b * n, cfg.d_h)))
@@ -455,12 +462,12 @@ def forward(
     for t in range(cfg.Q):
         h = gru_cell(dec, x_in, h)
         if cfg.order == "attention_then_dgc":
-            a_t, w_t = attention_step(h, bank, t, cfg, attn)
+            a_t, w_t = attention_step(h, bank, t, cfg, attn, keys=keys)
             g = dgcgru_cell(dgc, a_t, g)
             y_t = tc.add(tc.matmul(g, w_out), b_out)
         else:
             g = dgcgru_cell(dgc, h, g)
-            a_t, w_t = attention_step(g, bank, t, cfg, attn)
+            a_t, w_t = attention_step(g, bank, t, cfg, attn, keys=keys)
             y_t = tc.add(tc.matmul(a_t, w_out), b_out)
         trace.attention_weights.append(w_t)
         step_preds.append(tc.reshape(y_t, (b, 1, n, c)))

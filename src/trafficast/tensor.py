@@ -703,8 +703,27 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
 # attention: one record per decoder step
 # ---------------------------------------------------------------------------
 
+def attention_keys(bank: Tensor, w2: Tensor) -> Optional[np.ndarray]:
+    """Every bank state's attention key k_j W2, one product per state, or None.
+
+    Formed only with a tape active, as one read-only [L, R*G, a] array
+    that every taped `additive_attention` over this bank and w2 shares: its
+    forward and its backward's recompute read their window's keys from it
+    instead of forming k_j W2 per offset. Each key is bitwise the per-state
+    product k_j @ W2. Without a tape it returns None, so a forward-only
+    pass holds no whole-bank array and its records form each key in one
+    scratch buffer.
+    """
+    if _active_tape() is None:
+        return None
+    keys = np.matmul(bank.data, w2.data)
+    keys.flags.writeable = False
+    return keys
+
+
 def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tensor,
-                       b: Tensor, w2: Tensor, v: Tensor) -> Tuple[Tensor, Tensor]:
+                       b: Tensor, w2: Tensor, v: Tensor,
+                       keys: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
     """h + sum_j a_j k_j, a = softmax_j(v' tanh(k_j W2 + h W1 + b)), one record.
 
     h is [R, d] and the bank [L, R*G, d]; the window is the n_off states
@@ -716,11 +735,14 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
     tensor; the backward returns the bank's adjoint as the window's rows
     (`_Rows`), zero outside them.
 
-    The query is formed once and repeated over the G row groups; the
-    arithmetic runs in the order separate score, softmax, pool and add
-    records would. The tanh outputs are kept for the backward rule only
-    when the record goes on a tape; otherwise one scratch buffer serves
-    every offset. A constant operand gets no gradient product.
+    `keys`, from `attention_keys(bank, w2)`, holds k_j W2 for every bank
+    state; without it each offset forms its key itself. The query is
+    formed once and broadcast over the G row groups; the arithmetic runs
+    in the order separate score, softmax, pool and add records would. One
+    scratch buffer serves every offset's tanh output and none is kept: on
+    a tape the backward recomputes the query and each activation from the
+    keys (or k_j W2) into one buffer, and forms each pre-activation
+    adjoint in a second. A constant operand gets no gradient product.
     """
     hd, bd = h.data, bank.data
     if hd.ndim != 2:
@@ -744,28 +766,38 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
             raise ShapeError(
                 f"additive_attention {name} must be {list(shape)}, got {list(t.data.shape)}"
             )
+    if keys is not None and keys.shape != bd.shape[:2] + a_shape[1:]:
+        raise ShapeError(
+            f"additive_attention keys must be {list(bd.shape[:2] + a_shape[1:])} for a bank "
+            f"of {list(bd.shape)}, got {list(keys.shape)}"
+        )
 
     window = bd[start:start + n_off]
     k_rows, groups = bd.shape[1], bd.shape[1] // rows
     inputs = (h, w1, b, w2, v, bank)
-    keep = _active_tape() is not None and any(t.requires_grad for t in inputs)
-    q = hd @ w1.data
-    q += b.data
-    q_rep = np.repeat(q, groups, axis=0)  # row r*G + g is q[r]
+
+    def activation(c, q, act):
+        # tanh(k_c W2 + q) into act, q broadcast over row groups (row r*G + g is q[r])
+        view = act.reshape(rows, groups, -1)
+        if keys is None:
+            np.matmul(window[c], w2.data, out=act)
+            view += q[:, None]
+        else:
+            np.add(keys[start + c].reshape(rows, groups, -1), q[:, None], out=view)
+        np.tanh(act, out=act)
+
+    def query():
+        q = hd @ w1.data
+        q += b.data
+        return q
+
+    q = query()
     v_col = v.data.reshape(-1, 1)
     scores = np.empty((k_rows, n_off))
-    acts = []
-    act = None
-    for c, k in enumerate(window):
-        if keep or act is None:
-            act = k @ w2.data
-        else:
-            np.matmul(k, w2.data, out=act)
-        act += q_rep
-        np.tanh(act, out=act)
+    act = np.empty((k_rows, a_shape[1]))
+    for c in range(n_off):
+        activation(c, q, act)
         scores[:, c] = (act @ v_col)[:, 0]
-        if keep:
-            acts.append(act)
     weights = _softmax(scores.reshape(rows, groups * n_off), axis=1)
     grouped = window.reshape(n_off, rows, groups, width)
     out = weights[:, :1] * grouped[0][:, 0]
@@ -784,17 +816,23 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
         g_w2 = np.zeros_like(w2.data) if w2.requires_grad else None
         g_v = np.zeros_like(v.data) if v.requires_grad else None
         g_window = np.empty(window.shape) if bank.requires_grad else None
+        q = query()
+        act, g_pre = np.empty((k_rows, a_shape[1])), np.empty((k_rows, a_shape[1]))
         # last offset first, the order a pass over per-offset records takes
         for c in range(n_off - 1, -1, -1):
-            k, act, g_c = window[c], acts[c], g_s[:, c]
+            g_c = g_s[:, c]
+            activation(c, q, act)
             if g_v is not None:
                 g_v += act.T @ g_c
-            g_pre = g_c[:, None] * v.data
-            g_pre *= 1.0 - act * act
+            # g_pre = (g_c v) * (1 - act^2), act squared in place
+            np.multiply(g_c[:, None], v.data, out=g_pre)
+            np.multiply(act, act, out=act)
+            np.subtract(1.0, act, out=act)
+            g_pre *= act
             if g_q is not None:
                 g_q += g_pre
             if g_w2 is not None:
-                g_w2 += k.T @ g_pre
+                g_w2 += window[c].T @ g_pre
             if g_window is not None:
                 g_k = g_window[c]
                 np.multiply(w3[:, :, c, None], g[:, None, :],

@@ -1,5 +1,6 @@
 """Engine primitives: frozen examples, gradient oracles, tape invariants."""
 
+import contextlib
 import tracemalloc
 import warnings
 import weakref
@@ -393,29 +394,98 @@ def test_additive_attention_gradients_match_unfused_chain():
         np.testing.assert_allclose(fused, plain, rtol=0, atol=1e-14 * np.abs(plain).max())
 
 
-def test_additive_scores_keeps_tanh_outputs_only_on_a_tape(monkeypatch):
-    # forward-only calls score every offset in one scratch buffer, dropped
-    # on return; taped ones keep each offset's tanh output
-    kept = []
+def _keys(bank, w2):
+    # the keys a taped forward forms once over the whole bank
+    with Tape():
+        return tc.attention_keys(bank, w2)
+
+
+def test_additive_attention_keeps_no_tanh_output(monkeypatch):
+    # every offset's tanh output goes to one scratch buffer that is dropped
+    # on return, taped or not, keyed or not: a taped record recomputes the
+    # activations in its backward
+    seen = []
     np_tanh = np.tanh
 
     def tanh(x, out=None):
         res = np_tanh(x, out=out)
-        kept.append((weakref.ref(res), res.ctypes.data))
+        seen.append((weakref.ref(res), res.ctypes.data))
         return res
 
-    monkeypatch.setattr(np, "tanh", tanh)
     operands = _score_operands(3, 2, 4, 4, 80, requires_grad=True)
-    tc.additive_attention(*operands)
-    assert len(kept) == 4 and len({addr for _, addr in kept}) == 1
-    assert all(ref() is None for ref, _ in kept)
-    del kept[:]
-    with Tape() as tape:
-        tc.additive_attention(*operands)
-    assert len({addr for _, addr in kept}) == 4
-    assert all(ref() is not None for ref, _ in kept)
-    del tape
-    assert all(ref() is None for ref, _ in kept)
+    keys = _keys(operands[1], operands[6])
+    monkeypatch.setattr(np, "tanh", tanh)
+    leaves = [t for t in operands if isinstance(t, Tensor)]
+    for taped in (False, True):
+        for k in (None, keys):
+            del seen[:]
+            with Tape() if taped else contextlib.nullcontext() as tape:
+                out, _ = tc.additive_attention(*operands, keys=k)
+                assert len(seen) == 4 and len({addr for _, addr in seen}) == 1
+                assert all(ref() is None for ref, _ in seen)
+                loss = tc.reduce_sum(out)
+            if taped:
+                backward(loss, tape)
+                assert all(t.grad is not None for t in leaves)
+                for t in leaves:
+                    t.grad = None
+
+
+def _attention_kept_bytes(n_off, keyed, rows=16, groups=2, d=16):
+    # bytes a taped additive_attention allocates and keeps while its tape
+    # is alive, past the keys its forward shares
+    h, bank, start, _, w1, b, w2, v = _score_operands(rows, groups, 7, d, 170,
+                                                      requires_grad=True)
+    keys = _keys(bank, w2) if keyed else None
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out, weights = tc.additive_attention(h, bank, start, n_off, w1, b, w2, v, keys=keys)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1 and weights.shape == (rows, groups * n_off)
+    return kept
+
+
+def test_additive_attention_keeps_the_same_bytes_for_any_window():
+    # the record keeps its output and weights, whatever its window: a tanh
+    # output per offset would add 6 arrays of [32, 16] from 1 to 7 offsets
+    weights_bytes = 16 * 2 * 7 * 8
+    for keyed in (True, False):
+        assert abs(_attention_kept_bytes(7, keyed) - _attention_kept_bytes(1, keyed)) \
+            < weights_bytes
+
+
+def test_attention_keys_is_none_without_a_tape():
+    # a forward-only pass holds no whole-bank key array
+    _, bank, _, _, _, _, w2, _ = _score_operands(3, 2, 3, 4, 95)
+    assert tc.attention_keys(bank, w2) is None
+    keys = _keys(bank, w2)
+    for state, key in zip(bank.data, keys):
+        np.testing.assert_array_equal(key, state @ w2.data)
+
+
+@pytest.mark.parametrize("rows,groups,n_off", [(3, 2, 3), (4, 1, 1), (2, 5, 7)])
+def test_keyed_attention_bitwise_equals_unkeyed(rows, groups, n_off):
+    # output, weights and all six gradients, the window at start 1 of the bank
+    operands = _score_operands(rows, groups, n_off, 4, 100, requires_grad=True)
+    h, bank, start, _, *params = operands
+    assert start > 0
+    keys = _keys(bank, params[2])
+    leaves, weights = [h, bank, *params], rand((rows, 4), 109)
+    plain = tc.additive_attention(*operands)
+    keyed = tc.additive_attention(*operands, keys=keys)
+    for a, b in zip(keyed, plain):
+        np.testing.assert_array_equal(a.data, b.data)
+
+    def keyed_step(*ops):
+        return tc.additive_attention(*ops, keys=keys)
+
+    grads = _leaf_grads(keyed_step, operands, leaves, weights)
+    for a, b in zip(grads, _leaf_grads(tc.additive_attention, operands, leaves, weights)):
+        np.testing.assert_array_equal(a, b)
+    assert len(grads) == 6
 
 
 def test_weighted_pool_is_per_row_weighted_sum():
@@ -463,6 +533,17 @@ def test_additive_scores_shape_mismatch():
         tc.additive_attention(h, bank, start, n_off, w1, b, rand((4, 3), 1), v)
     with pytest.raises(tc.ShapeError, match=r"b must be \[4\], got \[3\]"):
         tc.additive_attention(h, bank, start, n_off, w1, rand((3,), 1), w2, v)
+    # keys for another bank: one state short, and over a narrower inner width
+    keys = _keys(bank, w2)
+    with pytest.raises(tc.ShapeError,
+                       match=r"keys must be \[5, 6, 4\] for a bank of \[5, 6, 4\], "
+                             r"got \[4, 6, 4\]"):
+        tc.additive_attention(h, bank, start, n_off, w1, b, w2, v, keys=keys[1:])
+    with pytest.raises(tc.ShapeError, match=r"got \[5, 6, 3\]"):
+        tc.additive_attention(h, bank, start, n_off, w1, b, w2, v, keys=keys[..., :3])
+    # the keys are shared by every record over the bank, so none may write them
+    with pytest.raises(ValueError, match="read-only"):
+        keys[0, 0, 0] = 0.0
 
 
 def test_sigmoid_at_zero():
