@@ -9,8 +9,10 @@ convenience flags (--ablation, --order, --seeds, --out-dir).
 Training and experiment runs write a manifest that materializes the
 fully resolved configuration (no default left implicit), input file
 digests, the seed list, artifact paths, and wall clock timings. The
-manifest is written when the run starts and finalized when it ends, and
-feeding it back to `train --config` reruns the embedded configuration.
+manifest is written with status "running" when the run starts and
+finalized when it ends, as "complete", "diverged", or "failed" with the
+error message under "error"; feeding it back to `train --config` reruns
+the embedded configuration.
 
 Machine-read files carry 17 significant digits; stdout summaries carry 4.
 Timings live only in the manifest and history files, so checkpoints,
@@ -37,8 +39,9 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple, get_type_hints
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -82,6 +85,8 @@ from trafficast.training import (
     horizon_steps_for,
     run_experiment,
     train,
+    variant_of,
+    variant_switches,
     write_comparison_table,
     write_history,
     write_metrics,
@@ -167,9 +172,6 @@ SCHEMAS = {name: _schema_of(cls) for name, cls in SECTION_TYPES.items()}
 # only the dataset section sets them.
 WINDOWS = tuple(key for key in SCHEMAS["dataset"] if key in SCHEMAS["model"])
 SCHEMAS["model"] = {k: v for k, v in SCHEMAS["model"].items() if k not in WINDOWS}
-
-SWITCHES = ("no_pre", "no_adp", "no_window", "no_period")
-ABLATION_FLAG_SETS: Dict[str, Dict[str, bool]] = dict(ABLATION_VARIANTS)
 
 
 _PLAIN_KINDS = {"bool": (bool, "true or false"), "str": (str, "a string"),
@@ -376,10 +378,7 @@ def _apply_overrides(doc: dict, args: argparse.Namespace) -> None:
         _set_in_doc(doc, dotted, value)
     ablation = getattr(args, "ablation", None)
     if ablation is not None:
-        flags = ABLATION_FLAG_SETS[ablation]
-        model = doc.setdefault("model", {})
-        for key in SWITCHES:
-            model[key] = bool(flags.get(key, False))
+        doc.setdefault("model", {}).update(variant_switches(ablation))
     order = getattr(args, "order", None)
     if order is not None:
         doc.setdefault("model", {})["order"] = order
@@ -456,15 +455,6 @@ def _require_samples(splits: DatasetSplits, roles: Tuple[str, ...]) -> None:
                           f"got {counts} train/val/test")
 
 
-def _variant_label(cfg: ModelConfig) -> str:
-    state = {k: getattr(cfg, k) for k in SWITCHES}
-    for label, flags in ABLATION_VARIANTS:
-        expected = {k: bool(flags.get(k, False)) for k in state}
-        if expected == state:
-            return label
-    return "custom"
-
-
 def _attention_candidates(cfg: ModelConfig) -> int:
     if cfg.no_period:
         return 0
@@ -484,7 +474,7 @@ def _derived_block(res: ResolvedRun, loaded: LoadedInputs) -> dict:
         "L": ds.L,
         "block_len": ds.block_len,
         "attention_candidates": _attention_candidates(mc),
-        "variant": _variant_label(mc),
+        "variant": variant_of(mc),
         "horizon_steps": horizon_steps_for(ds.Q),
     }
 
@@ -512,17 +502,44 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _finish_manifest(path: str, manifest: dict, status: str, **fields) -> None:
-    manifest.update(status=status, finished_at=_utc_now(), **fields)
-    _write_json(path, manifest)
+@contextmanager
+def _started_run(args: argparse.Namespace, command: str, **fields
+                 ) -> Iterator[Tuple[ResolvedRun, LoadedInputs, dict, str]]:
+    """Resolve and load a run, then own its manifest until the block ends.
 
-
-def _require_out_dir(res: ResolvedRun) -> str:
-    # checked before the inputs load; the directory is made only after they
-    # do, so a run that fails on its inputs leaves nothing behind
+    Yields the run, its inputs, its manifest and the manifest's path. Every
+    check comes before the output directory is made, so a run that fails
+    on its config or inputs leaves nothing behind. The manifest is written
+    with status running (plus `fields`) and finalized as complete when the
+    block returns, diverged on a DivergenceError, or failed with the
+    error's message on any other exception, which is re-raised.
+    """
+    if args.jobs < 1:
+        raise SchemaError(f"--jobs must be >= 1, got {args.jobs}")
+    res, config_digest = _resolve_from_args(args)
     if not res.out_dir:
         raise SchemaError("out_dir: required (set it in the config or pass --out-dir)")
-    return res.out_dir
+    loaded = _load_inputs(res)
+    _require_samples(loaded.splits, ("train", "val", "test"))
+    os.makedirs(res.out_dir, exist_ok=True)
+    manifest = {**_manifest_base(command, res, loaded, config_digest, res.train.seeds),
+                **fields}
+    path = os.path.join(res.out_dir, "manifest.json")
+    _write_json(path, manifest)
+
+    def finish(status: str, **final) -> None:
+        manifest.update(status=status, finished_at=_utc_now(), **final)
+        _write_json(path, manifest)
+
+    try:
+        yield res, loaded, manifest, path
+    except DivergenceError:
+        finish("diverged")
+        raise
+    except BaseException as exc:
+        finish("failed", error=str(exc) or type(exc).__name__)
+        raise
+    finish("complete")
 
 
 def _write_seed_artifacts(out_dir: str, summary: TrainSummary,
@@ -608,40 +625,19 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_jobs(args: argparse.Namespace) -> None:
-    if getattr(args, "jobs", 1) < 1:
-        raise SchemaError(f"--jobs must be >= 1, got {args.jobs}")
-
-
 def cmd_train(args: argparse.Namespace) -> int:
-    _check_jobs(args)
-    res, config_digest = _resolve_from_args(args)
-    out_dir = _require_out_dir(res)
-    loaded = _load_inputs(res)
-    _require_samples(loaded.splits, ("train", "val", "test"))
-    os.makedirs(out_dir, exist_ok=True)
+    with _started_run(args, "train") as (res, loaded, manifest, manifest_path):
+        out_dir = res.out_dir
+        start = time.time()
+        summary = train(res.model, loaded.splits, loaded.a_pre, res.train, jobs=args.jobs)
+        total = time.time() - start
 
-    manifest = _manifest_base("train", res, loaded, config_digest, res.train.seeds)
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    _write_json(manifest_path, manifest)
-
-    start = time.time()
-    try:
-        summary = train(res.model, loaded.splits, loaded.a_pre, res.train,
-                        jobs=args.jobs)
-    except DivergenceError:
-        _finish_manifest(manifest_path, manifest, "diverged")
-        raise
-    total = time.time() - start
-
-    variant = _variant_label(res.model)
-    artifacts = {"manifest": manifest_path,
-                 "summary": os.path.join(out_dir, "summary.txt"),
-                 "seeds": _write_seed_artifacts(out_dir, summary)}
-    _write_summary(artifacts["summary"], variant, summary)
-
-    _finish_manifest(manifest_path, manifest, "complete", artifacts=artifacts,
-                     timings=_timing_block(summary, total))
+        variant = variant_of(res.model)
+        artifacts = {"manifest": manifest_path,
+                     "summary": os.path.join(out_dir, "summary.txt"),
+                     "seeds": _write_seed_artifacts(out_dir, summary)}
+        _write_summary(artifacts["summary"], variant, summary)
+        manifest.update(artifacts=artifacts, timings=_timing_block(summary, total))
 
     print(f"trained {len(summary.runs)} seed(s), variant {variant}, in {total:.4g}s")
     print(f"test MAE  {summary.mae_mean:.4g} +/- {summary.mae_std:.4g}")
@@ -668,44 +664,33 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    _check_jobs(args)
-    res, config_digest = _resolve_from_args(args)
-    out_dir = _require_out_dir(res)
-    loaded = _load_inputs(res)
-    _require_samples(loaded.splits, ("train", "val", "test"))
-    os.makedirs(out_dir, exist_ok=True)
+    with _started_run(args, "experiment",
+                      kind=args.kind) as (res, loaded, manifest, manifest_path):
+        out_dir = res.out_dir
+        start = time.time()
+        rows = run_experiment(args.kind, res.model, loaded.splits, loaded.a_pre,
+                              res.train, jobs=args.jobs)
+        total = time.time() - start
 
-    manifest = _manifest_base("experiment", res, loaded, config_digest, res.train.seeds)
-    manifest["kind"] = args.kind
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    _write_json(manifest_path, manifest)
-
-    start = time.time()
-    rows = run_experiment(args.kind, res.model, loaded.splits, loaded.a_pre,
-                          res.train, jobs=args.jobs)
-    total = time.time() - start
-
-    table_path = os.path.join(out_dir, "table.csv")
-    write_comparison_table(table_path, rows)
-    artifacts = {"manifest": manifest_path, "table": table_path, "cells": {}}
-    for row in rows:
-        cell_dir = os.path.join(out_dir, row.label)
-        os.makedirs(cell_dir, exist_ok=True)
-        if row.summary is None:
-            err_path = os.path.join(cell_dir, "error.txt")
-            with open(err_path, "w", encoding="ascii") as fh:
-                fh.write((row.error or "unknown error") + "\n")
-            artifacts["cells"][row.label] = {"error": err_path}
-            continue
-        mean_path = os.path.join(cell_dir, "metrics_mean.txt")
-        write_metrics(mean_path, _mean_report(row.summary))
-        artifacts["cells"][row.label] = {
-            "metrics_mean": mean_path,
-            "seeds": _write_seed_artifacts(cell_dir, row.summary, checkpoints=False),
-        }
-
-    _finish_manifest(manifest_path, manifest, "complete", artifacts=artifacts,
-                     timings={"total_seconds": round(total, 3)})
+        table_path = os.path.join(out_dir, "table.csv")
+        write_comparison_table(table_path, rows)
+        artifacts = {"manifest": manifest_path, "table": table_path, "cells": {}}
+        for row in rows:
+            cell_dir = os.path.join(out_dir, row.label)
+            os.makedirs(cell_dir, exist_ok=True)
+            if row.summary is None:
+                err_path = os.path.join(cell_dir, "error.txt")
+                with open(err_path, "w", encoding="ascii") as fh:
+                    fh.write((row.error or "unknown error") + "\n")
+                artifacts["cells"][row.label] = {"error": err_path}
+                continue
+            mean_path = os.path.join(cell_dir, "metrics_mean.txt")
+            write_metrics(mean_path, _mean_report(row.summary))
+            artifacts["cells"][row.label] = {
+                "metrics_mean": mean_path,
+                "seeds": _write_seed_artifacts(cell_dir, row.summary, checkpoints=False),
+            }
+        manifest.update(artifacts=artifacts, timings={"total_seconds": round(total, 3)})
 
     print(f"experiment {args.kind}: {len(rows)} cells in {total:.4g}s")
     for row in rows:
@@ -756,7 +741,7 @@ def _add_config_flags(sp: argparse.ArgumentParser, with_jobs: bool = True) -> No
     sp.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                     help="override one config value; repeatable; value parsed as JSON")
     sp.add_argument("--ablation",
-                    choices=[label for label, _ in ABLATION_VARIANTS],
+                    choices=list(ABLATION_VARIANTS),
                     help="set the model's component switches to a named variant")
     sp.add_argument("--order", choices=list(ORDERS),
                     help="decoder stage order override")

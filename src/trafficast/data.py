@@ -15,7 +15,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -159,6 +159,20 @@ def load_series(path, l_d: int) -> SignalSeries:
     return series
 
 
+def window_error(windows) -> Optional[str]:
+    """The first window rule that `windows` (any object with P, Q, S,
+    d_count and w_count) breaks, as a message naming the field and its
+    bound; None when every rule holds."""
+    for name, low in (("P", 1), ("Q", 1), ("S", 0), ("d_count", 1), ("w_count", 1)):
+        value = getattr(windows, name)
+        if value < low:
+            return f"{name} must be >= {low}, got {value}"
+    if windows.P < windows.S:
+        return (f"P ({windows.P}) must be >= S ({windows.S}): the attention window at "
+                "step 0 reaches S positions before the aligned bank index P")
+    return None
+
+
 @dataclass
 class DatasetSpec:
     """Windowing and split configuration.
@@ -176,16 +190,9 @@ class DatasetSpec:
     split: Tuple[float, float, float] = (0.6, 0.2, 0.2)
 
     def __post_init__(self):
-        for name in ("P", "Q", "S", "d_count", "w_count"):
-            if getattr(self, name) < 0 or (name in ("P", "Q") and getattr(self, name) == 0):
-                raise DataError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.d_count < 1 or self.w_count < 1:
-            raise DataError("d_count and w_count must be at least 1")
-        if self.P < self.S:
-            raise DataError(
-                f"P ({self.P}) must be >= S ({self.S}): the attention window at "
-                "step 0 reaches S positions before the aligned bank index P"
-            )
+        error = window_error(self)
+        if error:
+            raise DataError(error)
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise DataError(f"split must sum to 1, got {self.split}")
         if any(s < 0 for s in self.split):
@@ -226,8 +233,9 @@ def admissible_t0_range(series: SignalSeries, spec: DatasetSpec) -> range:
     return range(first, last + 1)
 
 
-def _checked_t0_range(series: SignalSeries, spec: DatasetSpec) -> range:
-    """The admissible t0 range; DataError if it is empty or leaks.
+def _split_t0s(series: SignalSeries, spec: DatasetSpec) -> Tuple[range, range, range]:
+    """The admissible t0 range cut chronologically into train, val and
+    test; DataError if it is empty or leaks.
 
     The daily offset must exceed L, otherwise the most recent D block would
     reach into the forecast period itself.
@@ -245,7 +253,9 @@ def _checked_t0_range(series: SignalSeries, spec: DatasetSpec) -> range:
             f"series too short: T={series.n_steps}, need at least {min_t} steps "
             f"for one sample (w_count*l_w + P + Q)"
         )
-    return t0s
+    n_train = int(len(t0s) * spec.split[0])
+    n_val = int(len(t0s) * spec.split[1])
+    return t0s[:n_train], t0s[n_train : n_train + n_val], t0s[n_train + n_val :]
 
 
 def _cut_sample(data, t0, spec, l_d, l_w) -> TrainingSample:
@@ -272,17 +282,9 @@ def build_samples(
     series: SignalSeries, spec: DatasetSpec
 ) -> Tuple[List[TrainingSample], List[TrainingSample], List[TrainingSample]]:
     """Cut every admissible sample at stride 1 and split chronologically."""
-    t0s = _checked_t0_range(series, spec)
     l_d, l_w = series.samples_per_day, series.samples_per_week
-    samples = [_cut_sample(series.data, t0, spec, l_d, l_w) for t0 in t0s]
-    n = len(samples)
-    n_train = int(n * spec.split[0])
-    n_val = int(n * spec.split[1])
-    return (
-        samples[:n_train],
-        samples[n_train : n_train + n_val],
-        samples[n_train + n_val :],
-    )
+    return tuple([_cut_sample(series.data, t0, spec, l_d, l_w) for t0 in t0s]
+                 for t0s in _split_t0s(series, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +349,8 @@ def prepare_dataset(series: SignalSeries, spec: DatasetSpec) -> DatasetSplits:
     forecast start, so nothing the validation or test targets cover leaks
     into the scaler.
     """
-    t0s = _checked_t0_range(series, spec)
-    n_train = int(len(t0s) * spec.split[0])
-    fit_end = t0s[n_train] if n_train < len(t0s) else series.n_steps
+    train_t0s, val_t0s, test_t0s = _split_t0s(series, spec)
+    fit_end = train_t0s.stop if val_t0s or test_t0s else series.n_steps
     normalizer, normed = fit_apply_zscore(series, range(0, fit_end))
     train, val, test = build_samples(normed, spec)
     return DatasetSplits(train=train, val=val, test=test, normalizer=normalizer, spec=spec)

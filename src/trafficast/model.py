@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from trafficast import tensor as tc
-from trafficast.data import DataError, parse_tensor_blob, tensor_blob
+from trafficast.data import DataError, parse_tensor_blob, tensor_blob, window_error
 from trafficast.graph import NodeEmbeddings, adaptive_adjacency, init_embeddings
 from trafficast.tensor import ShapeError, Tensor
 
@@ -88,15 +88,9 @@ class ModelConfig:
             raise ModelError(
                 f"fusion weights must be >= 0, got {self.w_pre}, {self.w_adp}"
             )
-        if self.P < 1 or self.Q < 1 or self.S < 0:
-            raise ModelError(f"bad windowing P={self.P} Q={self.Q} S={self.S}")
-        if self.P < self.S:
-            raise ModelError(
-                f"P ({self.P}) must be >= S ({self.S}): the attention window at "
-                "step 0 reaches S positions before the aligned bank index P"
-            )
-        if self.d_count < 1 or self.w_count < 1:
-            raise ModelError("d_count and w_count must be >= 1")
+        error = window_error(self)
+        if error:
+            raise ModelError(error)
         if self.order not in ORDERS:
             raise ModelError(f"order must be one of {ORDERS}, got {self.order!r}")
 
@@ -470,9 +464,10 @@ def forward(
             a_t, w_t = attention_step(g, bank, t, cfg, attn, keys=keys)
             y_t = tc.add(tc.matmul(a_t, w_out), b_out)
         trace.attention_weights.append(w_t)
-        step_preds.append(tc.reshape(y_t, (b, 1, n, c)))
+        step_preds.append(y_t)
         x_in = y_t
-    trace.predictions = step_preds[0] if cfg.Q == 1 else tc.concat(step_preds, axis=1)
+    stacked = tc.reshape(tc.concat(step_preds, axis=0), (cfg.Q, b, n, c))
+    trace.predictions = tc.transpose(stacked, (1, 0, 2, 3))
     return trace
 
 

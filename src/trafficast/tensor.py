@@ -258,12 +258,7 @@ def _reduce_to(g: np.ndarray, mode: str, b_shape: tuple) -> np.ndarray:
     return g.reshape(-1, b_shape[0]).sum(axis=0)
 
 
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def add(a: Tensor, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     mode = _broadcast_mode(a, b)
     out = a.data + b.data
 
@@ -273,8 +268,7 @@ def add(a: Tensor, b) -> Tensor:
     return _emit((a, b), out, bwd)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     mode = _broadcast_mode(a, b)
     out = a.data - b.data
 
@@ -284,8 +278,7 @@ def sub(a: Tensor, b) -> Tensor:
     return _emit((a, b), out, bwd)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     mode = _broadcast_mode(a, b)
     out = a.data * b.data
 

@@ -424,14 +424,30 @@ def train(
 # experiment grids
 # ---------------------------------------------------------------------------
 
-ABLATION_VARIANTS: List[Tuple[str, Dict[str, object]]] = [
-    ("full", {}),
-    ("no_pre", {"no_pre": True}),
-    ("no_adp", {"no_adp": True}),
-    ("no_pre_adp", {"no_pre": True, "no_adp": True}),
-    ("no_window", {"no_window": True}),
-    ("no_period", {"no_period": True}),
-]
+# The model's component switches, and each ablation variant's label with
+# the switches it turns on; every other switch is off in that variant.
+SWITCHES = ("no_pre", "no_adp", "no_window", "no_period")
+ABLATION_VARIANTS: Dict[str, Tuple[str, ...]] = {
+    "full": (),
+    "no_pre": ("no_pre",),
+    "no_adp": ("no_adp",),
+    "no_pre_adp": ("no_pre", "no_adp"),
+    "no_window": ("no_window",),
+    "no_period": ("no_period",),
+}
+
+
+def variant_switches(label: str) -> Dict[str, bool]:
+    """Every switch as the ablation variant `label` sets it."""
+    return {key: key in ABLATION_VARIANTS[label] for key in SWITCHES}
+
+
+def variant_of(cfg: ModelConfig) -> str:
+    """The label of the variant whose switches `cfg` has, else "custom"."""
+    state = {key: getattr(cfg, key) for key in SWITCHES}
+    return next((label for label in ABLATION_VARIANTS if variant_switches(label) == state),
+                "custom")
+
 
 MULTIHEAD_COUNTS = (1, 2, 4, 8, 16)
 
@@ -459,7 +475,8 @@ def run_experiment(
     order always matches the grid definition.
     """
     if kind == "ablation":
-        cells = [(label, replace(model_cfg, **flags)) for label, flags in ABLATION_VARIANTS]
+        cells = [(label, replace(model_cfg, **variant_switches(label)))
+                 for label in ABLATION_VARIANTS]
     elif kind == "multihead":
         cells = [(f"{h}H", replace(model_cfg, n_head=h)) for h in MULTIHEAD_COUNTS]
     elif kind == "order":

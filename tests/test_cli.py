@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from trafficast import tensor as tc
+from trafficast import training
 from trafficast.cli import DATA_SCHEMA, SCHEMAS, SchemaError, main, resolve_config
 from trafficast.data import load_series, write_tensor_file
 from trafficast.gradcheck import primitive_checks
@@ -205,6 +206,13 @@ def test_window_shorter_than_attention_reach_names_dataset(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: dataset: P (2) must be >= S (3)" in err
     assert "model" not in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_negative_s_is_usage_error_naming_its_bound(tmp_path, capsys):
+    cfg = write_doc(tmp_path / "c.json", tiny_doc(tmp_path / "run"))
+    assert run_cli("train", "--config", cfg, "--set", "dataset.S=-1") == 2
+    assert "error: dataset: S must be >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -527,6 +535,26 @@ def test_train_divergence_exit_code(tmp_path):
     assert manifest["status"] == "diverged"
 
 
+@pytest.mark.parametrize("argv, blocked", [
+    (["train"], "seed1"),
+    (["experiment", "order"], "attention_then_dgc"),
+])
+def test_failed_run_finalizes_manifest(tmp_path, capsys, argv, blocked):
+    # a file where an artifact directory goes fails the run after its
+    # manifest exists; the manifest must not stay "running"
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / blocked).write_text("x")
+    cfg = write_doc(tmp_path / "c.json", tiny_doc(out, train={"max_epochs": 1}))
+    assert run_cli(*argv, "--config", cfg) == 3
+    err = capsys.readouterr().err
+    assert "File exists" in err and str(out / blocked) in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == err.strip().removeprefix("error: ")
+    assert "finished_at" in manifest
+
+
 def test_bad_json_config_is_usage_error(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text("{broken")
@@ -739,6 +767,47 @@ def test_experiment_ablation_emits_per_horizon_arrays(tmp_path):
         # Q=2 gives one metric value per forecast step
         assert len(lines["per_step_mae"].split(",")) == 2
         assert len(lines["per_step_rmse"].split(",")) == 2
+
+
+SWITCHES = ("no_pre", "no_adp", "no_window", "no_period")
+ABLATION_ROWS = {
+    "full": (),
+    "no_pre": ("no_pre",),
+    "no_adp": ("no_adp",),
+    "no_pre_adp": ("no_pre", "no_adp"),
+    "no_window": ("no_window",),
+    "no_period": ("no_period",),
+}
+
+
+@pytest.mark.parametrize("base", ["default", "set", "ablation_flag", "manifest"])
+def test_experiment_ablation_rows_train_their_labels_whatever_the_base(
+        tmp_path, monkeypatch, base):
+    # each row trains exactly its label's switches, even over a base with
+    # no_pre on; the spy records them and fails the cell, so nothing trains
+    trained = []
+
+    def spy(model_cfg, *args, **kwargs):
+        trained.append(tuple(key for key in SWITCHES if getattr(model_cfg, key)))
+        raise RuntimeError("spy")
+
+    monkeypatch.setattr(training, "train", spy)
+    out = tmp_path / "grid"
+    flags = {"default": [], "set": ["--set", "model.no_pre=true"],
+             "ablation_flag": ["--ablation", "no_pre"], "manifest": []}[base]
+    # --ablation sets every switch: it turns off the base's no_window
+    doc = tiny_doc(out, model={"no_pre": base == "manifest",
+                               "no_window": base == "ablation_flag"})
+    if base == "manifest":
+        doc = {"command": "train", "config": doc}
+    cfg = write_doc(tmp_path / "c.json", doc)
+    assert run_cli("experiment", "ablation", "--config", cfg, *flags) == 0
+    assert trained == list(ABLATION_ROWS.values())
+    table = (out / "table.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in table] == [[label, "error:spy"]
+                                                     for label in ABLATION_ROWS]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["derived"]["variant"] == ("full" if base == "default" else "no_pre")
 
 
 def test_experiment_bad_kind_exits_2():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trafficast import tensor as tc
-from trafficast.data import DataError
+from trafficast.data import DataError, DatasetSpec
 from trafficast.graph import GraphSpec, NodeEmbeddings, build_predefined, init_embeddings, row_normalize
 from trafficast.model import (
     AttentionParams,
@@ -79,6 +79,17 @@ def test_config_defaults():
 def test_config_rejects(kw):
     with pytest.raises(ModelError):
         ModelConfig(**kw)
+
+
+@pytest.mark.parametrize("cls, error", [(DatasetSpec, DataError), (ModelConfig, ModelError)])
+@pytest.mark.parametrize("field, value, bound", [
+    ("P", 0, 1), ("Q", 0, 1), ("S", -1, 0), ("d_count", 0, 1), ("w_count", 0, 1),
+])
+def test_window_rules_name_field_and_bound(cls, error, field, value, bound):
+    # one rule for both classes: the message names the field and its bound
+    with pytest.raises(error) as exc:
+        cls(**{field: value})
+    assert str(exc.value) == f"{field} must be >= {bound}, got {value}"
 
 
 # --- gru_cell ----------------------------------------------------------------

@@ -1155,10 +1155,11 @@ def test_adaptive_mix_mats_records_do_not_grow_with_heads():
 # one head at a time, and 1,920 when a dense GRU step took 16 records and
 # a DGC-GRU step 47, 1,042 when attention took 38 records a step, 634
 # when a GRU step took 8 records and attention 4, and 159 with one record
-# per GRU step and per attention step. With one record per encoder pass
-# it is 123; the budget allows 4% more. The count does not depend on
-# widths, node count or batch size.
-FUSED_STEP_RECORDS = 128
+# per GRU step and per attention step, and 123 with one record per
+# encoder pass. Stacking the forecast with one concat, reshape and
+# transpose instead of a reshape per step makes it 113; the budget allows
+# 4% more. The count does not depend on widths, node count or batch size.
+FUSED_STEP_RECORDS = 117
 
 
 def test_forward_and_loss_record_budget_at_default_windows():
