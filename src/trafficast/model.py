@@ -3,8 +3,11 @@
 Encoder: one GRU parameter set, run per node over the recent window R and,
 in one pass over stacked rows, over every daily/weekly context block; each
 pass is one `gru_sequence` record. The R pass ends in the decoder's
-initial state; the block pass leaves the bank, one [Q+2S, B*N*G, d_h]
-tensor of hidden states covering every block, that attention indexes.
+initial state; on a tape the block pass leaves the bank, one
+[Q+2S, B*N*G, d_h] tensor of hidden states covering every block, that
+attention indexes. A forward-only pass streams the block pass instead
+(`BankWindow`): it keeps the 2S+1 bank states one decoder step reads and
+advances one block step per decoder step, bitwise the same states.
 
 Decoder, per forecast step t: a GRU (separate parameters) advances on its
 own previous output, attention pools a (2S+1)-wide window from every block
@@ -32,8 +35,8 @@ On a tape the attention keys W2 h_p are formed once per forward, one
 product per bank state, and shared by every attention record; a record
 keeps no tanh output and recomputes them from the keys in its backward.
 Every activation is [B*N, d] rows, node-minor (row b*N + n), so no cell
-reshapes or slices; the bank's rows add the block as the fastest index
-(row (b*N + n)*G + g).
+reshapes or slices; the rows of the bank and of a streamed window add the
+block as the fastest index (row (b*N + n)*G + g).
 
 Everything here runs on the tape from `tensor`; data enters as constant
 tensors, parameters carry requires_grad.
@@ -42,7 +45,7 @@ tensors, parameters carry requires_grad.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -224,35 +227,80 @@ def gru_cell(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
                        gates.cand, gates.cand_bias)
 
 
+def _encoder_pass(enc: GruGates, steps: np.ndarray, first: int,
+                  h0: Optional[Tensor] = None) -> Tensor:
+    """The encoder GRU over constant steps [T, rows, C] from h0, or from a
+    zero state, as one `gru_sequence`; the states from step `first` on."""
+    (update_reset,), (cand,) = enc.update_reset, enc.cand
+    # the zero state is built in the call, so no name here holds it
+    return tc.gru_sequence(
+        steps, Tensor(np.zeros((steps.shape[1], cand.shape[1]))) if h0 is None else h0,
+        update_reset, enc.update_reset_bias, cand, enc.cand_bias, first)
+
+
+class BankWindow:
+    """The periodic block pass of a forward-only forward, run as the decoder
+    reaches it.
+
+    Decoder step t attends over block positions P+t-half .. P+t+half, with
+    half = S (0 under no_window). `states` [2*half+1, B*N*G, d_h] holds
+    just those for decoder step `step`, in the rows of the bank `encode`
+    returns on a tape: the first pass runs the block steps up to the end
+    of step 0's window, and `at` advances the pass one block step per
+    decoder step from the last kept state and slides the window one slot.
+    Each state is the same GRU arithmetic in the same order as the taped
+    bank's, so it is bitwise equal to it.
+    """
+
+    def __init__(self, enc: GruGates, steps: np.ndarray, cfg: ModelConfig):
+        half = 0 if cfg.no_window else cfg.S
+        self.enc, self.steps, self.step = enc, steps, 0
+        self.last = cfg.P + half  # block position of the window's last state
+        self.states = _encoder_pass(enc, steps[:self.last + 1], cfg.P - half)
+
+    def at(self, t: int) -> Tensor:
+        """Decoder step t's window; the pass runs forward only."""
+        if t < self.step:
+            raise ModelError(f"bank window is at step {self.step}, cannot return to step {t}")
+        window = self.states.data
+        while self.step < t:
+            self.step, self.last = self.step + 1, self.last + 1
+            new = _encoder_pass(self.enc, self.steps[self.last:self.last + 1], 0,
+                                Tensor(window[-1]))
+            for slot in range(len(window) - 1):  # one state per copy, none overlapping
+                window[slot] = window[slot + 1]
+            window[-1] = new.data[0]
+        return self.states
+
+
 def encode(
     state: ModelState, r: np.ndarray, d: np.ndarray, w: np.ndarray
-) -> Tuple[Tensor, Optional[Tensor]]:
+) -> Tuple[Tensor, Union[Tensor, BankWindow, None]]:
     """Shared-parameter GRU passes over R and, in one pass, every periodic block.
 
-    Each pass is one `gru_sequence` record. Returns the final R state
-    [B*N, d_h] (decoder init) and the bank: one [Q+2S, B*N*G, d_h] tensor
-    holding the states at block positions P-S .. P+Q+S-1, the ones
-    attention reads, over the G = d_count + w_count blocks, node-major and
-    block-minor (row (b*N + n)*G + g), blocks ordered daily first, then
-    weekly, both most-distant-first (matching the data layout). The blocks
-    share one pass because they have the same length, the same zero
-    initial state and the same weights, and a dense GRU treats each row on
-    its own. None when periodic context is switched off.
+    Returns the final R state [B*N, d_h] (decoder init) and the periodic
+    states attention reads, None when periodic context is switched off.
+    The block pass runs the G = d_count + w_count blocks as rows of one
+    stack, node-major and block-minor (row (b*N + n)*G + g), blocks ordered
+    daily first, then weekly, both most-distant-first (matching the data
+    layout). The blocks share one pass because they have the same length,
+    the same zero initial state and the same weights, and a dense GRU
+    treats each row on its own.
+
+    On a tape each pass is one `gru_sequence` record, and the periodic
+    states are the bank: one [Q+2S, B*N*G, d_h] tensor holding the states
+    at block positions P-S .. P+Q+S-1. A forward-only pass returns a
+    `BankWindow` instead, which keeps only the 2S+1 states one decoder
+    step reads and runs the rest of the block pass as the decoder reaches
+    it.
     """
     cfg = state.config
     b, p_len, n, c = r.shape
     if p_len != cfg.P:
         raise ShapeError(f"R has {p_len} steps, config says P={cfg.P}")
     enc = state.gru("encoder")
-    (update_reset,), (cand,) = enc.update_reset, enc.cand
-
-    def run(steps, first):
-        h0 = Tensor(np.zeros((steps.shape[1], cfg.d_h)))
-        return tc.gru_sequence(steps, h0, update_reset, enc.update_reset_bias,
-                               cand, enc.cand_bias, first)
-
     r_steps = np.ascontiguousarray(r.transpose(1, 0, 2, 3)).reshape(p_len, b * n, c)
-    h_final = tc.reshape(run(r_steps, p_len - 1), (b * n, cfg.d_h))
+    h_final = tc.reshape(_encoder_pass(enc, r_steps, p_len - 1), (b * n, cfg.d_h))
     if cfg.no_period:
         return h_final, None
     if d.shape[1] != cfg.d_count or w.shape[1] != cfg.w_count:
@@ -268,12 +316,14 @@ def encode(
     # [B, G, L, N, C] -> [L, B, N, G, C]: one row per (batch, node, block)
     blocks = np.concatenate([d, w], axis=1).transpose(2, 0, 3, 1, 4)
     steps = np.ascontiguousarray(blocks).reshape(cfg.block_len, b * n * g, c)
-    return h_final, run(steps, cfg.P - cfg.S)
+    if not tc.recording():
+        return h_final, BankWindow(enc, steps, cfg)
+    return h_final, _encoder_pass(enc, steps, cfg.P - cfg.S)
 
 
 def attention_step(
     h_t: Tensor,
-    bank: Optional[Tensor],
+    bank: Union[Tensor, BankWindow, None],
     t: int,
     cfg: ModelConfig,
     params: AttentionParams,
@@ -282,16 +332,18 @@ def attention_step(
     """Pool periodic hidden states around the position aligned with step t.
 
     Block position P+t is the prior-day/week state at the same clock
-    offset as forecast step t, bank[t+S] in the one-tensor bank `encode`
-    returns; the window takes offsets -S..+S around it (just the aligned
-    state when windowing is off). One `additive_attention` record reads
-    that window out of the bank, forms every score v' tanh(W2 h_p + W1 h
-    + b) of the window over the G blocks of each row, turns them into
-    weights with a softmax per node, and adds the pooled context
-    residually; its backward adds the window's rows into the bank's one
-    adjoint. `keys` (`tc.attention_keys` of the bank and W2, formed once
-    per taped forward) lets the record read each W2 h_p instead of forming
-    it; without them it forms its window's keys itself.
+    offset as forecast step t, bank[t+S] in the one-tensor bank a taped
+    `encode` returns; the window takes offsets -S..+S around it (just the
+    aligned state when windowing is off). A forward-only `BankWindow`
+    first advances its block pass to step t and then holds exactly that
+    window. One `additive_attention` record reads the window out of the
+    bank, forms every score v' tanh(W2 h_p + W1 h + b) of the window over
+    the G blocks of each row, turns them into weights with a softmax per
+    node, and adds the pooled context residually; its backward adds the
+    window's rows into the bank's one adjoint. `keys` (`tc.attention_keys`
+    of the bank and W2, formed once per taped forward) lets the record
+    read each W2 h_p instead of forming it; without them it forms its
+    window's keys itself.
     Returns (a_t, weights) with weights [B*N, G*C] a constant tensor in
     block-major, offset-minor candidate order (column g*C + c), or
     (h_t, None) when periodic context is off.
@@ -301,7 +353,11 @@ def attention_step(
     if cfg.no_period or bank is None:
         return h_t, None
     half = 0 if cfg.no_window else cfg.S
-    return tc.additive_attention(h_t, bank, t + cfg.S - half, 2 * half + 1,
+    if isinstance(bank, BankWindow):
+        bank, start = bank.at(t), 0
+    else:
+        start = t + cfg.S - half
+    return tc.additive_attention(h_t, bank, start, 2 * half + 1,
                                  params.w1, params.b, params.w2, params.v, keys=keys)
 
 
@@ -446,7 +502,7 @@ def forward(
     dgc = dgc_terms(state, pre, adp)
     dec = state.gru("decoder")
     attn = state.attention()
-    keys = None if bank is None else tc.attention_keys(bank, attn.w2)
+    keys = tc.attention_keys(bank, attn.w2) if isinstance(bank, Tensor) else None
     w_out, b_out = state.params["out.weight"], state.params["out.bias"]
 
     g = Tensor(np.zeros((b * n, cfg.d_h)))

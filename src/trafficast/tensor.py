@@ -123,6 +123,11 @@ def _active_tape() -> Optional["Tape"]:
     return stack[-1] if stack else None
 
 
+def recording() -> bool:
+    """Whether a tape is active on this thread, so that ops record onto it."""
+    return _active_tape() is not None
+
+
 class Tape:
     """Ordered record of primitives executed while the tape is active.
 
@@ -641,7 +646,8 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
     them, one step at a time, from the constant steps and the kept states.
     That backward is backpropagation through time in a loop inside the
     record; it and the forward each build every step's operand in one
-    buffer. Without a tape no gate and no state before `first` is kept.
+    buffer. Without a tape no gate and no state before `first` is kept,
+    and h0 is held only until it is copied into the first state's slot.
     """
     xs = np.asarray(steps, dtype=np.float64)
     if xs.ndim != 3 or h0.data.ndim != 2 or xs.shape[1] != h0.shape[0]:
@@ -654,18 +660,30 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
     _check_gates("gru_sequence", d_x, d_h, zr_w, update_reset_bias, c_w, cand_bias)
 
     inputs = (h0, update_reset_bias, update_reset, cand_bias, cand)
-    keep = _active_tape() is not None and any(t.requires_grad for t in inputs)
-    # untaped, every state before `first` is written over slot 0 in place
-    skip = 0 if keep else first
-    states = np.empty((n_steps - skip, rows, d_h))
+    requires_grad = any(t.requires_grad for t in inputs)
+    buf = np.empty((rows, d_x + d_h))
+    if not requires_grad or _active_tape() is None:
+        # untaped: h0 is copied into slot 0 and let go, so step 0 runs in
+        # place and no step runs beside h0; every state before `first` is
+        # written over slot 0 in place too, and a step's gates are gone
+        # before the next step runs
+        states = np.empty((n_steps - first, rows, d_h))
+        hd = states[0]
+        hd[...] = h0.data
+        del h0, inputs
+        for t in range(n_steps):
+            hd = _gru_forward(mats, xs[t], hd, zr_w, update_reset_bias, c_w, cand_bias,
+                              buf, out=states[max(t - first, 0)])[0]
+        out = Tensor(states)
+        out.requires_grad = requires_grad
+        return out
+    states = np.empty((n_steps, rows, d_h))
     gates = []
-    hd, buf = h0.data, np.empty((rows, d_x + d_h))
+    hd = h0.data
     for t in range(n_steps):
         hd, zr, c = _gru_forward(mats, xs[t], hd, zr_w, update_reset_bias, c_w, cand_bias,
-                                 buf, out=states[max(t - skip, 0)])
-        if keep:
-            gates.append((zr, c))
-        del zr, c  # untaped, a step's gates are gone before the next step runs
+                                 buf, out=states[t])
+        gates.append((zr, c))
 
     def bwd(g):
         carry, sums, buf = None, None, np.empty((rows, d_x + d_h))
@@ -689,7 +707,7 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
                         total += step
         return [carry, *sums]  # past step 0, carry is h0's adjoint
 
-    return _emit(inputs, states[first - skip:], bwd)
+    return _emit(inputs, states[first:], bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +725,7 @@ def attention_keys(bank: Tensor, w2: Tensor) -> Optional[np.ndarray]:
     pass holds no whole-bank array and its records form each key in one
     scratch buffer.
     """
-    if _active_tape() is None:
+    if not recording():
         return None
     keys = np.matmul(bank.data, w2.data)
     keys.flags.writeable = False

@@ -224,8 +224,7 @@ def predict(
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]
         r, d, w, y = stack_batch(chunk)
-        trace = forward(state, r, d, w, a_pre=a_pre)
-        preds.append(trace.predictions.data)
+        preds.append(forward(state, r, d, w, a_pre=a_pre).predictions.data)
         targets.append(y)
     return np.concatenate(preds), np.concatenate(targets)
 

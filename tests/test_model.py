@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,30 +188,64 @@ def test_encode_bank_counts_and_lengths():
     cfg = _toy_cfg()
     state = init_model(cfg, 4, 1, seed=1)
     r, d, w, _ = _toy_batch(cfg)
-    h, bank = encode(state, r, d, w)
+    with Tape():
+        h, bank = encode(state, r, d, w)
     assert h.shape == (2 * 4, cfg.d_h)
     # one tensor of the Q+2S states attention reads, each stacking one
     # daily and one weekly block for every (batch, node) row
     assert bank.shape == (cfg.Q + 2 * cfg.S, 2 * 4 * 2, cfg.d_h)
+    # a forward-only pass keeps the 2S+1 states of one decoder step's window
+    h, window = encode(state, r, d, w)
+    assert h.shape == (2 * 4, cfg.d_h)
+    assert window.at(0).shape == (2 * cfg.S + 1, 2 * 4 * 2, cfg.d_h)
+    assert window.at(cfg.Q - 1).shape == (2 * cfg.S + 1, 2 * 4 * 2, cfg.d_h)
+    with pytest.raises(ModelError, match="cannot return"):
+        window.at(0)
+
+
+def _per_block_states(state, cfg, blocks, b, n):
+    # each block's states at every position, from a separate GRU pass over it
+    enc = state.gru("encoder")
+    per_block = []
+    for source in blocks:
+        h, states = Tensor(np.zeros((b * n, cfg.d_h))), []
+        for pos in range(cfg.block_len):
+            h = gru_cell(enc, Tensor(source[:, pos].reshape(b * n, 1)), h)
+            states.append(h.data)
+        per_block.append(states)
+    return per_block
 
 
 def test_encode_stacked_bank_matches_per_block_passes():
     # row (b*N + n)*G + g of bank state j is block g's state at position P-S+j,
-    # as a separate GRU pass over that block alone computes it
-    cfg = _toy_cfg(d_count=2, w_count=3)
+    # as a separate GRU pass over that block alone computes it; so is row
+    # (b*N + n)*G + g of slot k of decoder step t's streamed window, at
+    # position P+t-half+k, with and without windowing
     b, n, g = 2, 4, 5
-    state = init_model(cfg, n, 1, seed=1)
-    r, d, w, _ = _toy_batch(cfg, b=b, n=n)
-    _, bank = encode(state, r, d, w)
-    enc = state.gru("encoder")
-    for block, source in enumerate([d[:, i] for i in range(2)] + [w[:, i] for i in range(3)]):
-        h = Tensor(np.zeros((b * n, cfg.d_h)))
-        for pos in range(cfg.block_len):
-            h = gru_cell(enc, Tensor(source[:, pos].reshape(b * n, 1)), h)
-            j = pos - (cfg.P - cfg.S)
-            if j >= 0:
-                np.testing.assert_allclose(bank.data[j].reshape(b * n, g, cfg.d_h)[:, block],
-                                           h.data, rtol=0, atol=1e-14)
+    for no_window in (False, True):
+        cfg = _toy_cfg(d_count=2, w_count=3, no_window=no_window)
+        state = init_model(cfg, n, 1, seed=1)
+        r, d, w, _ = _toy_batch(cfg, b=b, n=n)
+        with Tape():
+            _, bank = encode(state, r, d, w)
+        _, window = encode(state, r, d, w)
+        per_block = _per_block_states(state, cfg, [d[:, i] for i in range(2)]
+                                      + [w[:, i] for i in range(3)], b, n)
+        for block, states in enumerate(per_block):
+            for pos, h in enumerate(states):
+                j = pos - (cfg.P - cfg.S)
+                if j >= 0:
+                    np.testing.assert_allclose(
+                        bank.data[j].reshape(b * n, g, cfg.d_h)[:, block],
+                        h, rtol=0, atol=1e-14)
+        half = 0 if no_window else cfg.S
+        for t in range(cfg.Q):
+            slots = window.at(t).data.reshape(2 * half + 1, b * n, g, cfg.d_h)
+            for block, states in enumerate(per_block):
+                for k in range(2 * half + 1):
+                    np.testing.assert_allclose(slots[k, :, block],
+                                               states[cfg.P + t - half + k],
+                                               rtol=0, atol=1e-14)
 
 
 def test_encode_no_period_empty_banks():
@@ -226,10 +261,16 @@ def test_encode_deterministic():
     cfg = _toy_cfg()
     state = init_model(cfg, 4, 1, seed=1)
     r, d, w, _ = _toy_batch(cfg)
-    h1, bank1 = encode(state, r, d, w)
-    h2, bank2 = encode(state, r, d, w)
+    with Tape():
+        h1, bank1 = encode(state, r, d, w)
+        h2, bank2 = encode(state, r, d, w)
     np.testing.assert_array_equal(h1.data, h2.data)
     np.testing.assert_array_equal(bank1.data, bank2.data)
+    (h3, window3), (h4, window4) = encode(state, r, d, w), encode(state, r, d, w)
+    np.testing.assert_array_equal(h3.data, h1.data)
+    np.testing.assert_array_equal(h3.data, h4.data)
+    for t in range(cfg.Q):
+        np.testing.assert_array_equal(window3.at(t).data, window4.at(t).data)
 
 
 def test_encode_rejects_wrong_block_count():
@@ -620,18 +661,59 @@ def test_forward_deterministic():
     dict(no_period=True),
     dict(order="dgc_then_attention"),
     dict(d_count=2, w_count=3),
+    dict(Q=1),
+    dict(S=0),
+    dict(P=2, S=2),
 ], ids=["toy", "8heads_K3", "no_pre", "no_adp", "no_graph", "no_window", "no_period",
-        "dgc_first", "d2_w3"])
+        "dgc_first", "d2_w3", "Q1", "S0", "P_eq_S"])
 def test_forward_matches_numpy_reference(kw):
     # the plain-numpy loops of tests/reference_model.py, from the same
-    # parameters, agree to rounding
-    cfg = _toy_cfg(Q=4, **kw)
+    # parameters, agree to rounding; the forward-only pass, which streams
+    # the block pass through a window of 2S+1 states, gives predictions and
+    # attention weights bitwise those of a taped one, which reads the bank
+    cfg = _toy_cfg(**{"Q": 4, **kw})
     state = init_model(cfg, 4, 2, seed=40)
     r, d, w, _ = _toy_batch(cfg, c=2, seed=41)
     a_pre = _ring_adjacency(4)
-    pred = forward(state, r, d, w, a_pre=a_pre).predictions.data
+    streamed = forward(state, r, d, w, a_pre=a_pre)
+    pred = streamed.predictions.data
     expected = reference_model.forward(state, r, d, w, a_pre=a_pre)
     assert np.abs(pred - expected).max() <= 1e-12 * np.abs(expected).max()
+    with Tape():
+        taped = forward(state, r, d, w, a_pre=a_pre)
+    np.testing.assert_array_equal(pred, taped.predictions.data)
+    assert len(streamed.attention_weights) == len(taped.attention_weights) == cfg.Q
+    for got, want in zip(streamed.attention_weights, taped.attention_weights):
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got.data, want.data)
+
+
+def _untaped_forward_peak(Q):
+    # the peak bytes an untaped forward allocates, less the bytes of the
+    # predictions and attention weights it returns, which grow with Q
+    cfg = ModelConfig(d_h=64, d_e=2, n_head=2, P=12, Q=Q, S=3)
+    r, d, w, _ = _toy_batch(cfg, b=8, n=32)
+    state = init_model(cfg, 32, 1, seed=0)
+    a_pre = _ring_adjacency(32)
+    tracemalloc.start()
+    try:
+        trace = forward(state, r, d, w, a_pre=a_pre)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = trace.predictions.data.nbytes + sum(
+        weights.data.nbytes for weights in trace.attention_weights)
+    return peak - returned
+
+
+def test_untaped_forward_peak_does_not_grow_with_horizon():
+    # a forward-only pass keeps the 2S+1 bank states of one decoder step,
+    # not the Q+2S of the whole bank: 12 more steps would add 12 block
+    # states (batch 8 x 32 nodes x 2 blocks x d_h 64)
+    block_state = 8 * 32 * 2 * 64 * 8
+    assert abs(_untaped_forward_peak(24) - _untaped_forward_peak(12)) < block_state
 
 
 # --- full-model gradient checks ---------------------------------------------------

@@ -311,7 +311,7 @@ def test_gru_sequence_keeps_gates_only_on_a_tape(monkeypatch):
     operands = _sequence_operands(7, 6, 2, 3, 200, requires_grad=True)
     out = tc.gru_sequence(*operands, first=4)
     assert len(seen) == 14 and all(xd() is None and g() is None for xd, g in seen)
-    assert out.data.base.shape == (3, 6, 3)
+    assert out.data.base is None and out.data.shape == (3, 6, 3)
     del seen[:]
     with Tape() as tape:
         out = tc.gru_sequence(*operands, first=4)
@@ -319,6 +319,30 @@ def test_gru_sequence_keeps_gates_only_on_a_tape(monkeypatch):
     assert out.data.base.shape == (7, 6, 3)
     del tape, out
     assert all(g() is None for _, g in seen)
+
+
+def test_untaped_gru_sequence_lets_go_of_its_initial_state(monkeypatch):
+    # untaped, h0 is copied into the first state's slot before step 0, so
+    # no step runs beside it; on a tape the record keeps it for its backward
+    alive = []
+    gate_sum = tc._gate_sum
+
+    def spy(mats, xd, weights, bias):
+        alive.append(h0_data() is not None)
+        return gate_sum(mats, xd, weights, bias)
+
+    monkeypatch.setattr(tc, "_gate_sum", spy)
+    steps, h0, zr, zr_b, c, c_b = _sequence_operands(4, 6, 2, 3, 201, requires_grad=True)
+    for taped, first in ((False, 0), (False, 2), (True, 0)):
+        # the state is passed straight from the list, so only the call holds it
+        held = [Tensor(h0.data.copy())]
+        h0_data = weakref.ref(held[0].data)
+        del alive[:]
+        with Tape() if taped else contextlib.nullcontext():
+            out = tc.gru_sequence(steps, held.pop(), zr, zr_b, c, c_b, first)
+            assert alive == [taped] * 8
+        np.testing.assert_array_equal(
+            out.data, tc.gru_sequence(steps, h0, zr, zr_b, c, c_b, first).data)
 
 
 def _unfused_scores(h, window, w1, b, w2, v):
@@ -1108,28 +1132,30 @@ def test_encoder_records_do_not_grow_with_window_length():
 
 
 def _untaped_encode_peak(P):
-    # the peak bytes an untaped encode allocates, and its bank's bytes
+    # the peak bytes an untaped encode allocates, and its window's bytes
     cfg = ModelConfig(d_h=64, d_e=2, n_head=2, P=P, Q=12, S=3)
     r, d, w, _ = _default_window_batch(cfg, 8, 32, seed=0)
     state = init_model(cfg, 32, 1, seed=0)
     tracemalloc.start()
     try:
-        _, bank = encode(state, r, d, w)
+        _, window = encode(state, r, d, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, bank.data.nbytes
+    return peak, window.at(0).data.nbytes
 
 
 def test_untaped_encode_keeps_no_state_before_the_bank():
-    # a forward-only pass keeps no state before the ones it returns: at
-    # P=12 the 9 block states before the bank and the 11 R states before
-    # the last would add about 14 states. The rest of the peak is one
-    # step's working set ([x, h], [z | r], [x, r h] and c, about 4.5
-    # states), the zero initial state, the last R state and the inputs.
+    # a forward-only pass keeps no state before the 2S+1 of step 0's
+    # window, which it returns: at P=12 the 9 block states before the
+    # window and the 11 R states before the last would add about 14
+    # states. The rest of the peak is one step's working set ([x, h],
+    # [z | r], [x, r h] and c, about 4.5 states), the last R state and
+    # the inputs; no zero initial state is held beside them.
     state_bytes = 8 * 32 * 2 * 64 * 8
-    peak, bank_bytes = _untaped_encode_peak(12)
-    assert peak < bank_bytes + 8 * state_bytes
+    peak, window_bytes = _untaped_encode_peak(12)
+    assert window_bytes == (2 * 3 + 1) * state_bytes
+    assert peak < window_bytes + 7 * state_bytes
     assert peak < _untaped_encode_peak(3)[0] + state_bytes
 
 
