@@ -2,8 +2,12 @@
 
 A training sample pairs a recent window R with daily/weekly context blocks
 D and W cut from the same series at day and week offsets, plus the target
-Y. Block indexing is documented on TrainingSample; everything here is plain
-numpy (the autodiff wrapper enters only at the model boundary).
+Y. A sample is only its forecast start t0 into one read-only copy of the
+series that every sample of a `build_samples` call shares (`SampleWindows`),
+so the samples keep O(T*N) bytes, not a copy of their windows each; a batch
+is one gather per window (`training.stack_batch`). Block indexing is
+documented on TrainingSample; everything here is plain numpy (the autodiff
+wrapper enters only at the model boundary).
 
 File container: magic `STGT`, version byte, rank byte, rank little-endian
 uint64 dims, then float64 little-endian payload in row-major order.
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -207,23 +211,54 @@ class DatasetSpec:
         return self.P + self.L
 
 
-@dataclass
-class TrainingSample:
-    """One (R, D, W, Y) tuple, as float64 arrays.
+class SampleWindows:
+    """One read-only copy of a [T, N, C] series and the rows each window of
+    a sample reads, as offsets from its t0 (layouts on TrainingSample)."""
 
+    def __init__(self, data: np.ndarray, spec: DatasetSpec, l_d: int, l_w: int):
+        self.data = np.array(data, dtype=np.float64)  # a copy: later writes to data reach no sample
+        self.data.flags.writeable = False
+        block = np.arange(-spec.P, spec.L)
+        self.offsets = {
+            "r": np.arange(-spec.P, 0),
+            "d": block - l_d * np.arange(spec.d_count, 0, -1)[:, None],
+            "w": block - l_w * np.arange(spec.w_count, 0, -1)[:, None],
+            "y": np.arange(spec.Q),
+        }
+
+    def gather(self, window: str, t0s) -> np.ndarray:
+        """Window "r", "d", "w" or "y" of the samples at t0s (an int or an
+        array of them), as one fancy index: [*t0s.shape, *window, N, C]."""
+        t0s = np.asarray(t0s)
+        offsets = self.offsets[window]
+        return self.data[t0s.reshape(t0s.shape + (1,) * offsets.ndim) + offsets]
+
+
+@dataclass(slots=True)
+class TrainingSample:
+    """One (R, D, W, Y) sample: its forecast start t0 into the read-only
+    series of `windows`, which every sample of one build_samples call shares.
+
+    Each window is cut on demand as a read-only float64 array:
     r: [P, N, C] rows data[t0-P .. t0-1]
     d: [d_count, P+L, N, C], block axis most-distant-first: position p holds
        offset i = d_count - p days back, rows data[t0-P-i*l_d .. t0+L-1-i*l_d]
     w: same layout with week offsets i*l_w
     y: [Q, N, C] rows data[t0 .. t0+Q-1]
-    t0: absolute index of the first forecast step
     """
 
-    r: np.ndarray
-    d: np.ndarray
-    w: np.ndarray
-    y: np.ndarray
     t0: int
+    windows: SampleWindows = field(repr=False)
+
+    def _cut(self, window: str) -> np.ndarray:
+        out = self.windows.gather(window, self.t0)
+        out.flags.writeable = False
+        return out
+
+    r = property(lambda self: self._cut("r"))
+    d = property(lambda self: self._cut("d"))
+    w = property(lambda self: self._cut("w"))
+    y = property(lambda self: self._cut("y"))
 
 
 def admissible_t0_range(series: SignalSeries, spec: DatasetSpec) -> range:
@@ -258,33 +293,14 @@ def _split_t0s(series: SignalSeries, spec: DatasetSpec) -> Tuple[range, range, r
     return t0s[:n_train], t0s[n_train : n_train + n_val], t0s[n_train + n_val :]
 
 
-def _cut_sample(data, t0, spec, l_d, l_w) -> TrainingSample:
-    r = data[t0 - spec.P : t0]
-    d_blocks = [
-        data[t0 - spec.P - i * l_d : t0 + spec.L - i * l_d]
-        for i in range(spec.d_count, 0, -1)
-    ]
-    w_blocks = [
-        data[t0 - spec.P - i * l_w : t0 + spec.L - i * l_w]
-        for i in range(spec.w_count, 0, -1)
-    ]
-    y = data[t0 : t0 + spec.Q]
-    return TrainingSample(
-        r=r.copy(),
-        d=np.stack(d_blocks),
-        w=np.stack(w_blocks),
-        y=y.copy(),
-        t0=t0,
-    )
-
-
 def build_samples(
     series: SignalSeries, spec: DatasetSpec
 ) -> Tuple[List[TrainingSample], List[TrainingSample], List[TrainingSample]]:
-    """Cut every admissible sample at stride 1 and split chronologically."""
-    l_d, l_w = series.samples_per_day, series.samples_per_week
-    return tuple([_cut_sample(series.data, t0, spec, l_d, l_w) for t0 in t0s]
-                 for t0s in _split_t0s(series, spec))
+    """Every admissible sample at stride 1, split chronologically; all of
+    them share one read-only copy of the series."""
+    splits = _split_t0s(series, spec)
+    windows = SampleWindows(series.data, spec, series.samples_per_day, series.samples_per_week)
+    return tuple([TrainingSample(t0, windows) for t0 in t0s] for t0s in splits)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +323,12 @@ class Normalizer:
 
 def fit_apply_zscore(series: SignalSeries, train_range) -> Tuple[Normalizer, SignalSeries]:
     """Fit per-channel statistics on train_range rows, normalize the series."""
-    idx = np.asarray(list(train_range), dtype=int)
-    if idx.size == 0:
+    if len(train_range) == 0:
         raise DataError("train_range is empty")
-    train = series.data[idx]  # [Ttrain, N, C]
+    # a view of the rows, [Ttrain, N, C]
+    train = series.data[train_range.start : train_range.stop : train_range.step]
+    if len(train) != len(train_range):
+        raise DataError(f"train_range {train_range} leaves the series' {series.n_steps} rows")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = train.mean(axis=(0, 1))
         std = train.std(axis=(0, 1))

@@ -7,7 +7,8 @@ initial state; on a tape the block pass leaves the bank, one
 [Q+2S, B*N*G, d_h] tensor of hidden states covering every block, that
 attention indexes. A forward-only pass streams the block pass instead
 (`BankWindow`): it keeps the 2S+1 bank states one decoder step reads and
-advances one block step per decoder step, bitwise the same states.
+advances one block step per decoder step, in place in its last slot,
+bitwise the same states.
 
 Decoder, per forecast step t: a GRU (separate parameters) advances on its
 own previous output, attention pools a (2S+1)-wide window from every block
@@ -228,14 +229,16 @@ def gru_cell(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
 
 
 def _encoder_pass(enc: GruGates, steps: np.ndarray, first: int,
-                  h0: Optional[Tensor] = None) -> Tensor:
+                  h0: Optional[Tensor] = None, out: Optional[np.ndarray] = None,
+                  buf: Optional[np.ndarray] = None) -> Tensor:
     """The encoder GRU over constant steps [T, rows, C] from h0, or from a
-    zero state, as one `gru_sequence`; the states from step `first` on."""
+    zero state, as one `gru_sequence`; the states from step `first` on,
+    into `out` when given (untaped only)."""
     (update_reset,), (cand,) = enc.update_reset, enc.cand
     # the zero state is built in the call, so no name here holds it
     return tc.gru_sequence(
         steps, Tensor(np.zeros((steps.shape[1], cand.shape[1]))) if h0 is None else h0,
-        update_reset, enc.update_reset_bias, cand, enc.cand_bias, first)
+        update_reset, enc.update_reset_bias, cand, enc.cand_bias, first, out, buf)
 
 
 class BankWindow:
@@ -246,10 +249,11 @@ class BankWindow:
     half = S (0 under no_window). `states` [2*half+1, B*N*G, d_h] holds
     just those for decoder step `step`, in the rows of the bank `encode`
     returns on a tape: the first pass runs the block steps up to the end
-    of step 0's window, and `at` advances the pass one block step per
-    decoder step from the last kept state and slides the window one slot.
-    Each state is the same GRU arithmetic in the same order as the taped
-    bank's, so it is bitwise equal to it.
+    of step 0's window, and `at` slides the window one slot per decoder
+    step and then advances the pass one block step in place, in the last
+    slot, from the state that slot still holds, with one operand buffer
+    per call. Each state is the same GRU arithmetic in the same order as
+    the taped bank's, so it is bitwise equal to it.
     """
 
     def __init__(self, enc: GruGates, steps: np.ndarray, cfg: ModelConfig):
@@ -263,13 +267,15 @@ class BankWindow:
         if t < self.step:
             raise ModelError(f"bank window is at step {self.step}, cannot return to step {t}")
         window = self.states.data
+        # no operand buffer outlives the call: one held beside the window
+        # would raise the peak of every decoder step
+        buf = np.empty((window.shape[1], self.steps.shape[2] + window.shape[2]))
         while self.step < t:
             self.step, self.last = self.step + 1, self.last + 1
-            new = _encoder_pass(self.enc, self.steps[self.last:self.last + 1], 0,
-                                Tensor(window[-1]))
             for slot in range(len(window) - 1):  # one state per copy, none overlapping
                 window[slot] = window[slot + 1]
-            window[-1] = new.data[0]
+            _encoder_pass(self.enc, self.steps[self.last:self.last + 1], 0,
+                          Tensor(window[-1]), out=window[-1:], buf=buf)
         return self.states
 
 

@@ -632,7 +632,8 @@ def gru_step(mats: Sequence[Optional[Tensor]], x: Tensor, h: Tensor,
 
 def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
                  update_reset_bias: Tensor, cand: Tensor, cand_bias: Tensor,
-                 first: int = 0) -> Tensor:
+                 first: int = 0, out: Optional[np.ndarray] = None,
+                 buf: Optional[np.ndarray] = None) -> Tensor:
     """Every step of a dense GRU over constant inputs, one record.
 
     h_t = gru_step([None], x_t, h_{t-1}, [update_reset], update_reset_bias,
@@ -648,6 +649,11 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
     record; it and the forward each build every step's operand in one
     buffer. Without a tape no gate and no state before `first` is kept,
     and h0 is held only until it is copied into the first state's slot.
+
+    Without a tape the states may be written into `out` [T - first, rows,
+    d_h], whose first slot may be h0 itself, and the forward's operand
+    into `buf` [rows, d_x + d_h]; then the pass allocates only each step's
+    gates.
     """
     xs = np.asarray(steps, dtype=np.float64)
     if xs.ndim != 3 or h0.data.ndim != 2 or xs.shape[1] != h0.shape[0]:
@@ -661,22 +667,25 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
 
     inputs = (h0, update_reset_bias, update_reset, cand_bias, cand)
     requires_grad = any(t.requires_grad for t in inputs)
-    buf = np.empty((rows, d_x + d_h))
+    if buf is None:
+        buf = np.empty((rows, d_x + d_h))
     if not requires_grad or _active_tape() is None:
         # untaped: h0 is copied into slot 0 and let go, so step 0 runs in
         # place and no step runs beside h0; every state before `first` is
         # written over slot 0 in place too, and a step's gates are gone
         # before the next step runs
-        states = np.empty((n_steps - first, rows, d_h))
+        states = np.empty((n_steps - first, rows, d_h)) if out is None else out
         hd = states[0]
         hd[...] = h0.data
         del h0, inputs
         for t in range(n_steps):
             hd = _gru_forward(mats, xs[t], hd, zr_w, update_reset_bias, c_w, cand_bias,
                               buf, out=states[max(t - first, 0)])[0]
-        out = Tensor(states)
-        out.requires_grad = requires_grad
-        return out
+        result = Tensor(states)
+        result.requires_grad = requires_grad
+        return result
+    if out is not None:
+        raise ValueError("gru_sequence writes its states into `out` only without a tape")
     states = np.empty((n_steps, rows, d_h))
     gates = []
     hd = h0.data

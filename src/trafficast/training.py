@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from trafficast import tensor as tc
-from trafficast.data import DatasetSplits, Normalizer, TrainingSample
+from trafficast.data import DataError, DatasetSplits, Normalizer, TrainingSample
 from trafficast.model import ORDERS, ModelConfig, ModelState, forward, init_model
 from trafficast.tensor import Tape, Tensor, backward
 
@@ -205,12 +205,14 @@ def adam_step(opt: AdamState, params: Dict[str, Tensor], cfg: TrainConfig) -> No
 # ---------------------------------------------------------------------------
 
 def stack_batch(samples: Sequence[TrainingSample]):
-    return (
-        np.stack([s.r for s in samples]),
-        np.stack([s.d for s in samples]),
-        np.stack([s.w for s in samples]),
-        np.stack([s.y for s in samples]),
-    )
+    """The batch's (r, d, w, y), each with a leading batch axis in sample
+    order, as one gather per window from the series the samples share."""
+    windows = samples[0].windows
+    if any(s.windows is not windows for s in samples):
+        raise DataError("batch mixes samples of different build_samples calls; "
+                        "a batch is gathered from one series")
+    t0s = np.fromiter((s.t0 for s in samples), dtype=np.intp, count=len(samples))
+    return tuple(windows.gather(window, t0s) for window in "rdwy")
 
 
 def predict(

@@ -1,6 +1,7 @@
 """Data pipeline tests: file format, windowing, splits, normalization, synth."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from trafficast.data import (
     synth_generate,
     write_tensor_file,
 )
+from trafficast.training import stack_batch
 
 
 # --- binary tensor container -------------------------------------------------
@@ -211,6 +213,63 @@ def test_chronological_split_ordering():
     assert len(val) == int(n * 0.2)
 
 
+def test_samples_keep_one_series_not_their_windows():
+    # every sample is a t0 into one shared copy of the normalized series:
+    # the splits keep about one series plus a small object per sample. A
+    # sample holding its own windows kept 78 rows of N*C floats at the
+    # default windows, 12,480 bytes here.
+    series, _ = synth_generate(n_nodes=10, days=60, l_d=48, shift_max=1, noise=0.5, seed=3)
+    series = SignalSeries(np.repeat(series.data, 2, axis=2), 48)  # C = 2
+    spec = DatasetSpec()
+    tracemalloc.start()
+    try:
+        splits = prepare_dataset(series, spec)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n_samples = len(splits.train) + len(splits.val) + len(splits.test)
+    assert n_samples > 2000
+    assert kept < 2 * series.data.nbytes + 256 * n_samples
+
+
+def test_stack_batch_is_stacked_sample_windows():
+    # one gather per window gives bitwise the stack of each sample's
+    # windows, in the batch's order, with several blocks and channels
+    series = _toy_series(t=1000, n=3, l_d=30)
+    series = SignalSeries(np.concatenate([series.data, -series.data], axis=2), 30)
+    spec = DatasetSpec(P=5, Q=4, S=2, d_count=2, w_count=3)
+    train, val, _ = build_samples(series, spec)
+    order = np.random.default_rng(2).permutation(len(train))[:16]
+    batch = [train[i] for i in order] + val[:3]
+    for window, stacked in zip("rdwy", stack_batch(batch)):
+        expected = np.stack([getattr(s, window) for s in batch])
+        assert stacked.shape == expected.shape and stacked.dtype == expected.dtype
+        assert stacked.tobytes() == expected.tobytes()
+    assert stack_batch(batch)[1].shape == (19, 2, spec.block_len, 3, 2)
+
+
+def test_sample_windows_are_read_only():
+    series = _toy_series()
+    spec = DatasetSpec(P=5, Q=4, S=2)
+    train, _, test = build_samples(series, spec)
+    before = [(s.r, s.d, s.w, s.y) for s in (train[0], test[-1])]
+    series.data[:] = -1.0  # the caller's array, written after the cut
+    for s, arrays in zip((train[0], test[-1]), before):
+        for window, array in zip("rdwy", arrays):
+            np.testing.assert_array_equal(getattr(s, window), array)
+            assert not getattr(s, window).flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        train[0].r[0] = 0.0
+
+
+def test_stack_batch_rejects_samples_of_two_series():
+    spec = DatasetSpec(P=5, Q=4, S=2)
+    first, _, _ = build_samples(_toy_series(), spec)
+    second, _, _ = build_samples(_toy_series(), spec)
+    with pytest.raises(DataError, match="mixes samples of different build_samples calls"):
+        stack_batch([first[0], second[1]])
+
+
 # --- normalization -----------------------------------------------------------
 
 def test_zscore_two_point_example():
@@ -230,6 +289,14 @@ def test_zscore_constant_channel_floored():
         norm, out = fit_apply_zscore(series, range(0, 10))
     np.testing.assert_array_equal(out.data, 0.0)
     np.testing.assert_allclose(norm.inverse(out.data), 5.0)
+
+
+def test_zscore_rejects_empty_or_outside_range():
+    series = SignalSeries(np.ones((10, 2, 1)), 1)
+    with pytest.raises(DataError, match="empty"):
+        fit_apply_zscore(series, range(0, 0))
+    with pytest.raises(DataError, match="leaves the series"):
+        fit_apply_zscore(series, range(0, 11))
 
 
 def test_zscore_round_trip():

@@ -1159,6 +1159,28 @@ def test_untaped_encode_keeps_no_state_before_the_bank():
     assert peak < _untaped_encode_peak(3)[0] + state_bytes
 
 
+def test_streamed_bank_step_allocates_no_block_state():
+    # `at` slides the window, then runs the block step in place in its
+    # last slot from the state that slot still holds: one step allocates
+    # its gates [z | r] and c (3 states) and an operand buffer [x, h]
+    # (65/64 of a state), and under one state of numpy working space, but
+    # no state. Running the step into a fresh state made it about 5.5.
+    cfg = ModelConfig(d_h=64, d_e=2, n_head=2, P=12, Q=12, S=3)
+    r, d, w, _ = _default_window_batch(cfg, 8, 32, seed=0)
+    state = init_model(cfg, 32, 1, seed=0)
+    _, window = encode(state, r, d, w)
+    window.at(0)
+    rows = 8 * 32 * 2
+    state_bytes, buf_bytes = rows * cfg.d_h * 8, rows * (1 + cfg.d_h) * 8
+    tracemalloc.start()
+    try:
+        window.at(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < buf_bytes + 4 * state_bytes
+
+
 def _adaptive_records(n_head):
     cfg = ModelConfig(d_h=4, d_e=2, n_head=n_head)
     state = init_model(cfg, 3, 1, seed=0)
