@@ -261,9 +261,17 @@ class TrainingSample:
     y = property(lambda self: self._cut("y"))
 
 
+def _history_len(series: SignalSeries, spec: DatasetSpec) -> int:
+    """Rows a sample reads before t0: P plus the farther of its oldest D
+    block (d_count days back) and its oldest W block (w_count weeks back)."""
+    return max(spec.d_count * series.samples_per_day,
+               spec.w_count * series.samples_per_week) + spec.P
+
+
 def admissible_t0_range(series: SignalSeries, spec: DatasetSpec) -> range:
-    """All t0 with full history (back w_count weeks) and full target ahead."""
-    first = spec.w_count * series.samples_per_week + spec.P
+    """All t0 with full history (back d_count days and w_count weeks) and
+    full target ahead."""
+    first = _history_len(series, spec)
     last = series.n_steps - spec.Q  # inclusive
     return range(first, last + 1)
 
@@ -283,10 +291,10 @@ def _split_t0s(series: SignalSeries, spec: DatasetSpec) -> Tuple[range, range, r
         )
     t0s = admissible_t0_range(series, spec)
     if len(t0s) == 0:
-        min_t = spec.w_count * series.samples_per_week + spec.P + spec.Q
+        min_t = _history_len(series, spec) + spec.Q
         raise DataError(
             f"series too short: T={series.n_steps}, need at least {min_t} steps "
-            f"for one sample (w_count*l_w + P + Q)"
+            f"for one sample (max(d_count*l_d, w_count*l_w) + P + Q)"
         )
     n_train = int(len(t0s) * spec.split[0])
     n_val = int(len(t0s) * spec.split[1])

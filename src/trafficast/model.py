@@ -229,8 +229,7 @@ def gru_cell(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
 
 
 def _encoder_pass(enc: GruGates, steps: np.ndarray, first: int,
-                  h0: Optional[Tensor] = None, out: Optional[np.ndarray] = None,
-                  buf: Optional[np.ndarray] = None) -> Tensor:
+                  h0: Optional[Tensor] = None, out: Optional[np.ndarray] = None) -> Tensor:
     """The encoder GRU over constant steps [T, rows, C] from h0, or from a
     zero state, as one `gru_sequence`; the states from step `first` on,
     into `out` when given (untaped only)."""
@@ -238,7 +237,7 @@ def _encoder_pass(enc: GruGates, steps: np.ndarray, first: int,
     # the zero state is built in the call, so no name here holds it
     return tc.gru_sequence(
         steps, Tensor(np.zeros((steps.shape[1], cand.shape[1]))) if h0 is None else h0,
-        update_reset, enc.update_reset_bias, cand, enc.cand_bias, first, out, buf)
+        update_reset, enc.update_reset_bias, cand, enc.cand_bias, first, out)
 
 
 class BankWindow:
@@ -251,9 +250,9 @@ class BankWindow:
     returns on a tape: the first pass runs the block steps up to the end
     of step 0's window, and `at` slides the window one slot per decoder
     step and then advances the pass one block step in place, in the last
-    slot, from the state that slot still holds, with one operand buffer
-    per call. Each state is the same GRU arithmetic in the same order as
-    the taped bank's, so it is bitwise equal to it.
+    slot, from the state that slot still holds. Each state is the same GRU
+    arithmetic in the same order as the taped bank's, so it is bitwise
+    equal to it.
     """
 
     def __init__(self, enc: GruGates, steps: np.ndarray, cfg: ModelConfig):
@@ -267,15 +266,12 @@ class BankWindow:
         if t < self.step:
             raise ModelError(f"bank window is at step {self.step}, cannot return to step {t}")
         window = self.states.data
-        # no operand buffer outlives the call: one held beside the window
-        # would raise the peak of every decoder step
-        buf = np.empty((window.shape[1], self.steps.shape[2] + window.shape[2]))
         while self.step < t:
             self.step, self.last = self.step + 1, self.last + 1
             for slot in range(len(window) - 1):  # one state per copy, none overlapping
                 window[slot] = window[slot + 1]
             _encoder_pass(self.enc, self.steps[self.last:self.last + 1], 0,
-                          Tensor(window[-1]), out=window[-1:], buf=buf)
+                          Tensor(window[-1]), out=window[-1:])
         return self.states
 
 

@@ -632,8 +632,7 @@ def gru_step(mats: Sequence[Optional[Tensor]], x: Tensor, h: Tensor,
 
 def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
                  update_reset_bias: Tensor, cand: Tensor, cand_bias: Tensor,
-                 first: int = 0, out: Optional[np.ndarray] = None,
-                 buf: Optional[np.ndarray] = None) -> Tensor:
+                 first: int = 0, out: Optional[np.ndarray] = None) -> Tensor:
     """Every step of a dense GRU over constant inputs, one record.
 
     h_t = gru_step([None], x_t, h_{t-1}, [update_reset], update_reset_bias,
@@ -651,9 +650,8 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
     and h0 is held only until it is copied into the first state's slot.
 
     Without a tape the states may be written into `out` [T - first, rows,
-    d_h], whose first slot may be h0 itself, and the forward's operand
-    into `buf` [rows, d_x + d_h]; then the pass allocates only each step's
-    gates.
+    d_h], whose first slot may be h0 itself; then the pass allocates no
+    state, only its operand buffer and each step's gates.
     """
     xs = np.asarray(steps, dtype=np.float64)
     if xs.ndim != 3 or h0.data.ndim != 2 or xs.shape[1] != h0.shape[0]:
@@ -667,8 +665,7 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
 
     inputs = (h0, update_reset_bias, update_reset, cand_bias, cand)
     requires_grad = any(t.requires_grad for t in inputs)
-    if buf is None:
-        buf = np.empty((rows, d_x + d_h))
+    buf = np.empty((rows, d_x + d_h))
     if not requires_grad or _active_tape() is None:
         # untaped: h0 is copied into slot 0 and let go, so step 0 runs in
         # place and no step runs beside h0; every state before `first` is

@@ -174,6 +174,24 @@ def test_multi_block_ordering_most_distant_first():
     )
 
 
+def test_day_blocks_farther_back_than_week_blocks_stay_in_the_series():
+    # 8 days back reach farther than 1 week: the first t0 must leave room
+    # for the oldest D block, or its rows would index before row 0 and
+    # wrap to the end of the series
+    series = _toy_series(t=500, l_d=40)
+    spec = DatasetSpec(P=5, Q=4, S=2, d_count=8, w_count=1)
+    assert admissible_t0_range(series, spec)[0] == 8 * 40 + 5
+    train, val, test = build_samples(series, spec)
+    for sample in train + val + test:
+        for i, block in zip(range(8, 0, -1), sample.d):
+            start = sample.t0 - 5 - i * 40
+            assert start >= 0
+            np.testing.assert_array_equal(
+                block, series.data[start : sample.t0 + spec.L - i * 40])
+    with pytest.raises(DataError, match=r"need at least 329 steps"):
+        build_samples(_toy_series(t=328, l_d=40), spec)
+
+
 def test_inputs_strictly_before_target():
     series = _toy_series()
     spec = DatasetSpec(P=5, Q=4, S=2)
