@@ -458,8 +458,7 @@ def _require_samples(splits: DatasetSplits, roles: Tuple[str, ...]) -> None:
 def _attention_candidates(cfg: ModelConfig) -> int:
     if cfg.no_period:
         return 0
-    per_block = 1 if cfg.no_window else 2 * cfg.S + 1
-    return (cfg.d_count + cfg.w_count) * per_block
+    return (cfg.d_count + cfg.w_count) * (2 * cfg.window_half + 1)
 
 
 def _derived_block(res: ResolvedRun, loaded: LoadedInputs) -> dict:

@@ -212,13 +212,15 @@ class DatasetSpec:
 
 
 class SampleWindows:
-    """One read-only copy of a [T, N, C] series and the rows each window of
-    a sample reads, as offsets from its t0 (layouts on TrainingSample)."""
+    """A series' data, kept as given and made read-only (so nothing else may
+    write it), and the rows each window of a sample reads, as offsets from
+    its t0 (layouts on TrainingSample)."""
 
-    def __init__(self, data: np.ndarray, spec: DatasetSpec, l_d: int, l_w: int):
-        self.data = np.array(data, dtype=np.float64)  # a copy: later writes to data reach no sample
+    def __init__(self, series: SignalSeries, spec: DatasetSpec):
+        self.data = series.data
         self.data.flags.writeable = False
         block = np.arange(-spec.P, spec.L)
+        l_d, l_w = series.samples_per_day, series.samples_per_week
         self.offsets = {
             "r": np.arange(-spec.P, 0),
             "d": block - l_d * np.arange(spec.d_count, 0, -1)[:, None],
@@ -301,14 +303,19 @@ def _split_t0s(series: SignalSeries, spec: DatasetSpec) -> Tuple[range, range, r
     return t0s[:n_train], t0s[n_train : n_train + n_val], t0s[n_train + n_val :]
 
 
-def build_samples(
-    series: SignalSeries, spec: DatasetSpec
-) -> Tuple[List[TrainingSample], List[TrainingSample], List[TrainingSample]]:
+Splits = Tuple[List[TrainingSample], List[TrainingSample], List[TrainingSample]]
+
+
+def _samples_over(series: SignalSeries, spec: DatasetSpec) -> Splits:
+    """build_samples over series.data itself, which the samples then keep."""
+    windows = SampleWindows(series, spec)
+    return tuple([TrainingSample(t0, windows) for t0 in t0s] for t0s in _split_t0s(series, spec))
+
+
+def build_samples(series: SignalSeries, spec: DatasetSpec) -> Splits:
     """Every admissible sample at stride 1, split chronologically; all of
     them share one read-only copy of the series."""
-    splits = _split_t0s(series, spec)
-    windows = SampleWindows(series.data, spec, series.samples_per_day, series.samples_per_week)
-    return tuple([TrainingSample(t0, windows) for t0 in t0s] for t0s in splits)
+    return _samples_over(SignalSeries(series.data.copy(), series.samples_per_day), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +330,9 @@ class Normalizer:
     std: np.ndarray   # [C], floored at 1e-8
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.std
+        out = x - self.mean  # the one new array; the division runs in place
+        out /= self.std
+        return out
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         return x * self.std + self.mean
@@ -378,7 +387,8 @@ def prepare_dataset(series: SignalSeries, spec: DatasetSpec) -> DatasetSplits:
     train_t0s, val_t0s, test_t0s = _split_t0s(series, spec)
     fit_end = train_t0s.stop if val_t0s or test_t0s else series.n_steps
     normalizer, normed = fit_apply_zscore(series, range(0, fit_end))
-    train, val, test = build_samples(normed, spec)
+    # the normalized series is new and held nowhere else: the samples keep it
+    train, val, test = _samples_over(normed, spec)
     return DatasetSplits(train=train, val=val, test=test, normalizer=normalizer, spec=spec)
 
 

@@ -52,18 +52,16 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
     comp_w1 = Tensor(rng.standard_normal((4, 3)))
     comp_w2 = Tensor(rng.standard_normal((4, 3)))
     # a GRU step over the identity and two [3, 3] matrices: a [6, 2] input
-    # and a [6, 3] state, two batch elements of three nodes
+    # and a [6, 3] state, two batch elements of three nodes, with one
+    # [W_z | W_r | W_c] weight per matrix
     gru_x, gru_h = rng.standard_normal((6, 2)), rng.uniform(-0.9, 0.9, (6, 3))
     gru_mats = [None] + [Tensor(rng.standard_normal((3, 3))) for _ in range(2)]
-    gru_zr = [Tensor(0.5 * rng.standard_normal((5, 6))) for _ in gru_mats]
-    gru_zr_b = rng.standard_normal(6)
-    gru_c = [Tensor(0.5 * rng.standard_normal((5, 3))) for _ in gru_mats]
-    gru_c_b = rng.standard_normal(3)
+    gru_w = [Tensor(0.5 * rng.standard_normal((5, 9))) for _ in gru_mats]
+    gru_b = rng.standard_normal(9)
     w63 = rng.standard_normal((6, 3))
 
-    def gru(x=Tensor(gru_x), h=Tensor(gru_h), mats=gru_mats, zr=gru_zr,
-            zr_b=Tensor(gru_zr_b), c=gru_c, c_b=Tensor(gru_c_b)):
-        return _weighted_sum(tc.gru_step(mats, x, h, zr, zr_b, c, c_b), w63)
+    def gru(x=Tensor(gru_x), h=Tensor(gru_h), mats=gru_mats, weights=gru_w, b=Tensor(gru_b)):
+        return _weighted_sum(tc.gru_step(mats, x, h, weights, b), w63)
 
     # two leading indices: [2, 3, 4] x [2, 4, 3]
     x234 = rng.standard_normal((2, 3, 4))
@@ -90,13 +88,11 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
     # a dense GRU over four constant [6, 2] steps from a [6, 3] state,
     # returning the last three states
     seq_x, seq_h0 = rng.standard_normal((4, 6, 2)), rng.uniform(-0.9, 0.9, (6, 3))
-    seq_zr, seq_zr_b = 0.5 * rng.standard_normal((5, 6)), rng.standard_normal(6)
-    seq_c, seq_c_b = 0.5 * rng.standard_normal((5, 3)), rng.standard_normal(3)
+    seq_w, seq_b = 0.5 * rng.standard_normal((5, 9)), rng.standard_normal(9)
     w363 = rng.standard_normal((3, 6, 3))
 
-    def sequence(h0=Tensor(seq_h0), zr=Tensor(seq_zr), zr_b=Tensor(seq_zr_b),
-                 c=Tensor(seq_c), c_b=Tensor(seq_c_b)):
-        return _weighted_sum(tc.gru_sequence(seq_x, h0, zr, zr_b, c, c_b, first=1), w363)
+    def sequence(h0=Tensor(seq_h0), weight=Tensor(seq_w), b=Tensor(seq_b)):
+        return _weighted_sum(tc.gru_sequence(seq_x, h0, weight, b, first=1), w363)
 
     checks = [
         ("add", lambda t: _weighted_sum(tc.add(t, t_other), w34), x34),
@@ -123,12 +119,9 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
         ("transpose", lambda t: _weighted_sum(tc.transpose(t, (1, 0)), w43), x34),
         ("gru_step_x", lambda t: gru(x=t), gru_x),
         ("gru_step_state", lambda t: gru(h=t), gru_h),
-        ("gru_step_update_reset_weight", lambda t: gru(zr=[gru_zr[0], t, gru_zr[2]]),
-         gru_zr[1].data),
-        ("gru_step_update_reset_bias", lambda t: gru(zr_b=t), gru_zr_b),
-        ("gru_step_cand_weight", lambda t: gru(c=[t, *gru_c[1:]]), gru_c[0].data),
-        ("gru_step_cand_matrix_weight", lambda t: gru(c=[*gru_c[:2], t]), gru_c[2].data),
-        ("gru_step_cand_bias", lambda t: gru(c_b=t), gru_c_b),
+        ("gru_step_weight", lambda t: gru(weights=[t, *gru_w[1:]]), gru_w[0].data),
+        ("gru_step_matrix_weight", lambda t: gru(weights=[*gru_w[:2], t]), gru_w[2].data),
+        ("gru_step_bias", lambda t: gru(b=t), gru_b),
         ("gru_step_matrix", lambda t: gru(mats=[*gru_mats[:2], t]), gru_mats[2].data),
         ("additive_attention_query", lambda t: attention(h=t), att_h),
         ("additive_attention_w1", lambda t: attention(w1=t), att_w1),
@@ -139,10 +132,8 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
         ("additive_attention_keyed_w2", lambda t: keyed_attention(w2=t), att_w2),
         ("additive_attention_keyed_bank", lambda t: keyed_attention(bank=t), att_bank),
         ("gru_sequence_state0", lambda t: sequence(h0=t), seq_h0),
-        ("gru_sequence_update_reset_weight", lambda t: sequence(zr=t), seq_zr),
-        ("gru_sequence_update_reset_bias", lambda t: sequence(zr_b=t), seq_zr_b),
-        ("gru_sequence_cand_weight", lambda t: sequence(c=t), seq_c),
-        ("gru_sequence_cand_bias", lambda t: sequence(c_b=t), seq_c_b),
+        ("gru_sequence_weight", lambda t: sequence(weight=t), seq_w),
+        ("gru_sequence_bias", lambda t: sequence(b=t), seq_b),
         ("composite", lambda t: _weighted_sum(
             tc.mul(tc.sigmoid(tc.matmul(t, comp_w1)), tc.tanh(tc.matmul(t, comp_w2))), w33), x34),
     ]

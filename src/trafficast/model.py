@@ -20,12 +20,14 @@ switch so its contribution can be measured.
 All three GRUs run one gate step (as in DCRNN's DCGRU): each gate is
 sum_k (M_k [..]) W_k + b over a list of mixing matrices, identity first.
 The encoder and decoder GRUs have the identity alone; the graph GRU adds
-the K predefined and K adaptive adjacency powers, with its hop weights and
-fusion weights folded into one weight per matrix once per forward. Both
-branches' powers come from one helper over an [H, N, N] adjacency stack:
-every learned head at once, or the predefined matrix as one head. The
-update and reset gates share one sum: per matrix their weights are joined
-as [W_z | W_r] once per forward. Every decoder GRU step, dense or graph,
+the K predefined and K adaptive adjacency powers. Both branches' powers
+come from one helper over an [H, N, N] adjacency stack: every learned
+head at once, or the predefined matrix as one head. The three gates
+differ only in their weights, so each mixing matrix has one weight
+[W_z | W_r | W_c] and each GRU one bias [b_z | b_r | b_c], joined from
+the per-gate parameters once per forward; the graph GRU joins each hop
+that way and then folds hop and fusion weights into one weight per
+matrix, once for all three gates. Every decoder GRU step, dense or graph,
 is one `gru_step` record, each encoder pass one `gru_sequence` record,
 and every attention step one `additive_attention` record: the window read
 out of the bank, the scores of every window offset over every block
@@ -56,6 +58,7 @@ from trafficast.graph import NodeEmbeddings, adaptive_adjacency, init_embeddings
 from trafficast.tensor import ShapeError, Tensor
 
 ORDERS = ("attention_then_dgc", "dgc_then_attention")
+GATES = ("update", "reset", "cand")  # the column order of a joined GRU weight
 
 
 class ModelError(ValueError):
@@ -104,6 +107,11 @@ class ModelConfig:
         keeps the last Q+2S of them."""
         return self.P + self.Q + self.S
 
+    @property
+    def window_half(self) -> int:
+        """The attention window's half-width: S, or 0 under no_window."""
+        return 0 if self.no_window else self.S
+
 
 # ---------------------------------------------------------------------------
 # parameter containers
@@ -113,24 +121,16 @@ class ModelConfig:
 class GruGates:
     """One GRU's gates, each sum_k (M_k [..]) W_k + b.
 
-    `mats` lists the mixing matrices, the identity (None) first, and each
-    gate holds one weight per matrix: the identity alone for the encoder
-    and decoder GRUs, the folded graph convolution for the DGC-GRU. The
-    update and reset gates share one sum: per matrix, `update_reset` is
-    [W_z | W_r] and its bias [b_z | b_r], so z is the left half.
+    `mats` lists the mixing matrices, the identity (None) first, and
+    `weights` holds one weight per matrix: the identity alone for the
+    encoder and decoder GRUs, the folded graph convolution for the
+    DGC-GRU. Each weight is [W_z | W_r | W_c] and `bias` [b_z | b_r | b_c],
+    in GATES order, so z is the left third.
     """
 
     mats: List[Optional[Tensor]]
-    update_reset: List[Tensor]
-    update_reset_bias: Tensor
-    cand: List[Tensor]
-    cand_bias: Tensor
-
-    @classmethod
-    def join(cls, mats, update, update_bias, reset, reset_bias, cand, cand_bias):
-        """Gates from separate update and reset weights, joined column-wise."""
-        joined = [tc.concat([u, r], axis=1) for u, r in zip(update, reset, strict=True)]
-        return cls(mats, joined, tc.concat([update_bias, reset_bias], axis=0), cand, cand_bias)
+    weights: List[Tensor]
+    bias: Tensor
 
 
 @dataclass
@@ -139,6 +139,11 @@ class AttentionParams:
     w2: Tensor
     b: Tensor
     v: Tensor
+
+
+def _join_gates(params: Dict[str, Tensor], pattern: str, axis: int) -> Tensor:
+    """The three gates' parameters named by pattern, joined in GATES order."""
+    return tc.concat([params[pattern.format(gate)] for gate in GATES], axis=axis)
 
 
 @dataclass
@@ -158,18 +163,16 @@ class ModelState:
         return self.params.items()
 
     def gru(self, prefix: str) -> GruGates:
-        p = self.params
-        w = lambda gate: [p[f"{prefix}.{gate}.weight"]]
-        b = lambda gate: p[f"{prefix}.{gate}.bias"]
-        return GruGates.join([None], w("update"), b("update"), w("reset"), b("reset"),
-                             w("cand"), b("cand"))
+        return GruGates([None], [_join_gates(self.params, f"{prefix}.{{}}.weight", 1)],
+                        _join_gates(self.params, f"{prefix}.{{}}.bias", 0))
 
     def attention(self) -> AttentionParams:
         p = self.params
         return AttentionParams(p["attn.w1"], p["attn.w2"], p["attn.b"], p["attn.v"])
 
-    def dgc_hops(self, gate: str, branch: str) -> List[Tensor]:
-        return [self.params[f"dgc.{gate}.{branch}.hop{k}"]
+    def dgc_hops(self, branch: str) -> List[Tensor]:
+        """The branch's hop weights, k = 0..K, each joined as [W_z | W_r | W_c]."""
+        return [_join_gates(self.params, f"dgc.{{}}.{branch}.hop{k}", 1)
                 for k in range(self.config.K + 1)]
 
     def embeddings(self) -> NodeEmbeddings:
@@ -192,7 +195,7 @@ def init_model(cfg: ModelConfig, n_nodes: int, n_channels: int, seed: int) -> Mo
 
     d_h, c = cfg.d_h, n_channels
     for prefix, d_in in (("encoder", c + d_h), ("decoder", c + d_h)):
-        for gate in ("update", "reset", "cand"):
+        for gate in GATES:
             weight(f"{prefix}.{gate}.weight", d_in, d_h)
             bias(f"{prefix}.{gate}.bias", d_h)
 
@@ -203,7 +206,7 @@ def init_model(cfg: ModelConfig, n_nodes: int, n_channels: int, seed: int) -> Mo
     bound = 1.0 / np.sqrt(d_h)
     params["attn.v"] = Tensor(rng.uniform(-bound, bound, size=d_h), requires_grad=True)
 
-    for gate in ("update", "reset", "cand"):
+    for gate in GATES:
         for branch in ("pre", "adp"):
             for k in range(cfg.K + 1):
                 weight(f"dgc.{gate}.{branch}.hop{k}", 2 * d_h, d_h)
@@ -224,8 +227,7 @@ def init_model(cfg: ModelConfig, n_nodes: int, n_channels: int, seed: int) -> Mo
 def gru_cell(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
     """One step of the encoder or decoder GRU (identity mixing only):
     h' = (1-z) * h + z * tanh(G_c [x, r*h]), [z | r] = sigmoid(G_zr [x, h])."""
-    return tc.gru_step(gates.mats, x, h, gates.update_reset, gates.update_reset_bias,
-                       gates.cand, gates.cand_bias)
+    return tc.gru_step(gates.mats, x, h, gates.weights, gates.bias)
 
 
 def _encoder_pass(enc: GruGates, steps: np.ndarray, first: int,
@@ -233,11 +235,10 @@ def _encoder_pass(enc: GruGates, steps: np.ndarray, first: int,
     """The encoder GRU over constant steps [T, rows, C] from h0, or from a
     zero state, as one `gru_sequence`; the states from step `first` on,
     into `out` when given (untaped only)."""
-    (update_reset,), (cand,) = enc.update_reset, enc.cand
     # the zero state is built in the call, so no name here holds it
     return tc.gru_sequence(
-        steps, Tensor(np.zeros((steps.shape[1], cand.shape[1]))) if h0 is None else h0,
-        update_reset, enc.update_reset_bias, cand, enc.cand_bias, first, out)
+        steps, Tensor(np.zeros((steps.shape[1], enc.bias.shape[0] // 3))) if h0 is None else h0,
+        enc.weights[0], enc.bias, first, out)
 
 
 class BankWindow:
@@ -245,7 +246,7 @@ class BankWindow:
     reaches it.
 
     Decoder step t attends over block positions P+t-half .. P+t+half, with
-    half = S (0 under no_window). `states` [2*half+1, B*N*G, d_h] holds
+    half = cfg.window_half. `states` [2*half+1, B*N*G, d_h] holds
     just those for decoder step `step`, in the rows of the bank `encode`
     returns on a tape: the first pass runs the block steps up to the end
     of step 0's window, and `at` slides the window one slot per decoder
@@ -256,7 +257,7 @@ class BankWindow:
     """
 
     def __init__(self, enc: GruGates, steps: np.ndarray, cfg: ModelConfig):
-        half = 0 if cfg.no_window else cfg.S
+        half = cfg.window_half
         self.enc, self.steps, self.step = enc, steps, 0
         self.last = cfg.P + half  # block position of the window's last state
         self.states = _encoder_pass(enc, steps[:self.last + 1], cfg.P - half)
@@ -352,9 +353,9 @@ def attention_step(
     """
     if not 0 <= t < cfg.Q:
         raise ModelError(f"step {t} out of range for Q={cfg.Q}")
-    if cfg.no_period or bank is None:
+    if cfg.no_period:
         return h_t, None
-    half = 0 if cfg.no_window else cfg.S
+    half = cfg.window_half
     if isinstance(bank, BankWindow):
         bank, start = bank.at(t), 0
     else:
@@ -444,16 +445,15 @@ def dgc_terms(
     pre_mats: List[Optional[Tensor]],
     adp_mats: List[Optional[Tensor]],
 ) -> GruGates:
-    """The DGC-GRU's gates, folded by conv_terms once per forward pass."""
-    p = state.params
-
-    def fold(gate):
-        return conv_terms(pre_mats, adp_mats, state.dgc_hops(gate, "pre"),
-                          state.dgc_hops(gate, "adp"), state.config)
-
-    mats, update = fold("update")
-    return GruGates.join(mats, update, p["dgc.update.bias"], fold("reset")[1],
-                         p["dgc.reset.bias"], fold("cand")[1], p["dgc.cand.bias"])
+    """The DGC-GRU's gates, once per forward pass: each hop joined as
+    [W_z | W_r | W_c], then all three gates folded by one conv_terms call."""
+    # conv_terms reads an off branch's hops only when both branches are
+    # off, so an off branch joins none
+    both_off = not pre_mats and not adp_mats
+    hops = lambda branch, mats: state.dgc_hops(branch) if mats or both_off else []
+    mats, weights = conv_terms(pre_mats, adp_mats, hops("pre", pre_mats),
+                               hops("adp", adp_mats), state.config)
+    return GruGates(mats, weights, _join_gates(state.params, "dgc.{}.bias", 0))
 
 
 def dgcgru_cell(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
@@ -462,8 +462,7 @@ def dgcgru_cell(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
     The same step as gru_cell, over the matrices of dgc_terms; a name of
     its own keeps the graph GRU apart from the dense ones in profiles.
     """
-    return tc.gru_step(gates.mats, x, h, gates.update_reset, gates.update_reset_bias,
-                       gates.cand, gates.cand_bias)
+    return tc.gru_step(gates.mats, x, h, gates.weights, gates.bias)
 
 
 # ---------------------------------------------------------------------------

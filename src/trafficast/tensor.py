@@ -468,88 +468,99 @@ def _node_mix(adj: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(adj, x.reshape(-1, adj.shape[0], x.shape[1])).reshape(x.shape)
 
 
-def _gate_sum(mats, xd: np.ndarray, weights, bias: Tensor) -> np.ndarray:
+def _gate_sum(mats, xd: np.ndarray, weights, bias: np.ndarray) -> np.ndarray:
     """sum_k (M_k xd) W_k + b, summed in place in k order, then b added.
-    mats[0] is None, the identity. Each mix M_k xd is dropped once summed."""
-    out = xd @ weights[0].data
+    mats[0] is None, the identity; the weights and bias are arrays (column
+    blocks of the joined ones). Each mix M_k xd is dropped once summed."""
+    out = xd @ weights[0]
     for mat, w in zip(mats[1:], weights[1:]):
-        out += _node_mix(mat.data, xd) @ w.data
-    out += bias.data
+        out += _node_mix(mat.data, xd) @ w
+    out += bias
     return out
 
 
-def _gate_sum_grad(g, mats, xd: np.ndarray, weights, bias: Tensor, need_x: bool, g_mats: list):
-    """Adjoints of one _gate_sum over the operand xd for its output adjoint g.
+def _gate_sum_grad(g, mats, xd: np.ndarray, weights, cols: slice, g_weights, g_bias,
+                   need_x: bool, g_mats: list):
+    """Adjoints of one _gate_sum over the operand xd and the columns `cols`
+    of each joined weight and of the bias, for its output adjoint g.
 
     Works on the adjoint side, as (M_k xd)^T g = xd^T (M_k^T g): per matrix
     one node mix at the gate's width, Y_k = M_k^T g (Y_0 = g), then W_k's
-    adjoint is xd^T Y_k and xd's gains Y_k W_k^T. Returns (xd's or None,
-    one per weight, the bias's) and adds each matrix's, sum_b g_b (xd_b W_k)^T
-    over batch elements b, into g_mats. A constant gets no gradient product.
+    adjoint xd^T Y_k is written into those columns of g_weights[k], the
+    bias's into those of g_bias (None for one that needs none), and xd's
+    gains Y_k W_k^T. Returns xd's adjoint or None, and adds each matrix's,
+    sum_b g_b (xd_b W_k)^T over batch elements b, into g_mats. A constant
+    gets no gradient product.
     """
-    g_x, g_w = None, [None] * len(weights)
+    g_x = None
     # highest k first: x's adjoint sums its terms in the order a backward
     # pass over one record per term would
     for k in range(len(mats) - 1, -1, -1):
-        w, mat = weights[k], mats[k]
+        w, mat, g_w = weights[k].data[:, cols], mats[k], g_weights[k]
         if mat is not None and mat.requires_grad:
             n, width = mat.data.shape[0], g.shape[1]
-            xw = (xd @ w.data).reshape(-1, n, width)
+            xw = (xd @ w).reshape(-1, n, width)
             g_m = np.matmul(g.reshape(-1, n, width), xw.transpose(0, 2, 1)).sum(axis=0)
             g_mats[k - 1] = g_m if g_mats[k - 1] is None else g_mats[k - 1] + g_m
-        if not (need_x or w.requires_grad):
+        if not (need_x or g_w is not None):
             continue
         y = g if mat is None else _node_mix(mat.data.T, g)
-        if w.requires_grad:
-            g_w[k] = xd.T @ y
+        if g_w is not None:
+            np.matmul(xd.T, y, out=g_w[:, cols])
         if need_x:
-            y = y @ w.data.T
+            y = y @ w.T
             g_x = y if g_x is None else g_x + y
-    return g_x, g_w, g.sum(axis=0) if bias.requires_grad else None
+    if g_bias is not None:
+        g.sum(axis=0, out=g_bias[cols])
+    return g_x
 
 
-def _gru_forward(mats, xd: np.ndarray, hd: np.ndarray, update_reset, update_reset_bias: Tensor,
-                 cand, cand_bias: Tensor, buf: np.ndarray, out: Optional[np.ndarray] = None):
+def _gru_forward(mats, xd: np.ndarray, hd: np.ndarray, weights, bias: Tensor,
+                 buf: np.ndarray, out: Optional[np.ndarray] = None):
     """One GRU step's arithmetic, shared by gru_step and gru_sequence.
 
-    Returns (h', [z | r], c). Both gate sums read the operand buffer buf
+    Returns (h', [z | r], c). Each gate sum reads its columns of the joined
+    weights and bias as views, and the operand buffer buf
     [rows, d_x + d_h]: [x, h], then [x, r h] in place; its h half then
     holds z h and z c. h' is written to `out` when given, which may be hd.
     """
     d_x, d_h = xd.shape[1], hd.shape[1]
+    zr_cols, c_cols = slice(None, 2 * d_h), slice(2 * d_h, None)
     buf[:, :d_x], buf[:, d_x:] = xd, hd
-    zr = _gate_sum(mats, buf, update_reset, update_reset_bias)
+    zr = _gate_sum(mats, buf, [w.data[:, zr_cols] for w in weights], bias.data[zr_cols])
     _sigmoid(zr, out=zr)
     z, r, half = zr[:, :d_h], zr[:, d_h:], buf[:, d_x:]
     half *= r  # now [x, r h]
-    c = _gate_sum(mats, buf, cand, cand_bias)
+    c = _gate_sum(mats, buf, [w.data[:, c_cols] for w in weights], bias.data[c_cols])
     np.tanh(c, out=c)
     out = np.subtract(hd, np.multiply(z, hd, out=half), out=out)
     out += np.multiply(z, c, out=half)
     return out, zr, c
 
 
-def _gru_grad(g, need_x: bool, need_h: bool, mats, xd, hd, zr, c, update_reset,
-              update_reset_bias: Tensor, cand, cand_bias: Tensor, buf: np.ndarray) -> list:
+def _gru_grad(g, need_x: bool, need_h: bool, mats, xd, hd, zr, c, weights, bias: Tensor,
+              buf: np.ndarray) -> list:
     """Adjoints of one _gru_forward step for its output adjoint g, in
-    gru_step's input order: x, h, the update/reset bias and weights, the
-    candidate bias and weights, the matrices after the identity. Reads only
-    the step's inputs and gates: the operand is rebuilt in buf, [x, r h]
-    for the candidate sum and then [x, h] in place.
+    gru_step's input order: x, h, the bias, the weights, the matrices after
+    the identity. The two gate sums write their column blocks of each
+    weight's and of the bias's one adjoint in place. Reads only the step's
+    inputs and gates: the operand is rebuilt in buf, [x, r h] for the
+    candidate sum and then [x, h] in place.
     """
     d_x, d_h = xd.shape[1], hd.shape[1]
+    zr_cols, c_cols = slice(None, 2 * d_h), slice(2 * d_h, None)
     need_xh = need_x or need_h
-    need_xrh = need_xh or any(t.requires_grad for t in (
-        update_reset_bias, *update_reset, *mats[1:]))
+    g_b, *g_w = [np.empty(t.shape) if t.requires_grad else None for t in (bias, *weights)]
+    need_xrh = need_xh or any(t.requires_grad for t in (bias, *weights, *mats[1:]))
     g_mats = [None] * (len(mats) - 1)
     z, r = zr[:, :d_h], zr[:, d_h:]
     g_c = g * z
     g_c *= 1.0 - c * c
     buf[:, :d_x], buf[:, d_x:] = xd, hd
     buf[:, d_x:] *= r  # now [x, r h]
-    g_xrh, g_cw, g_cb = _gate_sum_grad(g_c, mats, buf, cand, cand_bias, need_xrh, g_mats)
+    g_xrh = _gate_sum_grad(g_c, mats, buf, weights, c_cols, g_w, g_b, need_xrh, g_mats)
     g_h = g - g * z if need_h else None
-    g_x, g_zrw, g_zrb = None, [None] * len(update_reset), None
+    g_x = None
     if need_xrh:
         g_rh = g_xrh[:, d_x:]
         g_zr = np.empty_like(zr)
@@ -558,88 +569,79 @@ def _gru_grad(g, need_x: bool, need_h: bool, mats, xd, hd, zr, c, update_reset,
         g_zr *= zr
         g_zr *= 1.0 - zr
         buf[:, d_x:] = hd
-        g_xh, g_zrw, g_zrb = _gate_sum_grad(g_zr, mats, buf, update_reset,
-                                            update_reset_bias, need_xh, g_mats)
+        g_xh = _gate_sum_grad(g_zr, mats, buf, weights, zr_cols, g_w, g_b, need_xh, g_mats)
         if need_h:
             g_h += g_rh * r
             g_h += g_xh[:, d_x:]
         if need_x:
             g_x = g_xrh[:, :d_x] + g_xh[:, :d_x]
-    return [g_x, g_h, g_zrb, *g_zrw, g_cb, *g_cw, *g_mats]
+    return [g_x, g_h, g_b, *g_w, *g_mats]
 
 
-def _check_gates(op: str, d_x: int, d_h: int, update_reset, update_reset_bias: Tensor,
-                 cand, cand_bias: Tensor) -> None:
-    """Reject gate weights or biases that do not fit d_x inputs and d_h states."""
-    for gate, weights, bias, width in (("update/reset", update_reset, update_reset_bias, 2 * d_h),
-                                       ("candidate", cand, cand_bias, d_h)):
-        for w in weights:
-            if w.shape != (d_x + d_h, width):
-                raise ShapeError(
-                    f"gru width mismatch: input {d_x} + state {d_h} needs {gate} "
-                    f"weights [{d_x + d_h}, {width}], got {list(w.shape)}"
-                )
-        if bias.shape != (width,):
-            raise ShapeError(f"{op} {gate} bias must be [{width}], got {list(bias.shape)}")
+def _check_gates(op: str, d_x: int, d_h: int, weights, bias: Tensor) -> None:
+    """Reject joined weights or a joined bias that do not fit d_x and d_h."""
+    for w in weights:
+        if w.shape != (d_x + d_h, 3 * d_h):
+            raise ShapeError(
+                f"gru width mismatch: input {d_x} + state {d_h} needs weights "
+                f"[{d_x + d_h}, {3 * d_h}], got {list(w.shape)}"
+            )
+    if bias.shape != (3 * d_h,):
+        raise ShapeError(f"{op} bias must be [{3 * d_h}], got {list(bias.shape)}")
 
 
 def gru_step(mats: Sequence[Optional[Tensor]], x: Tensor, h: Tensor,
-             update_reset: Sequence[Tensor], update_reset_bias: Tensor,
-             cand: Sequence[Tensor], cand_bias: Tensor) -> Tensor:
+             weights: Sequence[Tensor], bias: Tensor) -> Tensor:
     """h' = (1 - z) h + z c for x [rows, d_x] and h [rows, d_h], one record.
 
     [z | r] = sigmoid(G_zr [x, h]) and c = tanh(G_c [x, r h]), each G a
     gate sum sum_k (M_k [..]) W_k + b over the matrices `mats`, the
     identity (None) first, then [N, N] matrices that mix the node-minor
-    rows (row b*N + n) of each batch element. Per matrix, update_reset is
-    [W_z | W_r], [d_x + d_h, 2 d_h], so z is the left half; cand is
-    [d_x + d_h, d_h]. The mix is formed as (h - z h) + z c. The arithmetic
-    runs in the order separate concat, gate-sum, sigmoid, product, tanh
-    and mix records would, over one buffer holding [x, h] and then, in
-    place, [x, r h]. On a tape the record keeps only [z | r] and c, no mix
+    rows (row b*N + n) of each batch element. `weights` holds one
+    [W_z | W_r | W_c], [d_x + d_h, 3 d_h], per matrix and `bias` is
+    [b_z | b_r | b_c]: G_zr reads their first 2 d_h columns (z the left d_h)
+    and G_c the last d_h. The mix is formed as (h - z h) + z c, in the
+    order separate concat, gate-sum, sigmoid, product, tanh and mix
+    records would, over one buffer holding [x, h] and then, in place,
+    [x, r h]. On a tape the record keeps only [z | r] and c, no mix
     M_k [..] and no operand: its backward rebuilds the operand from x, h
     and r, and mixes the adjoint by each M_k^T instead.
     """
     if x.data.ndim != 2 or h.data.ndim != 2 or x.shape[0] != h.shape[0]:
         raise ShapeError(f"gru_step needs [rows,d] input and state, "
                          f"got {list(x.shape)} and {list(h.shape)}")
-    if not mats or mats[0] is not None or not len(update_reset) == len(cand) == len(mats):
+    if not mats or mats[0] is not None or len(weights) != len(mats):
         raise ShapeError(
-            f"gru_step needs the identity (None) first and one weight per matrix "
-            f"per gate, got {len(mats)} matrices, {len(update_reset)} update/reset "
-            f"and {len(cand)} candidate weights"
+            f"gru_step needs the identity (None) first and one weight per matrix, "
+            f"got {len(mats)} matrices and {len(weights)} weights"
         )
     rows = x.shape[0]
     for mat in mats[1:]:
         if len(mat.shape) != 2 or mat.shape[0] != mat.shape[1] or rows % mat.shape[0]:
             raise ShapeError(f"gru_step needs [n,n] matrices over [b*n,d] rows, "
                              f"got {list(mat.shape)} and {rows} rows")
-    _check_gates("gru_step", x.shape[1], h.shape[1], update_reset, update_reset_bias,
-                 cand, cand_bias)
+    _check_gates("gru_step", x.shape[1], h.shape[1], weights, bias)
 
-    inputs = (x, h, update_reset_bias, *update_reset, cand_bias, *cand, *mats[1:])
+    inputs = (x, h, bias, *weights, *mats[1:])
     width = x.shape[1] + h.shape[1]
-    out, zr, c = _gru_forward(mats, x.data, h.data, update_reset, update_reset_bias,
-                              cand, cand_bias, np.empty((rows, width)))
+    out, zr, c = _gru_forward(mats, x.data, h.data, weights, bias, np.empty((rows, width)))
 
     def bwd(g):
         return _gru_grad(g, x.requires_grad, h.requires_grad, mats, x.data, h.data, zr, c,
-                         update_reset, update_reset_bias, cand, cand_bias,
-                         np.empty((rows, width)))
+                         weights, bias, np.empty((rows, width)))
 
     return _emit(inputs, out, bwd)
 
 
-def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
-                 update_reset_bias: Tensor, cand: Tensor, cand_bias: Tensor,
+def gru_sequence(steps: np.ndarray, h0: Tensor, weight: Tensor, bias: Tensor,
                  first: int = 0, out: Optional[np.ndarray] = None) -> Tensor:
     """Every step of a dense GRU over constant inputs, one record.
 
-    h_t = gru_step([None], x_t, h_{t-1}, [update_reset], update_reset_bias,
-    [cand], cand_bias) for the steps x_t of `steps` [T, rows, d_x], from
-    h_{-1} = h0 [rows, d_h], with the same per-step arithmetic, so the
-    states are bitwise those of T chained gru_step calls. Returns the
-    states h_first .. h_{T-1} as one [T - first, rows, d_h] tensor.
+    h_t = gru_step([None], x_t, h_{t-1}, [weight], bias) for the steps x_t
+    of `steps` [T, rows, d_x], from h_{-1} = h0 [rows, d_h], with the same
+    per-step arithmetic, so the states are bitwise those of T chained
+    gru_step calls. Returns the states h_first .. h_{T-1} as one
+    [T - first, rows, d_h] tensor.
 
     On a tape the record keeps every state and each step's gates [z | r]
     and c, never the [x, h] or [x, r h] operands: its backward rebuilds
@@ -660,10 +662,10 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
     (n_steps, rows, d_x), d_h = xs.shape, h0.shape[1]
     if not 0 <= first < n_steps:
         raise ShapeError(f"gru_sequence first state {first} out of range for {n_steps} steps")
-    mats, zr_w, c_w = [None], [update_reset], [cand]
-    _check_gates("gru_sequence", d_x, d_h, zr_w, update_reset_bias, c_w, cand_bias)
+    mats, weights = [None], [weight]
+    _check_gates("gru_sequence", d_x, d_h, weights, bias)
 
-    inputs = (h0, update_reset_bias, update_reset, cand_bias, cand)
+    inputs = (h0, bias, weight)
     requires_grad = any(t.requires_grad for t in inputs)
     buf = np.empty((rows, d_x + d_h))
     if not requires_grad or _active_tape() is None:
@@ -676,8 +678,8 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
         hd[...] = h0.data
         del h0, inputs
         for t in range(n_steps):
-            hd = _gru_forward(mats, xs[t], hd, zr_w, update_reset_bias, c_w, cand_bias,
-                              buf, out=states[max(t - first, 0)])[0]
+            hd = _gru_forward(mats, xs[t], hd, weights, bias, buf,
+                              out=states[max(t - first, 0)])[0]
         result = Tensor(states)
         result.requires_grad = requires_grad
         return result
@@ -687,8 +689,7 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
     gates = []
     hd = h0.data
     for t in range(n_steps):
-        hd, zr, c = _gru_forward(mats, xs[t], hd, zr_w, update_reset_bias, c_w, cand_bias,
-                                 buf, out=states[t])
+        hd, zr, c = _gru_forward(mats, xs[t], hd, weights, bias, buf, out=states[t])
         gates.append((zr, c))
 
     def bwd(g):
@@ -703,8 +704,7 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, update_reset: Tensor,
             hd = states[t - 1] if t else h0.data
             zr, c = gates[t]
             _, carry, *grads = _gru_grad(g_t, False, t > 0 or h0.requires_grad, mats, xs[t],
-                                         hd, zr, c, zr_w, update_reset_bias, c_w, cand_bias,
-                                         buf)
+                                         hd, zr, c, weights, bias, buf)
             if sums is None:
                 sums = grads
             else:

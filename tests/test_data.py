@@ -250,6 +250,24 @@ def test_samples_keep_one_series_not_their_windows():
     assert kept < 2 * series.data.nbytes + 256 * n_samples
 
 
+def test_prepare_dataset_makes_one_normalized_series():
+    # the series is normalized in one new array, which the samples keep:
+    # no series-sized temporary and no second copy, so the peak stays near
+    # one series (about 1.1 here) plus the samples. A temporary for the
+    # division and a copy for the samples peaked at 2.1 series.
+    series, _ = synth_generate(n_nodes=100, days=60, l_d=48, shift_max=1, noise=0.5, seed=3)
+    tracemalloc.start()
+    try:
+        splits = prepare_dataset(series, DatasetSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_samples = len(splits.train) + len(splits.val) + len(splits.test)
+    assert n_samples > 2000
+    assert peak < 1.25 * series.data.nbytes + 256 * n_samples
+    assert splits.train[0].windows.data is not series.data
+
+
 def test_stack_batch_is_stacked_sample_windows():
     # one gather per window gives bitwise the stack of each sample's
     # windows, in the batch's order, with several blocks and channels

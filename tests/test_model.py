@@ -96,7 +96,7 @@ def test_window_rules_name_field_and_bound(cls, error, field, value, bound):
 # --- gru_cell ----------------------------------------------------------------
 
 def _dense_gates(wz, bz, wr, br, wc, bc):
-    return GruGates.join([None], [wz], bz, [wr], br, [wc], bc)
+    return GruGates([None], [tc.concat([wz, wr, wc], axis=1)], tc.concat([bz, br, bc], axis=0))
 
 
 def _zero_gru(d_in, d_h):

@@ -79,36 +79,45 @@ def unfused_gate_sum(mats, x, weights, bias):
     return tc.add(out, bias)
 
 
-def unfused_gru_step(mats, x, h, update_reset, update_reset_bias, cand, cand_bias):
-    # the chain of records a GRU step took before gru_step fused it; a
-    # product with columns of the identity picks the z and r halves exactly
+def unfused_gru_step(mats, x, h, gates, biases):
+    # the chain of records a GRU step took before gru_step fused it, over
+    # separate W_z, W_r and W_c per matrix (gates[k]) and b_z, b_r, b_c
+    # (biases); a product with columns of the identity picks the z and r
+    # halves exactly
     d = h.shape[1]
     zr = tc.sigmoid(unfused_gate_sum(mats, tc.concat([x, h], axis=1),
-                                     update_reset, update_reset_bias))
+                                     [tc.concat([wz, wr], axis=1) for wz, wr, _ in gates],
+                                     tc.concat(biases[:2], axis=0)))
     z = tc.matmul(zr, Tensor(np.eye(2 * d)[:, :d]))
     r = tc.matmul(zr, Tensor(np.eye(2 * d)[:, d:]))
-    c = tc.tanh(unfused_gate_sum(mats, tc.concat([x, tc.mul(r, h)], axis=1), cand, cand_bias))
+    c = tc.tanh(unfused_gate_sum(mats, tc.concat([x, tc.mul(r, h)], axis=1),
+                                 [wc for *_, wc in gates], biases[2]))
     return tc.add(tc.sub(h, tc.mul(z, h)), tc.mul(z, c))
 
 
 def _gru_operands(n_mats, rows, d_x, d_h, seed, requires_grad=False):
+    # gru_step's operands, and the chain's: separate per-gate weights and
+    # biases, whose concat is each joined weight [W_z | W_r | W_c] and the
+    # joined bias [b_z | b_r | b_c]
     mats = [None] + [rand((3, 3), seed + k, 0.0, 1.0) for k in range(1, n_mats)]
     x, h = rand((rows, d_x), seed + 10), rand((rows, d_h), seed + 11, -1.0, 1.0)
-    update_reset = [rand((d_x + d_h, 2 * d_h), seed + 20 + k, -0.5, 0.5) for k in range(n_mats)]
-    cand = [rand((d_x + d_h, d_h), seed + 30 + k, -0.5, 0.5) for k in range(n_mats)]
-    zr_b, c_b = rand((2 * d_h,), seed + 40), rand((d_h,), seed + 41)
-    for t in [x, h, zr_b, c_b, *update_reset, *cand, *mats[1:]]:
+    gates = [[rand((d_x + d_h, d_h), seed + 20 + 3 * k + i, -0.5, 0.5) for i in range(3)]
+             for k in range(n_mats)]
+    biases = [rand((d_h,), seed + 40 + i) for i in range(3)]
+    weights = [Tensor(np.concatenate([t.data for t in gate], axis=1)) for gate in gates]
+    bias = Tensor(np.concatenate([t.data for t in biases]))
+    for t in [x, h, bias, *weights, *biases, *sum(gates, []), *mats[1:]]:
         t.requires_grad = requires_grad
-    return mats, x, h, update_reset, zr_b, cand, c_b
+    return (mats, x, h, weights, bias), (mats, x, h, gates, biases)
 
 
 @pytest.mark.parametrize("n_mats", [1, 3])
 def test_gru_step_bitwise_equals_unfused_chain(n_mats):
     # the dense GRUs mix by the identity alone; a graph GRU adds matrices
-    operands = _gru_operands(n_mats, 6, 2, 3, 100)
-    expected = unfused_gru_step(*operands).data
+    operands, chain = _gru_operands(n_mats, 6, 2, 3, 100)
+    expected = unfused_gru_step(*chain).data
     np.testing.assert_array_equal(tc.gru_step(*operands).data, expected)
-    operands = _gru_operands(n_mats, 6, 2, 3, 100, requires_grad=True)
+    operands, chain = _gru_operands(n_mats, 6, 2, 3, 100, requires_grad=True)
     with Tape():
         np.testing.assert_array_equal(tc.gru_step(*operands).data, expected)
 
@@ -125,21 +134,30 @@ def _leaf_grads(step, operands, leaves, weights):
 
 
 def test_gru_step_gradients_match_unfused_chain():
-    operands = _gru_operands(3, 6, 2, 3, 110, requires_grad=True)
-    mats, x, h, update_reset, zr_b, cand, c_b = operands
-    leaves, weights = [x, h, zr_b, c_b, *update_reset, *cand, *mats[1:]], rand((6, 3), 119)
-    for fused, plain in zip(_leaf_grads(tc.gru_step, operands, leaves, weights),
-                            _leaf_grads(unfused_gru_step, operands, leaves, weights)):
+    # each joined weight's and the joined bias's adjoint is the chain's
+    # per-gate adjoints, concatenated
+    operands, chain = _gru_operands(3, 6, 2, 3, 110, requires_grad=True)
+    mats, x, h, joined, bias = operands
+    gates, biases = chain[3], chain[4]
+    out_weights = rand((6, 3), 119)
+    fused = _leaf_grads(tc.gru_step, operands, [x, h, bias, *joined, *mats[1:]], out_weights)
+    plain = _leaf_grads(unfused_gru_step, chain, [x, h, *biases, *sum(gates, []), *mats[1:]],
+                        out_weights)
+    # the bias's three blocks, then each matrix's three weight blocks
+    blocks = plain[2:14]
+    plain = [*plain[:2], *[np.concatenate(blocks[i:i + 3], axis=-1) for i in range(0, 12, 3)],
+             *plain[14:]]
+    assert len(fused) == len(plain) == 8
+    for fused, plain in zip(fused, plain):
         np.testing.assert_allclose(fused, plain, rtol=0, atol=1e-14 * np.abs(plain).max())
 
 
-def gru_step_loop(steps, h0, update_reset, update_reset_bias, cand, cand_bias, first=0):
+def gru_step_loop(steps, h0, weight, bias, first=0):
     # the records an encoder pass took before gru_sequence fused it: one
     # gru_step per constant step, the states from `first` on stacked
     h, states = h0, []
     for x_t in steps:
-        h = tc.gru_step([None], Tensor(x_t), h, [update_reset], update_reset_bias,
-                        [cand], cand_bias)
+        h = tc.gru_step([None], Tensor(x_t), h, [weight], bias)
         states.append(tc.reshape(h, (1, *h.shape)))
     return tc.concat(states[first:], axis=0)
 
@@ -147,11 +165,10 @@ def gru_step_loop(steps, h0, update_reset, update_reset_bias, cand, cand_bias, f
 def _sequence_operands(n_steps, rows, d_x, d_h, seed, requires_grad=False):
     steps = rand((n_steps, rows, d_x), seed).data
     h0 = rand((rows, d_h), seed + 1, -1.0, 1.0)
-    zr, zr_b = rand((d_x + d_h, 2 * d_h), seed + 2, -0.5, 0.5), rand((2 * d_h,), seed + 3)
-    c, c_b = rand((d_x + d_h, d_h), seed + 4, -0.5, 0.5), rand((d_h,), seed + 5)
-    for t in (h0, zr, zr_b, c, c_b):
+    weight, bias = rand((d_x + d_h, 3 * d_h), seed + 2, -0.5, 0.5), rand((3 * d_h,), seed + 3)
+    for t in (h0, weight, bias):
         t.requires_grad = requires_grad
-    return steps, h0, zr, zr_b, c, c_b
+    return steps, h0, weight, bias
 
 
 @pytest.mark.parametrize("first", [0, 3, 6])
@@ -180,25 +197,27 @@ def test_gru_sequence_gradients_match_gru_step_loop(first):
 
 
 def test_gru_sequence_shape_mismatch():
-    steps, h0, zr, zr_b, c, c_b = _sequence_operands(4, 6, 2, 3, 190)
+    steps, h0, weight, bias = _sequence_operands(4, 6, 2, 3, 190)
     with pytest.raises(tc.ShapeError, match=r"\[T,rows,d\].*\[4, 6, 2\] and \[5, 3\]"):
-        tc.gru_sequence(steps, rand((5, 3), 1), zr, zr_b, c, c_b)
+        tc.gru_sequence(steps, rand((5, 3), 1), weight, bias)
     with pytest.raises(tc.ShapeError, match=r"\[T,rows,d\].*\[6, 2\]"):
-        tc.gru_sequence(steps[0], h0, zr, zr_b, c, c_b)
+        tc.gru_sequence(steps[0], h0, weight, bias)
     for first in (-1, 4):
         with pytest.raises(tc.ShapeError, match=f"first state {first} out of range for 4"):
-            tc.gru_sequence(steps, h0, zr, zr_b, c, c_b, first=first)
-    with pytest.raises(tc.ShapeError, match=r"width mismatch.*\[5, 6\], got \[4, 6\]"):
-        tc.gru_sequence(steps, h0, rand((4, 6), 1), zr_b, c, c_b)
-    with pytest.raises(tc.ShapeError, match=r"gru_sequence candidate bias must be \[3\]"):
-        tc.gru_sequence(steps, h0, zr, zr_b, c, rand((6,), 1))
+            tc.gru_sequence(steps, h0, weight, bias, first=first)
+    with pytest.raises(tc.ShapeError, match=r"width mismatch.*\[5, 9\], got \[4, 9\]"):
+        tc.gru_sequence(steps, h0, rand((4, 9), 1), bias)
+    with pytest.raises(tc.ShapeError, match=r"width mismatch.*\[5, 9\], got \[5, 6\]"):
+        tc.gru_sequence(steps, h0, rand((5, 6), 1), bias)
+    with pytest.raises(tc.ShapeError, match=r"gru_sequence bias must be \[9\]"):
+        tc.gru_sequence(steps, h0, weight, rand((6,), 1))
 
 
 def test_gate_sum_mixes_each_batch_element():
     # rows are node-minor: row b*3 + n is node n of batch element b; weights
     # 0 on the identity and I on adj reduce the gate sum to M x
     adj, x = rand((3, 3), 2), rand((6, 4), 3)
-    weights, bias = [Tensor(np.zeros((4, 4))), Tensor(np.eye(4))], Tensor(np.zeros(4))
+    weights, bias = [np.zeros((4, 4)), np.eye(4)], np.zeros(4)
     out = tc._gate_sum([None, adj], x.data, weights, bias)
     assert out.shape == (6, 4)
     for b in range(2):
@@ -214,36 +233,38 @@ def test_gate_sum_is_term_by_term_sum_then_bias():
     for mat, w in zip(mats[1:], weights[1:]):
         mixed = np.concatenate([mat.data @ x.data[rows] for rows in (slice(0, 3), slice(3, 6))])
         expected = expected + mixed @ w.data
-    out = tc._gate_sum(mats, x.data, weights, bias)
+    out = tc._gate_sum(mats, x.data, [w.data for w in weights], bias.data)
     np.testing.assert_array_equal(out, expected + bias.data)
 
 
 def test_gate_sum_shape_mismatch():
-    mats, x, h, zr, zr_b, cand, c_b = _gru_operands(2, 6, 2, 3, 120)
+    (mats, x, h, weights, bias), _ = _gru_operands(2, 6, 2, 3, 120)
     with pytest.raises(tc.ShapeError, match=r"\[3, 4\] and 6 rows"):
-        tc.gru_step([None, rand((3, 4), 0)], x, h, zr, zr_b, cand, c_b)
+        tc.gru_step([None, rand((3, 4), 0)], x, h, weights, bias)
     with pytest.raises(tc.ShapeError, match=r"\[3, 3\] and 8 rows"):
-        tc.gru_step(mats, rand((8, 2), 1), rand((8, 3), 2), zr, zr_b, cand, c_b)
+        tc.gru_step(mats, rand((8, 2), 1), rand((8, 3), 2), weights, bias)
     with pytest.raises(tc.ShapeError, match="identity"):
-        tc.gru_step(mats[::-1], x, h, zr, zr_b, cand, c_b)
+        tc.gru_step(mats[::-1], x, h, weights, bias)
     with pytest.raises(tc.ShapeError, match="one weight per matrix"):
-        tc.gru_step(mats, x, h, zr, zr_b, cand[:1], c_b)
-    with pytest.raises(tc.ShapeError, match=r"candidate weights \[5, 3\], got \[5, 2\]"):
-        tc.gru_step(mats, x, h, zr, zr_b, [cand[0], rand((5, 2), 3)], c_b)
-    with pytest.raises(tc.ShapeError, match=r"update/reset bias must be \[6\]"):
-        tc.gru_step(mats, x, h, zr, c_b, cand, c_b)
+        tc.gru_step(mats, x, h, weights[:1], bias)
+    with pytest.raises(tc.ShapeError, match=r"weights \[5, 9\], got \[5, 6\]"):
+        tc.gru_step(mats, x, h, [weights[0], rand((5, 6), 3)], bias)
+    with pytest.raises(tc.ShapeError, match=r"gru_step bias must be \[9\]"):
+        tc.gru_step(mats, x, h, weights, rand((6,), 5))
     with pytest.raises(tc.ShapeError, match=r"\[6, 2\] and \[4, 3\]"):
-        tc.gru_step(mats, x, rand((4, 3), 4), zr, zr_b, cand, c_b)
+        tc.gru_step(mats, x, rand((4, 3), 4), weights, bias)
 
 
 def test_gate_halves_are_update_left_reset_right():
-    # [z | r] = sigmoid([x, h] W + b): z mixes the state, r gates it
-    _, x, h, zr_w, zr_b, cand, c_b = _gru_operands(1, 4, 2, 3, 130)
+    # [z | r] = sigmoid([x, h] [W_z | W_r] + [b_z | b_r]): z mixes the
+    # state, r gates it; c = tanh([x, r h] W_c + b_c) from the last third
+    (_, x, h, weights, bias), _ = _gru_operands(1, 4, 2, 3, 130)
+    w, b = weights[0].data, bias.data
     xh = np.concatenate([x.data, h.data], axis=1)
-    zr = 1.0 / (1.0 + np.exp(-(xh @ zr_w[0].data + zr_b.data)))
+    zr = 1.0 / (1.0 + np.exp(-(xh @ w[:, :6] + b[:6])))
     z, r = zr[:, :3], zr[:, 3:]
-    c = np.tanh(np.concatenate([x.data, r * h.data], axis=1) @ cand[0].data + c_b.data)
-    np.testing.assert_array_equal(tc.gru_step([None], x, h, zr_w, zr_b, cand, c_b).data,
+    c = np.tanh(np.concatenate([x.data, r * h.data], axis=1) @ w[:, 6:] + b[6:])
+    np.testing.assert_array_equal(tc.gru_step([None], x, h, weights, bias).data,
                                   (h.data - z * h.data) + z * c)
 
 
@@ -257,7 +278,7 @@ def test_gru_step_keeps_no_mix_or_operand_on_a_tape(monkeypatch):
         out := node_mix(*a))) or out)
     monkeypatch.setattr(tc, "_gate_sum", lambda mats, xd, *a: operands.append(
         weakref.ref(xd)) or gate_sum(mats, xd, *a))
-    step = _gru_operands(2, 6, 2, 3, 140, requires_grad=True)
+    step, _ = _gru_operands(2, 6, 2, 3, 140, requires_grad=True)
     tc.gru_step(*step)
     assert len(mixes) == 2 and len(operands) == 2
     assert all(ref() is None for ref in mixes + operands)
@@ -272,7 +293,7 @@ def test_gru_step_keeps_no_mix_or_operand_on_a_tape(monkeypatch):
 
 def _kept_bytes(n_mats, rows=256, d_x=16, d_h=16):
     # bytes a taped gru_step allocates and keeps while its tape is alive
-    operands = _gru_operands(n_mats, rows, d_x, d_h, 150, requires_grad=True)
+    operands, _ = _gru_operands(n_mats, rows, d_x, d_h, 150, requires_grad=True)
     # [32, 32] matrices, so that they tile the rows
     operands[0][1:] = [rand((32, 32), 151 + k, 0.0, 1.0) for k in range(1, n_mats)]
     for t in operands[0][1:]:
@@ -332,17 +353,17 @@ def test_untaped_gru_sequence_lets_go_of_its_initial_state(monkeypatch):
         return gate_sum(mats, xd, weights, bias)
 
     monkeypatch.setattr(tc, "_gate_sum", spy)
-    steps, h0, zr, zr_b, c, c_b = _sequence_operands(4, 6, 2, 3, 201, requires_grad=True)
+    steps, h0, weight, bias = _sequence_operands(4, 6, 2, 3, 201, requires_grad=True)
     for taped, first in ((False, 0), (False, 2), (True, 0)):
         # the state is passed straight from the list, so only the call holds it
         held = [Tensor(h0.data.copy())]
         h0_data = weakref.ref(held[0].data)
         del alive[:]
         with Tape() if taped else contextlib.nullcontext():
-            out = tc.gru_sequence(steps, held.pop(), zr, zr_b, c, c_b, first)
+            out = tc.gru_sequence(steps, held.pop(), weight, bias, first)
             assert alive == [taped] * 8
         np.testing.assert_array_equal(
-            out.data, tc.gru_sequence(steps, h0, zr, zr_b, c, c_b, first).data)
+            out.data, tc.gru_sequence(steps, h0, weight, bias, first).data)
 
 
 def _unfused_scores(h, window, w1, b, w2, v):
@@ -810,7 +831,8 @@ def test_constant_operands_get_no_gradient_product(monkeypatch):
     # the adjoint is mixed by M_k^T through np.matmul of the [n, n] matrix:
     # a constant matrix gets no such product, and an adjoint is mixed only
     # for an operand that needs it (not for constant weights, state or x)
-    mats, x, h, zr, zr_b, cand, c_b = _gru_operands(2, 6, 2, 3, 160)
+    operands, chain = _gru_operands(2, 6, 2, 3, 160)
+    mats, x, h, weights, bias = operands
     w = rand((6, 3), 161)
     products, mixes, matmul = [], [], np.matmul
 
@@ -822,7 +844,7 @@ def test_constant_operands_get_no_gradient_product(monkeypatch):
         # the gru_step record's adjoints with only `variable` variable
         variable.requires_grad = True
         with Tape() as tape:
-            tc.gru_step(mats, x, h, zr, zr_b, cand, c_b)
+            tc.gru_step(*operands)
         del products[:], mixes[:]
         with monkeypatch.context() as patch:
             patch.setattr(np, "matmul", spy)
@@ -833,20 +855,21 @@ def test_constant_operands_get_no_gradient_product(monkeypatch):
     g = step_grads(x)  # x's adjoint needs one mix per gate
     assert g[0] is not None and all(t is None for t in g[1:])
     assert products == [] and len(mixes) == 2
-    g = step_grads(c_b)  # the candidate bias needs neither
-    assert g[5] is not None and sum(t is not None for t in g) == 1
-    assert products == [] and mixes == []
+    # the bias needs no product, and one mix per matrix: its reset block's
+    # adjoint reads r h's, which the candidate sum's operand adjoint gives
+    g = step_grads(bias)
+    assert g[2] is not None and sum(t is not None for t in g) == 1
+    assert products == [] and len(mixes) == 1
     g = step_grads(mats[1])  # a variable matrix: one product per gate
     assert g[-1] is not None and len(products) == 2
 
     x.requires_grad = True
     with Tape() as tape:
-        backward(tc.reduce_sum(tc.mul(tc.gru_step(mats, x, h, zr, zr_b, cand, c_b), w)), tape)
+        backward(tc.reduce_sum(tc.mul(tc.gru_step(*operands), w)), tape)
     fused = x.grad.copy()
     x.grad = None
     with Tape() as tape:
-        backward(tc.reduce_sum(tc.mul(unfused_gru_step(mats, x, h, zr, zr_b, cand, c_b), w)),
-                 tape)
+        backward(tc.reduce_sum(tc.mul(unfused_gru_step(*chain), w)), tape)
     np.testing.assert_allclose(fused, x.grad, rtol=0, atol=1e-14)
 
     # attention with only the query variable: no bank or weight products
@@ -1030,9 +1053,11 @@ def test_dgcgru_cell_mixes_each_input_once_per_matrix(monkeypatch):
     assert [_op(rec) for rec in tape.records] == ["gru_step"]
     assert len(mixed) == 4 * cfg.K
     # the two inputs gru_step forms: [x, h], then [x, r*h] with r the
-    # right half of sigmoid(G_zr [x, h])
+    # right half of sigmoid(G_zr [x, h]), G_zr over the first 2 d_h columns
+    zr_cols = slice(None, 2 * cfg.d_h)
     zr = tc.sigmoid(unfused_gate_sum(gates.mats, tc.concat([x, h], axis=1),
-                                     gates.update_reset, gates.update_reset_bias)).data
+                                     [Tensor(w.data[:, zr_cols]) for w in gates.weights],
+                                     Tensor(gates.bias.data[zr_cols]))).data
     inner = [np.concatenate([x.data, h.data], axis=1),
              np.concatenate([x.data, zr[:, cfg.d_h:] * h.data], axis=1)]
     for rows, calls in zip(inner, (mixed[:2 * cfg.K], mixed[2 * cfg.K:])):
@@ -1045,6 +1070,25 @@ def _eight_steps(cell, gates, x, h):
         for _ in range(8):
             h = cell(gates, x, h)
     return [_op(rec) for rec in tape.records]
+
+
+@pytest.mark.parametrize("no_pre, no_adp, records", [
+    (False, False, 14), (True, False, 7), (False, True, 7), (True, True, 18)])
+def test_dgc_terms_joins_and_folds_each_hop_once(no_pre, no_adp, records):
+    # at K=2 per active branch: 3 hop joins [W_z | W_r | W_c] and 3 scales,
+    # then one sum of the identity hops when both branches are on, and the
+    # bias join; with both off, both branches' 6 hops stand in for the
+    # identity (5 sums). An off branch joins no hops. Folding each gate
+    # apart took 27, 13 and 35 records.
+    cfg = ModelConfig(d_h=4, d_e=2, n_head=2, K=2, no_pre=no_pre, no_adp=no_adp)
+    state = init_model(cfg, 3, 1, seed=0)
+    pre = [] if no_pre else pre_mix_mats(np.full((3, 3), 1.0 / 3), cfg)
+    adp = [] if no_adp else adaptive_mix_mats(state.embeddings(), cfg)
+    with Tape() as tape:
+        gates = dgc_terms(state, pre, adp)
+    assert len(tape) == records
+    assert len(gates.weights) == len(gates.mats) == 1 + len(pre[1:]) + len(adp[1:])
+    assert all(w.shape == (2 * cfg.d_h, 3 * cfg.d_h) for w in gates.weights)
 
 
 def test_dense_gru_cell_records_eight():
@@ -1205,9 +1249,11 @@ def test_adaptive_mix_mats_records_do_not_grow_with_heads():
 # when a GRU step took 8 records and attention 4, and 159 with one record
 # per GRU step and per attention step, and 123 with one record per
 # encoder pass. Stacking the forecast with one concat, reshape and
-# transpose instead of a reshape per step makes it 113; the budget allows
-# 4% more. The count does not depend on widths, node count or batch size.
-FUSED_STEP_RECORDS = 117
+# transpose instead of a reshape per step makes it 113, and one weight
+# [W_z | W_r | W_c] per mixing matrix, with each DGC hop folded once for
+# all three gates, 100; the budget allows 4% more. The count does not
+# depend on widths, node count or batch size.
+FUSED_STEP_RECORDS = 104
 
 
 def test_forward_and_loss_record_budget_at_default_windows():
