@@ -32,8 +32,10 @@ is one `gru_step` record, each encoder pass one `gru_sequence` record,
 and every attention step one `additive_attention` record: the window read
 out of the bank, the scores of every window offset over every block
 against one query, the softmax per node, the pooled context and the
-residual add. A GRU record keeps only its gates, never the mixes
-M_k [x, h] or M_k [x, r*h]: its backward mixes the adjoint by each M_k^T.
+residual add. A GRU record never keeps the mixes M_k [x, h] or
+M_k [x, r*h]: its backward mixes the adjoint by each M_k^T. A decoder
+step's record keeps its gates; an encoder pass keeps only its states,
+and its backward recomputes each step's gates from them.
 On a tape the attention keys W2 h_p are formed once per forward, one
 product per bank state, and shared by every attention record; a record
 keeps no tanh output and recomputes them from the keys in its backward.

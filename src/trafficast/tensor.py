@@ -468,11 +468,13 @@ def _node_mix(adj: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(adj, x.reshape(-1, adj.shape[0], x.shape[1])).reshape(x.shape)
 
 
-def _gate_sum(mats, xd: np.ndarray, weights, bias: np.ndarray) -> np.ndarray:
-    """sum_k (M_k xd) W_k + b, summed in place in k order, then b added.
-    mats[0] is None, the identity; the weights and bias are arrays (column
-    blocks of the joined ones). Each mix M_k xd is dropped once summed."""
-    out = xd @ weights[0]
+def _gate_sum(mats, xd: np.ndarray, weights, bias: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """sum_k (M_k xd) W_k + b, summed in place in k order, then b added,
+    into `out` when given. mats[0] is None, the identity; the weights and
+    bias are arrays (column blocks of the joined ones). Each mix M_k xd is
+    dropped once summed."""
+    out = np.matmul(xd, weights[0], out=out)
     for mat, w in zip(mats[1:], weights[1:]):
         out += _node_mix(mat.data, xd) @ w
     out += bias
@@ -515,24 +517,45 @@ def _gate_sum_grad(g, mats, xd: np.ndarray, weights, cols: slice, g_weights, g_b
     return g_x
 
 
-def _gru_forward(mats, xd: np.ndarray, hd: np.ndarray, weights, bias: Tensor,
-                 buf: np.ndarray, out: Optional[np.ndarray] = None):
+def _gate_views(weights, bias: Tensor, d_h: int) -> tuple:
+    """The column views each gate sum reads of the joined weights and bias:
+    ([z | r] weights, [z | r] bias, candidate weights, candidate bias)."""
+    zr_cols, c_cols = slice(None, 2 * d_h), slice(2 * d_h, None)
+    return ([w.data[:, zr_cols] for w in weights], bias.data[zr_cols],
+            [w.data[:, c_cols] for w in weights], bias.data[c_cols])
+
+
+def _gru_gates(mats, xd: np.ndarray, hd: np.ndarray, views, buf: np.ndarray,
+               gates: Optional[tuple] = None) -> tuple:
+    """One GRU step's gates [z | r] = sigmoid(G_zr [x, h]) and
+    c = tanh(G_c [x, r h]), over the column views of _gate_views.
+
+    The operand buffer buf [rows, d_x + d_h] holds [x, h], then [x, r h]
+    in place, which it still holds on return. The gates are written into
+    `gates`, a [rows, 2 d_h] and a [rows, d_h] buffer, when given.
+    """
+    zr_w, zr_b, c_w, c_b = views
+    zr_out, c_out = gates or (None, None)
+    d_x, d_h = xd.shape[1], hd.shape[1]
+    buf[:, :d_x], buf[:, d_x:] = xd, hd
+    zr = _gate_sum(mats, buf, zr_w, zr_b, zr_out)
+    _sigmoid(zr, out=zr)
+    buf[:, d_x:] *= zr[:, d_h:]  # now [x, r h]
+    c = _gate_sum(mats, buf, c_w, c_b, c_out)
+    np.tanh(c, out=c)
+    return zr, c
+
+
+def _gru_forward(mats, xd: np.ndarray, hd: np.ndarray, views, buf: np.ndarray,
+                 out: Optional[np.ndarray] = None, gates: Optional[tuple] = None):
     """One GRU step's arithmetic, shared by gru_step and gru_sequence.
 
-    Returns (h', [z | r], c). Each gate sum reads its columns of the joined
-    weights and bias as views, and the operand buffer buf
-    [rows, d_x + d_h]: [x, h], then [x, r h] in place; its h half then
-    holds z h and z c. h' is written to `out` when given, which may be hd.
+    Returns (h', [z | r], c): _gru_gates, then the mix (h - z h) + z c,
+    formed in the h half of buf (z h, then z c). h' is written to `out`
+    when given, which may be hd.
     """
-    d_x, d_h = xd.shape[1], hd.shape[1]
-    zr_cols, c_cols = slice(None, 2 * d_h), slice(2 * d_h, None)
-    buf[:, :d_x], buf[:, d_x:] = xd, hd
-    zr = _gate_sum(mats, buf, [w.data[:, zr_cols] for w in weights], bias.data[zr_cols])
-    _sigmoid(zr, out=zr)
-    z, r, half = zr[:, :d_h], zr[:, d_h:], buf[:, d_x:]
-    half *= r  # now [x, r h]
-    c = _gate_sum(mats, buf, [w.data[:, c_cols] for w in weights], bias.data[c_cols])
-    np.tanh(c, out=c)
+    zr, c = _gru_gates(mats, xd, hd, views, buf, gates)
+    z, half = zr[:, :hd.shape[1]], buf[:, xd.shape[1]:]
     out = np.subtract(hd, np.multiply(z, hd, out=half), out=out)
     out += np.multiply(z, c, out=half)
     return out, zr, c
@@ -544,8 +567,8 @@ def _gru_grad(g, need_x: bool, need_h: bool, mats, xd, hd, zr, c, weights, bias:
     gru_step's input order: x, h, the bias, the weights, the matrices after
     the identity. The two gate sums write their column blocks of each
     weight's and of the bias's one adjoint in place. Reads only the step's
-    inputs and gates: the operand is rebuilt in buf, [x, r h] for the
-    candidate sum and then [x, h] in place.
+    inputs and gates, and buf, which must hold the candidate sum's operand
+    [x, r h] on entry, as _gru_gates leaves it; it then holds [x, h].
     """
     d_x, d_h = xd.shape[1], hd.shape[1]
     zr_cols, c_cols = slice(None, 2 * d_h), slice(2 * d_h, None)
@@ -556,8 +579,6 @@ def _gru_grad(g, need_x: bool, need_h: bool, mats, xd, hd, zr, c, weights, bias:
     z, r = zr[:, :d_h], zr[:, d_h:]
     g_c = g * z
     g_c *= 1.0 - c * c
-    buf[:, :d_x], buf[:, d_x:] = xd, hd
-    buf[:, d_x:] *= r  # now [x, r h]
     g_xrh = _gate_sum_grad(g_c, mats, buf, weights, c_cols, g_w, g_b, need_xrh, g_mats)
     g_h = g - g * z if need_h else None
     g_x = None
@@ -623,12 +644,16 @@ def gru_step(mats: Sequence[Optional[Tensor]], x: Tensor, h: Tensor,
     _check_gates("gru_step", x.shape[1], h.shape[1], weights, bias)
 
     inputs = (x, h, bias, *weights, *mats[1:])
-    width = x.shape[1] + h.shape[1]
-    out, zr, c = _gru_forward(mats, x.data, h.data, weights, bias, np.empty((rows, width)))
+    (_, d_x), d_h = x.shape, h.shape[1]
+    out, zr, c = _gru_forward(mats, x.data, h.data, _gate_views(weights, bias, d_h),
+                              np.empty((rows, d_x + d_h)))
 
     def bwd(g):
+        buf = np.empty((rows, d_x + d_h))
+        buf[:, :d_x], buf[:, d_x:] = x.data, h.data
+        buf[:, d_x:] *= zr[:, d_h:]  # [x, r h], rebuilt from the kept r
         return _gru_grad(g, x.requires_grad, h.requires_grad, mats, x.data, h.data, zr, c,
-                         weights, bias, np.empty((rows, width)))
+                         weights, bias, buf)
 
     return _emit(inputs, out, bwd)
 
@@ -643,17 +668,21 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, weight: Tensor, bias: Tensor,
     gru_step calls. Returns the states h_first .. h_{T-1} as one
     [T - first, rows, d_h] tensor.
 
-    On a tape the record keeps every state and each step's gates [z | r]
-    and c, never the [x, h] or [x, r h] operands: its backward rebuilds
-    them, one step at a time, from the constant steps and the kept states.
-    That backward is backpropagation through time in a loop inside the
-    record; it and the forward each build every step's operand in one
-    buffer. Without a tape no gate and no state before `first` is kept,
-    and h0 is held only until it is copied into the first state's slot.
+    On a tape the record keeps only the states, no gate and no [x, h] or
+    [x, r h] operand. Its backward is backpropagation through time in a
+    loop inside the record: just before it forms step t's adjoints, it
+    recomputes that step's gates from the constant step x_t and the kept
+    state h_{t-1} (h0 at t = 0) with the forward's own arithmetic, so they
+    are bitwise the forward's, and reads the candidate sum's operand
+    [x, r h] that the recompute leaves in its buffer. The forward and the
+    backward each allocate one operand buffer and one pair of gate
+    buffers, which every step reuses. Without a tape no state before
+    `first` is kept either, and h0 is held only until it is copied into
+    the first state's slot.
 
     Without a tape the states may be written into `out` [T - first, rows,
     d_h], whose first slot may be h0 itself; then the pass allocates no
-    state, only its operand buffer and each step's gates.
+    state, only its operand and gate buffers.
     """
     xs = np.asarray(steps, dtype=np.float64)
     if xs.ndim != 3 or h0.data.ndim != 2 or xs.shape[1] != h0.shape[0]:
@@ -667,33 +696,38 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, weight: Tensor, bias: Tensor,
 
     inputs = (h0, bias, weight)
     requires_grad = any(t.requires_grad for t in inputs)
-    buf = np.empty((rows, d_x + d_h))
-    if not requires_grad or _active_tape() is None:
-        # untaped: h0 is copied into slot 0 and let go, so step 0 runs in
-        # place and no step runs beside h0; every state before `first` is
-        # written over slot 0 in place too, and a step's gates are gone
-        # before the next step runs
-        states = np.empty((n_steps - first, rows, d_h)) if out is None else out
+    taped = requires_grad and _active_tape() is not None
+    if taped and out is not None:
+        raise ValueError("gru_sequence writes its states into `out` only without a tape")
+    # a taped pass keeps every state for its backward; an untaped one
+    # writes every state before `first` over slot 0 in place
+    lead = 0 if taped else first
+    states = np.empty((n_steps - lead, rows, d_h)) if out is None else out
+    hd = h0.data
+    if not taped:
+        # h0 is copied into slot 0 and let go, so step 0 runs in place and
+        # no step runs beside h0
         hd = states[0]
         hd[...] = h0.data
         del h0, inputs
-        for t in range(n_steps):
-            hd = _gru_forward(mats, xs[t], hd, weights, bias, buf,
-                              out=states[max(t - first, 0)])[0]
+    views = _gate_views(weights, bias, d_h)
+
+    def buffers():
+        # one operand buffer and the [z | r] and c gates, reused by every step
+        return (np.empty((rows, d_x + d_h)),
+                (np.empty((rows, 2 * d_h)), np.empty((rows, d_h))))
+
+    buf, gates = buffers()
+    for t in range(n_steps):
+        hd = _gru_forward(mats, xs[t], hd, views, buf, states[max(t - lead, 0)], gates)[0]
+    if not taped:
         result = Tensor(states)
         result.requires_grad = requires_grad
         return result
-    if out is not None:
-        raise ValueError("gru_sequence writes its states into `out` only without a tape")
-    states = np.empty((n_steps, rows, d_h))
-    gates = []
-    hd = h0.data
-    for t in range(n_steps):
-        hd, zr, c = _gru_forward(mats, xs[t], hd, weights, bias, buf, out=states[t])
-        gates.append((zr, c))
 
     def bwd(g):
-        carry, sums, buf = None, None, np.empty((rows, d_x + d_h))
+        carry, sums = None, None
+        buf, gates = buffers()
         for t in range(n_steps - 1, -1, -1):
             if t < first:
                 g_t = carry
@@ -702,7 +736,7 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, weight: Tensor, bias: Tensor,
             else:
                 g_t = g[t - first] + carry
             hd = states[t - 1] if t else h0.data
-            zr, c = gates[t]
+            zr, c = _gru_gates(mats, xs[t], hd, views, buf, gates)  # buf: [x, r h]
             _, carry, *grads = _gru_grad(g_t, False, t > 0 or h0.requires_grad, mats, xs[t],
                                          hd, zr, c, weights, bias, buf)
             if sums is None:

@@ -11,6 +11,7 @@ from trafficast import tensor as tc
 from trafficast.data import DataError, DatasetSpec
 from trafficast.graph import GraphSpec, NodeEmbeddings, build_predefined, init_embeddings, row_normalize
 from trafficast.model import (
+    GATES,
     AttentionParams,
     GruGates,
     ModelConfig,
@@ -31,7 +32,7 @@ from trafficast.model import (
 from trafficast.tensor import ShapeError, Tape, Tensor, backward, finite_diff_check
 
 import reference_model
-from test_tensor import unfused_gate_sum
+from test_tensor import _op, unfused_gate_sum
 
 
 def _toy_cfg(**kw):
@@ -651,27 +652,31 @@ def test_forward_deterministic():
 
 # --- reference forward -------------------------------------------------------------
 
-@pytest.mark.parametrize("kw", [
-    {},
-    dict(n_head=8, K=3),
-    dict(no_pre=True),
-    dict(no_adp=True),
-    dict(no_pre=True, no_adp=True),
-    dict(no_window=True),
-    dict(no_period=True),
-    dict(order="dgc_then_attention"),
-    dict(d_count=2, w_count=3),
-    dict(Q=1),
-    dict(S=0),
-    dict(P=2, S=2),
-], ids=["toy", "8heads_K3", "no_pre", "no_adp", "no_graph", "no_window", "no_period",
-        "dgc_first", "d2_w3", "Q1", "S0", "P_eq_S"])
-def test_forward_matches_numpy_reference(kw):
+# configurations of the toy model whose forward and gradients are pinned,
+# each changed from _toy_cfg(Q=4) by the given fields
+REFERENCE_CONFIGS = {
+    "toy": {},
+    "8heads_K3": dict(n_head=8, K=3),
+    "no_pre": dict(no_pre=True),
+    "no_adp": dict(no_adp=True),
+    "no_graph": dict(no_pre=True, no_adp=True),
+    "no_window": dict(no_window=True),
+    "no_period": dict(no_period=True),
+    "dgc_first": dict(order="dgc_then_attention"),
+    "d2_w3": dict(d_count=2, w_count=3),
+    "Q1": dict(Q=1),
+    "S0": dict(S=0),
+    "P_eq_S": dict(P=2, S=2),
+}
+
+
+@pytest.mark.parametrize("config", list(REFERENCE_CONFIGS))
+def test_forward_matches_numpy_reference(config):
     # the plain-numpy loops of tests/reference_model.py, from the same
     # parameters, agree to rounding; the forward-only pass, which streams
     # the block pass through a window of 2S+1 states, gives predictions and
     # attention weights bitwise those of a taped one, which reads the bank
-    cfg = _toy_cfg(**{"Q": 4, **kw})
+    cfg = _toy_cfg(**{"Q": 4, **REFERENCE_CONFIGS[config]})
     state = init_model(cfg, 4, 2, seed=40)
     r, d, w, _ = _toy_batch(cfg, c=2, seed=41)
     a_pre = _ring_adjacency(4)
@@ -714,6 +719,25 @@ def test_untaped_forward_peak_does_not_grow_with_horizon():
     # states (batch 8 x 32 nodes x 2 blocks x d_h 64)
     block_state = 8 * 32 * 2 * 64 * 8
     assert abs(_untaped_forward_peak(24) - _untaped_forward_peak(12)) < block_state
+
+
+def test_taped_encode_keeps_about_its_states():
+    # on a tape each encoder pass keeps only its states, for the R window
+    # and every block: each step's [z | r] and c would add three times those
+    cfg = ModelConfig(d_h=64, d_e=2, n_head=2, P=12, Q=12, S=3)
+    r, d, w, _ = _toy_batch(cfg, b=8, n=32)
+    state = init_model(cfg, 32, 1, seed=0)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            h, bank = encode(state, r, d, w)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [_op(rec) for rec in tape.records].count("gru_sequence") == 2
+    states = h.data.base.nbytes + bank.data.base.nbytes
+    assert states == (cfg.P + 2 * cfg.block_len) * 8 * 32 * cfg.d_h * 8
+    assert kept <= 1.5 * states
 
 
 # --- full-model gradient checks ---------------------------------------------------
@@ -762,6 +786,40 @@ def test_full_model_gradients_at_horizon(q):
     ]
     worst = _check_param_coords(state, names, 2, r, d, w, y, _ring_adjacency(4), tol=1e-4)
     assert worst <= 1e-4
+
+
+# the parameters a reference configuration's switches cut out of the
+# backward: an off branch's hops and, with the adaptive branch off, the
+# embeddings; with both graph branches off every hop stands in for an
+# identity adjacency and still gets a gradient
+_EMBEDDINGS = {"embed.e1", "embed.e2"}
+_HOPS = {branch: {f"dgc.{gate}.{branch}.hop{k}" for gate in GATES for k in range(3)}
+         for branch in ("pre", "adp")}
+_GRAD_FREE = {
+    "no_pre": _HOPS["pre"],
+    "no_adp": _HOPS["adp"] | _EMBEDDINGS,
+    "no_graph": _EMBEDDINGS,
+    "no_period": {"attn.w1", "attn.w2", "attn.b", "attn.v"},
+}
+
+
+@pytest.mark.parametrize("config", list(REFERENCE_CONFIGS))
+def test_full_model_gradients_on_every_reference_config(config):
+    # on every configuration whose forward is pinned, every parameter that
+    # gets a gradient is checked at 2 coordinates, and exactly the
+    # parameters the configuration's switches cut out get none
+    cfg = _toy_cfg(**{"Q": 4, **REFERENCE_CONFIGS[config]})
+    state = init_model(cfg, 4, 2, seed=40)
+    r, d, w, y = _toy_batch(cfg, c=2, seed=41)
+    a_pre = _ring_adjacency(4)
+    with Tape() as tape:
+        backward(_model_loss(state, r, d, w, y, a_pre), tape)
+    free = {name for name, t in state.params.items() if t.grad is None}
+    assert free == _GRAD_FREE.get(config, set())
+    for t in state.params.values():
+        t.zero_grad()
+    names = [name for name in state.params if name not in free]
+    _check_param_coords(state, names, 2, r, d, w, y, a_pre, tol=1e-4)
 
 
 def test_full_model_gradients_alternate_order():

@@ -316,17 +316,18 @@ def test_gru_step_keeps_the_same_bytes_for_any_number_of_matrices():
     assert abs(_kept_bytes(5) - _kept_bytes(1)) < gate_bytes
 
 
-def test_gru_sequence_keeps_gates_only_on_a_tape(monkeypatch):
-    # a taped pass keeps every state and each step's gates for its
-    # backward, never the [x, h] or [x, r*h] operands of the gate sums; an
-    # untaped one keeps no gate and no state before `first`
+def test_gru_sequence_keeps_no_gate_taped_or_not(monkeypatch):
+    # every gate sum's output and its [x, h] or [x, r*h] operand are
+    # dropped by the end of the call, taped or not: a taped pass keeps only
+    # its states, and its backward recomputes both gate sums of every step
+    # from them; an untaped one keeps no state before `first` either
     seen = []
     gate_sum = tc._gate_sum
 
-    def spy(mats, xd, weights, bias):
-        out = gate_sum(mats, xd, weights, bias)
-        seen.append((weakref.ref(xd), weakref.ref(out)))
-        return out
+    def spy(mats, xd, weights, bias, out=None):
+        result = gate_sum(mats, xd, weights, bias, out)
+        seen.append((weakref.ref(xd), weakref.ref(result)))
+        return result
 
     monkeypatch.setattr(tc, "_gate_sum", spy)
     operands = _sequence_operands(7, 6, 2, 3, 200, requires_grad=True)
@@ -336,10 +337,30 @@ def test_gru_sequence_keeps_gates_only_on_a_tape(monkeypatch):
     del seen[:]
     with Tape() as tape:
         out = tc.gru_sequence(*operands, first=4)
-    assert len(seen) == 14 and all(xd() is None and g() is not None for xd, g in seen)
+        loss = tc.reduce_sum(tc.mul(out, out))
+    assert len(seen) == 14 and all(xd() is None and g() is None for xd, g in seen)
     assert out.data.base.shape == (7, 6, 3)
-    del tape, out
-    assert all(g() is None for _, g in seen)
+    del seen[:]
+    backward(loss, tape)
+    assert len(seen) == 14 and all(xd() is None and g() is None for xd, g in seen)
+    assert all(t.grad is not None and np.abs(t.grad).max() > 0 for t in operands[1:])
+
+
+def test_gru_sequence_keeps_only_its_states_on_a_tape():
+    # bytes a taped pass allocates and keeps while its tape is alive, its
+    # operands built before the count starts: its 20 states and a few
+    # small objects, where each step's [z | r] and c would add 60 states
+    steps, h0, weight, bias = _sequence_operands(20, 256, 1, 16, 205, requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = tc.gru_sequence(steps, h0, weight, bias)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1 and out.data.base.shape == (20, 256, 16)
+    states = out.data.base.nbytes
+    assert kept <= states + h0.data.nbytes + 16 * 1024
 
 
 def test_untaped_gru_sequence_lets_go_of_its_initial_state(monkeypatch):
@@ -348,9 +369,9 @@ def test_untaped_gru_sequence_lets_go_of_its_initial_state(monkeypatch):
     alive = []
     gate_sum = tc._gate_sum
 
-    def spy(mats, xd, weights, bias):
+    def spy(mats, xd, weights, bias, out=None):
         alive.append(h0_data() is not None)
-        return gate_sum(mats, xd, weights, bias)
+        return gate_sum(mats, xd, weights, bias, out)
 
     monkeypatch.setattr(tc, "_gate_sum", spy)
     steps, h0, weight, bias = _sequence_operands(4, 6, 2, 3, 201, requires_grad=True)
