@@ -2,9 +2,9 @@
 
 `primitive_checks` lists one scalar function per primitive (and per
 operand where an op has two), each checked at PRIMITIVE_TOL;
-`model_param_checks` spot-checks sampled parameters of a toy network at
-MODEL_TOL. `run_checks` runs both and returns one row per check, which
-is what `trafficast gradcheck` prints and writes.
+`model_param_checks` spot-checks sampled per-gate parameter blocks of a
+toy network at MODEL_TOL. `run_checks` runs both and returns one row per
+check, which is what `trafficast gradcheck` prints and writes.
 """
 
 from __future__ import annotations
@@ -15,11 +15,13 @@ import numpy as np
 
 from trafficast import tensor as tc
 from trafficast.graph import GraphSpec, build_predefined, row_normalize
-from trafficast.model import ModelConfig, ModelState, forward, init_model
+from trafficast.model import ModelConfig, ModelState, forward, gate_blocks, init_model
 from trafficast.tensor import Tape, Tensor, _rel_errors, backward, finite_diff_check
 
 PRIMITIVE_TOL = 1e-6
 MODEL_TOL = 1e-4
+# the model rows: blocks sampled, coordinates per block, step, seed
+MODEL_PARAMS, MODEL_COORDS, MODEL_H, MODEL_SEED = 20, 2, 1e-5, 0
 
 
 def _weighted_sum(out: Tensor, weights: np.ndarray) -> Tensor:
@@ -163,39 +165,38 @@ def model_loss(state: ModelState, r, d, w, y, a_pre) -> Tensor:
     return tc.reduce_mean(tc.mul(diff, diff))
 
 
-def model_param_checks(n_params: int = 20, coords_per: int = 2,
-                       h: float = 1e-5, seed: int = 0):
-    """Central-difference spot checks on sampled model parameters.
+def model_param_checks():
+    """Central-difference spot checks on MODEL_PARAMS sampled `gate_blocks`
+    blocks, MODEL_COORDS coordinates each.
 
-    Returns (name, max_rel_error) per sampled parameter tensor.
+    Returns (name, max_rel_error) per sampled block.
     """
-    state, r, d, w, y, a_pre = toy_model_setup(seed)
+    state, r, d, w, y, a_pre = toy_model_setup(MODEL_SEED)
     with Tape() as tape:
         loss = model_loss(state, r, d, w, y, a_pre)
         backward(loss, tape)
-    grads = {name: p.grad.copy() for name, p in state.params.items()}
-    for p in state.params.values():
-        p.grad = None
+    grads = gate_blocks({name: p.grad for name, p in state.params.items()})
+    blocks = gate_blocks({name: p.data for name, p in state.params.items()})
 
-    rng = np.random.default_rng(seed + 1)
-    names = sorted(state.params)
-    picked = [names[i] for i in rng.choice(len(names), size=min(n_params, len(names)),
+    rng = np.random.default_rng(MODEL_SEED + 1)
+    names = sorted(blocks)
+    picked = [names[i] for i in rng.choice(len(names), size=min(MODEL_PARAMS, len(names)),
                                            replace=False)]
     rows = []
     for name in sorted(picked):
-        param = state.params[name]
-        flat = param.data.reshape(-1)
-        idxs = rng.choice(flat.size, size=min(coords_per, flat.size), replace=False)
+        block = blocks[name]
+        idxs = rng.choice(block.size, size=min(MODEL_COORDS, block.size), replace=False)
         worst = 0.0
         for idx in idxs:
-            orig = flat[idx]
-            flat[idx] = orig + h
+            coord = np.unravel_index(idx, block.shape)
+            orig = block[coord]
+            block[coord] = orig + MODEL_H
             up = model_loss(state, r, d, w, y, a_pre).item()
-            flat[idx] = orig - h
+            block[coord] = orig - MODEL_H
             down = model_loss(state, r, d, w, y, a_pre).item()
-            flat[idx] = orig
-            numeric = (up - down) / (2.0 * h)
-            analytic = grads[name].reshape(-1)[idx]
+            block[coord] = orig
+            numeric = (up - down) / (2.0 * MODEL_H)
+            analytic = grads[name][coord]
             rel = _rel_errors(np.array([analytic]), np.array([numeric]))[0]
             worst = max(worst, float(rel))
         rows.append((name, worst))

@@ -24,12 +24,12 @@ the K predefined and K adaptive adjacency powers. Both branches' powers
 come from one helper over an [H, N, N] adjacency stack: every learned
 head at once, or the predefined matrix as one head. The three gates
 differ only in their weights, so each mixing matrix has one weight
-[W_z | W_r | W_c] and each GRU one bias [b_z | b_r | b_c], joined from
-the per-gate parameters once per forward; the graph GRU joins each hop
-that way and then folds hop and fusion weights into one weight per
-matrix, once for all three gates. Every decoder GRU step, dense or graph,
-is one `gru_step` record, each encoder pass one `gru_sequence` record,
-and every attention step one `additive_attention` record: the window read
+[W_z | W_r | W_c] and each GRU one bias [b_z | b_r | b_c]; these are the
+parameters, and `gate_blocks` names each gate's columns. The graph GRU
+folds its hop and fusion weights into one weight per matrix, once for
+all three gates. Every decoder GRU step, dense or graph, is one
+`gru_step` record, each encoder pass one `gru_sequence` record, and
+every attention step one `additive_attention` record: the window read
 out of the bank, the scores of every window offset over every block
 against one query, the softmax per node, the pooled context and the
 residual add. A GRU record never keeps the mixes M_k [x, h] or
@@ -50,6 +50,7 @@ tensors, parameters carry requires_grad.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -124,10 +125,10 @@ class GruGates:
     """One GRU's gates, each sum_k (M_k [..]) W_k + b.
 
     `mats` lists the mixing matrices, the identity (None) first, and
-    `weights` holds one weight per matrix: the identity alone for the
-    encoder and decoder GRUs, the folded graph convolution for the
-    DGC-GRU. Each weight is [W_z | W_r | W_c] and `bias` [b_z | b_r | b_c],
-    in GATES order, so z is the left third.
+    `weights` holds one weight per matrix: the encoder's or decoder's own
+    parameter, or the DGC-GRU's folded graph convolution. Each weight is
+    [W_z | W_r | W_c] and `bias` [b_z | b_r | b_c] (a parameter), in GATES
+    order, so z is the left third.
     """
 
     mats: List[Optional[Tensor]]
@@ -143,17 +144,32 @@ class AttentionParams:
     v: Tensor
 
 
-def _join_gates(params: Dict[str, Tensor], pattern: str, axis: int) -> Tensor:
-    """The three gates' parameters named by pattern, joined in GATES order."""
-    return tc.concat([params[pattern.format(gate)] for gate in GATES], axis=axis)
+def gate_blocks(arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Writable views: gate i of GATES is columns [i*d_h, (i+1)*d_h) of each
+    GRU tensor, named with the gate after its first dotted component
+    (`dgc.pre.hop1` -> `dgc.update.pre.hop1`), gate-major within each GRU;
+    other arrays map to themselves. This is the checkpoint and init order."""
+    blocks: Dict[str, np.ndarray] = {}
+    for prefix, group in groupby(arrays, key=lambda name: name.split(".")[0]):
+        names = list(group)
+        if prefix not in ("encoder", "decoder", "dgc"):
+            blocks.update((name, arrays[name]) for name in names)
+            continue
+        for i, gate in enumerate(GATES):
+            for name in names:
+                width = arrays[name].shape[-1] // len(GATES)
+                blocks[f"{prefix}.{gate}{name[len(prefix):]}"] = \
+                    arrays[name][..., i * width:(i + 1) * width]
+    return blocks
 
 
 @dataclass
 class ModelState:
     """All trainable tensors, keyed by stable dotted names.
 
-    Insertion order is the checkpoint and optimizer order; it must not
-    depend on config flags so ablations stay checkpoint-compatible.
+    Insertion order is the optimizer order and, through `gate_blocks`, the
+    checkpoint order; it must not depend on config flags so ablations stay
+    checkpoint-compatible. GRU tensors are joined [W_z | W_r | W_c].
     """
 
     config: ModelConfig
@@ -165,60 +181,44 @@ class ModelState:
         return self.params.items()
 
     def gru(self, prefix: str) -> GruGates:
-        return GruGates([None], [_join_gates(self.params, f"{prefix}.{{}}.weight", 1)],
-                        _join_gates(self.params, f"{prefix}.{{}}.bias", 0))
+        return GruGates([None], [self.params[f"{prefix}.weight"]], self.params[f"{prefix}.bias"])
 
     def attention(self) -> AttentionParams:
         p = self.params
         return AttentionParams(p["attn.w1"], p["attn.w2"], p["attn.b"], p["attn.v"])
 
     def dgc_hops(self, branch: str) -> List[Tensor]:
-        """The branch's hop weights, k = 0..K, each joined as [W_z | W_r | W_c]."""
-        return [_join_gates(self.params, f"dgc.{{}}.{branch}.hop{k}", 1)
-                for k in range(self.config.K + 1)]
+        """The branch's hop weights [W_z | W_r | W_c], k = 0..K."""
+        return [self.params[f"dgc.{branch}.hop{k}"] for k in range(self.config.K + 1)]
 
     def embeddings(self) -> NodeEmbeddings:
         return NodeEmbeddings(self.params["embed.e1"], self.params["embed.e2"])
 
 
 def init_model(cfg: ModelConfig, n_nodes: int, n_channels: int, seed: int) -> ModelState:
-    """Seeded init: weights uniform +-1/sqrt(fan_in), biases zero."""
+    """Seeded init: weights uniform +-1/sqrt(fan_in), biases zero; each
+    gate's weight is drawn into its block, in `gate_blocks` order."""
     rng = np.random.default_rng(seed)
     params: Dict[str, Tensor] = {}
 
-    def weight(name, fan_in, fan_out):
-        bound = 1.0 / np.sqrt(fan_in)
-        params[name] = Tensor(
-            rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True
-        )
+    def add(shapes):  # zeros, then every weight block drawn in order
+        new = {name: Tensor(np.zeros(shape), requires_grad=True) for name, shape in shapes}
+        params.update(new)
+        for name, block in gate_blocks({k: t.data for k, t in new.items()}).items():
+            if block.ndim == 2 or name == "attn.v":
+                bound = 1.0 / np.sqrt(block.shape[0])
+                block[...] = rng.uniform(-bound, bound, size=block.shape)
 
-    def bias(name, width):
-        params[name] = Tensor(np.zeros(width), requires_grad=True)
-
-    d_h, c = cfg.d_h, n_channels
-    for prefix, d_in in (("encoder", c + d_h), ("decoder", c + d_h)):
-        for gate in GATES:
-            weight(f"{prefix}.{gate}.weight", d_in, d_h)
-            bias(f"{prefix}.{gate}.bias", d_h)
-
+    d_h, c, joined = cfg.d_h, n_channels, 3 * cfg.d_h
+    hops = [f"dgc.{branch}.hop{k}" for branch in ("pre", "adp") for k in range(cfg.K + 1)]
     # attention inner width follows the hidden size
-    weight("attn.w1", d_h, d_h)
-    weight("attn.w2", d_h, d_h)
-    bias("attn.b", d_h)
-    bound = 1.0 / np.sqrt(d_h)
-    params["attn.v"] = Tensor(rng.uniform(-bound, bound, size=d_h), requires_grad=True)
-
-    for gate in GATES:
-        for branch in ("pre", "adp"):
-            for k in range(cfg.K + 1):
-                weight(f"dgc.{gate}.{branch}.hop{k}", 2 * d_h, d_h)
-        bias(f"dgc.{gate}.bias", d_h)
-
+    add([("encoder.weight", (c + d_h, joined)), ("encoder.bias", joined),
+         ("decoder.weight", (c + d_h, joined)), ("decoder.bias", joined),
+         ("attn.w1", (d_h, d_h)), ("attn.w2", (d_h, d_h)), ("attn.b", d_h), ("attn.v", d_h),
+         *((hop, (2 * d_h, joined)) for hop in hops), ("dgc.bias", joined)])
     emb = init_embeddings(n_nodes, cfg.n_head, cfg.d_e, rng)
     params["embed.e1"], params["embed.e2"] = emb.e1, emb.e2
-
-    weight("out.weight", d_h, n_channels)
-    bias("out.bias", n_channels)
+    add([("out.weight", (d_h, c)), ("out.bias", c)])
     return ModelState(config=cfg, n_nodes=n_nodes, n_channels=n_channels, params=params)
 
 
@@ -447,15 +447,11 @@ def dgc_terms(
     pre_mats: List[Optional[Tensor]],
     adp_mats: List[Optional[Tensor]],
 ) -> GruGates:
-    """The DGC-GRU's gates, once per forward pass: each hop joined as
-    [W_z | W_r | W_c], then all three gates folded by one conv_terms call."""
-    # conv_terms reads an off branch's hops only when both branches are
-    # off, so an off branch joins none
-    both_off = not pre_mats and not adp_mats
-    hops = lambda branch, mats: state.dgc_hops(branch) if mats or both_off else []
-    mats, weights = conv_terms(pre_mats, adp_mats, hops("pre", pre_mats),
-                               hops("adp", adp_mats), state.config)
-    return GruGates(mats, weights, _join_gates(state.params, "dgc.{}.bias", 0))
+    """The DGC-GRU's gates, once per forward pass: every hop [W_z | W_r | W_c]
+    folded for all three gates by one conv_terms call."""
+    mats, weights = conv_terms(pre_mats, adp_mats, state.dgc_hops("pre"),
+                               state.dgc_hops("adp"), state.config)
+    return GruGates(mats, weights, state.params["dgc.bias"])
 
 
 def dgcgru_cell(gates: GruGates, x: Tensor, h: Tensor) -> Tensor:
@@ -531,23 +527,23 @@ def forward(
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: text manifest, then one binary tensor blob per parameter
+# checkpoints: text manifest, then one binary tensor blob per gate block
 # ---------------------------------------------------------------------------
 
 CKPT_HEADER = b"STGC-CKPT 1"
 
 
 def save_checkpoint(state: ModelState, path) -> None:
-    names = list(state.params)
-    lines = [CKPT_HEADER + b" %d" % len(names)]
-    for name in names:
-        t = state.params[name]
-        dims = ",".join(str(int(s)) for s in t.shape)
-        lines.append(f"{name},{len(t.shape)},{dims}".encode("ascii"))
+    """One entry per `gate_blocks` block, so each gate's weight is its own blob."""
+    blocks = gate_blocks({name: t.data for name, t in state.params.items()})
+    lines = [CKPT_HEADER + b" %d" % len(blocks)]
+    for name, block in blocks.items():
+        dims = ",".join(str(int(s)) for s in block.shape)
+        lines.append(f"{name},{block.ndim},{dims}".encode("ascii"))
     with open(path, "wb") as fh:
         fh.write(b"\n".join(lines) + b"\n")
-        for name in names:
-            fh.write(tensor_blob(state.params[name].data))
+        for block in blocks.values():
+            fh.write(tensor_blob(block))
 
 
 def _manifest_line(raw: bytes, offset: int, origin: str) -> Tuple[bytes, int]:
@@ -560,7 +556,7 @@ def _manifest_line(raw: bytes, offset: int, origin: str) -> Tuple[bytes, int]:
 
 
 def load_checkpoint(path, state: ModelState) -> None:
-    """Load parameters into an existing state (names and shapes must match).
+    """Load parameters into an existing state (block names and shapes must match).
 
     A malformed file raises DataError naming the byte offset; a well-formed
     checkpoint of a different model raises ModelError. Nothing is written
@@ -590,9 +586,10 @@ def load_checkpoint(path, state: ModelState) -> None:
             raise DataError(
                 f"{origin}: non-ASCII parameter name at byte offset {start}"
             ) from None
-    if names != list(state.params):
-        missing = set(state.params) - set(names)
-        extra = set(names) - set(state.params)
+    blocks = gate_blocks({name: t.data for name, t in state.params.items()})
+    if names != list(blocks):
+        missing = set(blocks) - set(names)
+        extra = set(names) - set(blocks)
         raise ModelError(
             f"{path}: parameter names do not match the model "
             f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
@@ -600,10 +597,10 @@ def load_checkpoint(path, state: ModelState) -> None:
     arrays = []
     for name in names:
         arr, offset = parse_tensor_blob(raw, offset, origin=origin)
-        if tuple(arr.shape) != state.params[name].shape:
+        if arr.shape != blocks[name].shape:
             raise ModelError(
                 f"{path}: {name} has shape {list(arr.shape)}, "
-                f"model expects {list(state.params[name].shape)}"
+                f"model expects {list(blocks[name].shape)}"
             )
         arrays.append(arr)
     if offset != len(raw):
@@ -611,4 +608,4 @@ def load_checkpoint(path, state: ModelState) -> None:
             f"{origin}: {len(raw) - offset} trailing bytes at byte offset {offset}"
         )
     for name, arr in zip(names, arrays):
-        state.params[name].data[...] = arr
+        blocks[name][...] = arr

@@ -1,6 +1,7 @@
 """A plain-numpy reference forward of the forecaster, one loop at a time.
 
-It reads a `ModelState`'s parameters by name and follows the equations of
+It reads a `ModelState`'s parameters by name, slices each gate's columns
+out of a GRU's joined [W_z | W_r | W_c] itself, and follows the equations of
 the `trafficast.model` docstrings with no tape, no fused op and no shared
 helper: every GRU runs per time step, attention loops over blocks and
 window offsets, and the graph convolution loops over heads and hops,
@@ -24,8 +25,16 @@ def _gru(gate, x, h):
     return (1.0 - z) * h + z * c
 
 
+def _cols(joined, gate):
+    """Gate `gate`'s third of a joined tensor's columns: update, reset, cand."""
+    width = joined.shape[-1] // 3
+    i = ("update", "reset", "cand").index(gate)
+    return joined[..., i * width:(i + 1) * width]
+
+
 def _dense_gate(p, prefix):
-    return lambda name, xh: xh @ p[f"{prefix}.{name}.weight"] + p[f"{prefix}.{name}.bias"]
+    return lambda name, xh: (xh @ _cols(p[f"{prefix}.weight"], name)
+                             + _cols(p[f"{prefix}.bias"], name))
 
 
 def _adaptive_heads(p, d_e):
@@ -54,7 +63,7 @@ def _dgc_gate(p, cfg, a_pre):
         branches.append(("adp", cfg.w_adp, heads))
 
     def gate(name, xh):  # xh [B, N, d]
-        total = p[f"dgc.{name}.bias"]
+        total = _cols(p["dgc.bias"], name)
         for branch, weight, adjs in branches:
             term = 0.0
             for adj in adjs:
@@ -62,7 +71,7 @@ def _dgc_gate(p, cfg, a_pre):
                 for k in range(cfg.K + 1):
                     if k:
                         hop = hop if adj is None else np.einsum("nm,bmd->bnd", adj, hop)
-                    term = term + hop @ p[f"dgc.{name}.{branch}.hop{k}"]
+                    term = term + hop @ _cols(p[f"dgc.{branch}.hop{k}"], name)
             total = total + weight * term / len(adjs)
         return total
 

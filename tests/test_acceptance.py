@@ -60,7 +60,7 @@ def test_gradient_fidelity(acceptance):
         worst_prim = max(worst_prim, report.max_rel_error)
         n_prims += 1
     # toy network: N=4, C=1, d_h=8, P=Q=3, S=1, K=2, 2 heads
-    model_rows = model_param_checks(n_params=20, coords_per=2)
+    model_rows = model_param_checks()
     worst_model = max(rel for _, rel in model_rows)
     elapsed = time.time() - start
     ok = (worst_prim <= 1e-6 and worst_model <= 1e-4

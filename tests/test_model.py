@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from trafficast import tensor as tc
-from trafficast.data import DataError, DatasetSpec
+from trafficast.data import DataError, DatasetSpec, tensor_blob
 from trafficast.graph import GraphSpec, NodeEmbeddings, build_predefined, init_embeddings, row_normalize
 from trafficast.model import (
     GATES,
@@ -23,6 +23,7 @@ from trafficast.model import (
     dgcgru_cell,
     encode,
     forward,
+    gate_blocks,
     gru_cell,
     init_model,
     load_checkpoint,
@@ -525,6 +526,19 @@ def test_dgcgru_zero_params_zero_state():
     np.testing.assert_array_equal(out.data, 0.0)
 
 
+def _probe_params(params, name, probe):
+    """params with the probe standing in for gate block `name`: its GRU
+    tensor joined again around the probe, by this test's own slicing."""
+    parts = name.split(".")
+    if parts[1] not in GATES:
+        return {**params, name: probe}
+    joined = ".".join(parts[:1] + parts[2:])
+    data, i = params[joined].data, GATES.index(parts[1])
+    width = data.shape[-1] // len(GATES)
+    cols = [Tensor(data[..., :i * width]), probe, Tensor(data[..., (i + 1) * width:])]
+    return {**params, joined: tc.concat(cols, axis=-1)}
+
+
 def test_dgcgru_two_step_gradient():
     cfg = _toy_cfg(d_h=4, d_e=2, n_head=2, K=1)
     state = init_model(cfg, 3, 1, seed=17)
@@ -542,17 +556,17 @@ def test_dgcgru_two_step_gradient():
         return tc.reduce_sum(tc.mul(h, h))
 
     for name in ("dgc.update.pre.hop1", "dgc.cand.adp.hop0", "embed.e1", "dgc.reset.bias"):
-        original = state.params[name]
+        original = state.params
 
         def f(t):
-            # the probe stands in for the parameter, so its gradient is checked
-            state.params[name] = t
+            # the probe stands in for the block, so its gradient is checked
+            state.params = _probe_params(original, name, t)
             try:
                 return run()
             finally:
-                state.params[name] = original
+                state.params = original
 
-        rep = finite_diff_check(f, original, tol=1e-5)
+        rep = finite_diff_check(f, Tensor(_blocks(state)[name].copy()), tol=1e-5)
         assert rep.passed, f"{name}: rel error {rep.max_rel_error}"
         assert np.abs(rep.analytic).max() > 0, name
 
@@ -748,26 +762,31 @@ def _model_loss(state, r, d, w, y, a_pre):
     return tc.reduce_mean(tc.mul(diff, diff))
 
 
+def _blocks(state):
+    return gate_blocks({name: t.data for name, t in state.params.items()})
+
+
 def _check_param_coords(state, names, coords_per, r, d, w, y, a_pre, tol, h=1e-5):
-    """Central-difference check of sampled coordinates of named parameters."""
+    """Central-difference check of sampled coordinates of named gate blocks."""
     with Tape() as tape:
         loss = _model_loss(state, r, d, w, y, a_pre)
         backward(loss, tape)
-    grads = {name: state.params[name].grad.copy() for name in names}
+    grads = gate_blocks({k: t.grad.copy() for k, t in state.params.items() if t.grad is not None})
+    blocks = _blocks(state)
     rng = np.random.default_rng(99)
     worst = 0.0
     for name in names:
-        t = state.params[name]
-        flat = t.data.reshape(-1)
-        for idx in rng.choice(flat.size, size=min(coords_per, flat.size), replace=False):
-            orig = flat[idx]
-            flat[idx] = orig + h
+        block = blocks[name]
+        for idx in rng.choice(block.size, size=min(coords_per, block.size), replace=False):
+            coord = np.unravel_index(idx, block.shape)
+            orig = block[coord]
+            block[coord] = orig + h
             up = _model_loss(state, r, d, w, y, a_pre).item()
-            flat[idx] = orig - h
+            block[coord] = orig - h
             down = _model_loss(state, r, d, w, y, a_pre).item()
-            flat[idx] = orig
+            block[coord] = orig
             numeric = (up - down) / (2 * h)
-            analytic = grads[name].reshape(-1)[idx]
+            analytic = grads[name][coord]
             denom = max(abs(analytic), abs(numeric), 1e-3 * (1 + abs(numeric)))
             rel = abs(analytic - numeric) / denom
             worst = max(worst, rel)
@@ -788,10 +807,10 @@ def test_full_model_gradients_at_horizon(q):
     assert worst <= 1e-4
 
 
-# the parameters a reference configuration's switches cut out of the
-# backward: an off branch's hops and, with the adaptive branch off, the
-# embeddings; with both graph branches off every hop stands in for an
-# identity adjacency and still gets a gradient
+# the blocks (`gate_blocks` names) a reference configuration's switches
+# cut out of the backward: an off branch's hops and, with the adaptive
+# branch off, the embeddings; with both graph branches off every hop
+# stands in for an identity adjacency and still gets a gradient
 _EMBEDDINGS = {"embed.e1", "embed.e2"}
 _HOPS = {branch: {f"dgc.{gate}.{branch}.hop{k}" for gate in GATES for k in range(3)}
          for branch in ("pre", "adp")}
@@ -814,11 +833,11 @@ def test_full_model_gradients_on_every_reference_config(config):
     a_pre = _ring_adjacency(4)
     with Tape() as tape:
         backward(_model_loss(state, r, d, w, y, a_pre), tape)
-    free = {name for name, t in state.params.items() if t.grad is None}
+    free = set(gate_blocks({k: t.data for k, t in state.params.items() if t.grad is None}))
     assert free == _GRAD_FREE.get(config, set())
     for t in state.params.values():
         t.zero_grad()
-    names = [name for name in state.params if name not in free]
+    names = [name for name in _blocks(state) if name not in free]
     _check_param_coords(state, names, 2, r, d, w, y, a_pre, tol=1e-4)
 
 
@@ -841,6 +860,47 @@ def test_checkpoint_round_trip(tmp_path):
     load_checkpoint(path, b)
     for name, t in a.named_parameters():
         np.testing.assert_array_equal(t.data, b.params[name].data)
+
+
+def _per_gate_entries(state):
+    """The checkpoint's (name, array) entries, each gate's columns sliced
+    out of its GRU's joined tensor here: encoder and decoder weight and
+    bias gate by gate, attention, every dgc hop and the bias gate by gate,
+    then embeddings and output layer."""
+    p, d_h = {k: t.data for k, t in state.params.items()}, state.config.d_h
+
+    def gru(prefix, parts):
+        return [(f"{prefix}.{gate}.{part}", p[f"{prefix}.{part}"][..., i * d_h:(i + 1) * d_h])
+                for i, gate in enumerate(GATES) for part in parts]
+
+    def plain(*names):
+        return [(name, p[name]) for name in names]
+
+    hops = [f"{branch}.hop{k}" for branch in ("pre", "adp") for k in range(state.config.K + 1)]
+    return (gru("encoder", ["weight", "bias"]) + gru("decoder", ["weight", "bias"])
+            + plain("attn.w1", "attn.w2", "attn.b", "attn.v") + gru("dgc", hops + ["bias"])
+            + plain("embed.e1", "embed.e2", "out.weight", "out.bias"))
+
+
+def test_checkpoint_is_the_per_gate_file(tmp_path):
+    # the joined tensors save as one blob per gate, in the per-gate
+    # names and order the format has always had, and such a file loads
+    # back into the joined tensors bitwise
+    state = init_model(_toy_cfg(), 4, 2, seed=36)
+    entries = _per_gate_entries(state)
+    assert len(entries) == 41
+    manifest = [b"STGC-CKPT 1 41"] + [
+        f"{name},{arr.ndim},{','.join(map(str, arr.shape))}".encode() for name, arr in entries]
+    expected = b"\n".join(manifest) + b"\n" + b"".join(tensor_blob(arr) for _, arr in entries)
+    saved, built = tmp_path / "saved.ckpt", tmp_path / "built.ckpt"
+    save_checkpoint(state, saved)
+    assert saved.read_bytes() == expected
+    built.write_bytes(expected)
+    other = init_model(_toy_cfg(), 4, 2, seed=37)
+    load_checkpoint(built, other)
+    assert list(other.params) == list(state.params)
+    for name, t in state.params.items():
+        assert other.params[name].data.tobytes() == t.data.tobytes(), name
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):

@@ -1094,13 +1094,15 @@ def _eight_steps(cell, gates, x, h):
 
 
 @pytest.mark.parametrize("no_pre, no_adp, records", [
-    (False, False, 14), (True, False, 7), (False, True, 7), (True, True, 18)])
-def test_dgc_terms_joins_and_folds_each_hop_once(no_pre, no_adp, records):
-    # at K=2 per active branch: 3 hop joins [W_z | W_r | W_c] and 3 scales,
-    # then one sum of the identity hops when both branches are on, and the
-    # bias join; with both off, both branches' 6 hops stand in for the
-    # identity (5 sums). An off branch joins no hops. Folding each gate
-    # apart took 27, 13 and 35 records.
+    (False, False, 7), (True, False, 3), (False, True, 3), (True, True, 11)])
+def test_dgc_terms_folds_each_hop_once(no_pre, no_adp, records):
+    # at K=2 per active branch: 3 hop scales, each hop already one
+    # [W_z | W_r | W_c] parameter, then one sum of the identity hops when
+    # both branches are on; with both off, both branches' 6 hops stand in
+    # for the identity (5 sums). Folding each gate apart took 27, 13 and
+    # 35 records, and joining each hop and the bias per forward 14, 7 and
+    # 18. Every scale reads a hop parameter itself, so the tape keeps no
+    # [W_z | W_r | W_c] built per forward.
     cfg = ModelConfig(d_h=4, d_e=2, n_head=2, K=2, no_pre=no_pre, no_adp=no_adp)
     state = init_model(cfg, 3, 1, seed=0)
     pre = [] if no_pre else pre_mix_mats(np.full((3, 3), 1.0 / 3), cfg)
@@ -1108,6 +1110,11 @@ def test_dgc_terms_joins_and_folds_each_hop_once(no_pre, no_adp, records):
     with Tape() as tape:
         gates = dgc_terms(state, pre, adp)
     assert len(tape) == records
+    params = {id(t) for t in state.params.values()}
+    scales = [rec for rec in tape.records if _op(rec) == "mul"]
+    assert len(scales) == (6 if no_pre == no_adp else 3)
+    assert all(id(rec.inputs[0]) in params for rec in scales)
+    assert gates.bias is state.params["dgc.bias"]
     assert len(gates.weights) == len(gates.mats) == 1 + len(pre[1:]) + len(adp[1:])
     assert all(w.shape == (2 * cfg.d_h, 3 * cfg.d_h) for w in gates.weights)
 
@@ -1192,8 +1199,8 @@ def test_encoder_records_do_not_grow_with_block_count():
 
 def test_encoder_records_do_not_grow_with_window_length():
     # each pass is one gru_sequence record however many steps it runs: the
-    # two gate joins, the R pass and its reshape, the block pass
-    assert _encoder_records(P=3) == _encoder_records(P=12) == 5
+    # R pass and its reshape, the block pass
+    assert _encoder_records(P=3) == _encoder_records(P=12) == 3
 
 
 def _untaped_encode_peak(P):
@@ -1272,9 +1279,10 @@ def test_adaptive_mix_mats_records_do_not_grow_with_heads():
 # encoder pass. Stacking the forecast with one concat, reshape and
 # transpose instead of a reshape per step makes it 113, and one weight
 # [W_z | W_r | W_c] per mixing matrix, with each DGC hop folded once for
-# all three gates, 100; the budget allows 4% more. The count does not
-# depend on widths, node count or batch size.
-FUSED_STEP_RECORDS = 104
+# all three gates, 100, and 89 when those joined weights are the
+# parameters rather than joined per forward; the budget allows 4% more.
+# The count does not depend on widths, node count or batch size.
+FUSED_STEP_RECORDS = 92
 
 
 def test_forward_and_loss_record_budget_at_default_windows():
