@@ -51,8 +51,6 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
     t_b43 = Tensor(b43)
     t_a34 = Tensor(a34)
     concat_mate = Tensor(rng.standard_normal((3, 4)))
-    comp_w1 = Tensor(rng.standard_normal((4, 3)))
-    comp_w2 = Tensor(rng.standard_normal((4, 3)))
     # a GRU step over the identity and two [3, 3] matrices: a [6, 2] input
     # and a [6, 3] state, two batch elements of three nodes, with one
     # [W_z | W_r | W_c] weight per matrix
@@ -79,13 +77,8 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
     att_bank = rng.standard_normal((5, 6, 4))
 
     def attention(h=Tensor(att_h), bank=Tensor(att_bank), w1=Tensor(att_w1), b=Tensor(att_b),
-                  w2=Tensor(att_w2), v=Tensor(att_v), keys=None):
-        return _weighted_sum(tc.additive_attention(h, bank, 1, 3, w1, b, w2, v, keys=keys)[0],
-                             w34)
-
-    def keyed_attention(bank=Tensor(att_bank), w2=Tensor(att_w2)):
-        # keys formed from the probed operand, as model.forward forms them
-        return attention(bank=bank, w2=w2, keys=tc.attention_keys(bank, w2))
+                  w2=Tensor(att_w2), v=Tensor(att_v)):
+        return _weighted_sum(tc.additive_attention(h, bank, 1, 3, w1, b, w2, v)[0], w34)
 
     # a dense GRU over four constant [6, 2] steps from a [6, 3] state,
     # returning the last three states
@@ -109,8 +102,6 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
         ("matmul_right", lambda t: _weighted_sum(tc.matmul(t_a34, t), w33), b43),
         ("matmul_batched_left", lambda t: _weighted_sum(tc.matmul(t, t_b243), w233), x234),
         ("matmul_batched_right", lambda t: _weighted_sum(tc.matmul(t_a234, t), w233), b243),
-        ("sigmoid", lambda t: _weighted_sum(tc.sigmoid(t), w34), x34),
-        ("tanh", lambda t: _weighted_sum(tc.tanh(t), w34), x34),
         ("relu", lambda t: _weighted_sum(tc.relu(t), w34), off_zero),
         ("absolute", lambda t: _weighted_sum(tc.absolute(t), w34), off_zero),
         ("softmax", lambda t: _weighted_sum(tc.softmax(t, axis=1), w34), x34),
@@ -131,13 +122,9 @@ def primitive_checks(rng: np.random.Generator) -> List[Tuple[str, object, Tensor
         ("additive_attention_w2", lambda t: attention(w2=t), att_w2),
         ("additive_attention_v", lambda t: attention(v=t), att_v),
         ("additive_attention_bank", lambda t: attention(bank=t), att_bank),
-        ("additive_attention_keyed_w2", lambda t: keyed_attention(w2=t), att_w2),
-        ("additive_attention_keyed_bank", lambda t: keyed_attention(bank=t), att_bank),
         ("gru_sequence_state0", lambda t: sequence(h0=t), seq_h0),
         ("gru_sequence_weight", lambda t: sequence(weight=t), seq_w),
         ("gru_sequence_bias", lambda t: sequence(b=t), seq_b),
-        ("composite", lambda t: _weighted_sum(
-            tc.mul(tc.sigmoid(tc.matmul(t, comp_w1)), tc.tanh(tc.matmul(t, comp_w2))), w33), x34),
     ]
     return [(name, f, Tensor(x0)) for name, f, x0 in checks]
 

@@ -35,10 +35,9 @@ against one query, the softmax per node, the pooled context and the
 residual add. A GRU record never keeps the mixes M_k [x, h] or
 M_k [x, r*h]: its backward mixes the adjoint by each M_k^T. A decoder
 step's record keeps its gates; an encoder pass keeps only its states,
-and its backward recomputes each step's gates from them.
-On a tape the attention keys W2 h_p are formed once per forward, one
-product per bank state, and shared by every attention record; a record
-keeps no tanh output and recomputes them from the keys in its backward.
+and its backward recomputes each step's gates from them. An attention
+record forms each window state's key W2 h_p itself and keeps no key and
+no tanh output: its backward recomputes them from the window.
 Every activation is [B*N, d] rows, node-minor (row b*N + n), so no cell
 reshapes or slices; the rows of the bank and of a streamed window add the
 block as the fastest index (row (b*N + n)*G + g).
@@ -332,7 +331,6 @@ def attention_step(
     t: int,
     cfg: ModelConfig,
     params: AttentionParams,
-    keys: Optional[np.ndarray] = None,
 ) -> Tuple[Tensor, Optional[Tensor]]:
     """Pool periodic hidden states around the position aligned with step t.
 
@@ -342,13 +340,11 @@ def attention_step(
     aligned state when windowing is off). A forward-only `BankWindow`
     first advances its block pass to step t and then holds exactly that
     window. One `additive_attention` record reads the window out of the
-    bank, forms every score v' tanh(W2 h_p + W1 h + b) of the window over
-    the G blocks of each row, turns them into weights with a softmax per
-    node, and adds the pooled context residually; its backward adds the
-    window's rows into the bank's one adjoint. `keys` (`tc.attention_keys`
-    of the bank and W2, formed once per taped forward) lets the record
-    read each W2 h_p instead of forming it; without them it forms its
-    window's keys itself.
+    bank, forms each window state's key W2 h_p and every score
+    v' tanh(W2 h_p + W1 h + b) over the G blocks of each row, turns them
+    into weights with a softmax per node, and adds the pooled context
+    residually; its backward adds the window's rows into the bank's one
+    adjoint.
     Returns (a_t, weights) with weights [B*N, G*C] a constant tensor in
     block-major, offset-minor candidate order (column g*C + c), or
     (h_t, None) when periodic context is off.
@@ -363,7 +359,7 @@ def attention_step(
     else:
         start = t + cfg.S - half
     return tc.additive_attention(h_t, bank, start, 2 * half + 1,
-                                 params.w1, params.b, params.w2, params.v, keys=keys)
+                                 params.w1, params.b, params.w2, params.v)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +497,6 @@ def forward(
     dgc = dgc_terms(state, pre, adp)
     dec = state.gru("decoder")
     attn = state.attention()
-    keys = tc.attention_keys(bank, attn.w2) if isinstance(bank, Tensor) else None
     w_out, b_out = state.params["out.weight"], state.params["out.bias"]
 
     g = Tensor(np.zeros((b * n, cfg.d_h)))
@@ -511,12 +506,12 @@ def forward(
     for t in range(cfg.Q):
         h = gru_cell(dec, x_in, h)
         if cfg.order == "attention_then_dgc":
-            a_t, w_t = attention_step(h, bank, t, cfg, attn, keys=keys)
+            a_t, w_t = attention_step(h, bank, t, cfg, attn)
             g = dgcgru_cell(dgc, a_t, g)
             y_t = tc.add(tc.matmul(g, w_out), b_out)
         else:
             g = dgcgru_cell(dgc, h, g)
-            a_t, w_t = attention_step(g, bank, t, cfg, attn, keys=keys)
+            a_t, w_t = attention_step(g, bank, t, cfg, attn)
             y_t = tc.add(tc.matmul(a_t, w_out), b_out)
         trace.attention_weights.append(w_t)
         step_preds.append(y_t)

@@ -33,8 +33,6 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
-    "sigmoid",
-    "tanh",
     "relu",
     "absolute",
     "softmax",
@@ -306,24 +304,6 @@ def _sigmoid(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     y += 1.0
     np.divide(1.0, y, out=y)
     return y
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = _sigmoid(a.data)
-
-    def bwd(g):
-        return (g * y * (1.0 - y),)
-
-    return _emit((a,), y, bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (1.0 - y * y),)
-
-    return _emit((a,), y, bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -754,27 +734,8 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, weight: Tensor, bias: Tensor,
 # attention: one record per decoder step
 # ---------------------------------------------------------------------------
 
-def attention_keys(bank: Tensor, w2: Tensor) -> Optional[np.ndarray]:
-    """Every bank state's attention key k_j W2, one product per state, or None.
-
-    Formed only with a tape active, as one read-only [L, R*G, a] array
-    that every taped `additive_attention` over this bank and w2 shares: its
-    forward and its backward's recompute read their window's keys from it
-    instead of forming k_j W2 per offset. Each key is bitwise the per-state
-    product k_j @ W2. Without a tape it returns None, so a forward-only
-    pass holds no whole-bank array and its records form each key in one
-    scratch buffer.
-    """
-    if not recording():
-        return None
-    keys = np.matmul(bank.data, w2.data)
-    keys.flags.writeable = False
-    return keys
-
-
 def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tensor,
-                       b: Tensor, w2: Tensor, v: Tensor,
-                       keys: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
+                       b: Tensor, w2: Tensor, v: Tensor) -> Tuple[Tensor, Tensor]:
     """h + sum_j a_j k_j, a = softmax_j(v' tanh(k_j W2 + h W1 + b)), one record.
 
     h is [R, d] and the bank [L, R*G, d]; the window is the n_off states
@@ -786,13 +747,12 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
     tensor; the backward returns the bank's adjoint as the window's rows
     (`_Rows`), zero outside them.
 
-    `keys`, from `attention_keys(bank, w2)`, holds k_j W2 for every bank
-    state; without it each offset forms its key itself. The query is
-    formed once and broadcast over the G row groups; the arithmetic runs
-    in the order separate score, softmax, pool and add records would. One
-    scratch buffer serves every offset's tanh output and none is kept: on
-    a tape the backward recomputes the query and each activation from the
-    keys (or k_j W2) into one buffer, and forms each pre-activation
+    Each offset forms its key k_j W2 itself, into one scratch buffer that
+    then holds its tanh output. The query is formed once and broadcast
+    over the G row groups; the arithmetic runs in the order separate
+    score, softmax, pool and add records would. No key and no tanh output
+    is kept: on a tape the backward recomputes the query and each
+    activation from k_j W2 into one buffer, and forms each pre-activation
     adjoint in a second. A constant operand gets no gradient product.
     """
     hd, bd = h.data, bank.data
@@ -817,11 +777,6 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
             raise ShapeError(
                 f"additive_attention {name} must be {list(shape)}, got {list(t.data.shape)}"
             )
-    if keys is not None and keys.shape != bd.shape[:2] + a_shape[1:]:
-        raise ShapeError(
-            f"additive_attention keys must be {list(bd.shape[:2] + a_shape[1:])} for a bank "
-            f"of {list(bd.shape)}, got {list(keys.shape)}"
-        )
 
     window = bd[start:start + n_off]
     k_rows, groups = bd.shape[1], bd.shape[1] // rows
@@ -829,12 +784,9 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
 
     def activation(c, q, act):
         # tanh(k_c W2 + q) into act, q broadcast over row groups (row r*G + g is q[r])
+        np.matmul(window[c], w2.data, out=act)
         view = act.reshape(rows, groups, -1)
-        if keys is None:
-            np.matmul(window[c], w2.data, out=act)
-            view += q[:, None]
-        else:
-            np.add(keys[start + c].reshape(rows, groups, -1), q[:, None], out=view)
+        view += q[:, None]
         np.tanh(act, out=act)
 
     def query():

@@ -167,14 +167,14 @@ def grad_norm(params: Dict[str, Tensor]) -> float:
     return float(np.sqrt(total))
 
 
-def clip_gradients(params: Dict[str, Tensor], max_norm: float) -> float:
+def clip_gradients(params: Dict[str, Tensor], max_norm: Optional[float]) -> float:
     """Scale all gradients so their global norm is at most max_norm.
 
-    Returns the norm before scaling; a non-finite norm leaves the gradients
-    as they are.
+    Returns the norm before scaling; a non-finite norm, or max_norm None
+    (no clipping), leaves the gradients as they are.
     """
     norm = grad_norm(params)
-    if np.isfinite(norm) and norm > max_norm and norm > 0:
+    if max_norm is not None and np.isfinite(norm) and norm > max_norm and norm > 0:
         scale = max_norm / norm
         for t in params.values():
             if t.grad is not None:
@@ -313,10 +313,7 @@ def train_single(
                         epoch=epoch, batch=b_idx,
                     )
                 backward(loss, tape)
-            if cfg.grad_clip is not None:
-                norm = clip_gradients(state.params, cfg.grad_clip)
-            else:
-                norm = grad_norm(state.params)
+            norm = clip_gradients(state.params, cfg.grad_clip)
             if not np.isfinite(norm):
                 raise DivergenceError(
                     f"non-finite gradient norm {norm} at epoch {epoch} batch {b_idx}",

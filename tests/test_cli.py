@@ -177,6 +177,13 @@ def test_readme_documents_every_config_key():
     assert [key for key in keys if f"`{key}`" not in readme] == []
 
 
+def test_readme_counts_every_gradcheck_row():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    counted = re.search(r"`gradcheck` verifies every tape primitive in (\d+) rows", readme)
+    assert counted is not None
+    assert int(counted.group(1)) == len(primitive_checks(np.random.default_rng(0)))
+
+
 def test_non_finite_numbers_rejected_at_config_time(tmp_path, capsys):
     cfg = write_doc(tmp_path / "c.json", tiny_doc(tmp_path / "run"))
     assert run_cli("train", "--config", cfg, "--set", "model.w_pre=NaN") == 2
@@ -703,7 +710,7 @@ def test_gradcheck_passes_and_writes_report(tmp_path, capsys):
     report = tmp_path / "report.csv"
     assert run_cli("gradcheck", "--out", str(report)) == 0
     out = capsys.readouterr().out
-    assert "op:tanh" in out and "op:matmul_left" in out
+    assert "op:additive_attention_bank" in out and "op:matmul_left" in out
     assert "model:" in out
     lines = report.read_text().splitlines()
     assert lines[0] == "check,max_rel_error,tol,status"

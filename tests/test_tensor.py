@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from trafficast import tensor as tc
+from trafficast.gradcheck import PRIMITIVE_TOL, _weighted_sum
 from trafficast.model import (
     ModelConfig,
     adaptive_mix_mats,
@@ -28,6 +29,28 @@ from trafficast.training import mae_loss
 def rand(shape, seed, lo=-2.0, hi=2.0):
     rng = np.random.default_rng(seed)
     return Tensor(rng.uniform(lo, hi, size=shape))
+
+
+# Taped sigmoid and tanh: no model code records either (the GRU records
+# apply them inside), so they live here, for the unfused reference chains
+# and the engine tests, over the same kernels the GRU records use.
+
+def sigmoid(a):
+    y = tc._sigmoid(a.data)
+
+    def bwd(g):
+        return (g * y * (1.0 - y),)
+
+    return tc._emit((a,), y, bwd)
+
+
+def tanh(a):
+    y = np.tanh(a.data)
+
+    def bwd(g):
+        return (g * (1.0 - y * y),)
+
+    return tc._emit((a,), y, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +108,13 @@ def unfused_gru_step(mats, x, h, gates, biases):
     # (biases); a product with columns of the identity picks the z and r
     # halves exactly
     d = h.shape[1]
-    zr = tc.sigmoid(unfused_gate_sum(mats, tc.concat([x, h], axis=1),
-                                     [tc.concat([wz, wr], axis=1) for wz, wr, _ in gates],
-                                     tc.concat(biases[:2], axis=0)))
+    zr = sigmoid(unfused_gate_sum(mats, tc.concat([x, h], axis=1),
+                                  [tc.concat([wz, wr], axis=1) for wz, wr, _ in gates],
+                                  tc.concat(biases[:2], axis=0)))
     z = tc.matmul(zr, Tensor(np.eye(2 * d)[:, :d]))
     r = tc.matmul(zr, Tensor(np.eye(2 * d)[:, d:]))
-    c = tc.tanh(unfused_gate_sum(mats, tc.concat([x, tc.mul(r, h)], axis=1),
-                                 [wc for *_, wc in gates], biases[2]))
+    c = tanh(unfused_gate_sum(mats, tc.concat([x, tc.mul(r, h)], axis=1),
+                              [wc for *_, wc in gates], biases[2]))
     return tc.add(tc.sub(h, tc.mul(z, h)), tc.mul(z, c))
 
 
@@ -395,7 +418,7 @@ def _unfused_scores(h, window, w1, b, w2, v):
     query = tc.add(tc.matmul(h, w1), b)
     query = tc.reshape(tc.concat([query] * groups, axis=1), (rows * groups, width))
     v_col = tc.reshape(v, (v.shape[0], 1))
-    scores = [tc.matmul(tc.tanh(tc.add(tc.matmul(k, w2), query)), v_col) for k in window]
+    scores = [tc.matmul(tanh(tc.add(tc.matmul(k, w2), query)), v_col) for k in window]
     return tc.reshape(tc.concat(scores, axis=1), (rows, groups * len(window)))
 
 
@@ -460,16 +483,10 @@ def test_additive_attention_gradients_match_unfused_chain():
         np.testing.assert_allclose(fused, plain, rtol=0, atol=1e-14 * np.abs(plain).max())
 
 
-def _keys(bank, w2):
-    # the keys a taped forward forms once over the whole bank
-    with Tape():
-        return tc.attention_keys(bank, w2)
-
-
 def test_additive_attention_keeps_no_tanh_output(monkeypatch):
     # every offset's tanh output goes to one scratch buffer that is dropped
-    # on return, taped or not, keyed or not: a taped record recomputes the
-    # activations in its backward
+    # on return, taped or not: a taped record recomputes the activations in
+    # its backward
     seen = []
     np_tanh = np.tanh
 
@@ -479,34 +496,31 @@ def test_additive_attention_keeps_no_tanh_output(monkeypatch):
         return res
 
     operands = _score_operands(3, 2, 4, 4, 80, requires_grad=True)
-    keys = _keys(operands[1], operands[6])
     monkeypatch.setattr(np, "tanh", tanh)
     leaves = [t for t in operands if isinstance(t, Tensor)]
     for taped in (False, True):
-        for k in (None, keys):
-            del seen[:]
-            with Tape() if taped else contextlib.nullcontext() as tape:
-                out, _ = tc.additive_attention(*operands, keys=k)
-                assert len(seen) == 4 and len({addr for _, addr in seen}) == 1
-                assert all(ref() is None for ref, _ in seen)
-                loss = tc.reduce_sum(out)
-            if taped:
-                backward(loss, tape)
-                assert all(t.grad is not None for t in leaves)
-                for t in leaves:
-                    t.grad = None
+        del seen[:]
+        with Tape() if taped else contextlib.nullcontext() as tape:
+            out, _ = tc.additive_attention(*operands)
+            assert len(seen) == 4 and len({addr for _, addr in seen}) == 1
+            assert all(ref() is None for ref, _ in seen)
+            loss = tc.reduce_sum(out)
+        if taped:
+            backward(loss, tape)
+            assert all(t.grad is not None for t in leaves)
+            for t in leaves:
+                t.grad = None
 
 
-def _attention_kept_bytes(n_off, keyed, rows=16, groups=2, d=16):
+def _attention_kept_bytes(n_off, rows=16, groups=2, d=16):
     # bytes a taped additive_attention allocates and keeps while its tape
-    # is alive, past the keys its forward shares
+    # is alive
     h, bank, start, _, w1, b, w2, v = _score_operands(rows, groups, 7, d, 170,
                                                       requires_grad=True)
-    keys = _keys(bank, w2) if keyed else None
     tracemalloc.start()
     try:
         with Tape() as tape:
-            out, weights = tc.additive_attention(h, bank, start, n_off, w1, b, w2, v, keys=keys)
+            out, weights = tc.additive_attention(h, bank, start, n_off, w1, b, w2, v)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -518,40 +532,7 @@ def test_additive_attention_keeps_the_same_bytes_for_any_window():
     # the record keeps its output and weights, whatever its window: a tanh
     # output per offset would add 6 arrays of [32, 16] from 1 to 7 offsets
     weights_bytes = 16 * 2 * 7 * 8
-    for keyed in (True, False):
-        assert abs(_attention_kept_bytes(7, keyed) - _attention_kept_bytes(1, keyed)) \
-            < weights_bytes
-
-
-def test_attention_keys_is_none_without_a_tape():
-    # a forward-only pass holds no whole-bank key array
-    _, bank, _, _, _, _, w2, _ = _score_operands(3, 2, 3, 4, 95)
-    assert tc.attention_keys(bank, w2) is None
-    keys = _keys(bank, w2)
-    for state, key in zip(bank.data, keys):
-        np.testing.assert_array_equal(key, state @ w2.data)
-
-
-@pytest.mark.parametrize("rows,groups,n_off", [(3, 2, 3), (4, 1, 1), (2, 5, 7)])
-def test_keyed_attention_bitwise_equals_unkeyed(rows, groups, n_off):
-    # output, weights and all six gradients, the window at start 1 of the bank
-    operands = _score_operands(rows, groups, n_off, 4, 100, requires_grad=True)
-    h, bank, start, _, *params = operands
-    assert start > 0
-    keys = _keys(bank, params[2])
-    leaves, weights = [h, bank, *params], rand((rows, 4), 109)
-    plain = tc.additive_attention(*operands)
-    keyed = tc.additive_attention(*operands, keys=keys)
-    for a, b in zip(keyed, plain):
-        np.testing.assert_array_equal(a.data, b.data)
-
-    def keyed_step(*ops):
-        return tc.additive_attention(*ops, keys=keys)
-
-    grads = _leaf_grads(keyed_step, operands, leaves, weights)
-    for a, b in zip(grads, _leaf_grads(tc.additive_attention, operands, leaves, weights)):
-        np.testing.assert_array_equal(a, b)
-    assert len(grads) == 6
+    assert abs(_attention_kept_bytes(7) - _attention_kept_bytes(1)) < weights_bytes
 
 
 def test_weighted_pool_is_per_row_weighted_sum():
@@ -599,33 +580,22 @@ def test_additive_scores_shape_mismatch():
         tc.additive_attention(h, bank, start, n_off, w1, b, rand((4, 3), 1), v)
     with pytest.raises(tc.ShapeError, match=r"b must be \[4\], got \[3\]"):
         tc.additive_attention(h, bank, start, n_off, w1, rand((3,), 1), w2, v)
-    # keys for another bank: one state short, and over a narrower inner width
-    keys = _keys(bank, w2)
-    with pytest.raises(tc.ShapeError,
-                       match=r"keys must be \[5, 6, 4\] for a bank of \[5, 6, 4\], "
-                             r"got \[4, 6, 4\]"):
-        tc.additive_attention(h, bank, start, n_off, w1, b, w2, v, keys=keys[1:])
-    with pytest.raises(tc.ShapeError, match=r"got \[5, 6, 3\]"):
-        tc.additive_attention(h, bank, start, n_off, w1, b, w2, v, keys=keys[..., :3])
-    # the keys are shared by every record over the bank, so none may write them
-    with pytest.raises(ValueError, match="read-only"):
-        keys[0, 0, 0] = 0.0
 
 
 def test_sigmoid_at_zero():
-    assert tc.sigmoid(Tensor([0.0])).item() == 0.5
+    assert sigmoid(Tensor([0.0])).item() == 0.5
 
 
 def test_sigmoid_saturates_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = tc.sigmoid(Tensor([-1000.0, 0.0, 1000.0]))
+        out = sigmoid(Tensor([-1000.0, 0.0, 1000.0]))
     np.testing.assert_array_equal(out.data, [0.0, 0.5, 1.0])
 
 
 def test_sigmoid_is_bitwise_the_textbook_formula():
     x = np.concatenate([rand((40, 16), 11).data.ravel(), rand((200,), 12, -60.0, 60.0).data])
-    np.testing.assert_array_equal(tc.sigmoid(Tensor(x)).data, 1.0 / (1.0 + np.exp(-x)))
+    np.testing.assert_array_equal(sigmoid(Tensor(x)).data, 1.0 / (1.0 + np.exp(-x)))
 
 
 def test_relu_definition():
@@ -737,15 +707,26 @@ def test_matmul_gradients():
 
 
 def test_tanh_gradient_at_point():
-    rep = finite_diff_check(lambda x: tc.reduce_sum(tc.tanh(x)), Tensor([0.3]))
+    rep = finite_diff_check(lambda x: tc.reduce_sum(tanh(x)), Tensor([0.3]))
     assert rep.passed, rep
 
 
 @pytest.mark.parametrize(
-    "op", [tc.sigmoid, tc.tanh, tc.absolute, lambda t: tc.relu(tc.add(t, Tensor([0.1])))]
+    "op", [sigmoid, tanh, tc.absolute, lambda t: tc.relu(tc.add(t, Tensor([0.1])))]
 )
 def test_unary_gradients(op):
     rep = finite_diff_check(lambda x: tc.reduce_sum(op(x)), rand((8,), 21))
+    assert rep.passed, rep
+
+
+def test_composite_gradient():
+    # a chain through matmul, sigmoid, tanh and mul, each record's adjoint
+    # feeding the next, under a weighted sum
+    w1, w2, weights = rand((4, 3), 25), rand((4, 3), 26), rand((3, 3), 24).data
+    rep = finite_diff_check(
+        lambda t: _weighted_sum(tc.mul(sigmoid(tc.matmul(t, w1)), tanh(tc.matmul(t, w2))),
+                                weights),
+        rand((3, 4), 22), tol=PRIMITIVE_TOL)
     assert rep.passed, rep
 
 
@@ -815,7 +796,7 @@ def test_gradcheck_consistent_across_steps():
     x = rand((8,), 71)
     for h in (1e-4, 1e-5):
         rep = finite_diff_check(
-            lambda t: tc.reduce_sum(tc.sigmoid(t)), x, h=h, tol=1e-6
+            lambda t: tc.reduce_sum(sigmoid(t)), x, h=h, tol=1e-6
         )
         assert rep.passed, rep
 
@@ -1076,9 +1057,9 @@ def test_dgcgru_cell_mixes_each_input_once_per_matrix(monkeypatch):
     # the two inputs gru_step forms: [x, h], then [x, r*h] with r the
     # right half of sigmoid(G_zr [x, h]), G_zr over the first 2 d_h columns
     zr_cols = slice(None, 2 * cfg.d_h)
-    zr = tc.sigmoid(unfused_gate_sum(gates.mats, tc.concat([x, h], axis=1),
-                                     [Tensor(w.data[:, zr_cols]) for w in gates.weights],
-                                     Tensor(gates.bias.data[zr_cols]))).data
+    zr = sigmoid(unfused_gate_sum(gates.mats, tc.concat([x, h], axis=1),
+                                  [Tensor(w.data[:, zr_cols]) for w in gates.weights],
+                                  Tensor(gates.bias.data[zr_cols]))).data
     inner = [np.concatenate([x.data, h.data], axis=1),
              np.concatenate([x.data, zr[:, cfg.d_h:] * h.data], axis=1)]
     for rows, calls in zip(inner, (mixed[:2 * cfg.K], mixed[2 * cfg.K:])):
@@ -1300,7 +1281,7 @@ def test_tape_determinism_bitwise():
         x = Tensor(np.linspace(-1, 1, 12).reshape(3, 4), requires_grad=True)
         w = Tensor(np.linspace(0.5, 1.5, 8).reshape(4, 2), requires_grad=True)
         with Tape() as tape:
-            y = tc.tanh(tc.matmul(x, w))
+            y = tanh(tc.matmul(x, w))
             backward(tc.reduce_sum(tc.mul(y, y)), tape)
         return x.grad.copy(), w.grad.copy()
 
@@ -1316,7 +1297,7 @@ def test_backward_linearity():
     def grads_of(scale_f, scale_g):
         x = Tensor(base.data.copy(), requires_grad=True)
         with Tape() as tape:
-            f = tc.reduce_sum(tc.sigmoid(x))
+            f = tc.reduce_sum(sigmoid(x))
             g = tc.reduce_sum(tc.mul(x, x))
             loss = tc.add(
                 tc.mul(f, Tensor([scale_f])), tc.mul(g, Tensor([scale_g]))

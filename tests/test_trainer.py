@@ -212,6 +212,13 @@ def test_clip_leaves_nonfinite_gradients_alone():
     np.testing.assert_array_equal(a.grad, [np.inf, 1.0])
 
 
+def test_clip_without_max_norm_only_measures():
+    a = Tensor(np.zeros(2), requires_grad=True)
+    a.grad = np.array([30.0, 40.0])
+    assert clip_gradients({"a": a}, max_norm=None) == 50.0
+    np.testing.assert_array_equal(a.grad, [30.0, 40.0])
+
+
 # --- training loop -------------------------------------------------------------
 
 def test_config_validation():
