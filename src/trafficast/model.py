@@ -4,11 +4,11 @@ Encoder: one GRU parameter set, run per node over the recent window R and,
 in one pass over stacked rows, over every daily/weekly context block; each
 pass is one `gru_sequence` record. The R pass ends in the decoder's
 initial state; on a tape the block pass leaves the bank, one
-[Q+2S, B*N*G, d_h] tensor of hidden states covering every block, that
+[Q+2S, N*B*G, d_h] tensor of hidden states covering every block, that
 attention indexes. A forward-only pass streams the block pass instead
-(`BankWindow`): it keeps the 2S+1 bank states one decoder step reads and
-advances one block step per decoder step, in place in its last slot,
-bitwise the same states.
+(`BankWindow`): it keeps the 2S+1 bank states one decoder step reads, as
+a ring, and advances one block step per decoder step into the slot of
+the state the window no longer reads, bitwise the same states.
 
 Decoder, per forecast step t: a GRU (separate parameters) advances on its
 own previous output, attention pools a (2S+1)-wide window from every block
@@ -18,7 +18,8 @@ graph stages can be swapped (`order`), and each mechanism has an off
 switch so its contribution can be measured.
 
 All three GRUs run one gate step (as in DCRNN's DCGRU): each gate is
-sum_k (M_k [..]) W_k + b over a list of mixing matrices, identity first.
+[..] W_0 + sum_k M_k ([..] W_k) + b over a list of mixing matrices,
+identity first.
 The encoder and decoder GRUs have the identity alone; the graph GRU adds
 the K predefined and K adaptive adjacency powers. Both branches' powers
 come from one helper over an [H, N, N] adjacency stack: every learned
@@ -32,15 +33,17 @@ all three gates. Every decoder GRU step, dense or graph, is one
 every attention step one `additive_attention` record: the window read
 out of the bank, the scores of every window offset over every block
 against one query, the softmax per node, the pooled context and the
-residual add. A GRU record never keeps the mixes M_k [x, h] or
-M_k [x, r*h]: its backward mixes the adjoint by each M_k^T. A decoder
+residual add. A GRU record never keeps a mix M_k ([..] W_k): its
+backward mixes the adjoint by each M_k^T. A decoder
 step's record keeps its gates; an encoder pass keeps only its states,
 and its backward recomputes each step's gates from them. An attention
 record forms each window state's key W2 h_p itself and keeps no key and
 no tanh output: its backward recomputes them from the window.
-Every activation is [B*N, d] rows, node-minor (row b*N + n), so no cell
-reshapes or slices; the rows of the bank and of a streamed window add the
-block as the fastest index (row (b*N + n)*G + g).
+Every activation is [N*B, d] rows, node-major (row n*B + b), so no cell
+copies or slices, and each graph mix is one [N, N] x [N, B*w] product on
+a free reshape to [N, B*w], as in DCRNN's graph convolution. The rows of
+the bank and of a streamed window add the block as the fastest index
+(row (n*B + b)*G + g).
 
 Everything here runs on the tape from `tensor`; data enters as constant
 tensors, parameters carry requires_grad.
@@ -121,7 +124,7 @@ class ModelConfig:
 
 @dataclass
 class GruGates:
-    """One GRU's gates, each sum_k (M_k [..]) W_k + b.
+    """One GRU's gates, each [..] W_0 + sum_k M_k ([..] W_k) + b.
 
     `mats` lists the mixing matrices, the identity (None) first, and
     `weights` holds one weight per matrix: the encoder's or decoder's own
@@ -247,34 +250,37 @@ class BankWindow:
     reaches it.
 
     Decoder step t attends over block positions P+t-half .. P+t+half, with
-    half = cfg.window_half. `states` [2*half+1, B*N*G, d_h] holds
-    just those for decoder step `step`, in the rows of the bank `encode`
-    returns on a tape: the first pass runs the block steps up to the end
-    of step 0's window, and `at` slides the window one slot per decoder
-    step and then advances the pass one block step in place, in the last
-    slot, from the state that slot still holds. Each state is the same GRU
-    arithmetic in the same order as the taped bank's, so it is bitwise
+    half = cfg.window_half. `states` [2*half+1, N*B*G, d_h] holds just
+    those for decoder step `step`, in the rows of the bank `encode`
+    returns on a tape, as a ring: window offset c is in slot
+    (start + c) mod (2*half+1). The first pass runs the block steps up to
+    the end of step 0's window, with start 0. Each later decoder step
+    advances the pass one block step from the newest state into the slot
+    of the oldest, the one state the window no longer reads, and moves
+    start on by one slot: one state copy, no slide. Each state is the same
+    GRU arithmetic in the same order as the taped bank's, so it is bitwise
     equal to it.
     """
 
     def __init__(self, enc: GruGates, steps: np.ndarray, cfg: ModelConfig):
         half = cfg.window_half
-        self.enc, self.steps, self.step = enc, steps, 0
+        self.enc, self.steps, self.step, self.start = enc, steps, 0, 0
         self.last = cfg.P + half  # block position of the window's last state
         self.states = _encoder_pass(enc, steps[:self.last + 1], cfg.P - half)
 
-    def at(self, t: int) -> Tensor:
-        """Decoder step t's window; the pass runs forward only."""
+    def at(self, t: int) -> Tuple[Tensor, int]:
+        """Decoder step t's window: the ring and the slot of its offset 0.
+        The pass runs forward only."""
         if t < self.step:
             raise ModelError(f"bank window is at step {self.step}, cannot return to step {t}")
-        window = self.states.data
+        ring = self.states.data
         while self.step < t:
             self.step, self.last = self.step + 1, self.last + 1
-            for slot in range(len(window) - 1):  # one state per copy, none overlapping
-                window[slot] = window[slot + 1]
+            oldest, newest = self.start, self.start - 1  # slot -1 is the last
             _encoder_pass(self.enc, self.steps[self.last:self.last + 1], 0,
-                          Tensor(window[-1]), out=window[-1:])
-        return self.states
+                          Tensor(ring[newest]), out=ring[oldest:oldest + 1])
+            self.start = (oldest + 1) % len(ring)
+        return self.states, self.start
 
 
 def encode(
@@ -282,29 +288,31 @@ def encode(
 ) -> Tuple[Tensor, Union[Tensor, BankWindow, None]]:
     """Shared-parameter GRU passes over R and, in one pass, every periodic block.
 
-    Returns the final R state [B*N, d_h] (decoder init) and the periodic
+    Returns the final R state [N*B, d_h] (decoder init), rows node-major
+    (row n*B + b) like every activation, and the periodic
     states attention reads, None when periodic context is switched off.
     The block pass runs the G = d_count + w_count blocks as rows of one
-    stack, node-major and block-minor (row (b*N + n)*G + g), blocks ordered
+    stack, node-major and block-minor (row (n*B + b)*G + g), blocks ordered
     daily first, then weekly, both most-distant-first (matching the data
     layout). The blocks share one pass because they have the same length,
     the same zero initial state and the same weights, and a dense GRU
     treats each row on its own.
 
     On a tape each pass is one `gru_sequence` record, and the periodic
-    states are the bank: one [Q+2S, B*N*G, d_h] tensor holding the states
+    states are the bank: one [Q+2S, N*B*G, d_h] tensor holding the states
     at block positions P-S .. P+Q+S-1. A forward-only pass returns a
     `BankWindow` instead, which keeps only the 2S+1 states one decoder
-    step reads and runs the rest of the block pass as the decoder reaches
-    it.
+    step reads, as a ring, and runs the rest of the block pass as the
+    decoder reaches it.
     """
     cfg = state.config
     b, p_len, n, c = r.shape
     if p_len != cfg.P:
         raise ShapeError(f"R has {p_len} steps, config says P={cfg.P}")
     enc = state.gru("encoder")
-    r_steps = np.ascontiguousarray(r.transpose(1, 0, 2, 3)).reshape(p_len, b * n, c)
-    h_final = tc.reshape(_encoder_pass(enc, r_steps, p_len - 1), (b * n, cfg.d_h))
+    # [B, P, N, C] -> [P, N, B, C]: one row per (node, batch)
+    r_steps = np.ascontiguousarray(r.transpose(1, 2, 0, 3)).reshape(p_len, n * b, c)
+    h_final = tc.reshape(_encoder_pass(enc, r_steps, p_len - 1), (n * b, cfg.d_h))
     if cfg.no_period:
         return h_final, None
     if d.shape[1] != cfg.d_count or w.shape[1] != cfg.w_count:
@@ -317,9 +325,9 @@ def encode(
             f"block lengths {d.shape[2]} and {w.shape[2]} != P+Q+S = {cfg.block_len}"
         )
     g = cfg.d_count + cfg.w_count
-    # [B, G, L, N, C] -> [L, B, N, G, C]: one row per (batch, node, block)
-    blocks = np.concatenate([d, w], axis=1).transpose(2, 0, 3, 1, 4)
-    steps = np.ascontiguousarray(blocks).reshape(cfg.block_len, b * n * g, c)
+    # [B, G, L, N, C] -> [L, N, B, G, C]: one row per (node, batch, block)
+    blocks = np.concatenate([d, w], axis=1).transpose(2, 3, 0, 1, 4)
+    steps = np.ascontiguousarray(blocks).reshape(cfg.block_len, n * b * g, c)
     if not tc.recording():
         return h_final, BankWindow(enc, steps, cfg)
     return h_final, _encoder_pass(enc, steps, cfg.P - cfg.S)
@@ -339,13 +347,14 @@ def attention_step(
     `encode` returns; the window takes offsets -S..+S around it (just the
     aligned state when windowing is off). A forward-only `BankWindow`
     first advances its block pass to step t and then holds exactly that
-    window. One `additive_attention` record reads the window out of the
+    window, as a ring that the record reads from the slot of offset -S
+    on. One `additive_attention` record reads the window out of the
     bank, forms each window state's key W2 h_p and every score
     v' tanh(W2 h_p + W1 h + b) over the G blocks of each row, turns them
     into weights with a softmax per node, and adds the pooled context
     residually; its backward adds the window's rows into the bank's one
     adjoint.
-    Returns (a_t, weights) with weights [B*N, G*C] a constant tensor in
+    Returns (a_t, weights) with weights [N*B, G*C] a constant tensor in
     block-major, offset-minor candidate order (column g*C + c), or
     (h_t, None) when periodic context is off.
     """
@@ -355,7 +364,7 @@ def attention_step(
         return h_t, None
     half = cfg.window_half
     if isinstance(bank, BankWindow):
-        bank, start = bank.at(t), 0
+        bank, start = bank.at(t)
     else:
         start = t + cfg.S - half
     return tc.additive_attention(h_t, bank, start, 2 * half + 1,
@@ -499,8 +508,8 @@ def forward(
     attn = state.attention()
     w_out, b_out = state.params["out.weight"], state.params["out.bias"]
 
-    g = Tensor(np.zeros((b * n, cfg.d_h)))
-    x_in = Tensor(np.ascontiguousarray(r[:, -1]).reshape(b * n, c))
+    g = Tensor(np.zeros((n * b, cfg.d_h)))
+    x_in = Tensor(np.ascontiguousarray(r[:, -1].transpose(1, 0, 2)).reshape(n * b, c))
     trace = ForwardTrace(predictions=None)
     step_preds = []
     for t in range(cfg.Q):
@@ -516,8 +525,8 @@ def forward(
         trace.attention_weights.append(w_t)
         step_preds.append(y_t)
         x_in = y_t
-    stacked = tc.reshape(tc.concat(step_preds, axis=0), (cfg.Q, b, n, c))
-    trace.predictions = tc.transpose(stacked, (1, 0, 2, 3))
+    stacked = tc.reshape(tc.concat(step_preds, axis=0), (cfg.Q, n, b, c))
+    trace.predictions = tc.transpose(stacked, (2, 0, 1, 3))
     return trace
 
 

@@ -329,9 +329,12 @@ def absolute(a: Tensor) -> Tensor:
 # softmax / concat / reduce / reshape / transpose / matmul
 # ---------------------------------------------------------------------------
 
-def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(a - a.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax(a: np.ndarray, axis, out: Optional[np.ndarray] = None) -> np.ndarray:
+    # in one buffer, `out` (a's shape) when given; `a` may be a strided view
+    e = np.subtract(a, a.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
@@ -440,23 +443,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # recurrent cells: one record per GRU step, or per dense GRU pass
 # ---------------------------------------------------------------------------
 
-def _node_mix(adj: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """adj [N, N] times each batch element's [N, d] block of x [B*N, d].
+def _node_mix(adj: np.ndarray, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """adj [N, N] times x [N*B, w] as one [N, N] x [N, B*w] product, into
+    `out` (x's shape) when given.
 
-    Rows are node-minor: row b*N + n is node n of batch element b.
+    Rows are node-major: row n*B + b is node n of batch element b, so
+    x.reshape(N, B*w) is a free view holding node n's rows in row n.
     """
-    return np.matmul(adj, x.reshape(-1, adj.shape[0], x.shape[1])).reshape(x.shape)
+    n = adj.shape[0]
+    mixed = np.matmul(adj, x.reshape(n, -1), out=None if out is None else out.reshape(n, -1))
+    return mixed.reshape(x.shape)
 
 
 def _gate_sum(mats, xd: np.ndarray, weights, bias: np.ndarray,
               out: Optional[np.ndarray] = None) -> np.ndarray:
-    """sum_k (M_k xd) W_k + b, summed in place in k order, then b added,
-    into `out` when given. mats[0] is None, the identity; the weights and
-    bias are arrays (column blocks of the joined ones). Each mix M_k xd is
-    dropped once summed."""
+    """xd W_0 + sum_k M_k (xd W_k) + b, summed in place in k order, then b
+    added, into `out` when given. mats[0] is None, the identity; the
+    weights and bias are arrays (column blocks of the joined ones). Each
+    matrix mixes its product xd W_k at the gate's width, in two scratch
+    buffers that every matrix reuses and that are dropped before the bias
+    add, whose ufunc buffer would otherwise add to the peak beside them."""
     out = np.matmul(xd, weights[0], out=out)
-    for mat, w in zip(mats[1:], weights[1:]):
-        out += _node_mix(mat.data, xd) @ w
+    if len(mats) > 1:
+        xw, mixed = np.empty(out.shape), np.empty(out.shape)
+        for mat, w in zip(mats[1:], weights[1:]):
+            out += _node_mix(mat.data, np.matmul(xd, w, out=xw), mixed)
+        del xw, mixed
     out += bias
     return out
 
@@ -466,13 +478,13 @@ def _gate_sum_grad(g, mats, xd: np.ndarray, weights, cols: slice, g_weights, g_b
     """Adjoints of one _gate_sum over the operand xd and the columns `cols`
     of each joined weight and of the bias, for its output adjoint g.
 
-    Works on the adjoint side, as (M_k xd)^T g = xd^T (M_k^T g): per matrix
-    one node mix at the gate's width, Y_k = M_k^T g (Y_0 = g), then W_k's
-    adjoint xd^T Y_k is written into those columns of g_weights[k], the
-    bias's into those of g_bias (None for one that needs none), and xd's
-    gains Y_k W_k^T. Returns xd's adjoint or None, and adds each matrix's,
-    sum_b g_b (xd_b W_k)^T over batch elements b, into g_mats. A constant
-    gets no gradient product.
+    Per matrix the adjoint is mixed once, at the gate's width, by one
+    product Y_k = M_k^T g (Y_0 = g); then W_k's adjoint xd^T Y_k is written
+    into those columns of g_weights[k], the bias's into those of g_bias
+    (None for one that needs none), and xd gains Y_k W_k^T. Returns xd's
+    adjoint or None. Each matrix's adjoint, g (xd W_k)^T over node-major
+    rows, is one [N, B*w] x [B*w, N] product, added into g_mats in place.
+    A constant gets no gradient product.
     """
     g_x = None
     # highest k first: x's adjoint sums its terms in the order a backward
@@ -480,10 +492,12 @@ def _gate_sum_grad(g, mats, xd: np.ndarray, weights, cols: slice, g_weights, g_b
     for k in range(len(mats) - 1, -1, -1):
         w, mat, g_w = weights[k].data[:, cols], mats[k], g_weights[k]
         if mat is not None and mat.requires_grad:
-            n, width = mat.data.shape[0], g.shape[1]
-            xw = (xd @ w).reshape(-1, n, width)
-            g_m = np.matmul(g.reshape(-1, n, width), xw.transpose(0, 2, 1)).sum(axis=0)
-            g_mats[k - 1] = g_m if g_mats[k - 1] is None else g_mats[k - 1] + g_m
+            n = mat.data.shape[0]
+            g_m = np.matmul(g.reshape(n, -1), (xd @ w).reshape(n, -1).T)
+            if g_mats[k - 1] is None:
+                g_mats[k - 1] = g_m
+            else:
+                g_mats[k - 1] += g_m
         if not (need_x or g_w is not None):
             continue
         y = g if mat is None else _node_mix(mat.data.T, g)
@@ -491,7 +505,10 @@ def _gate_sum_grad(g, mats, xd: np.ndarray, weights, cols: slice, g_weights, g_b
             np.matmul(xd.T, y, out=g_w[:, cols])
         if need_x:
             y = y @ w.T
-            g_x = y if g_x is None else g_x + y
+            if g_x is None:
+                g_x = y
+            else:
+                g_x += y
     if g_bias is not None:
         g.sum(axis=0, out=g_bias[cols])
     return g_x
@@ -596,17 +613,18 @@ def gru_step(mats: Sequence[Optional[Tensor]], x: Tensor, h: Tensor,
     """h' = (1 - z) h + z c for x [rows, d_x] and h [rows, d_h], one record.
 
     [z | r] = sigmoid(G_zr [x, h]) and c = tanh(G_c [x, r h]), each G a
-    gate sum sum_k (M_k [..]) W_k + b over the matrices `mats`, the
-    identity (None) first, then [N, N] matrices that mix the node-minor
-    rows (row b*N + n) of each batch element. `weights` holds one
+    gate sum [..] W_0 + sum_k M_k ([..] W_k) + b over the matrices `mats`,
+    the identity (None) first, then [N, N] matrices over node-major rows
+    (row n*B + b), each mix one [N, N] x [N, B*w] product at the gate's
+    width w. `weights` holds one
     [W_z | W_r | W_c], [d_x + d_h, 3 d_h], per matrix and `bias` is
     [b_z | b_r | b_c]: G_zr reads their first 2 d_h columns (z the left d_h)
     and G_c the last d_h. The mix is formed as (h - z h) + z c, in the
     order separate concat, gate-sum, sigmoid, product, tanh and mix
     records would, over one buffer holding [x, h] and then, in place,
     [x, r h]. On a tape the record keeps only [z | r] and c, no mix
-    M_k [..] and no operand: its backward rebuilds the operand from x, h
-    and r, and mixes the adjoint by each M_k^T instead.
+    M_k ([..] W_k) and no operand: its backward rebuilds the operand from
+    x, h and r, and mixes the adjoint by each M_k^T instead.
     """
     if x.data.ndim != 2 or h.data.ndim != 2 or x.shape[0] != h.shape[0]:
         raise ShapeError(f"gru_step needs [rows,d] input and state, "
@@ -739,21 +757,26 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
     """h + sum_j a_j k_j, a = softmax_j(v' tanh(k_j W2 + h W1 + b)), one record.
 
     h is [R, d] and the bank [L, R*G, d]; the window is the n_off states
-    bank[start .. start+n_off-1], read inside the record. Row r*G + g of
-    a state holds row group g of query row r; w1 and w2 are [d, a], b and
-    v are [a]. Each query row attends over its G*n_off candidates: column
-    g*n_off + c of the returned weights [R, G*n_off] is window state c's
+    bank[start .. start+n_off-1], read inside the record. A window of the
+    whole bank (n_off = L) may instead wrap, as a ring: offset c is then
+    bank[(start + c) mod L]; only without a tape, or with a constant bank,
+    since the bank's adjoint is one run of its states. Row r*G + g of a
+    state holds row group g of query row r; w1 and w2 are [d, a], b and v
+    are [a]. Each query row attends over its G*n_off candidates: column
+    g*n_off + c of the returned weights [R, G*n_off] is window offset c's
     row r*G + g. Returns the output [R, d] and the weights as a constant
     tensor; the backward returns the bank's adjoint as the window's rows
     (`_Rows`), zero outside them.
 
     Each offset forms its key k_j W2 itself, into one scratch buffer that
-    then holds its tanh output. The query is formed once and broadcast
-    over the G row groups; the arithmetic runs in the order separate
-    score, softmax, pool and add records would. No key and no tanh output
-    is kept: on a tape the backward recomputes the query and each
-    activation from k_j W2 into one buffer, and forms each pre-activation
-    adjoint in a second. A constant operand gets no gradient product.
+    then holds its tanh output, and writes its scores into a row of one
+    contiguous [n_off, R*G] buffer. The query is formed once and broadcast
+    over the G row groups. The softmax runs per query row; the pool sums,
+    per offset in offset order, that offset's G weighted row groups, and
+    the residual h is added last. No key and no tanh output is kept: on a
+    tape the backward recomputes the query and each activation from
+    k_j W2 into one buffer, and forms each pre-activation adjoint in a
+    second. A constant operand gets no gradient product.
     """
     hd, bd = h.data, bank.data
     if hd.ndim != 2:
@@ -765,10 +788,17 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
             f"additive_attention needs a [l,r*g,{width}] bank for {rows} query rows, "
             f"got {list(bd.shape)}"
         )
-    if n_off < 1 or start < 0 or start + n_off > bd.shape[0]:
+    n_bank = bd.shape[0]
+    wraps = start + n_off > n_bank
+    if n_off < 1 or start < 0 or (wraps and (n_off != n_bank or start >= n_bank)):
         raise ShapeError(
             f"additive_attention window {start}..{start + n_off - 1} outside a bank "
-            f"of {bd.shape[0]} states"
+            f"of {n_bank} states"
+        )
+    if wraps and bank.requires_grad and _active_tape() is not None:
+        raise ShapeError(
+            f"additive_attention window {start}..{start + n_off - 1} wraps past the end of "
+            f"a bank of {n_bank} states, which a tape cannot return the adjoint of"
         )
     a_shape = (width, v.data.shape[0])
     for name, t, shape in (("w1", w1, a_shape), ("w2", w2, a_shape),
@@ -778,13 +808,19 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
                 f"additive_attention {name} must be {list(shape)}, got {list(t.data.shape)}"
             )
 
-    window = bd[start:start + n_off]
     k_rows, groups = bd.shape[1], bd.shape[1] // rows
     inputs = (h, w1, b, w2, v, bank)
 
+    def key(c):
+        # window offset c's state [R*G, d], from bank slot (start + c) mod L
+        return bd[(start + c) % n_bank]
+
+    def grouped(c):
+        return key(c).reshape(rows, groups, width)
+
     def activation(c, q, act):
         # tanh(k_c W2 + q) into act, q broadcast over row groups (row r*G + g is q[r])
-        np.matmul(window[c], w2.data, out=act)
+        np.matmul(key(c), w2.data, out=act)
         view = act.reshape(rows, groups, -1)
         view += q[:, None]
         np.tanh(act, out=act)
@@ -795,30 +831,38 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
         return q
 
     q = query()
-    v_col = v.data.reshape(-1, 1)
-    scores = np.empty((k_rows, n_off))
+    scores = np.empty((n_off, k_rows))
     act = np.empty((k_rows, a_shape[1]))
     for c in range(n_off):
         activation(c, q, act)
-        scores[:, c] = (act @ v_col)[:, 0]
-    weights = _softmax(scores.reshape(rows, groups * n_off), axis=1)
-    grouped = window.reshape(n_off, rows, groups, width)
-    out = weights[:, :1] * grouped[0][:, 0]
-    for j in range(1, groups * n_off):
-        group, c = divmod(j, n_off)
-        out += weights[:, j:j + 1] * grouped[c][:, group]
+        np.matmul(act, v.data, out=scores[c])
+    # a softmax per query row over its G*n_off scores, read transposed out
+    # of the [n_off, R*G] buffer straight into the weights [R, G*n_off],
+    # whose column g*n_off + c is offset c's row r*G + g
+    weights = np.empty((rows, groups * n_off))
+    _softmax(scores.reshape(n_off, rows, groups).transpose(1, 2, 0), (1, 2),
+             out=weights.reshape(rows, groups, n_off))
+    del scores
+    # each offset's weights, contiguous [n_off, R, G]
+    per_offset = np.ascontiguousarray(
+        weights.reshape(rows, groups, n_off).transpose(2, 0, 1))
+    out = np.einsum("rg,rgd->rd", per_offset[0], grouped(0))
+    for c in range(1, n_off):
+        out += np.einsum("rg,rgd->rd", per_offset[c], grouped(c))
     out += hd
 
+    # bwd closes over 19 names: CPython 3.11 never reuses a freed tuple of
+    # exactly 20 items, so a 20th name would pin up to 2,000 of them
     def bwd(g):
-        g_w = np.stack([np.einsum("rd,rgd->rg", g, kg) for kg in grouped],
+        g_w = np.stack([np.einsum("rd,rgd->rg", g, grouped(c)) for c in range(n_off)],
                        axis=2).reshape(weights.shape)
         g_s = _softmax_grad(weights, g_w, axis=1).reshape(-1, n_off)
         w3 = weights.reshape(rows, groups, n_off)
         need_q = h.requires_grad or w1.requires_grad or b.requires_grad
-        g_q = np.zeros((k_rows, a_shape[1])) if need_q else None
+        g_q = None
         g_w2 = np.zeros_like(w2.data) if w2.requires_grad else None
         g_v = np.zeros_like(v.data) if v.requires_grad else None
-        g_window = np.empty(window.shape) if bank.requires_grad else None
+        g_window = np.empty((n_off, k_rows, width)) if bank.requires_grad else None
         q = query()
         act, g_pre = np.empty((k_rows, a_shape[1])), np.empty((k_rows, a_shape[1]))
         # last offset first, the order a pass over per-offset records takes
@@ -832,10 +876,14 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
             np.multiply(act, act, out=act)
             np.subtract(1.0, act, out=act)
             g_pre *= act
-            if g_q is not None:
-                g_q += g_pre
+            if need_q:
+                # starts from the last offset's term, not from zeros
+                if g_q is None:
+                    g_q = g_pre.copy()
+                else:
+                    g_q += g_pre
             if g_w2 is not None:
-                g_w2 += window[c].T @ g_pre
+                g_w2 += key(c).T @ g_pre
             if g_window is not None:
                 g_k = g_window[c]
                 np.multiply(w3[:, :, c, None], g[:, None, :],

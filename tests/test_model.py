@@ -194,35 +194,61 @@ def test_encode_bank_counts_and_lengths():
         h, bank = encode(state, r, d, w)
     assert h.shape == (2 * 4, cfg.d_h)
     # one tensor of the Q+2S states attention reads, each stacking one
-    # daily and one weekly block for every (batch, node) row
+    # daily and one weekly block for every (node, batch) row
     assert bank.shape == (cfg.Q + 2 * cfg.S, 2 * 4 * 2, cfg.d_h)
-    # a forward-only pass keeps the 2S+1 states of one decoder step's window
+    # a forward-only pass keeps the 2S+1 states of one decoder step's
+    # window, a ring whose offset 0 moves on one slot per decoder step
     h, window = encode(state, r, d, w)
     assert h.shape == (2 * 4, cfg.d_h)
-    assert window.at(0).shape == (2 * cfg.S + 1, 2 * 4 * 2, cfg.d_h)
-    assert window.at(cfg.Q - 1).shape == (2 * cfg.S + 1, 2 * 4 * 2, cfg.d_h)
+    states, start = window.at(0)
+    assert states.shape == (2 * cfg.S + 1, 2 * 4 * 2, cfg.d_h) and start == 0
+    states, start = window.at(cfg.Q - 1)
+    assert states.shape == (2 * cfg.S + 1, 2 * 4 * 2, cfg.d_h)
+    assert start == (cfg.Q - 1) % (2 * cfg.S + 1)
     with pytest.raises(ModelError, match="cannot return"):
         window.at(0)
 
 
+def test_streamed_window_rewrites_one_slot_per_step():
+    # each decoder step writes the next block state into the slot of the
+    # oldest and moves offset 0 on by one slot; the other 2S states keep
+    # their bytes (a slide would rewrite every slot)
+    cfg = _toy_cfg(S=2, Q=4)
+    state = init_model(cfg, 4, 1, seed=1)
+    r, d, w, _ = _toy_batch(cfg)
+    _, window = encode(state, r, d, w)
+    ring, start = window.at(0)
+    for t in range(1, cfg.Q):
+        before = ring.data.copy()
+        ring_t, start_t = window.at(t)
+        assert ring_t is ring and start_t == (start + 1) % len(before)
+        changed = [slot for slot in range(len(before))
+                   if not np.array_equal(ring.data[slot], before[slot])]
+        assert changed == [start]
+        start = start_t
+
+
 def _per_block_states(state, cfg, blocks, b, n):
-    # each block's states at every position, from a separate GRU pass over it
+    # each block's states at every position, from a separate GRU pass over
+    # it, in node-major rows (row n*B + b)
     enc = state.gru("encoder")
     per_block = []
     for source in blocks:
-        h, states = Tensor(np.zeros((b * n, cfg.d_h))), []
+        h, states = Tensor(np.zeros((n * b, cfg.d_h))), []
         for pos in range(cfg.block_len):
-            h = gru_cell(enc, Tensor(source[:, pos].reshape(b * n, 1)), h)
+            x = np.ascontiguousarray(source[:, pos].transpose(1, 0, 2)).reshape(n * b, 1)
+            h = gru_cell(enc, Tensor(x), h)
             states.append(h.data)
         per_block.append(states)
     return per_block
 
 
 def test_encode_stacked_bank_matches_per_block_passes():
-    # row (b*N + n)*G + g of bank state j is block g's state at position P-S+j,
+    # row (n*B + b)*G + g of bank state j is block g's state at position P-S+j,
     # as a separate GRU pass over that block alone computes it; so is row
-    # (b*N + n)*G + g of slot k of decoder step t's streamed window, at
-    # position P+t-half+k, with and without windowing
+    # (n*B + b)*G + g of window offset k of decoder step t's streamed ring,
+    # in slot (start + k) mod (2*half+1), at position P+t-half+k, with and
+    # without windowing
     b, n, g = 2, 4, 5
     for no_window in (False, True):
         cfg = _toy_cfg(d_count=2, w_count=3, no_window=no_window)
@@ -238,14 +264,16 @@ def test_encode_stacked_bank_matches_per_block_passes():
                 j = pos - (cfg.P - cfg.S)
                 if j >= 0:
                     np.testing.assert_allclose(
-                        bank.data[j].reshape(b * n, g, cfg.d_h)[:, block],
+                        bank.data[j].reshape(n * b, g, cfg.d_h)[:, block],
                         h, rtol=0, atol=1e-14)
         half = 0 if no_window else cfg.S
         for t in range(cfg.Q):
-            slots = window.at(t).data.reshape(2 * half + 1, b * n, g, cfg.d_h)
+            ring, start = window.at(t)
+            slots = ring.data.reshape(2 * half + 1, n * b, g, cfg.d_h)
             for block, states in enumerate(per_block):
                 for k in range(2 * half + 1):
-                    np.testing.assert_allclose(slots[k, :, block],
+                    slot = (start + k) % (2 * half + 1)
+                    np.testing.assert_allclose(slots[slot, :, block],
                                                states[cfg.P + t - half + k],
                                                rtol=0, atol=1e-14)
 
@@ -272,7 +300,9 @@ def test_encode_deterministic():
     np.testing.assert_array_equal(h3.data, h1.data)
     np.testing.assert_array_equal(h3.data, h4.data)
     for t in range(cfg.Q):
-        np.testing.assert_array_equal(window3.at(t).data, window4.at(t).data)
+        (ring3, start3), (ring4, start4) = window3.at(t), window4.at(t)
+        assert start3 == start4
+        np.testing.assert_array_equal(ring3.data, ring4.data)
 
 
 def test_encode_rejects_wrong_block_count():
@@ -387,8 +417,8 @@ def test_attention_step_out_of_range():
 
 def test_attention_never_mixes_nodes():
     # perturbing node 1's bank rows leaves every other row of a_t bitwise
-    # unchanged (rows are (batch, node) pairs; node j occupies rows j mod n,
-    # and bank rows (b*n + j)*G + g)
+    # unchanged (rows are (node, batch) pairs; node j occupies rows j*b + bi,
+    # and bank rows (j*b + bi)*G + g)
     cfg = ModelConfig(d_h=3, P=3, Q=2, S=2)
     rng = np.random.default_rng(9)
     b, n, g = 2, 3, 2
@@ -398,7 +428,7 @@ def test_attention_never_mixes_nodes():
     h_t = Tensor(rng.standard_normal((rows, 3)))
     a1, _ = attention_step(h_t, bank, 0, cfg, params)
 
-    target_rows = [bi * n + 1 for bi in range(b)]
+    target_rows = [1 * b + bi for bi in range(b)]
     bank2 = Tensor(bank.data.copy())
     bank2.data[:, [r * g + gi for r in target_rows for gi in range(g)]] += 0.77
     a2, _ = attention_step(h_t, bank2, 0, cfg, params)
@@ -414,7 +444,7 @@ def _identity_gate(d_in, d_h, hops_pre, hops_adp):
 
 
 def _graph_conv(x, folded):
-    """sum_k (M_k x) W_k over one gate's conv_terms, for x [B*N, d_in]."""
+    """sum_k (M_k x) W_k over one gate's conv_terms, for x [N*B, d_in]."""
     mats, weights = folded
     return unfused_gate_sum(mats, x, weights, Tensor(np.zeros(weights[0].shape[1])))
 
@@ -576,15 +606,16 @@ def test_dgcgru_identity_isolation():
     cfg = _toy_cfg(d_h=4, no_adp=True, w_pre=1.0)
     state = init_model(cfg, 3, 1, seed=19)
     rng = np.random.default_rng(20)
-    x = rng.standard_normal((2, 3, 4))
-    h = Tensor(rng.standard_normal((2, 3, 4)).reshape(6, 4))
+    # rows are node-major: [N, B, d] reshaped, node n in rows n*B .. n*B + B-1
+    x = rng.standard_normal((3, 2, 4))
+    h = Tensor(rng.standard_normal((3, 2, 4)).reshape(6, 4))
     gates = dgc_terms(state, pre_mix_mats(np.eye(3), cfg), [])
-    out1 = dgcgru_cell(gates, Tensor(x.reshape(6, 4)), h).data.reshape(2, 3, 4)
+    out1 = dgcgru_cell(gates, Tensor(x.reshape(6, 4)), h).data.reshape(3, 2, 4)
     x2 = x.copy()
-    x2[:, 2, :] += 1.5
-    out2 = dgcgru_cell(gates, Tensor(x2.reshape(6, 4)), h).data.reshape(2, 3, 4)
-    np.testing.assert_array_equal(out1[:, :2], out2[:, :2])
-    assert np.any(out1[:, 2] != out2[:, 2])
+    x2[2] += 1.5
+    out2 = dgcgru_cell(gates, Tensor(x2.reshape(6, 4)), h).data.reshape(3, 2, 4)
+    np.testing.assert_array_equal(out1[:2], out2[:2])
+    assert np.any(out1[2] != out2[2])
 
 
 # --- full forward ---------------------------------------------------------------

@@ -91,14 +91,14 @@ def test_batched_matmul_is_one_product_per_leading_index():
 # ---------------------------------------------------------------------------
 
 def unfused_gate_sum(mats, x, weights, bias):
-    # sum_k (M_k x) W_k + b from generic ops, each M_k tiled over the batch
+    # x W_0 + sum_k M_k (x W_k) + b from generic ops: rows are node-major
+    # (row n*B + b), so each M_k mixes x W_k reshaped to [N, B*w]
     out = tc.matmul(x, weights[0])
     for mat, w in zip(mats[1:], weights[1:]):
+        xw = tc.matmul(x, w)
         n = mat.shape[0]
-        b = x.shape[0] // n
-        tiled = tc.reshape(tc.concat([mat] * b, axis=0), (b, n, n))
-        mixed = tc.matmul(tiled, tc.reshape(x, (b, n, x.shape[1])))
-        out = tc.add(out, tc.matmul(tc.reshape(mixed, x.shape), w))
+        mixed = tc.matmul(mat, tc.reshape(xw, (n, xw.size // n)))
+        out = tc.add(out, tc.reshape(mixed, xw.shape))
     return tc.add(out, bias)
 
 
@@ -237,14 +237,14 @@ def test_gru_sequence_shape_mismatch():
 
 
 def test_gate_sum_mixes_each_batch_element():
-    # rows are node-minor: row b*3 + n is node n of batch element b; weights
+    # rows are node-major: row n*2 + b is node n of batch element b; weights
     # 0 on the identity and I on adj reduce the gate sum to M x
     adj, x = rand((3, 3), 2), rand((6, 4), 3)
     weights, bias = [np.zeros((4, 4)), np.eye(4)], np.zeros(4)
     out = tc._gate_sum([None, adj], x.data, weights, bias)
     assert out.shape == (6, 4)
     for b in range(2):
-        rows = slice(3 * b, 3 * b + 3)
+        rows = slice(b, None, 2)
         np.testing.assert_allclose(out[rows], adj.data @ x.data[rows], rtol=0, atol=1e-14)
 
 
@@ -252,10 +252,11 @@ def test_gate_sum_is_term_by_term_sum_then_bias():
     mats = [None, rand((3, 3), 4), rand((3, 3), 5)]
     x, bias = rand((6, 4), 6), rand((5,), 7)
     weights = [rand((4, 5), 8 + k) for k in range(3)]
+    # x W_0 + M_1 (x W_1) + M_2 (x W_2), each product mixed over the free
+    # [N, B*w] view of its node-major rows, summed in that order
     expected = x.data @ weights[0].data
     for mat, w in zip(mats[1:], weights[1:]):
-        mixed = np.concatenate([mat.data @ x.data[rows] for rows in (slice(0, 3), slice(3, 6))])
-        expected = expected + mixed @ w.data
+        expected = expected + (mat.data @ (x.data @ w.data).reshape(3, 10)).reshape(6, 5)
     out = tc._gate_sum(mats, x.data, [w.data for w in weights], bias.data)
     np.testing.assert_array_equal(out, expected + bias.data)
 
@@ -433,20 +434,25 @@ def _window(bank, start, n_off):
 def unfused_attention(h, bank, start, n_off, w1, b, w2, v):
     # the window read out of the bank, scores, a softmax per row, then the
     # context pooled one candidate at a time (column g*C + c weights row
-    # r*G + g of window[c]) and added to h
+    # r*G + g of window[c]), each offset's row groups summed in group order,
+    # the offsets' sums added in offset order, and h added last
     window = _window(bank, start, n_off)
     rows, width = h.shape
     groups = window[0].shape[0] // rows
     weights = tc.softmax(_unfused_scores(h, window, w1, b, w2, v), axis=1)
     ones = Tensor(np.ones((1, width)))
     pooled = None
-    for j in range(groups * n_off):
-        group, c = divmod(j, n_off)
-        k_rows = tc.matmul(Tensor(np.eye(rows * groups)[group::groups]), window[c])
-        scale = tc.matmul(tc.matmul(weights, Tensor(np.eye(groups * n_off)[:, j:j + 1])), ones)
-        term = tc.mul(scale, k_rows)
-        pooled = term if pooled is None else tc.add(pooled, term)
-    return tc.add(h, pooled), weights
+    for c in range(n_off):
+        offset = None
+        for group in range(groups):
+            j = group * n_off + c
+            k_rows = tc.matmul(Tensor(np.eye(rows * groups)[group::groups]), window[c])
+            scale = tc.matmul(tc.matmul(weights, Tensor(np.eye(groups * n_off)[:, j:j + 1])),
+                              ones)
+            term = tc.mul(scale, k_rows)
+            offset = term if offset is None else tc.add(offset, term)
+        pooled = offset if pooled is None else tc.add(pooled, offset)
+    return tc.add(pooled, h), weights
 
 
 def _score_operands(rows, groups, n_off, d, seed, requires_grad=False):
@@ -553,6 +559,30 @@ def test_weighted_pool_groups_rows():
     expected = sum(weights.data[:, g * 3 + c:g * 3 + c + 1] * window[c][g::2]
                    for g in range(2) for c in range(3))
     np.testing.assert_allclose(out.data - operands[0].data, expected, rtol=0, atol=1e-14)
+
+
+def test_additive_attention_reads_a_whole_bank_window_as_a_ring():
+    # a window of the whole bank from slot 3 of 5 reads offsets 0..4 from
+    # slots 3, 4, 0, 1, 2: bitwise the window of the bank rolled to start
+    # there, outputs and weights, and with a constant bank on a tape every
+    # parameter gradient too; a bank that needs its adjoint cannot wrap
+    h, bank, _, _, w1, b, w2, v = _score_operands(3, 2, 3, 4, 95)  # 5 states
+    rolled = Tensor(np.roll(bank.data, -3, axis=0))
+    ring, plain = (tc.additive_attention(h, bank, 3, 5, w1, b, w2, v),
+                   tc.additive_attention(h, rolled, 0, 5, w1, b, w2, v))
+    for got, want in zip(ring, plain):
+        np.testing.assert_array_equal(got.data, want.data)
+    params, weights = [h, w1, b, w2, v], rand((3, 4), 96)
+    for t in params:
+        t.requires_grad = True
+    for got, want in zip(
+            _leaf_grads(tc.additive_attention, (h, bank, 3, 5, w1, b, w2, v), params, weights),
+            _leaf_grads(tc.additive_attention, (h, rolled, 0, 5, w1, b, w2, v), params,
+                        weights)):
+        np.testing.assert_array_equal(got, want)
+    bank.requires_grad = True
+    with Tape(), pytest.raises(tc.ShapeError, match="wraps past the end of a bank of 5"):
+        tc.additive_attention(h, bank, 3, 5, w1, b, w2, v)
 
 
 def test_weighted_pool_shape_mismatch():
@@ -829,18 +859,20 @@ def test_gradients_only_on_requires_grad():
 
 
 def test_constant_operands_get_no_gradient_product(monkeypatch):
-    # a matrix's gradient is one np.matmul over [b, n, width] stacks, and
-    # the adjoint is mixed by M_k^T through np.matmul of the [n, n] matrix:
-    # a constant matrix gets no such product, and an adjoint is mixed only
-    # for an operand that needs it (not for constant weights, state or x)
+    # a matrix's gradient is one np.matmul to an [n, n] result, and the
+    # adjoint is mixed by M_k^T through np.matmul of the [n, n] matrix to
+    # an [n, B*width] one: a constant matrix gets no such product, and an
+    # adjoint is mixed only for an operand that needs it (not for constant
+    # weights, state or x)
     operands, chain = _gru_operands(2, 6, 2, 3, 160)
     mats, x, h, weights, bias = operands
     w = rand((6, 3), 161)
     products, mixes, matmul = [], [], np.matmul
 
     def spy(a, *rest, **kw):
-        (products if a.ndim == 3 else mixes).append(1)
-        return matmul(a, *rest, **kw)
+        out = matmul(a, *rest, **kw)
+        (products if out.shape == (3, 3) else mixes).append(1)
+        return out
 
     def step_grads(variable):
         # the gru_step record's adjoints with only `variable` variable
@@ -1040,31 +1072,62 @@ def _dgc_gates(cfg, state, a_pre):
 
 
 def test_dgcgru_cell_mixes_each_input_once_per_matrix(monkeypatch):
-    # 2K non-identity matrices (K predefined powers, K adaptive), applied
-    # once to [x, h] for both gates and once to [x, r*h] for the candidate
+    # 2K non-identity matrices (K predefined powers, K adaptive), each
+    # applied once per gate sum, to that sum's product: [x, h] W_k over the
+    # [z | r] columns, then [x, r*h] W_k over the candidate's
     cfg, state, a_pre = _toy_state()
     gates = _dgc_gates(cfg, state, a_pre)
     x = Tensor(rand((8, cfg.d_h), 50).data, requires_grad=True)
     h = Tensor(rand((8, cfg.d_h), 51).data, requires_grad=True)
     mixed = []
     node_mix = tc._node_mix
-    monkeypatch.setattr(tc, "_node_mix",
-                        lambda adj, rows: mixed.append((adj, rows.copy())) or node_mix(adj, rows))
+    monkeypatch.setattr(tc, "_node_mix", lambda adj, rows, *out: mixed.append(
+        (adj, rows.copy())) or node_mix(adj, rows, *out))
     with Tape() as tape:
         dgcgru_cell(gates, x, h)
     assert [_op(rec) for rec in tape.records] == ["gru_step"]
     assert len(mixed) == 4 * cfg.K
     # the two inputs gru_step forms: [x, h], then [x, r*h] with r the
     # right half of sigmoid(G_zr [x, h]), G_zr over the first 2 d_h columns
-    zr_cols = slice(None, 2 * cfg.d_h)
+    zr_cols, c_cols = slice(None, 2 * cfg.d_h), slice(2 * cfg.d_h, None)
     zr = sigmoid(unfused_gate_sum(gates.mats, tc.concat([x, h], axis=1),
                                   [Tensor(w.data[:, zr_cols]) for w in gates.weights],
                                   Tensor(gates.bias.data[zr_cols]))).data
     inner = [np.concatenate([x.data, h.data], axis=1),
              np.concatenate([x.data, zr[:, cfg.d_h:] * h.data], axis=1)]
-    for rows, calls in zip(inner, (mixed[:2 * cfg.K], mixed[2 * cfg.K:])):
-        assert all(np.array_equal(seen, rows) for _, seen in calls)
+    for rows, cols, calls in zip(inner, (zr_cols, c_cols),
+                                 (mixed[:2 * cfg.K], mixed[2 * cfg.K:])):
         assert [id(adj) for adj, _ in calls] == [id(m.data) for m in gates.mats[1:]]
+        for (_, seen), w in zip(calls, gates.weights[1:]):
+            np.testing.assert_array_equal(seen, rows @ w.data[:, cols])
+
+
+def test_untaped_dgcgru_cell_peak_is_its_buffers():
+    # an untaped DGC-GRU step at batch 8, N 32, d_h 64, K 2 with both
+    # branches (4 matrices beside the identity) allocates its operand
+    # buffer [x, h] (2 d_h wide), its gates [z | r] (2 d_h) and c (d_h),
+    # its output (d_h) and two scratch buffers of its widest gate sum
+    # (2 d_h each), and at most 32 KiB of numpy's small objects and ufunc
+    # buffers besides. A gate sum that stacked its 4 products into one
+    # [4N, B*w] buffer would add 4 * 2 d_h columns.
+    cfg = ModelConfig(d_h=64, d_e=2, n_head=2, K=2)
+    n, b = 32, 8
+    state = init_model(cfg, n, 1, seed=0)
+    gates = _dgc_gates(cfg, state, np.full((n, n), 1.0 / n))
+    assert len(gates.mats) == 5
+    x, h = rand((n * b, cfg.d_h), 52), rand((n * b, cfg.d_h), 53)
+    dgcgru_cell(gates, x, h)
+    tracemalloc.start()
+    try:
+        out = dgcgru_cell(gates, x, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    column = n * b * 8  # bytes of one column over every row
+    d_h = cfg.d_h
+    buffers = 2 * d_h + (2 * d_h + d_h) + d_h + 2 * (2 * d_h)
+    assert out.shape == (n * b, d_h)
+    assert peak <= buffers * column + 32 * 1024
 
 
 def _eight_steps(cell, gates, x, h):
@@ -1195,7 +1258,7 @@ def _untaped_encode_peak(P):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, window.at(0).data.nbytes
+    return peak, window.at(0)[0].data.nbytes
 
 
 def test_untaped_encode_keeps_no_state_before_the_bank():
@@ -1213,11 +1276,11 @@ def test_untaped_encode_keeps_no_state_before_the_bank():
 
 
 def test_streamed_bank_step_allocates_no_block_state():
-    # `at` slides the window, then runs the block step in place in its
-    # last slot from the state that slot still holds: one step allocates
-    # its gates [z | r] and c (3 states) and an operand buffer [x, h]
-    # (65/64 of a state), and under one state of numpy working space, but
-    # no state. Running the step into a fresh state made it about 5.5.
+    # `at` copies the newest state into the oldest slot of its ring and
+    # runs the block step there in place: one step allocates its gates
+    # [z | r] and c (3 states) and an operand buffer [x, h] (65/64 of a
+    # state), and under one state of numpy working space, but no state.
+    # Running the step into a fresh state made it about 5.5.
     cfg = ModelConfig(d_h=64, d_e=2, n_head=2, P=12, Q=12, S=3)
     r, d, w, _ = _default_window_batch(cfg, 8, 32, seed=0)
     state = init_model(cfg, 32, 1, seed=0)
