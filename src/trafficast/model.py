@@ -352,8 +352,8 @@ def attention_step(
     bank, forms each window state's key W2 h_p and every score
     v' tanh(W2 h_p + W1 h + b) over the G blocks of each row, turns them
     into weights with a softmax per node, and adds the pooled context
-    residually; its backward adds the window's rows into the bank's one
-    adjoint.
+    residually; its backward adds the window's states into the bank's
+    adjoint one state at a time, which the block pass reads per state.
     Returns (a_t, weights) with weights [N*B, G*C] a constant tensor in
     block-major, offset-minor candidate order (column g*C + c), or
     (h_t, None) when periodic context is off.

@@ -12,8 +12,10 @@ rebuilt on every forward pass, which makes data-dependent loop lengths
 
 `.grad` contract: :func:`backward` writes gradients only to leaves, the
 requires_grad tensors the tape did not produce (parameters and inputs the
-caller built), and they accumulate across calls until zeroed. Tensors the
-tape produced are intermediates; their `.grad` stays None.
+caller built), and they accumulate across calls, one per tape, until
+zeroed. Tensors the tape produced are intermediates; their `.grad` stays
+None. A backward pass consumes its tape, releasing each record as it
+goes, so the tape can be replayed only once.
 """
 
 from __future__ import annotations
@@ -95,16 +97,21 @@ class Tensor:
 
 
 class _Record:
-    """One executed primitive: its inputs, output and backward rule."""
+    """One executed primitive: its inputs, output and backward rule, and
+    whether the rule takes its output's adjoint as a list of one array per
+    index of the output's leading axis, when a backward pass holds it so."""
 
-    __slots__ = ("inputs", "output", "backward_fn")
+    __slots__ = ("inputs", "output", "backward_fn", "by_state")
 
-    def __init__(self, inputs, output, backward_fn):
+    def __init__(self, inputs, output, backward_fn, by_state=False):
         self.inputs = inputs
         self.output = output
         self.backward_fn = backward_fn
+        self.by_state = by_state
 
 
+# per thread (a tape is confined to one, and threads run tapes side by
+# side): the stack of active tapes and the running backward pass's adjoints
 _tapes = threading.local()
 
 
@@ -130,12 +137,14 @@ class Tape:
     """Ordered record of primitives executed while the tape is active.
 
     Tapes nest; ops record onto the innermost one. A tape and the tensors
-    it references are confined to a single thread.
+    it references are confined to a single thread. :func:`backward`
+    consumes a tape: it replays each record once and releases it.
     """
 
     def __init__(self):
         self.records: list[_Record] = []
         self._outputs: set[int] = set()
+        self._replayed = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -149,33 +158,132 @@ class Tape:
     def __len__(self) -> int:
         return len(self.records)
 
-    def record(self, inputs, output, backward_fn) -> None:
-        self.records.append(_Record(tuple(inputs), output, backward_fn))
+    def record(self, inputs, output, backward_fn, by_state: bool = False) -> None:
+        self.records.append(_Record(tuple(inputs), output, backward_fn, by_state))
         self._outputs.add(id(output))
 
     def produced(self, t: Tensor) -> bool:
         return id(t) in self._outputs
 
 
-class _Rows:
-    """An adjoint that is `data` on rows start .. start+len(data)-1 of an
-    input's leading axis and zero elsewhere."""
-
-    __slots__ = ("start", "data")
-
-    def __init__(self, start: int, data: np.ndarray):
-        self.start = start
-        self.data = data
-
-
-def _emit(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:
+def _emit(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn,
+          by_state: bool = False) -> Tensor:
     """Wrap a primitive's result and record it on the active tape."""
     out = Tensor(out_data)
     out.requires_grad = any(t.requires_grad for t in inputs)
     tape = _active_tape()
     if tape is not None and out.requires_grad:
-        tape.record(inputs, out, backward_fn)
+        tape.record(inputs, out, backward_fn, by_state)
     return out
+
+
+class _Adjoints:
+    """One backward pass's adjoints, keyed by tensor id.
+
+    `whole` holds an adjoint as one array, and `owned` the ids of those the
+    pass allocated itself: no backward rule holds them, so later
+    contributions are added in place. A tensor that has so far received
+    only state rows (`add_row`) has instead a list in `rows` with one entry
+    per index of its leading axis, None until a contribution reaches that
+    state. Its first ordinary contribution assembles them into one array
+    and adds to that, so every element sums its contributions in the order
+    one array would.
+    """
+
+    __slots__ = ("tape", "whole", "owned", "rows", "leaves")
+
+    def __init__(self, tape: Tape, loss: Tensor):
+        self.tape = tape
+        self.whole: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        self.owned: set[int] = set()
+        self.rows: dict[int, list] = {}
+        self.leaves: dict[int, Tensor] = {}
+
+    def _first(self, t: Tensor) -> None:
+        # t's first contribution: a tensor the tape did not produce is a leaf
+        if not self.tape.produced(t):
+            self.leaves[id(t)] = t
+
+    def take(self, t: Tensor, by_state: bool = False):
+        """Remove t's adjoint and return it, None if nothing reached t: one
+        array, or, with by_state, one array per state if it is held so."""
+        key = id(t)
+        self.owned.discard(key)
+        g = self.whole.pop(key, None)
+        rows = self.rows.pop(key, None)
+        if rows is None:
+            return g
+        if by_state:
+            return [np.zeros(t.shape[1:]) if row is None else row for row in rows]
+        return self._assemble(t, rows)
+
+    def _assemble(self, t: Tensor, rows: list) -> np.ndarray:
+        # each row is freed once copied; a state no row reached stays zero
+        whole = np.zeros(t.shape)
+        for s, row in enumerate(rows):
+            if row is not None:
+                whole[s] = row
+                rows[s] = None
+        return whole
+
+    def add(self, t: Tensor, g: np.ndarray) -> None:
+        key = id(t)
+        acc = self.whole.get(key)
+        if acc is None:
+            rows = self.rows.pop(key, None)
+            if rows is None:
+                self._first(t)
+                self.whole[key] = g
+                return
+            self.whole[key] = acc = self._assemble(t, rows)
+            self.owned.add(key)
+        if key in self.owned and acc.shape == g.shape:
+            acc += g
+        else:
+            self.whole[key] = acc + g
+            self.owned.add(key)
+
+    def add_row(self, t: Tensor, s: int, g: np.ndarray) -> None:
+        """Add g into state s, index s of t's leading axis, of t's adjoint."""
+        key = id(t)
+        acc = self.whole.get(key)
+        if acc is not None:
+            # an ordinary contribution came first: t's adjoint is one array
+            if key not in self.owned:
+                whole = np.zeros(t.shape)
+                whole += acc
+                self.whole[key] = acc = whole
+                self.owned.add(key)
+            acc[s] += g
+            return
+        rows = self.rows.get(key)
+        if rows is None:
+            self._first(t)
+            self.rows[key] = rows = [None] * t.shape[0]
+        if rows[s] is None:
+            rows[s] = np.zeros(t.shape[1:])
+        rows[s] += g
+
+    def replay(self, rec: _Record) -> None:
+        """Run rec's backward rule, just taken off the tape, on its output's
+        adjoint, if any reached it, and add what it returns into its
+        inputs' adjoints."""
+        self.tape._outputs.discard(id(rec.output))
+        g_out = self.take(rec.output, rec.by_state)
+        if g_out is None:
+            return
+        for inp, g in zip(rec.inputs, rec.backward_fn(g_out)):
+            if g is not None and inp.requires_grad:
+                self.add(inp, g)
+
+
+def _add_row(t: Tensor, s: int, g: np.ndarray) -> None:
+    """Add g into state s of t's adjoint in this thread's running backward
+    pass; a backward rule calls it for an input it reads state by state."""
+    adjoints = getattr(_tapes, "adjoints", None)
+    if adjoints is None:
+        raise RuntimeError("a state row's adjoint is added only inside backward")
+    adjoints.add_row(t, s, g)
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -189,51 +297,37 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
     Replays the tape's backward rules in reverse execution order. Every
     consumer of an intermediate runs after the record that produced it, so
-    by the time that record is replayed its adjoint is complete. A rule
-    may return a `_Rows` for an input it reads only a run of leading rows
-    of; that run is added into the input's whole adjoint in place.
+    by the time that record is replayed its adjoint is complete. The pass
+    consumes the tape: each record is taken off it just before its rule
+    runs and released once the rule has, with what it keeps for its
+    backward, so a second backward on the same tape raises ValueError.
+
+    A rule may add an input's adjoint state by state (`_add_row`) instead
+    of returning it. Such an adjoint is held as one zero-allocated array
+    per state reached. Its producer's rule gets that list of states if it
+    was recorded as reading its adjoint state by state (`gru_sequence`),
+    and one assembled array otherwise; a leaf's is assembled into `.grad`
+    when the pass ends. An adjoint that receives an ordinary contribution
+    first is one array from the start.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if tape._replayed:
+        raise ValueError("this tape was already replayed: backward consumes it")
     if not tape.produced(loss) and loss.requires_grad:
         raise ValueError("loss was not produced on this tape")
 
-    adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    # adjoints this pass allocated itself: no backward rule holds them, so
-    # later contributions are added in place
-    owned: set[int] = set()
-    leaves: dict[int, Tensor] = {}
-
-    for rec in reversed(tape.records):
-        g_out = adjoints.pop(id(rec.output), None)
-        owned.discard(id(rec.output))
-        if g_out is None:
-            continue
-        for inp, g in zip(rec.inputs, rec.backward_fn(g_out)):
-            if g is None or not inp.requires_grad:
-                continue
-            key = id(inp)
-            acc = adjoints.get(key)
-            if acc is None and not tape.produced(inp):
-                leaves[key] = inp
-            if type(g) is _Rows:
-                if key not in owned:
-                    whole = np.zeros(inp.shape)
-                    if acc is not None:
-                        whole += acc
-                    adjoints[key] = acc = whole
-                    owned.add(key)
-                acc[g.start:g.start + len(g.data)] += g.data
-            elif acc is None:
-                adjoints[key] = g
-            elif key in owned and acc.shape == g.shape:
-                acc += g
-            else:
-                adjoints[key] = acc + g
-                owned.add(key)
-
-    for key, t in leaves.items():
-        t.accumulate_grad(adjoints[key])
+    tape._replayed = True
+    adjoints = _Adjoints(tape, loss)
+    records = tape.records
+    _tapes.adjoints = adjoints
+    try:
+        while records:
+            adjoints.replay(records.pop())
+    finally:
+        _tapes.adjoints = None
+    for t in adjoints.leaves.values():
+        t.accumulate_grad(adjoints.take(t))
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +669,9 @@ def _gru_grad(g, need_x: bool, need_h: bool, mats, xd, hd, zr, c, weights, bias:
     g_mats = [None] * (len(mats) - 1)
     z, r = zr[:, :d_h], zr[:, d_h:]
     g_c = g * z
+    g_h = g - g_c if need_h else None
     g_c *= 1.0 - c * c
     g_xrh = _gate_sum_grad(g_c, mats, buf, weights, c_cols, g_w, g_b, need_xrh, g_mats)
-    g_h = g - g * z if need_h else None
     g_x = None
     if need_xrh:
         g_rh = g_xrh[:, d_x:]
@@ -680,7 +774,9 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, weight: Tensor, bias: Tensor,
 
     Without a tape the states may be written into `out` [T - first, rows,
     d_h], whose first slot may be h0 itself; then the pass allocates no
-    state, only its operand and gate buffers.
+    state, only its operand and gate buffers. The backward reads its
+    output's adjoint one state at a time, so it takes the adjoint as one
+    array or, when a pass holds it state by state, as a list of states.
     """
     xs = np.asarray(steps, dtype=np.float64)
     if xs.ndim != 3 or h0.data.ndim != 2 or xs.shape[1] != h0.shape[0]:
@@ -745,7 +841,7 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, weight: Tensor, bias: Tensor,
                         total += step
         return [carry, *sums]  # past step 0, carry is h0's adjoint
 
-    return _emit(inputs, states[first:], bwd)
+    return _emit(inputs, states[first:], bwd, by_state=True)
 
 
 # ---------------------------------------------------------------------------
@@ -765,8 +861,11 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
     are [a]. Each query row attends over its G*n_off candidates: column
     g*n_off + c of the returned weights [R, G*n_off] is window offset c's
     row r*G + g. Returns the output [R, d] and the weights as a constant
-    tensor; the backward returns the bank's adjoint as the window's rows
-    (`_Rows`), zero outside them.
+    tensor. The backward adds the bank's adjoint state by state
+    (`_add_row`): each offset's window state adjoint, w_j g plus the
+    pre-activation adjoint times W2^T, is formed in one [R*G, d] buffer
+    that every offset reuses, then added into that state's row, so the
+    pass holds only the bank states some window has reached.
 
     Each offset forms its key k_j W2 itself, into one scratch buffer that
     then holds its tanh output, and writes its scores into a row of one
@@ -862,7 +961,7 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
         g_q = None
         g_w2 = np.zeros_like(w2.data) if w2.requires_grad else None
         g_v = np.zeros_like(v.data) if v.requires_grad else None
-        g_window = np.empty((n_off, k_rows, width)) if bank.requires_grad else None
+        g_k = np.empty((k_rows, width)) if bank.requires_grad else None
         q = query()
         act, g_pre = np.empty((k_rows, a_shape[1])), np.empty((k_rows, a_shape[1]))
         # last offset first, the order a pass over per-offset records takes
@@ -884,19 +983,18 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
                     g_q += g_pre
             if g_w2 is not None:
                 g_w2 += key(c).T @ g_pre
-            if g_window is not None:
-                g_k = g_window[c]
+            if g_k is not None:
                 np.multiply(w3[:, :, c, None], g[:, None, :],
                             out=g_k.reshape(rows, groups, width))
                 g_k += g_pre @ w2.data.T
+                _add_row(bank, start + c, g_k)
         g_h = g_w1 = g_b = None
         if g_q is not None:
             g_q = g_q.reshape(rows, groups, -1).sum(axis=1)
             g_h = g + g_q @ w1.data.T if h.requires_grad else None
             g_w1 = hd.T @ g_q if w1.requires_grad else None
             g_b = g_q.sum(axis=0) if b.requires_grad else None
-        return [g_h, g_w1, g_b, g_w2, g_v,
-                None if g_window is None else _Rows(start, g_window)]
+        return [g_h, g_w1, g_b, g_w2, g_v, None]
 
     return _emit(inputs, out, bwd), Tensor(weights)
 

@@ -710,12 +710,25 @@ def test_backward_rejects_nonscalar():
 
 
 def test_backward_accumulates_across_calls():
+    # a leaf's .grad sums the passes of two tapes until zeroed
+    x = Tensor([3.0], requires_grad=True)
+    for _ in range(2):
+        with Tape() as tape:
+            backward(tc.mul(x, x), tape)
+    np.testing.assert_array_equal(x.grad, [12.0])
+
+
+def test_backward_consumes_its_tape():
+    # each record is released once replayed, so a second pass has nothing
+    # to replay and raises rather than adding nothing
     x = Tensor([3.0], requires_grad=True)
     with Tape() as tape:
         loss = tc.mul(x, x)
         backward(loss, tape)
-        backward(loss, tape)
-    np.testing.assert_array_equal(x.grad, [12.0])
+        assert len(tape) == 0 and not tape.produced(loss)
+        with pytest.raises(ValueError, match="already replayed"):
+            backward(loss, tape)
+    np.testing.assert_array_equal(x.grad, [6.0])
 
 
 # ---------------------------------------------------------------------------
@@ -934,8 +947,9 @@ def test_backward_writes_grad_to_leaves_only():
         # x reaches the loss three ways: through x*w, through x*x, and directly
         s = tc.add(tc.mul(x, w), tc.mul(x, x))
         loss = tc.reduce_sum(tc.add(s, x))
+        outputs = [rec.output for rec in tape.records]
         backward(loss, tape)
-    assert all(rec.output.grad is None for rec in tape.records)
+    assert len(outputs) == 5 and all(t.grad is None for t in outputs)
     np.testing.assert_array_equal(x.grad, [3.0 + 2.0 + 1.0, -1.0 + 4.0 + 1.0])
     np.testing.assert_array_equal(w.grad, [1.0, 2.0])
 
@@ -1031,6 +1045,117 @@ def test_backward_adds_row_adjoints_into_the_whole_input():
                                atol=1e-14 * np.abs(plain).max())
 
 
+def _row_record(t, rows):
+    # a record whose rule adds each (state, value) of rows into t's adjoint
+    # state by state, in order
+    def bwd(g):
+        for s, value in rows:
+            tc._add_row(t, s, np.full(t.shape[1:], value))
+        return [None]
+
+    return tc._emit((t,), np.zeros(1), bwd)
+
+
+def _whole_record(t, value):
+    # a record whose rule returns t's adjoint as one array
+    def bwd(g):
+        return [np.full(t.shape, value)]
+
+    return tc._emit((t,), np.zeros(1), bwd)
+
+
+def test_state_rows_sum_in_the_order_one_array_would():
+    # 1e16 + 1 rounds back to 1e16, so each state's adjoint shows the order
+    # its contributions were summed in; records replay last first
+    bank = Tensor(np.zeros((3, 2)), requires_grad=True)
+    rows = [(0, 1.0), (0, 1.0), (2, 1.0)]
+    with Tape() as tape:
+        # the ordinary contribution comes first: one array from the start
+        backward(tc.add(_row_record(bank, rows), _whole_record(bank, 1e16)), tape)
+    np.testing.assert_array_equal(bank.grad, np.full((3, 2), 1e16))
+    bank.grad = None
+    with Tape() as tape:
+        # rows first: assembled into one array, which the ordinary one joins
+        backward(tc.add(_whole_record(bank, 1e16), _row_record(bank, rows)), tape)
+    np.testing.assert_array_equal(bank.grad[:, 0], [1e16 + 2, 1e16, 1e16])
+
+
+def test_state_rows_reach_their_producer_by_state_or_assembled():
+    # a producer recorded as reading its adjoint state by state gets one
+    # array per state, zero where no row reached; any other gets one array
+    x = Tensor(np.zeros((3, 2)), requires_grad=True)
+    got = {}
+
+    def producer(by_state):
+        def bwd(g):
+            got[by_state] = g
+            return [None]
+
+        return tc._emit((x,), x.data.copy(), bwd, by_state=by_state)
+
+    for by_state in (False, True):
+        with Tape() as tape:
+            backward(_row_record(producer(by_state), [(0, 2.0), (2, 1.0), (0, 1.0)]), tape)
+    assert type(got[True]) is list and len(got[True]) == 3
+    np.testing.assert_array_equal(got[False], [[3.0, 3.0], [0.0, 0.0], [1.0, 1.0]])
+    np.testing.assert_array_equal(np.stack(got[True]), got[False])
+
+
+def _closed_over(fn, name):
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+def test_backward_releases_each_record_before_earlier_ones_replay():
+    # every decoder GRU step's kept [z | r] is freed with its record, before
+    # the encoder's passes replay
+    cfg, state, a_pre = _toy_state()
+    r, d, w, _ = _default_window_batch(cfg, 2, 4, seed=0)
+    seen = []
+
+    def spy(fn):
+        def bwd(g):
+            seen.append([ref() is None for ref in kept])
+            return fn(g)
+
+        return bwd
+
+    with Tape() as tape:
+        loss = tc.reduce_mean(forward(state, r, d, w, a_pre=a_pre).predictions)
+        kept = [weakref.ref(_closed_over(rec.backward_fn, "zr"))
+                for rec in tape.records if _op(rec) == "gru_step"]
+        for rec in tape.records:
+            if _op(rec) == "gru_sequence":
+                rec.backward_fn = spy(rec.backward_fn)
+        del rec
+        backward(loss, tape)
+    assert len(kept) == 2 * cfg.Q and seen == [[True] * len(kept)] * 2
+
+
+def test_backward_peak_holds_a_window_of_bank_states():
+    # a taped step at the default window (P = Q = 12, S = 3, one daily and
+    # one weekly block): above the end of its forward, the backward peaks at
+    # most at the 2S+1 bank states one window reaches, one [R*G, d_h]
+    # buffer and 8 states of slack for the other rules' temporaries (it
+    # reads about 13). The bank's whole adjoint and a window copy, each as
+    # one array, would add 25 states.
+    cfg = ModelConfig(d_h=16, d_e=2, n_head=2)
+    n, b = 32, 8
+    r, d, w, _ = _default_window_batch(cfg, b, n, seed=0)
+    state = init_model(cfg, n, 1, seed=0)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = tc.reduce_mean(forward(state, r, d, w, a_pre=np.full((n, n), 1.0 / n)).predictions)
+            end = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bank_state = n * b * (cfg.d_count + cfg.w_count) * cfg.d_h * 8
+    assert peak - end <= (2 * cfg.S + 1 + 1 + 8) * bank_state
+
+
 def test_reshape_is_a_view_and_routes_gradient():
     x = Tensor(np.arange(6.0), requires_grad=True)
     w = rand((2, 3), 5)
@@ -1053,9 +1178,9 @@ def test_toy_model_step_leaves_no_intermediate_grad():
     state = init_model(cfg, n, 1, seed=0)
     with Tape() as tape:
         loss = tc.reduce_mean(forward(state, r, d, w, a_pre=a_pre).predictions)
+        outputs = [rec.output for rec in tape.records]
         backward(loss, tape)
-    assert sum(rec.output.grad.nbytes for rec in tape.records
-               if rec.output.grad is not None) == 0
+    assert outputs and all(t.grad is None for t in outputs)
     assert all(p.grad is not None for p in state.params.values())
 
 
