@@ -17,7 +17,8 @@ the embedded configuration.
 Machine-read files carry 17 significant digits; stdout summaries carry 4.
 Timings live only in the manifest and history files, so checkpoints,
 metric files, summaries, and tables are byte-identical across reruns
-with the same inputs and seeds (at --jobs 1, the default).
+with the same inputs and seeds. Seeds and grid cells run one after
+another; --jobs is parsed and checked but sets nothing.
 
 Exit codes:
     0  success
@@ -628,7 +629,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     with _started_run(args, "train") as (res, loaded, manifest, manifest_path):
         out_dir = res.out_dir
         start = time.time()
-        summary = train(res.model, loaded.splits, loaded.a_pre, res.train, jobs=args.jobs)
+        summary = train(res.model, loaded.splits, loaded.a_pre, res.train)
         total = time.time() - start
 
         variant = variant_of(res.model)
@@ -667,8 +668,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                       kind=args.kind) as (res, loaded, manifest, manifest_path):
         out_dir = res.out_dir
         start = time.time()
-        rows = run_experiment(args.kind, res.model, loaded.splits, loaded.a_pre,
-                              res.train, jobs=args.jobs)
+        rows = run_experiment(args.kind, res.model, loaded.splits, loaded.a_pre, res.train)
         total = time.time() - start
 
         table_path = os.path.join(out_dir, "table.csv")
@@ -748,8 +748,10 @@ def _add_config_flags(sp: argparse.ArgumentParser, with_jobs: bool = True) -> No
     sp.add_argument("--out-dir", dest="out_dir", help="artifact directory")
     if with_jobs:
         sp.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for independent replicas (default 1, "
-                             "which is the reproducible mode)")
+                        help="accepted and ignored (must be >= 1): seeds and grid cells "
+                             "run one after another, which beat worker threads on 2 "
+                             "vCPUs; removed once the benchmark's grid_jobs2 workload "
+                             "stops passing it")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,6 @@ goes, so the tape can be replayed only once.
 
 from __future__ import annotations
 
-import threading
 from itertools import accumulate
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -110,34 +109,25 @@ class _Record:
         self.by_state = by_state
 
 
-# per thread (a tape is confined to one, and threads run tapes side by
-# side): the stack of active tapes and the running backward pass's adjoints
-_tapes = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_tapes, "stack", None)
-    if stack is None:
-        stack = []
-        _tapes.stack = stack
-    return stack
+# the stack of active tapes, innermost last, and the running backward
+# pass's adjoints, None outside a pass
+_tape_stack: list = []
+_adjoints: Optional["_Adjoints"] = None
 
 
 def _active_tape() -> Optional["Tape"]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _tape_stack[-1] if _tape_stack else None
 
 
 def recording() -> bool:
-    """Whether a tape is active on this thread, so that ops record onto it."""
-    return _active_tape() is not None
+    """Whether a tape is active, so that ops record onto it."""
+    return bool(_tape_stack)
 
 
 class Tape:
     """Ordered record of primitives executed while the tape is active.
 
-    Tapes nest; ops record onto the innermost one. A tape and the tensors
-    it references are confined to a single thread. :func:`backward`
+    Tapes nest; ops record onto the innermost one. :func:`backward`
     consumes a tape: it replays each record once and releases it.
     """
 
@@ -147,13 +137,12 @@ class Tape:
         self._replayed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tape_stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _tape_stack()
-        assert stack and stack[-1] is self
-        stack.pop()
+        assert _tape_stack and _tape_stack[-1] is self
+        _tape_stack.pop()
 
     def __len__(self) -> int:
         return len(self.records)
@@ -278,12 +267,11 @@ class _Adjoints:
 
 
 def _add_row(t: Tensor, s: int, g: np.ndarray) -> None:
-    """Add g into state s of t's adjoint in this thread's running backward
-    pass; a backward rule calls it for an input it reads state by state."""
-    adjoints = getattr(_tapes, "adjoints", None)
-    if adjoints is None:
+    """Add g into state s of t's adjoint in the running backward pass; a
+    backward rule calls it for an input it reads state by state."""
+    if _adjoints is None:
         raise RuntimeError("a state row's adjoint is added only inside backward")
-    adjoints.add_row(t, s, g)
+    _adjoints.add_row(t, s, g)
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -317,15 +305,16 @@ def backward(loss: Tensor, tape: Tape) -> None:
     if not tape.produced(loss) and loss.requires_grad:
         raise ValueError("loss was not produced on this tape")
 
+    global _adjoints
     tape._replayed = True
     adjoints = _Adjoints(tape, loss)
     records = tape.records
-    _tapes.adjoints = adjoints
+    _adjoints = adjoints
     try:
         while records:
             adjoints.replay(records.pop())
     finally:
-        _tapes.adjoints = None
+        _adjoints = None
     for t in adjoints.leaves.values():
         t.accumulate_grad(adjoints.take(t))
 
@@ -855,17 +844,16 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
     h is [R, d] and the bank [L, R*G, d]; the window is the n_off states
     bank[start .. start+n_off-1], read inside the record. A window of the
     whole bank (n_off = L) may instead wrap, as a ring: offset c is then
-    bank[(start + c) mod L]; only without a tape, or with a constant bank,
-    since the bank's adjoint is one run of its states. Row r*G + g of a
-    state holds row group g of query row r; w1 and w2 are [d, a], b and v
-    are [a]. Each query row attends over its G*n_off candidates: column
-    g*n_off + c of the returned weights [R, G*n_off] is window offset c's
-    row r*G + g. Returns the output [R, d] and the weights as a constant
-    tensor. The backward adds the bank's adjoint state by state
-    (`_add_row`): each offset's window state adjoint, w_j g plus the
-    pre-activation adjoint times W2^T, is formed in one [R*G, d] buffer
-    that every offset reuses, then added into that state's row, so the
-    pass holds only the bank states some window has reached.
+    bank[(start + c) mod L]. Row r*G + g of a state holds row group g of
+    query row r; w1 and w2 are [d, a], b and v are [a]. Each query row
+    attends over its G*n_off candidates: column g*n_off + c of the
+    returned weights [R, G*n_off] is window offset c's row r*G + g. Returns
+    the output [R, d] and the weights as a constant tensor. The backward
+    adds the bank's adjoint state by state (`_add_row`): each offset's
+    window state adjoint, w_j g plus the pre-activation adjoint times
+    W2^T, is formed in one [R*G, d] buffer that every offset reuses, then
+    added into that state's row, so the pass holds only the bank states
+    some window has reached.
 
     Each offset forms its key k_j W2 itself, into one scratch buffer that
     then holds its tanh output, and writes its scores into a row of one
@@ -893,11 +881,6 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
         raise ShapeError(
             f"additive_attention window {start}..{start + n_off - 1} outside a bank "
             f"of {n_bank} states"
-        )
-    if wraps and bank.requires_grad and _active_tape() is not None:
-        raise ShapeError(
-            f"additive_attention window {start}..{start + n_off - 1} wraps past the end of "
-            f"a bank of {n_bank} states, which a tape cannot return the adjoint of"
         )
     a_shape = (width, v.data.shape[0])
     for name, t, shape in (("w1", w1, a_shape), ("w2", w2, a_shape),
@@ -987,7 +970,7 @@ def additive_attention(h: Tensor, bank: Tensor, start: int, n_off: int, w1: Tens
                 np.multiply(w3[:, :, c, None], g[:, None, :],
                             out=g_k.reshape(rows, groups, width))
                 g_k += g_pre @ w2.data.T
-                _add_row(bank, start + c, g_k)
+                _add_row(bank, (start + c) % n_bank, g_k)
         g_h = g_w1 = g_b = None
         if g_q is not None:
             g_q = g_q.reshape(rows, groups, -1).sum(axis=1)

@@ -10,7 +10,6 @@ mean and standard deviation per metric.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -388,34 +387,16 @@ def summarize(runs: List[SeedRun]) -> TrainSummary:
     )
 
 
-def _map_ordered(fn, items: Sequence, jobs: int) -> list:
-    """Apply fn to each item, optionally on a thread pool, keeping order."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def train(
     model_cfg: ModelConfig,
     splits: DatasetSplits,
     a_pre: Optional[np.ndarray],
     cfg: TrainConfig,
-    jobs: int = 1,
     **single_kw,
 ) -> TrainSummary:
-    """Run every seed in cfg.seeds and aggregate the test metrics.
-
-    Seeds are independent replicas, so jobs > 1 may run them on
-    separate threads. Results are ordered by seed list position
-    either way.
-    """
-    runs = _map_ordered(
-        lambda seed: train_single(model_cfg, splits, a_pre, cfg, seed, **single_kw),
-        list(cfg.seeds),
-        jobs,
-    )
-    return summarize(runs)
+    """Run every seed in cfg.seeds, in order, and aggregate the test metrics."""
+    return summarize([train_single(model_cfg, splits, a_pre, cfg, seed, **single_kw)
+                      for seed in cfg.seeds])
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +444,12 @@ def run_experiment(
     splits: DatasetSplits,
     a_pre: Optional[np.ndarray],
     cfg: TrainConfig,
-    jobs: int = 1,
     **single_kw,
 ) -> List[GridRow]:
     """Train one cell per grid entry on the same data and seed list.
 
-    A failing cell records its error and the grid continues. Cells are
-    independent, so jobs > 1 may run them on separate threads; the row
-    order always matches the grid definition.
+    Cells run one after another in grid order, which is the row order. A
+    failing cell records its error and the grid continues.
     """
     if kind == "ablation":
         cells = [(label, replace(model_cfg, **variant_switches(label)))
@@ -482,15 +461,14 @@ def run_experiment(
     else:
         raise TrainError(f"unknown experiment kind {kind!r}")
 
-    def run_cell(cell: Tuple[str, ModelConfig]) -> GridRow:
-        label, cell_cfg = cell
+    rows = []
+    for label, cell_cfg in cells:
         try:
-            summary = train(cell_cfg, splits, a_pre, cfg, **single_kw)
-            return GridRow(label=label, summary=summary)
+            rows.append(GridRow(label=label,
+                                summary=train(cell_cfg, splits, a_pre, cfg, **single_kw)))
         except Exception as exc:  # noqa: BLE001 - cell failures must not kill the grid
-            return GridRow(label=label, summary=None, error=str(exc))
-
-    return _map_ordered(run_cell, cells, jobs)
+            rows.append(GridRow(label=label, summary=None, error=str(exc)))
+    return rows
 
 
 # ---------------------------------------------------------------------------

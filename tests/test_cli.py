@@ -4,6 +4,7 @@ import json
 import os
 import re
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -424,6 +425,10 @@ def test_empty_split_is_usage_error_before_run_dir(tmp_path, capsys, argv):
     assert re.search(r"dataset\.split: no val/test samples, got \d+/0/0 train/val/test",
                      capsys.readouterr().err)
     assert not out.exists()
+    # --jobs sets nothing, but below 1 it is still a usage error
+    assert run_cli(*argv, "--config", cfg, "--jobs", "0") == 2
+    assert "--jobs must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_needs_only_a_test_split(tmp_path, capsys):
@@ -445,6 +450,34 @@ def test_train_jobs_matches_serial(tmp_path):
     for rel in ("seed1/checkpoint.ckpt", "seed2/metrics.txt"):
         assert ((tmp_path / "s" / rel).read_bytes()
                 == (tmp_path / "p" / rel).read_bytes())
+
+
+def _run_files(root):
+    # every file a run wrote but those that carry wall-clock times
+    return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*"))
+            if path.is_file() and path.name not in ("manifest.json", "history.csv")}
+
+
+def test_jobs_runs_seeds_and_cells_in_the_calling_thread(tmp_path, monkeypatch):
+    # --jobs is accepted and ignored: with no thread able to start, 2 seeds
+    # and a grid at --jobs 2 write the bytes they write at --jobs 1
+    cfg = write_doc(tmp_path / "c.json", tiny_doc(None, train={"seeds": [1, 2]}))
+    # each command, with one file it must write
+    commands = {("train",): Path("seed2", "checkpoint.ckpt"),
+                ("experiment", "order"): Path("table.csv")}
+    for i, command in enumerate(commands):
+        assert run_cli(*command, "--config", cfg, "--out-dir", str(tmp_path / f"s{i}")) == 0
+
+    def no_thread(self):
+        raise RuntimeError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for i, (command, written) in enumerate(commands.items()):
+        assert run_cli(*command, "--config", cfg, "--out-dir", str(tmp_path / f"p{i}"),
+                       "--jobs", "2") == 0
+        serial = _run_files(tmp_path / f"s{i}")
+        assert written in serial
+        assert _run_files(tmp_path / f"p{i}") == serial
 
 
 def test_train_missing_data_file_names_path(tmp_path, capsys):

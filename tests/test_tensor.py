@@ -564,8 +564,8 @@ def test_weighted_pool_groups_rows():
 def test_additive_attention_reads_a_whole_bank_window_as_a_ring():
     # a window of the whole bank from slot 3 of 5 reads offsets 0..4 from
     # slots 3, 4, 0, 1, 2: bitwise the window of the bank rolled to start
-    # there, outputs and weights, and with a constant bank on a tape every
-    # parameter gradient too; a bank that needs its adjoint cannot wrap
+    # there, outputs and weights, and on a tape every parameter gradient
+    # too; a bank that needs its adjoint gets the rolled bank's, rolled back
     h, bank, _, _, w1, b, w2, v = _score_operands(3, 2, 3, 4, 95)  # 5 states
     rolled = Tensor(np.roll(bank.data, -3, axis=0))
     ring, plain = (tc.additive_attention(h, bank, 3, 5, w1, b, w2, v),
@@ -580,9 +580,14 @@ def test_additive_attention_reads_a_whole_bank_window_as_a_ring():
             _leaf_grads(tc.additive_attention, (h, rolled, 0, 5, w1, b, w2, v), params,
                         weights)):
         np.testing.assert_array_equal(got, want)
-    bank.requires_grad = True
-    with Tape(), pytest.raises(tc.ShapeError, match="wraps past the end of a bank of 5"):
-        tc.additive_attention(h, bank, 3, 5, w1, b, w2, v)
+    bank.requires_grad = rolled.requires_grad = True
+    ring_grads = _leaf_grads(tc.additive_attention, (h, bank, 3, 5, w1, b, w2, v),
+                             [bank, *params], weights)
+    plain_grads = _leaf_grads(tc.additive_attention, (h, rolled, 0, 5, w1, b, w2, v),
+                              [rolled, *params], weights)
+    np.testing.assert_array_equal(ring_grads[0], np.roll(plain_grads[0], 3, axis=0))
+    for got, want in zip(ring_grads[1:], plain_grads[1:]):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_weighted_pool_shape_mismatch():
@@ -1054,6 +1059,25 @@ def _row_record(t, rows):
         return [None]
 
     return tc._emit((t,), np.zeros(1), bwd)
+
+
+def test_state_rows_are_added_only_inside_backward():
+    # outside a pass there is no adjoint to add a state row into, also
+    # right after a pass whose backward rule raised
+    bank = Tensor(np.zeros((3, 2)), requires_grad=True)
+    with pytest.raises(RuntimeError, match="only inside backward"):
+        tc._add_row(bank, 0, np.ones(2))
+
+    def bwd(g):
+        tc._add_row(bank, 1, np.ones(2))
+        raise ValueError("rule failed")
+
+    with Tape() as tape:
+        loss = tc._emit((bank,), np.zeros(1), bwd)
+    with pytest.raises(ValueError, match="rule failed"):
+        backward(loss, tape)
+    with pytest.raises(RuntimeError, match="only inside backward"):
+        tc._add_row(bank, 0, np.ones(2))
 
 
 def _whole_record(t, value):
