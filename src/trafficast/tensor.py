@@ -6,9 +6,9 @@ shape; the supported broadcasting forms are deliberately narrow (equal
 shapes, a trailing-axis vector, or a scalar) so that every backward rule
 stays auditable.
 
-Ops record themselves onto the innermost active :class:`Tape`. A tape is
-rebuilt on every forward pass, which makes data-dependent loop lengths
-(e.g. an autoregressive decoder) trivial to differentiate.
+Ops record themselves onto the active :class:`Tape`; one tape records at
+a time. A tape is rebuilt on every forward pass, which makes data-dependent
+loop lengths (e.g. an autoregressive decoder) trivial to differentiate.
 
 `.grad` contract: :func:`backward` writes gradients only to leaves, the
 requires_grad tensors the tape did not produce (parameters and inputs the
@@ -109,50 +109,46 @@ class _Record:
         self.by_state = by_state
 
 
-# the stack of active tapes, innermost last, and the running backward
-# pass's adjoints, None outside a pass
-_tape_stack: list = []
+# the recording tape and the running backward pass's adjoints, each None
+# when there is none
+_tape: Optional["Tape"] = None
 _adjoints: Optional["_Adjoints"] = None
-
-
-def _active_tape() -> Optional["Tape"]:
-    return _tape_stack[-1] if _tape_stack else None
 
 
 def recording() -> bool:
     """Whether a tape is active, so that ops record onto it."""
-    return bool(_tape_stack)
+    return _tape is not None
 
 
 class Tape:
     """Ordered record of primitives executed while the tape is active.
 
-    Tapes nest; ops record onto the innermost one. :func:`backward`
+    One tape records at a time: entering a tape while another is active
+    raises RuntimeError and leaves that one recording. :func:`backward`
     consumes a tape: it replays each record once and releases it.
     """
 
     def __init__(self):
         self.records: list[_Record] = []
-        self._outputs: set[int] = set()
         self._replayed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack.append(self)
+        global _tape
+        if _tape is not None:
+            raise RuntimeError("a tape is already recording: tapes do not nest")
+        _tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        assert _tape_stack and _tape_stack[-1] is self
-        _tape_stack.pop()
+        global _tape
+        assert _tape is self
+        _tape = None
 
     def __len__(self) -> int:
         return len(self.records)
 
     def record(self, inputs, output, backward_fn, by_state: bool = False) -> None:
         self.records.append(_Record(tuple(inputs), output, backward_fn, by_state))
-        self._outputs.add(id(output))
-
-    def produced(self, t: Tensor) -> bool:
-        return id(t) in self._outputs
 
 
 def _emit(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn,
@@ -160,53 +156,46 @@ def _emit(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn,
     """Wrap a primitive's result and record it on the active tape."""
     out = Tensor(out_data)
     out.requires_grad = any(t.requires_grad for t in inputs)
-    tape = _active_tape()
-    if tape is not None and out.requires_grad:
-        tape.record(inputs, out, backward_fn, by_state)
+    if _tape is not None and out.requires_grad:
+        _tape.record(inputs, out, backward_fn, by_state)
     return out
 
 
 class _Adjoints:
-    """One backward pass's adjoints, keyed by tensor id.
+    """One backward pass's adjoints, keyed by tensor, by identity (Tensor
+    defines no equality).
 
-    `whole` holds an adjoint as one array, and `owned` the ids of those the
-    pass allocated itself: no backward rule holds them, so later
-    contributions are added in place. A tensor that has so far received
-    only state rows (`add_row`) has instead a list in `rows` with one entry
-    per index of its leading axis, None until a contribution reaches that
-    state. Its first ordinary contribution assembles them into one array
-    and adds to that, so every element sums its contributions in the order
-    one array would.
+    Each adjoint is held one way for the whole pass. `whole` holds an
+    adjoint as one array, and `owned` the tensors whose adjoint the pass
+    allocated itself: no backward rule holds those, so later contributions
+    are added in place. A tensor whose first contribution is a state row
+    (`add_row`) has instead a list in `rows` with one entry per index of
+    its leading axis, None until a contribution reaches that state. A
+    contribution of the other form raises ValueError.
+
+    A tensor is a key from its first contribution until `take` removes it
+    as its record replays, so the keys left once every record has replayed
+    are the leaves.
     """
 
-    __slots__ = ("tape", "whole", "owned", "rows", "leaves")
+    __slots__ = ("whole", "owned", "rows")
 
-    def __init__(self, tape: Tape, loss: Tensor):
-        self.tape = tape
-        self.whole: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        self.owned: set[int] = set()
-        self.rows: dict[int, list] = {}
-        self.leaves: dict[int, Tensor] = {}
-
-    def _first(self, t: Tensor) -> None:
-        # t's first contribution: a tensor the tape did not produce is a leaf
-        if not self.tape.produced(t):
-            self.leaves[id(t)] = t
+    def __init__(self, loss: Tensor):
+        self.whole: dict[Tensor, np.ndarray] = (
+            {loss: np.ones_like(loss.data)} if loss.requires_grad else {})
+        self.owned: set[Tensor] = set()
+        self.rows: dict[Tensor, list] = {}
 
     def take(self, t: Tensor, by_state: bool = False):
         """Remove t's adjoint and return it, None if nothing reached t: one
         array, or, with by_state, one array per state if it is held so."""
-        key = id(t)
-        self.owned.discard(key)
-        g = self.whole.pop(key, None)
-        rows = self.rows.pop(key, None)
+        self.owned.discard(t)
+        g = self.whole.pop(t, None)
+        rows = self.rows.pop(t, None)
         if rows is None:
             return g
         if by_state:
             return [np.zeros(t.shape[1:]) if row is None else row for row in rows]
-        return self._assemble(t, rows)
-
-    def _assemble(self, t: Tensor, rows: list) -> np.ndarray:
         # each row is freed once copied; a state no row reached stays zero
         whole = np.zeros(t.shape)
         for s, row in enumerate(rows):
@@ -216,39 +205,26 @@ class _Adjoints:
         return whole
 
     def add(self, t: Tensor, g: np.ndarray) -> None:
-        key = id(t)
-        acc = self.whole.get(key)
+        if t in self.rows:
+            raise ValueError(f"the adjoint of a {list(t.shape)} tensor is held as "
+                             f"state rows: it takes no whole contribution")
+        acc = self.whole.get(t)
         if acc is None:
-            rows = self.rows.pop(key, None)
-            if rows is None:
-                self._first(t)
-                self.whole[key] = g
-                return
-            self.whole[key] = acc = self._assemble(t, rows)
-            self.owned.add(key)
-        if key in self.owned and acc.shape == g.shape:
+            self.whole[t] = g
+        elif t in self.owned and acc.shape == g.shape:
             acc += g
         else:
-            self.whole[key] = acc + g
-            self.owned.add(key)
+            self.whole[t] = acc + g
+            self.owned.add(t)
 
     def add_row(self, t: Tensor, s: int, g: np.ndarray) -> None:
         """Add g into state s, index s of t's leading axis, of t's adjoint."""
-        key = id(t)
-        acc = self.whole.get(key)
-        if acc is not None:
-            # an ordinary contribution came first: t's adjoint is one array
-            if key not in self.owned:
-                whole = np.zeros(t.shape)
-                whole += acc
-                self.whole[key] = acc = whole
-                self.owned.add(key)
-            acc[s] += g
-            return
-        rows = self.rows.get(key)
+        if t in self.whole:
+            raise ValueError(f"the adjoint of a {list(t.shape)} tensor is held "
+                             f"whole: it takes no state row")
+        rows = self.rows.get(t)
         if rows is None:
-            self._first(t)
-            self.rows[key] = rows = [None] * t.shape[0]
+            self.rows[t] = rows = [None] * t.shape[0]
         if rows[s] is None:
             rows[s] = np.zeros(t.shape[1:])
         rows[s] += g
@@ -257,7 +233,6 @@ class _Adjoints:
         """Run rec's backward rule, just taken off the tape, on its output's
         adjoint, if any reached it, and add what it returns into its
         inputs' adjoints."""
-        self.tape._outputs.discard(id(rec.output))
         g_out = self.take(rec.output, rec.by_state)
         if g_out is None:
             return
@@ -268,7 +243,8 @@ class _Adjoints:
 
 def _add_row(t: Tensor, s: int, g: np.ndarray) -> None:
     """Add g into state s of t's adjoint in the running backward pass; a
-    backward rule calls it for an input it reads state by state."""
+    backward rule calls it for an input it reads state by state, whose
+    adjoint then takes only state rows for the rest of the pass."""
     if _adjoints is None:
         raise RuntimeError("a state row's adjoint is added only inside backward")
     _adjoints.add_row(t, s, g)
@@ -281,7 +257,10 @@ def backward(loss: Tensor, tape: Tape) -> None:
     or any input the caller built. Leaves accumulate across calls until
     zeroed. Tensors the tape produced are intermediates: their adjoints live
     only inside this pass, each one dropped as soon as its record's backward
-    rule has consumed it, and their `.grad` stays None.
+    rule has consumed it, and their `.grad` stays None. Leaves are found by
+    elimination: a tensor that receives an adjoint is a key of the pass's
+    adjoints until its record replays, and the keys left at the end are
+    the leaves.
 
     Replays the tape's backward rules in reverse execution order. Every
     consumer of an intermediate runs after the record that produced it, so
@@ -292,30 +271,30 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
     A rule may add an input's adjoint state by state (`_add_row`) instead
     of returning it. Such an adjoint is held as one zero-allocated array
-    per state reached. Its producer's rule gets that list of states if it
-    was recorded as reading its adjoint state by state (`gru_sequence`),
-    and one assembled array otherwise; a leaf's is assembled into `.grad`
-    when the pass ends. An adjoint that receives an ordinary contribution
-    first is one array from the start.
+    per state reached, and only so: an ordinary contribution to it, or a
+    state row to an adjoint held as one array, raises ValueError. Its
+    producer's rule gets that list of states if it was recorded as reading
+    its adjoint state by state (`gru_sequence`), and one assembled array
+    otherwise; a leaf's is assembled into `.grad` when the pass ends.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if tape._replayed:
         raise ValueError("this tape was already replayed: backward consumes it")
-    if not tape.produced(loss) and loss.requires_grad:
+    records = tape.records
+    if loss.requires_grad and not any(rec.output is loss for rec in reversed(records)):
         raise ValueError("loss was not produced on this tape")
 
     global _adjoints
     tape._replayed = True
-    adjoints = _Adjoints(tape, loss)
-    records = tape.records
+    adjoints = _Adjoints(loss)
     _adjoints = adjoints
     try:
         while records:
             adjoints.replay(records.pop())
     finally:
         _adjoints = None
-    for t in adjoints.leaves.values():
+    for t in [*adjoints.whole, *adjoints.rows]:
         t.accumulate_grad(adjoints.take(t))
 
 
@@ -779,7 +758,7 @@ def gru_sequence(steps: np.ndarray, h0: Tensor, weight: Tensor, bias: Tensor,
 
     inputs = (h0, bias, weight)
     requires_grad = any(t.requires_grad for t in inputs)
-    taped = requires_grad and _active_tape() is not None
+    taped = requires_grad and _tape is not None
     if taped and out is not None:
         raise ValueError("gru_sequence writes its states into `out` only without a tape")
     # a taped pass keeps every state for its backward; an untaped one

@@ -714,6 +714,21 @@ def test_backward_rejects_nonscalar():
             backward(y, tape)
 
 
+def test_backward_rejects_a_loss_its_tape_did_not_produce():
+    # a leaf, or a loss recorded on an earlier tape, is refused before the
+    # pass consumes anything
+    x = Tensor([3.0], requires_grad=True)
+    with Tape() as first:
+        loss = tc.mul(x, x)
+    with Tape() as tape:
+        tc.mul(x, x)
+        for other in (x, loss):
+            with pytest.raises(ValueError, match="not produced on this tape"):
+                backward(other, tape)
+        assert len(tape) == 1 and len(first) == 1
+    assert x.grad is None
+
+
 def test_backward_accumulates_across_calls():
     # a leaf's .grad sums the passes of two tapes until zeroed
     x = Tensor([3.0], requires_grad=True)
@@ -730,7 +745,7 @@ def test_backward_consumes_its_tape():
     with Tape() as tape:
         loss = tc.mul(x, x)
         backward(loss, tape)
-        assert len(tape) == 0 and not tape.produced(loss)
+        assert len(tape) == 0
         with pytest.raises(ValueError, match="already replayed"):
             backward(loss, tape)
     np.testing.assert_array_equal(x.grad, [6.0])
@@ -874,6 +889,11 @@ def test_gradients_only_on_requires_grad():
         backward(loss, tape)
     assert c.grad is None
     np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+    # a constant loss reaches nothing, itself included
+    with Tape() as tape:
+        const = tc.reduce_sum(c)
+        backward(const, tape)
+    assert const.grad is None and c.grad is None
 
 
 def test_constant_operands_get_no_gradient_product(monkeypatch):
@@ -1029,25 +1049,41 @@ def test_backward_reshape_view_adjoint():
 
 
 def test_backward_adds_row_adjoints_into_the_whole_input():
-    # the bank reaches the loss through two attention windows, which hand
-    # back only their rows, and through whole-bank products recorded
-    # before and after them
+    # the bank reaches the loss only through two attention windows, which
+    # hand back only their rows
     h, bank, _, _, w1, b, w2, v = _score_operands(3, 2, 3, 4, 210, requires_grad=True)
-    u1, u2, weights = rand(bank.shape, 211), rand(bank.shape, 212), rand((3, 4), 213)
+    u, weights = rand(bank.shape, 211), rand((3, 4), 213)
 
     def bank_grad(attend):
         bank.grad = None
         with Tape() as tape:
-            total = tc.reduce_sum(tc.mul(bank, u1))
-            for start in (0, 2):
-                out = attend(h, bank, start, 3, w1, b, w2, v)[0]
-                total = tc.add(total, tc.reduce_sum(tc.mul(out, weights)))
-            backward(tc.add(total, tc.reduce_sum(tc.mul(bank, u2))), tape)
+            terms = [tc.reduce_sum(tc.mul(attend(h, bank, start, 3, w1, b, w2, v)[0], weights))
+                     for start in (0, 2)]
+            backward(tc.add(*terms), tape)
         return bank.grad
 
     plain = bank_grad(unfused_attention)
     np.testing.assert_allclose(bank_grad(tc.additive_attention), plain, rtol=0,
                                atol=1e-14 * np.abs(plain).max())
+
+    # an adjoint is held one way for the whole pass. Records replay last
+    # first, so the term recorded second reaches the bank first; a
+    # contribution of the other form then raises, in either order
+    def window():
+        return tc.reduce_sum(tc.mul(tc.additive_attention(h, bank, 0, 3, w1, b, w2, v)[0],
+                                    weights))
+
+    def product():
+        return tc.reduce_sum(tc.mul(bank, u))
+
+    bank.grad = None
+    for first, second, held in ((window, product, "held whole"),
+                                (product, window, "held as state rows")):
+        with Tape() as tape:
+            loss = tc.add(first(), second())
+            with pytest.raises(ValueError, match=rf"\[5, 6, 4\] tensor is {held}"):
+                backward(loss, tape)
+        assert bank.grad is None
 
 
 def _row_record(t, rows):
@@ -1078,30 +1114,6 @@ def test_state_rows_are_added_only_inside_backward():
         backward(loss, tape)
     with pytest.raises(RuntimeError, match="only inside backward"):
         tc._add_row(bank, 0, np.ones(2))
-
-
-def _whole_record(t, value):
-    # a record whose rule returns t's adjoint as one array
-    def bwd(g):
-        return [np.full(t.shape, value)]
-
-    return tc._emit((t,), np.zeros(1), bwd)
-
-
-def test_state_rows_sum_in_the_order_one_array_would():
-    # 1e16 + 1 rounds back to 1e16, so each state's adjoint shows the order
-    # its contributions were summed in; records replay last first
-    bank = Tensor(np.zeros((3, 2)), requires_grad=True)
-    rows = [(0, 1.0), (0, 1.0), (2, 1.0)]
-    with Tape() as tape:
-        # the ordinary contribution comes first: one array from the start
-        backward(tc.add(_row_record(bank, rows), _whole_record(bank, 1e16)), tape)
-    np.testing.assert_array_equal(bank.grad, np.full((3, 2), 1e16))
-    bank.grad = None
-    with Tape() as tape:
-        # rows first: assembled into one array, which the ordinary one joins
-        backward(tc.add(_whole_record(bank, 1e16), _row_record(bank, rows)), tape)
-    np.testing.assert_array_equal(bank.grad[:, 0], [1e16 + 2, 1e16, 1e16])
 
 
 def test_state_rows_reach_their_producer_by_state_or_assembled():
@@ -1206,6 +1218,51 @@ def test_toy_model_step_leaves_no_intermediate_grad():
         backward(loss, tape)
     assert outputs and all(t.grad is None for t in outputs)
     assert all(p.grad is not None for p in state.params.values())
+
+
+def test_toy_model_step_grads_exactly_its_leaves():
+    # of every tensor a toy step's records touch, only the parameters and
+    # the target the caller built get a .grad; out.weight, used again twice
+    # in a penalty, also sums the penalty's two contributions
+    cfg, state, a_pre = _toy_state()
+    r, d, w, y = _default_window_batch(cfg, 2, 4, seed=0)
+    w_out = state.params["out.weight"]
+
+    def step(penalty):
+        for t in state.params.values():
+            t.zero_grad()
+        target = Tensor(y, requires_grad=True)
+        with Tape() as tape:
+            pred = forward(state, r, d, w, a_pre=a_pre).predictions
+            loss = mae_loss(pred, target)
+            if penalty:
+                loss = tc.add(loss, tc.reduce_sum(tc.mul(w_out, w_out)))
+            touched = {id(t): t for rec in tape.records for t in (rec.output, *rec.inputs)}
+            backward(loss, tape)
+        leaves = {id(t) for t in state.params.values()} | {id(target)}
+        assert leaves <= touched.keys()
+        assert {key for key, t in touched.items() if t.grad is not None} == leaves
+        err = pred.data - y
+        np.testing.assert_array_equal(target.grad, -np.sign(err) / err.size)
+        return w_out.grad.copy()
+
+    plain = step(False)
+    np.testing.assert_allclose(step(True), plain + 2.0 * w_out.data, rtol=1e-12, atol=1e-15)
+
+
+def test_a_tape_inside_another_raises_and_the_outer_keeps_recording():
+    x = Tensor([3.0], requires_grad=True)
+    with Tape() as outer:
+        y = tc.mul(x, x)
+        with pytest.raises(RuntimeError, match="already recording"):
+            with Tape():
+                pass
+        assert tc.recording()
+        loss = tc.mul(y, x)
+        assert len(outer) == 2
+        backward(loss, outer)
+    assert not tc.recording()
+    np.testing.assert_array_equal(x.grad, [27.0])
 
 
 # Structural guards on the decoder's tape: record counts, never timings.

@@ -1,6 +1,7 @@
 """Trainer tests: loss, metrics, Adam, early stopping, grids, artifacts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from trafficast import tensor as tc
 from trafficast import training
 from trafficast.data import DatasetSpec, Normalizer, prepare_dataset, synth_generate
 from trafficast.graph import build_predefined, row_normalize
-from trafficast.model import ModelConfig
+from trafficast.model import ModelConfig, init_model
 from trafficast.tensor import Tensor, finite_diff_check
 from trafficast.training import (
     AdamState,
@@ -140,6 +141,39 @@ def test_metrics_pure():
     b = metrics(pred, target, IDENTITY_NORM)
     assert a.mae == b.mae and a.mape == b.mape and a.rmse == b.rmse
     np.testing.assert_array_equal(a.per_step_mae, b.per_step_mae)
+
+
+def _many_batch_split():
+    # 107 validation samples in 7 batches of a 2-wide model, so that the
+    # split-sized arrays outweigh one batch's forward
+    series, graph = synth_generate(n_nodes=4, days=30, l_d=24, shift_max=1, noise=0.3, seed=0)
+    splits = prepare_dataset(series, DatasetSpec(P=3, Q=12, S=1))
+    a_pre = row_normalize(build_predefined(graph)).matrix.data
+    model_cfg = ModelConfig(d_h=2, d_e=2, n_head=1, K=1, P=3, Q=12, S=1)
+    return init_model(model_cfg, 4, 1, seed=0), splits, a_pre, TrainConfig(batch_size=16)
+
+
+def test_validation_mae_is_bitwise_the_metrics_mae():
+    state, splits, a_pre, cfg = _many_batch_split()
+    pred, target = training.predict(state, splits.val, a_pre, cfg.batch_size)
+    assert (training.validation_mae(state, splits.val, a_pre, splits.normalizer, cfg)
+            == metrics(pred, target, splits.normalizer).mae)
+
+
+def test_validation_mae_peaks_below_evaluate():
+    # the validation MAE forms no squares, MAPE mask or per-step arrays:
+    # its peak sits at least two split-sized arrays below evaluate's
+    state, splits, a_pre, cfg = _many_batch_split()
+    peaks = []
+    for fn in (training.validation_mae, training.evaluate):
+        tracemalloc.start()
+        try:
+            fn(state, splits.val, a_pre, splits.normalizer, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    split_array = len(splits.val) * 12 * 4 * 8
+    assert peaks[0] + 2 * split_array <= peaks[1]
 
 
 def test_horizon_steps():
