@@ -1,10 +1,10 @@
 """Training loop, metrics, and the comparison-grid runners.
 
 MAE loss, Adam with bias correction, global-norm gradient clipping, early
-stopping on validation MAE with best-checkpoint restore. Metrics are
-reported in original units (the normalizer is inverted first); MAPE is
-masked where the target magnitude is tiny. Multi-seed runs aggregate to
-mean and standard deviation per metric.
+stopping on validation MAE with best-checkpoint restore. `evaluate` scores
+validation, test and `eval` alike: per-step errors in original units, summed
+one predicted batch at a time; MAPE is masked where the target magnitude is
+tiny. Multi-seed runs aggregate to mean and standard deviation per metric.
 """
 
 from __future__ import annotations
@@ -104,41 +104,47 @@ class MetricReport:
 MAPE_FLOOR = 1e-3
 
 
-def _masked_mape(err: np.ndarray, truth: np.ndarray) -> float:
-    mask = np.abs(truth) > MAPE_FLOOR
-    if not np.any(mask):
-        return 0.0
-    return float(np.mean(np.abs(err[mask]) / np.abs(truth[mask])) * 100.0)
-
-
 def horizon_steps_for(q: int) -> List[int]:
     return sorted({max(1, round(q * k / 4)) for k in range(1, 5)})
 
 
-def metrics(pred: np.ndarray, target: np.ndarray, normalizer: Normalizer) -> MetricReport:
-    """Compute the report from normalized-scale arrays shaped [B, Q, N, C].
-
-    MAPE skips targets whose magnitude, in original units, is at most
-    MAPE_FLOOR.
-    """
+def _step_sums(pred: np.ndarray, target: np.ndarray, normalizer: Normalizer) -> np.ndarray:
+    """Per-step sums, in original units, over normalized [B, Q, N, C] arrays:
+    |err|, err², |err|/|target| and the count over targets above MAPE_FLOOR,
+    and the element count. Rows of a [5, Q] array; batches' sums add."""
     if pred.shape != target.shape:
         raise TrainError(f"metric shapes differ: {pred.shape} vs {target.shape}")
-    p = normalizer.inverse(pred)
+    axes = (0, 2, 3)
     y = normalizer.inverse(target)
-    err = p - y
-    q = pred.shape[1]
-    per_mae = np.array([np.mean(np.abs(err[:, t])) for t in range(q)])
-    per_rmse = np.array([np.sqrt(np.mean(err[:, t] ** 2)) for t in range(q)])
-    per_mape = np.array([_masked_mape(err[:, t], y[:, t]) for t in range(q)])
+    err = normalizer.inverse(pred) - y
+    sq = np.square(err).sum(axes)
+    abs_err = np.abs(err, out=err)
+    abs_y = np.abs(y, out=y)
+    kept = abs_y > MAPE_FLOOR
+    ape = np.divide(abs_err, abs_y, out=np.zeros_like(abs_y), where=kept).sum(axes)
+    count = np.full(pred.shape[1], pred.size // pred.shape[1])
+    return np.stack([abs_err.sum(axes), sq, ape, kept.sum(axes), count])
+
+
+def _report(sums: np.ndarray) -> MetricReport:
+    """The report from `_step_sums` rows; MAPE is 0 where no target is kept."""
+    abs_sum, sq_sum, ape_sum, kept, count = sums
     return MetricReport(
-        mae=float(np.mean(np.abs(err))),
-        mape=_masked_mape(err, y),
-        rmse=float(np.sqrt(np.mean(err**2))),
-        per_step_mae=per_mae,
-        per_step_mape=per_mape,
-        per_step_rmse=per_rmse,
-        horizon_steps=horizon_steps_for(q),
+        mae=float(abs_sum.sum() / count.sum()),
+        mape=float(ape_sum.sum() / max(kept.sum(), 1.0) * 100.0),
+        rmse=float(np.sqrt(sq_sum.sum() / count.sum())),
+        per_step_mae=abs_sum / count,
+        per_step_mape=ape_sum / np.maximum(kept, 1.0) * 100.0,
+        per_step_rmse=np.sqrt(sq_sum / count),
+        horizon_steps=horizon_steps_for(len(count)),
     )
+
+
+def metrics(pred: np.ndarray, target: np.ndarray, normalizer: Normalizer) -> MetricReport:
+    """The report on normalized-scale arrays shaped [B, Q, N, C]; MAPE skips
+    targets whose magnitude, in original units, is at most MAPE_FLOOR.
+    `evaluate` gives a split's report, within rounding, one batch at a time."""
+    return _report(_step_sums(pred, target, normalizer))
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +243,12 @@ def evaluate(
     normalizer: Normalizer,
     cfg: TrainConfig,
 ) -> MetricReport:
-    pred, target = predict(state, samples, a_pre, cfg.batch_size)
-    return metrics(pred, target, normalizer)
-
-
-def validation_mae(
-    state: ModelState,
-    samples: Sequence[TrainingSample],
-    a_pre: Optional[np.ndarray],
-    normalizer: Normalizer,
-    cfg: TrainConfig,
-) -> float:
-    """evaluate(...).mae, bitwise: `metrics`' MAE expression on predict's
-    arrays, without forming the other metrics' arrays."""
-    pred, target = predict(state, samples, a_pre, cfg.batch_size)
-    err = normalizer.inverse(pred) - normalizer.inverse(target)
-    return float(np.mean(np.abs(err)))
+    """`metrics` over the samples, summed one `predict` batch at a time, so
+    that only one batch's arrays are alive at once."""
+    bs = cfg.batch_size
+    sums = sum(_step_sums(*predict(state, samples[start : start + bs], a_pre, bs), normalizer)
+               for start in range(0, len(samples), bs))
+    return _report(sums)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +339,7 @@ def train_single(
         if val_metric_fn is not None:
             val_mae = float(val_metric_fn(state, epoch))
         else:
-            val_mae = validation_mae(state, splits.val, a_pre, splits.normalizer, cfg)
+            val_mae = evaluate(state, splits.val, a_pre, splits.normalizer, cfg).mae
         history.append(EpochRecord(
             epoch=epoch,
             train_mae=float(np.mean(epoch_losses)),

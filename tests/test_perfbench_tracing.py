@@ -1,7 +1,9 @@
 """perfbench's traced wrappers on one toy training step: installed, counted,
-and put back. Asserts structure only, never timings."""
+and put back, with each evaluation batch counted as an eval step. Asserts
+structure only, never timings."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -12,6 +14,8 @@ from trafficast.model import ModelConfig
 from trafficast.training import TrainConfig
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+MODULES = {"tensor": tensor, "graph": graph, "data": data, "model": model,
+           "training": training, "cli": cli}
 
 
 def _load_tracing(monkeypatch):
@@ -23,23 +27,28 @@ def _load_tracing(monkeypatch):
     return module
 
 
-def test_traced_step_labels_every_stage_and_restores_the_package(monkeypatch):
-    tracing = _load_tracing(monkeypatch)
-    modules = {"tensor": tensor, "graph": graph, "data": data, "model": model,
-               "training": training, "cli": cli}
-    before = {name: dict(vars(mod)) for name, mod in modules.items()}
-
+def _toy_step(tracer, modules):
+    """One training step of a toy model under `tracer`, then validation and
+    test: 20 and 22 samples, 2 batches each at the default batch size."""
     series, ring = synth_generate(n_nodes=4, days=16, l_d=12, shift_max=1, noise=0.3, seed=0)
     splits = prepare_dataset(series, DatasetSpec(P=3, Q=2, S=1))
     a_pre = row_normalize(build_predefined(ring)).matrix.data
     cfg = ModelConfig(d_h=6, d_e=2, n_head=2, K=1, P=3, Q=2, S=1)
-    tracer = tracing.Tracer(traced=True)
+    train_cfg = TrainConfig(max_epochs=1, seeds=(1,))
     tracer.install(modules)
     try:
-        training.train_single(cfg, splits, a_pre, TrainConfig(max_epochs=1, seeds=(1,)),
-                              seed=1, max_steps=1)
+        training.train_single(cfg, splits, a_pre, train_cfg, seed=1, max_steps=1)
     finally:
         tracer.uninstall()
+    return splits, train_cfg
+
+
+def test_traced_step_labels_every_stage_and_restores_the_package(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    modules = MODULES
+    before = {name: dict(vars(mod)) for name, mod in modules.items()}
+    tracer = tracing.Tracer(traced=True)
+    _toy_step(tracer, modules)
 
     for qual in tracing.ALWAYS + tracing.TRACED:
         mod_name, attr = qual.split(".")
@@ -60,3 +69,18 @@ def test_traced_step_labels_every_stage_and_restores_the_package(monkeypatch):
     nested = [span for span in tracer.spans if span.name == "model.gru_cell"
               and span.parent in by_id and by_id[span.parent].name == "model.dgcgru_cell"]
     assert nested == []
+
+
+def test_every_evaluation_batch_is_an_eval_step(monkeypatch):
+    # the benchmark counts a batch as eval only inside predict: one training
+    # step, then each validation and test batch
+    tracing = _load_tracing(monkeypatch)
+    tracer = tracing.Tracer(traced=False)
+    splits, train_cfg = _toy_step(tracer, MODULES)
+
+    kinds = [step.kind for step in tracer.steps]
+    val_batches = math.ceil(len(splits.val) / train_cfg.batch_size)
+    test_batches = math.ceil(len(splits.test) / train_cfg.batch_size)
+    assert val_batches >= 2 and test_batches >= 2
+    assert kinds.count("train") == 1
+    assert kinds.count("eval") == val_batches + test_batches

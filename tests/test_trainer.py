@@ -101,11 +101,14 @@ def test_metrics_hand_example():
 
 
 def test_metrics_masked_mape():
-    # target 0 is skipped; only the 100 -> 110 pair counts: 10%
-    target = np.array([0.0, 100.0]).reshape(2, 1, 1, 1)
-    pred = np.array([5.0, 110.0]).reshape(2, 1, 1, 1)
+    # target 0 is skipped; only the 100 -> 110 pair counts: 10%. Step 2's
+    # targets are all skipped: its MAPE is 0 and the overall MAPE ignores it
+    target = np.array([[0.0, 0.0], [100.0, 0.0]]).reshape(2, 2, 1, 1)
+    pred = np.array([[5.0, 1.0], [110.0, 2.0]]).reshape(2, 2, 1, 1)
     rep = metrics(pred, target, IDENTITY_NORM)
     assert rep.mape == pytest.approx(10.0)
+    assert rep.per_step_mape[0] == pytest.approx(10.0)
+    assert rep.per_step_mape[1] == 0.0
 
 
 def test_metrics_all_targets_masked():
@@ -153,27 +156,75 @@ def _many_batch_split():
     return init_model(model_cfg, 4, 1, seed=0), splits, a_pre, TrainConfig(batch_size=16)
 
 
-def test_validation_mae_is_bitwise_the_metrics_mae():
+def _reference_report(pred, target, normalizer):
+    # the whole-split, step-by-step formulas, as a reference for the sums
+    truth = normalizer.inverse(target)
+    err = normalizer.inverse(pred) - truth
+
+    def mape(e, y):
+        mask = np.abs(y) > training.MAPE_FLOOR
+        return np.mean(np.abs(e[mask]) / np.abs(y[mask])) * 100.0 if mask.any() else 0.0
+
+    q = pred.shape[1]
+    return dict(
+        mae=np.mean(np.abs(err)), mape=mape(err, truth), rmse=np.sqrt(np.mean(err**2)),
+        per_step_mae=[np.mean(np.abs(err[:, t])) for t in range(q)],
+        per_step_mape=[mape(err[:, t], truth[:, t]) for t in range(q)],
+        per_step_rmse=[np.sqrt(np.mean(err[:, t] ** 2)) for t in range(q)],
+    )
+
+
+def _assert_reports_agree(rep, expected):
+    for name, value in expected.items():
+        np.testing.assert_allclose(getattr(rep, name), value, rtol=1e-12, atol=0,
+                                   err_msg=name)
+
+
+def test_evaluate_sums_batches_like_metrics_on_the_whole_split(monkeypatch):
+    # 11 samples in batches of 4, 4 and 3; the targets at step index 2 are
+    # all 0 in original units and 3 at index 0 are, so MAPE skips them
+    rng = np.random.default_rng(4)
+    norm = Normalizer(mean=np.array([50.0]), std=np.array([10.0]))
+    pred = rng.standard_normal((11, 4, 3, 1))
+    target = rng.standard_normal((11, 4, 3, 1))
+    target[:, 2] = -5.0
+    target[:3, 0, 0] = -5.0
+    monkeypatch.setattr(training, "predict",
+                        lambda state, chunk, a_pre, bs: (pred[chunk], target[chunk]))
+    rep = training.evaluate(None, list(range(11)), None, norm, TrainConfig(batch_size=4))
+    expected = _reference_report(pred, target, norm)
+    _assert_reports_agree(rep, expected)
+    _assert_reports_agree(metrics(pred, target, norm), expected)
+    assert rep.per_step_mape[2] == 0.0
+    others = [0, 1, 3]
+    np.testing.assert_allclose(
+        rep.mape, _reference_report(pred[:, others], target[:, others], norm)["mape"],
+        rtol=1e-12)
+
+
+def test_evaluate_matches_metrics_on_predicts_arrays():
     state, splits, a_pre, cfg = _many_batch_split()
     pred, target = training.predict(state, splits.val, a_pre, cfg.batch_size)
-    assert (training.validation_mae(state, splits.val, a_pre, splits.normalizer, cfg)
-            == metrics(pred, target, splits.normalizer).mae)
+    rep = training.evaluate(state, splits.val, a_pre, splits.normalizer, cfg)
+    _assert_reports_agree(rep, vars(metrics(pred, target, splits.normalizer)))
 
 
-def test_validation_mae_peaks_below_evaluate():
-    # the validation MAE forms no squares, MAPE mask or per-step arrays:
-    # its peak sits at least two split-sized arrays below evaluate's
+def test_evaluate_peak_does_not_grow_with_the_split():
+    # one batch's arrays are alive at a time, so 7 batches peak where 2 do
     state, splits, a_pre, cfg = _many_batch_split()
+    # a first call's one-off allocations would inflate the 2-batch peak
+    training.evaluate(state, splits.val[:16], a_pre, splits.normalizer, cfg)
     peaks = []
-    for fn in (training.validation_mae, training.evaluate):
+    for n_batches in (2, 7):
         tracemalloc.start()
         try:
-            fn(state, splits.val, a_pre, splits.normalizer, cfg)
+            training.evaluate(state, splits.val[: 16 * n_batches], a_pre,
+                              splits.normalizer, cfg)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     split_array = len(splits.val) * 12 * 4 * 8
-    assert peaks[0] + 2 * split_array <= peaks[1]
+    assert peaks[1] - peaks[0] < split_array, (peaks, split_array)
 
 
 def test_horizon_steps():
